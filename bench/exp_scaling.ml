@@ -10,7 +10,6 @@
 
 open Exp_common
 module FA = Nw_core.Forest_algo
-module Backend = Nw_graphs.Backend
 module Dpool = Nw_localsim.Dpool
 
 (* ------------------------------------------------------------------ *)
@@ -18,28 +17,25 @@ module Dpool = Nw_localsim.Dpool
 (* ------------------------------------------------------------------ *)
 
 (* The same H-partition peel, on large forest-union instances (the top
-   size is 10^7 edges), under each (backend, domains) configuration. The
-   peel is the message-dense inner loop of the whole pipeline: every
-   round is an all-incident counting broadcast, so edges/sec here is the
-   data plane's streaming rate. Every configuration must produce the
-   byte-identical layer array — the sweep aborts otherwise — making the
-   table a differential test that happens to be timed. *)
+   size is 10^7 edges), at each domain count. The peel is the
+   message-dense inner loop of the whole pipeline: every round is an
+   all-incident counting broadcast, so edges/sec here is the data plane's
+   streaming rate. Every domain count must produce the byte-identical
+   layer array — the sweep aborts otherwise — making the table a
+   differential test that happens to be timed. *)
 
-let throughput_configs =
-  [ (Backend.Boxed, 1); (Backend.Csr, 1); (Backend.Csr, 4) ]
+let throughput_domains = [ 1; 4 ]
 
 type leg = {
   instance : string; (* which timed pipeline: "peel" or "hp-star" *)
   n : int;
   edges : int;
-  backend : Backend.kind;
   domains : int;
   wall : float;
   eps : float; (* edges per second *)
 }
 
-let time_leg g ~alpha (backend, domains) =
-  Backend.with_kind backend @@ fun () ->
+let time_leg g ~alpha domains =
   Dpool.with_domains domains @@ fun () ->
   let rounds = Rounds.create () in
   let t0 = Unix.gettimeofday () in
@@ -48,6 +44,22 @@ let time_leg g ~alpha (backend, domains) =
   in
   let wall = Unix.gettimeofday () -. t0 in
   (hp, wall)
+
+let leg_rows legs =
+  let baseline_of leg =
+    List.find (fun l -> l.n = leg.n && l.domains = 1) legs
+  in
+  List.map
+    (fun leg ->
+      [
+        d leg.n;
+        d leg.edges;
+        d leg.domains;
+        Printf.sprintf "%.3f" leg.wall;
+        Printf.sprintf "%.3e" leg.eps;
+        Printf.sprintf "%.2fx" (leg.eps /. (baseline_of leg).eps);
+      ])
+    legs
 
 let throughput_sweep () =
   section "E15b: data-plane throughput (H-partition peel, edges/sec)";
@@ -60,8 +72,8 @@ let throughput_sweep () =
         let m = G.m g in
         let reference = ref None in
         List.map
-          (fun (backend, domains) ->
-            let hp, wall = time_leg g ~alpha (backend, domains) in
+          (fun domains ->
+            let hp, wall = time_leg g ~alpha domains in
             let layer = hp.Nw_core.H_partition.layer in
             (match !reference with
             | None -> reference := Some layer
@@ -71,46 +83,27 @@ let throughput_sweep () =
                     if l <> ref_layer.(v) then
                       failwith
                         (Printf.sprintf
-                           "throughput sweep: %s/%d diverges from the boxed \
-                            reference at vertex %d"
-                           (Backend.to_string backend) domains v))
+                           "throughput sweep: K=%d diverges from K=1 at \
+                            vertex %d"
+                           domains v))
                   layer);
             {
               instance = "peel";
               n;
               edges = m;
-              backend;
               domains;
               wall;
               eps = float_of_int m /. wall;
             })
-          throughput_configs)
+          throughput_domains)
       [ 125_001; 1_250_001 (* m = alpha * (n - 1): 10^6 and 10^7 edges *) ]
   in
-  let baseline_of leg =
-    List.find
-      (fun l -> l.n = leg.n && l.backend = Backend.Boxed && l.domains = 1)
-      legs
-  in
-  table ~title:"H-partition peel throughput by data plane"
-    ~header:[ "n"; "edges"; "backend"; "domains"; "wall s"; "edges/sec"; "vs boxed" ]
-    ~rows:
-      (List.map
-         (fun leg ->
-           [
-             d leg.n;
-             d leg.edges;
-             Backend.to_string leg.backend;
-             d leg.domains;
-             Printf.sprintf "%.3f" leg.wall;
-             Printf.sprintf "%.3e" leg.eps;
-             Printf.sprintf "%.2fx" (leg.eps /. (baseline_of leg).eps);
-           ])
-         legs);
+  table ~title:"H-partition peel throughput by domain count"
+    ~header:[ "n"; "edges"; "domains"; "wall s"; "edges/sec"; "vs K=1" ]
+    ~rows:(leg_rows legs);
   note
-    "identical layer arrays were asserted across every configuration; the \
-     boxed leg runs the generic per-message list path (the seed baseline), \
-     csr streams the packed adjacency plane.";
+    "identical layer arrays were asserted across every domain count; the \
+     counting round streams the packed adjacency rows.";
   legs
 
 (* ------------------------------------------------------------------ *)
@@ -121,11 +114,10 @@ let throughput_sweep () =
    engine-run decomposition end to end — pass boundaries, artifact store,
    orientation build, Cole–Vishkin star-forest realization and the final
    verification all included — so edges/sec here is what a `forestd
-   decompose` caller actually sees per data plane. The pipeline is the
-   Theorem 2.1 chain (peel -> acyclic orientation -> 3t-star-forest),
-   whose cost is adjacency streaming rather than augmenting-path search:
-   the plane-bound regime the functorized core moves to CSR. Every
-   configuration must produce the byte-identical coloring. *)
+   decompose` caller actually sees. The pipeline is the Theorem 2.1
+   chain (peel -> acyclic orientation -> 3t-star-forest), whose cost is
+   adjacency streaming rather than augmenting-path search. Every domain
+   count must produce the byte-identical coloring. *)
 
 let hp_star_pipeline ~alpha =
   let open Nw_engine in
@@ -177,8 +169,7 @@ let hp_star_pipeline ~alpha =
       ];
   }
 
-let time_pipeline_leg g ~alpha (backend, domains) =
-  Backend.with_kind backend @@ fun () ->
+let time_pipeline_leg g ~alpha domains =
   Dpool.with_domains domains @@ fun () ->
   let open Nw_engine in
   let rounds = Rounds.create () in
@@ -193,7 +184,7 @@ let time_pipeline_leg g ~alpha (backend, domains) =
   let coloring = Store.coloring store "coloring" in
   let wall = Unix.gettimeofday () -. t0 in
   (* verification is asserted but sits outside the timed window: it is
-     plane-independent post-hoc checking, not pipeline work *)
+     post-hoc checking, not pipeline work *)
   verified (Verify.star_forest_decomposition coloring) |> ignore;
   (coloring, wall)
 
@@ -208,8 +199,8 @@ let pipeline_sweep () =
         let m = G.m g in
         let reference = ref None in
         List.map
-          (fun (backend, domains) ->
-            let coloring, wall = time_pipeline_leg g ~alpha (backend, domains) in
+          (fun domains ->
+            let coloring, wall = time_pipeline_leg g ~alpha domains in
             let colors = Nw_decomp.Coloring.to_array coloring in
             (match !reference with
             | None -> reference := Some colors
@@ -217,46 +208,26 @@ let pipeline_sweep () =
                 if colors <> ref_colors then
                   failwith
                     (Printf.sprintf
-                       "pipeline sweep: %s/%d coloring diverges from the \
-                        boxed reference"
-                       (Backend.to_string backend) domains));
+                       "pipeline sweep: K=%d coloring diverges from K=1"
+                       domains));
             {
               instance = "hp-star";
               n;
               edges = m;
-              backend;
               domains;
               wall;
               eps = float_of_int m /. wall;
             })
-          throughput_configs)
+          throughput_domains)
       [ 125_001; 1_250_001 ]
   in
-  let baseline_of leg =
-    List.find
-      (fun l -> l.n = leg.n && l.backend = Backend.Boxed && l.domains = 1)
-      legs
-  in
-  table ~title:"engine-run hp-star pipeline throughput by data plane"
-    ~header:
-      [ "n"; "edges"; "backend"; "domains"; "wall s"; "edges/sec"; "vs boxed" ]
-    ~rows:
-      (List.map
-         (fun leg ->
-           [
-             d leg.n;
-             d leg.edges;
-             Backend.to_string leg.backend;
-             d leg.domains;
-             Printf.sprintf "%.3f" leg.wall;
-             Printf.sprintf "%.3e" leg.eps;
-             Printf.sprintf "%.2fx" (leg.eps /. (baseline_of leg).eps);
-           ])
-         legs);
+  table ~title:"engine-run hp-star pipeline throughput by domain count"
+    ~header:[ "n"; "edges"; "domains"; "wall s"; "edges/sec"; "vs K=1" ]
+    ~rows:(leg_rows legs);
   note
     "end-to-end engine walls (passes and artifact store; verification \
      asserted outside the timed window), byte-identical colorings \
-     asserted across every configuration; contrast with the kernel-only \
+     asserted across every domain count; contrast with the kernel-only \
      peel rows above.";
   legs
 
@@ -267,11 +238,9 @@ let write_json legs wall_s =
   let oc = open_out "BENCH_scaling.json" in
   let leg_json l =
     Printf.sprintf
-      "    { \"instance\": \"%s\", \"backend\": \"%s\", \"domains\": %d, \
-       \"n\": %d, \"edges\": %d, \"wall_s\": %.6f, \"edges_per_sec\": %.1f }"
-      l.instance
-      (Backend.to_string l.backend)
-      l.domains l.n l.edges l.wall l.eps
+      "    { \"instance\": \"%s\", \"domains\": %d, \"n\": %d, \"edges\": \
+       %d, \"wall_s\": %.6f, \"edges_per_sec\": %.1f }"
+      l.instance l.domains l.n l.edges l.wall l.eps
   in
   Printf.fprintf oc
     "{\n\
@@ -281,7 +250,6 @@ let write_json legs wall_s =
     \  \"quick\": false,\n\
     \  \"domains\": %d,\n\
     \  \"env\": {\n\
-    \    \"backend\": \"%s\",\n\
     \    \"hostname\": \"%s\",\n\
     \    \"ocaml_version\": \"%s\",\n\
     \    \"stamped_at\": %.0f\n\
@@ -296,7 +264,6 @@ let write_json legs wall_s =
     \  \"failed\": null\n\
      }\n"
     (List.fold_left (fun acc l -> max acc l.domains) 1 legs)
-    (Backend.to_string (Backend.default ()))
     (try Unix.gethostname () with _ -> "unknown")
     Sys.ocaml_version (Unix.time ()) wall_s
     (String.concat ",\n" (List.map leg_json legs));

@@ -23,8 +23,6 @@ let usage =
   "loadgen --forestd PATH [options]\n\
    \  --forestd PATH     forestd executable to spawn (required)\n\
    \  --socket PATH      Unix socket path (default: private temp path)\n\
-   \  --backend NAME     data plane for daemon and client mirror\n\
-   \                     (boxed | csr, default boxed)\n\
    \  --domains K        worker domains for the daemon (default 1)\n\
    \  --seed N           workload RNG seed (default 11)\n\
    \  --requests N       total mixed requests to replay (default 120)\n\
@@ -52,7 +50,6 @@ let die fmt =
 type cfg = {
   mutable forestd : string;
   mutable socket : string;
-  mutable backend : Nw_graphs.Backend.kind;
   mutable domains : int;
   mutable seed : int;
   mutable requests : int;
@@ -84,7 +81,6 @@ let parse_args () =
     {
       forestd = "";
       socket = "";
-      backend = Nw_graphs.Backend.Boxed;
       domains = 1;
       seed = 11;
       requests = 120;
@@ -106,11 +102,6 @@ let parse_args () =
         go rest
     | "--socket" :: v :: rest ->
         cfg.socket <- v;
-        go rest
-    | "--backend" :: v :: rest ->
-        (match Nw_graphs.Backend.of_string v with
-        | Ok k -> cfg.backend <- k
-        | Error msg -> die "--backend: %s" msg);
         go rest
     | "--domains" :: v :: rest ->
         cfg.domains <- int_of_string v;
@@ -181,8 +172,6 @@ let spawn_daemon cfg =
       "serve";
       "--socket";
       cfg.socket;
-      "--backend";
-      Nw_graphs.Backend.to_string cfg.backend;
       "--domains";
       string_of_int cfg.domains;
     |]
@@ -402,7 +391,6 @@ let write_record cfg ~wall_s ~service_obj =
     \  \"quick\": %b,\n\
     \  \"domains\": %d,\n\
     \  \"env\": {\n\
-    \    \"backend\": \"%s\",\n\
     \    \"git_commit\": %s,\n\
     \    \"hostname\": \"%s\",\n\
     \    \"ocaml_version\": \"%s\",\n\
@@ -422,7 +410,6 @@ let write_record cfg ~wall_s ~service_obj =
     \  \"failed\": null\n\
      }\n"
     b p c cfg.quick cfg.domains
-    (Nw_graphs.Backend.to_string cfg.backend)
     (match git_commit () with
     | Some c -> Printf.sprintf "\"%s\"" (json_escape c)
     | None -> "null")
@@ -439,9 +426,6 @@ let write_record cfg ~wall_s ~service_obj =
 
 let () =
   let cfg = parse_args () in
-  (* the daemon gets --backend on its argv; mirror the choice locally so
-     the client-side re-verification exercises the same plane *)
-  Nw_graphs.Backend.set_default cfg.backend;
   let rng = Random.State.make [| cfg.seed |] in
   let g = Gen.forest_union rng cfg.n cfg.alpha in
   let edges = G.edges g in
@@ -643,9 +627,10 @@ let () =
     end
   end;
 
-  (* cross-backend output equality: the final served coloring is the
-     deterministic product of the seeded workload, so a boxed run can
-     dump it and a csr run (same seed/mix) must reproduce it exactly *)
+  (* cross-run output equality: the final served coloring is the
+     deterministic product of the seeded workload, so one run can dump
+     it and another (same seed/mix, e.g. a different --domains) must
+     reproduce it exactly *)
   (if cfg.dump_colors <> "" then begin
      let oc = open_out cfg.dump_colors in
      Array.iter (fun c -> Printf.fprintf oc "%d\n" c) !last_colors;

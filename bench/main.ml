@@ -26,11 +26,6 @@
    Regression gate:       dune exec bench/main.exe -- --json --quick
                           (skips the slowest experiments and the micro
                            pass; completes in well under a minute)
-   Data-plane selection:  dune exec bench/main.exe -- --backend csr
-                          (boxed | csr; the process-wide default plane for
-                           every message-passing kernel, stamped into
-                           env.backend of the BENCH records; outputs are
-                           byte-identical across backends)
    Fault injection:       dune exec bench/main.exe -- --chaos drop=0.1 \
                             --chaos-seed 7 --exp e2
                           (runs the selected experiments under the seeded
@@ -396,7 +391,6 @@ type env_stamp = {
   git_commit : string option;
   hostname : string;
   ocaml_version : string;
-  backend : string; (* the process-default data plane (--backend) *)
   stamped_at : float; (* unix epoch seconds *)
   fault_plan : (string * string) option;
       (* (digest, summary) of the active --chaos plan; absent otherwise,
@@ -422,7 +416,6 @@ let capture_env () =
     git_commit;
     hostname = (try Unix.gethostname () with _ -> "unknown");
     ocaml_version = Sys.ocaml_version;
-    backend = Nw_graphs.Backend.(to_string (default ()));
     stamped_at = Unix.time ();
     fault_plan =
       (match !chaos_ctx with
@@ -478,7 +471,6 @@ let write_json ~quick ~domains ~env r =
     \    \"git_commit\": %s,\n\
     \    \"hostname\": \"%s\",\n\
     \    \"ocaml_version\": \"%s\",\n\
-    \    \"backend\": \"%s\",\n\
     \    \"stamped_at\": %.0f\n\
     \  },\n\
     \  \"rounds_attribution\": \"per-domain\",\n\
@@ -520,7 +512,6 @@ let write_json ~quick ~domains ~env r =
     | Some c -> Printf.sprintf "\"%s\"" (json_escape c))
     (json_escape env.hostname)
     (json_escape env.ocaml_version)
-    (json_escape env.backend)
     env.stamped_at
     (if domains > 1 then "process-wide" else "exact")
     r.wall_s r.charged_rounds r.uf_queries r.bfs_runs r.uf_rebuilds
@@ -570,15 +561,8 @@ let () =
         | Some n -> chaos_seed := n
         | None -> failwith "bench: --chaos-seed expects an integer");
         strip acc rest
-    | "--backend" :: name :: rest ->
-        (match Nw_graphs.Backend.of_string name with
-        | Ok k -> Nw_graphs.Backend.set_default k
-        | Error msg ->
-            Printf.eprintf "bench: --backend: %s\n" msg;
-            exit 2);
-        strip acc rest
     | [ (("--csv" | "--domains" | "--trace" | "--exp" | "--chaos"
-        | "--chaos-seed" | "--backend") as flag) ] ->
+        | "--chaos-seed") as flag) ] ->
         Printf.eprintf "bench: %s expects an argument\n" flag;
         exit 2
     | "--exp" :: name :: rest -> strip (name :: acc) rest

@@ -12,12 +12,9 @@
    Run:        dune exec bench/perf_smoke.exe
    Fast gate:  dune exec bench/perf_smoke.exe -- --fast
                (also wired into `dune build @perf-smoke`)
-   Data plane: dune exec bench/perf_smoke.exe -- --backend csr
-               (sets the process-default plane for every message kernel;
-                the smoke also always runs boxed-vs-csr differentials —
-                the H-partition peel with a throughput sanity floor, and
-                an edge-by-edge Augmenting.search run whose final
-                colorings must match byte-for-byte)
+   The data-plane leg runs the H-partition peel twice — through the
+   streaming counting round and through the per-message round — and
+   requires identical layers and a throughput sanity floor.
 
    Prints a wall-clock ns/query table with the cached/BFS speedup, then a
    Bechamel pass over the same kernels for statistically robust per-run
@@ -162,99 +159,87 @@ let bechamel_pass ~fast cs =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
-(* data-plane leg: boxed vs csr on the H-partition peel                *)
+(* data-plane leg: streaming vs per-message peel                       *)
 (* ------------------------------------------------------------------ *)
 
-module Backend = Nw_graphs.Backend
+module Net = Nw_localsim.Msg_net
 
-(* Augmenting-path differential: run Algorithm 1 edge-by-edge over the
-   whole graph on each plane and require the final colorings to match
-   byte-for-byte. This pins the functorized Augmenting.search (and the
-   Coloring cache under it) to cross-plane determinism, not just the
-   streaming peel below. *)
-let augmenting_differential ~fast =
-  let alpha = 4 in
-  let n = if fast then 2_001 else 8_001 in
-  let g = Gen.forest_union (rng 77) n alpha in
-  let colors = 2 * alpha in
-  let run backend =
-    Backend.with_kind backend @@ fun () ->
-    let coloring = Coloring.create g ~colors in
-    let palette = Nw_decomp.Palette.full g colors in
-    let scratch = Nw_core.Augmenting.scratch coloring in
-    let t0 = Unix.gettimeofday () in
-    for e = 0 to G.m g - 1 do
-      match Nw_core.Augmenting.augment_edge coloring palette ~edge:e ~scratch () with
-      | Some _ -> ()
-      | None ->
-          Printf.eprintf
-            "perf smoke: augment stalled on edge %d (backend %s)\n" e
-            (Backend.to_string backend);
-          exit 1
-    done;
-    (Coloring.to_array coloring, Unix.gettimeofday () -. t0)
+(* The H-partition peel as a per-message protocol: every deciding vertex
+   sends one explicit message per incident edge through [Net.round], and
+   [recv] counts its inbox. This is what [Net.round_count] computes
+   without materializing messages, so the two peels must assign
+   identical layers. *)
+let reference_peel g ~epsilon ~alpha_star =
+  let threshold =
+    int_of_float (floor ((2.0 +. epsilon) *. float_of_int alpha_star))
   in
-  let boxed_colors, boxed_wall = run Backend.Boxed in
-  let csr_colors, csr_wall = run Backend.Csr in
-  Array.iteri
-    (fun e c ->
-      if c <> boxed_colors.(e) then begin
-        Printf.eprintf
-          "perf smoke: csr augmenting run diverges from boxed at edge %d\n" e;
-        exit 1
-      end)
-    csr_colors;
-  Printf.printf
-    "\n== data plane: augmenting path, n=%d m=%d ==\n\
-     boxed  %8.1f ms\n\
-     csr    %8.1f ms  (colorings identical)\n"
-    n (G.m g) (boxed_wall *. 1e3) (csr_wall *. 1e3);
-  flush stdout
+  let net =
+    Net.create g ~rounds:(Nw_localsim.Rounds.create ()) ~init:(fun v ->
+        (-1, G.degree g v))
+  in
+  let live (layer, deg) = layer = -1 && deg <= threshold in
+  let i = ref 0 in
+  while Array.exists (fun (layer, _) -> layer < 0) (Net.states net) do
+    let round_no = !i in
+    Net.round net ~label:"reference/peel"
+      ~send:(fun v st ->
+        if live st then
+          List.rev (G.fold_incident g v ~init:[] (fun acc _ e -> (e, ()) :: acc))
+        else [])
+      ~recv:(fun _ ((layer, deg) as st) msgs ->
+        let layer = if live st then round_no else layer in
+        (layer, deg - List.length msgs));
+    incr i
+  done;
+  Array.map fst (Net.states net)
 
 (* Differential first (identical layer arrays or exit 1), then a loose
-   throughput floor: csr may not stream slower than a fifth of the boxed
-   rate. The floor is deliberately far below the expected >= 2x win so a
-   noisy CI box cannot flake it, while a plane that silently fell off the
-   zero-allocation path (or a merge bug that degrades to quadratic) still
-   trips it. *)
+   throughput floor: the streaming peel may not run slower than a fifth
+   of the per-message rate. The floor is deliberately far below the
+   expected win so a noisy CI box cannot flake it, while a streaming
+   round that silently fell off the zero-allocation path (or a merge bug
+   that degrades to quadratic) still trips it. *)
 let data_plane_check ~fast =
   let alpha = 4 in
   let n = if fast then 20_001 else 200_001 in
   let g = Gen.forest_union (rng 42) n alpha in
   let m = G.m g in
-  let peel backend =
-    Backend.with_kind backend @@ fun () ->
-    let rounds = Nw_localsim.Rounds.create () in
+  let timed f =
     let t0 = Unix.gettimeofday () in
-    let hp =
-      Nw_core.H_partition.compute g ~epsilon:1.0 ~alpha_star:alpha ~rounds
-    in
-    (hp.Nw_core.H_partition.layer, Unix.gettimeofday () -. t0)
+    let x = f () in
+    (x, Unix.gettimeofday () -. t0)
   in
-  let boxed_layer, boxed_wall = peel Backend.Boxed in
-  let csr_layer, csr_wall = peel Backend.Csr in
+  let stream_layer, stream_wall =
+    timed (fun () ->
+        let rounds = Nw_localsim.Rounds.create () in
+        (Nw_core.H_partition.compute g ~epsilon:1.0 ~alpha_star:alpha ~rounds)
+          .Nw_core.H_partition.layer)
+  in
+  let ref_layer, ref_wall =
+    timed (fun () -> reference_peel g ~epsilon:1.0 ~alpha_star:alpha)
+  in
   Array.iteri
     (fun v l ->
-      if l <> boxed_layer.(v) then begin
+      if l <> ref_layer.(v) then begin
         Printf.eprintf
-          "perf smoke: csr H-partition diverges from boxed at vertex %d \
-           (%d vs %d)\n"
-          v l boxed_layer.(v);
+          "perf smoke: streaming H-partition diverges from the per-message \
+           peel at vertex %d (%d vs %d)\n"
+          v l ref_layer.(v);
         exit 1
       end)
-    csr_layer;
+    stream_layer;
   let rate wall = float_of_int m /. wall in
-  let ratio = rate csr_wall /. rate boxed_wall in
+  let ratio = rate stream_wall /. rate ref_wall in
   Printf.printf
     "\n== data plane: H-partition peel, n=%d m=%d ==\n\
-     boxed  %8.1f ms  %.3e edges/sec\n\
-     csr    %8.1f ms  %.3e edges/sec  (%.2fx, layers identical)\n"
-    n m (boxed_wall *. 1e3) (rate boxed_wall) (csr_wall *. 1e3)
-    (rate csr_wall) ratio;
+     per-message  %8.1f ms  %.3e edges/sec\n\
+     streaming    %8.1f ms  %.3e edges/sec  (%.2fx, layers identical)\n"
+    n m (ref_wall *. 1e3) (rate ref_wall) (stream_wall *. 1e3)
+    (rate stream_wall) ratio;
   if ratio < 0.2 then begin
     Printf.eprintf
-      "perf smoke: csr throughput sanity floor violated (%.2fx < 0.2x \
-       boxed)\n"
+      "perf smoke: streaming throughput sanity floor violated (%.2fx < \
+       0.2x per-message)\n"
       ratio;
     exit 1
   end;
@@ -263,23 +248,10 @@ let data_plane_check ~fast =
 let () =
   let fast = Array.exists (( = ) "--fast") Sys.argv in
   let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv in
-  (let rec backend_arg i =
-     if i >= Array.length Sys.argv - 1 then ()
-     else if Sys.argv.(i) = "--backend" then
-       match Backend.of_string Sys.argv.(i + 1) with
-       | Ok k -> Backend.set_default k
-       | Error msg ->
-           Printf.eprintf "perf_smoke: --backend: %s\n" msg;
-           exit 2
-     else backend_arg (i + 1)
-   in
-   backend_arg 1);
-  Printf.printf "perf smoke: connectivity cache vs BFS oracle%s (backend %s)\n"
-    (if fast then " (fast mode)" else "")
-    (Backend.to_string (Backend.default ()));
+  Printf.printf "perf smoke: connectivity cache vs BFS oracle%s\n"
+    (if fast then " (fast mode)" else "");
   let cs = cases ~fast in
   wall_table ~fast cs;
   data_plane_check ~fast;
-  augmenting_differential ~fast;
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -110,9 +110,8 @@ let check_env file json =
             [ ("registry", shape_string); ("hash", shape_string) ]
       | Some _ ->
           fail file "env field \"pipeline\" must be an object when present");
-      (* backend is optional — records predating the CSR data plane omit
-         it — but when present it names the process-default plane
-         (docs/data-plane.md) *)
+      (* backend is historical: records from the two-plane era name the
+         data plane they ran on; current records omit it *)
       (match J.member "backend" env with
       | None -> ()
       | Some (J.String _) -> ()
@@ -121,7 +120,7 @@ let check_env file json =
   | _ -> ()
 
 (* additive nw-bench/2 field: a throughput sweep (BENCH_scaling.json) is a
-   list of (backend, domains, instance, rate) legs, each fully numeric so
+   list of (domains, instance, rate) legs, each fully numeric so
    trajectory tooling can diff edges_per_sec across commits *)
 let check_throughput file json =
   match J.member "throughput" json with
@@ -133,7 +132,13 @@ let check_throughput file json =
           if not (shape_obj leg) then
             fail file "throughput leg %d is not an object" i
           else begin
-            check_field file leg ("backend", shape_string);
+            (* backend is historical, as in env *)
+            (match J.member "backend" leg with
+            | None | Some (J.String _) -> ()
+            | Some _ ->
+                fail file
+                  "throughput leg field \"backend\" must be a string when \
+                   present");
             (* instance is optional — legs predating the full-pipeline
                sweep omit it — but when present it names the timed
                pipeline and joins the benchdiff alignment key *)

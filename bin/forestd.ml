@@ -193,20 +193,30 @@ let report_coloring ?(star = false) g coloring rounds =
   | None -> ()
   | Some r -> Format.printf "%a@." Rounds.pp r
 
+(* an algorithm that needs a simple graph, handed a multigraph, is an
+   input error: one line on stderr and exit 2, never an uncaught
+   exception *)
+let check_input path g (algorithm : Registry.entry) =
+  if algorithm.Registry.simple_only && not (G.is_simple g) then begin
+    Printf.eprintf
+      "forestd: algorithm %s requires a simple graph, but %s has parallel \
+       edges\n"
+      algorithm.Registry.name path;
+    exit 2
+  end
+
 let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
-    chaos chaos_seed backend domains flight serve_metrics =
-  Nw_graphs.Backend.set_default backend;
+    chaos chaos_seed domains flight serve_metrics =
   Nw_localsim.Dpool.with_domains domains @@ fun () ->
   let g = Io.read_edge_list path in
+  check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
   let alpha =
     match alpha_opt with
     | Some a -> a
     | None -> fst (Nw_baseline.Gabow_westermann.arboricity g)
   in
-  Format.printf "graph: %a, alpha = %d, eps = %g, backend = %s@." G.pp g alpha
-    epsilon
-    (Nw_graphs.Backend.to_string backend);
+  Format.printf "graph: %a, alpha = %d, eps = %g@." G.pp g alpha epsilon;
   (* the flight recorder and metrics server piggyback on the Obs stream;
      neither changes what goes to stdout, so fault-free output stays
      byte-identical to a plain invocation *)
@@ -237,7 +247,6 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
           ("algorithm", algo_name);
           ("epsilon", string_of_float epsilon);
           ("seed", string_of_int seed);
-          ("backend", Nw_graphs.Backend.to_string backend);
           ("domains", string_of_int domains);
           ("registry", registry);
           ("registry_hash", registry_hash);
@@ -466,22 +475,6 @@ let decompose_cmd =
             "Seed for the fault plan; the same (plan, seed) pair replays \
              the identical fault timeline.")
   in
-  let backend =
-    let backend_conv =
-      Arg.enum
-        (List.map
-           (fun k -> (Nw_graphs.Backend.to_string k, k))
-           Nw_graphs.Backend.all)
-    in
-    Arg.(
-      value
-      & opt backend_conv Nw_graphs.Backend.Boxed
-      & info [ "backend" ] ~docv:"PLANE"
-          ~doc:
-            "Data plane for the message-passing kernels (boxed | csr). \
-             Outputs are byte-identical; csr streams flat Bigarray \
-             adjacency (docs/data-plane.md).")
-  in
   let domains =
     Arg.(
       value & opt int 1
@@ -515,12 +508,20 @@ let decompose_cmd =
              http://localhost/). Snapshots refresh at every pass \
              boundary.")
   in
+  let exits =
+    Cmd.Exit.info 2
+      ~doc:
+        "on an input error: the algorithm requires a simple graph and the \
+         input has parallel edges (one line on stderr)."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "decompose" ~doc:"Run a decomposition algorithm on a graph.")
+    (Cmd.info "decompose" ~exits
+       ~doc:"Run a decomposition algorithm on a graph.")
     Term.(
       const decompose $ graph_pos $ algorithm $ epsilon_arg $ seed_arg $ alpha
-      $ dot $ save $ trace $ metrics $ chaos $ chaos_seed $ backend $ domains
-      $ flight $ serve_metrics)
+      $ dot $ save $ trace $ metrics $ chaos $ chaos_seed $ domains $ flight
+      $ serve_metrics)
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)
@@ -529,10 +530,10 @@ let decompose_cmd =
 (* run a decomposition with Obs on and print the Prometheus text
    exposition of the finished trace — the one-shot, pipeable face of the
    same rendering --serve-metrics serves over a socket *)
-let stats_run path algorithm epsilon seed alpha_opt backend domains =
-  Nw_graphs.Backend.set_default backend;
+let stats_run path algorithm epsilon seed alpha_opt domains =
   Nw_localsim.Dpool.with_domains domains @@ fun () ->
   let g = Io.read_edge_list path in
+  check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
   let alpha =
     match alpha_opt with
@@ -570,19 +571,6 @@ let stats_cmd =
       & info [ "alpha" ] ~docv:"A"
           ~doc:"Arboricity bound (computed exactly when omitted).")
   in
-  let backend =
-    let backend_conv =
-      Arg.enum
-        (List.map
-           (fun k -> (Nw_graphs.Backend.to_string k, k))
-           Nw_graphs.Backend.all)
-    in
-    Arg.(
-      value
-      & opt backend_conv Nw_graphs.Backend.Boxed
-      & info [ "backend" ] ~docv:"PLANE"
-          ~doc:"Data plane for the message-passing kernels (boxed | csr).")
-  in
   let domains =
     Arg.(
       value & opt int 1
@@ -596,7 +584,7 @@ let stats_cmd =
           histograms, per-pass aggregates) in Prometheus text format.")
     Term.(
       const stats_run $ graph_pos $ algorithm $ epsilon_arg $ seed_arg $ alpha
-      $ backend $ domains)
+      $ domains)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -698,8 +686,7 @@ let verify_cmd =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let serve_run socket backend domains serve_metrics =
-  Nw_graphs.Backend.set_default backend;
+let serve_run socket domains serve_metrics =
   (* daemon-side failures use the same one-line JSON stderr diagnostic
      shape as the chaos path: machine-consumable, Json_lite-escaped,
      paired with a distinctive exit code (2 = CLI misuse, 3 = runtime
@@ -760,30 +747,13 @@ let serve_cmd =
              in Prometheus text format over a second Unix socket at SOCK \
              (scrape with curl --unix-socket SOCK http://localhost/).")
   in
-  let backend =
-    let backend_conv =
-      Arg.enum
-        (List.map
-           (fun k -> (Nw_graphs.Backend.to_string k, k))
-           Nw_graphs.Backend.all)
-    in
-    Arg.(
-      value
-      & opt backend_conv Nw_graphs.Backend.Boxed
-      & info [ "backend" ] ~docv:"PLANE"
-          ~doc:
-            "Data plane for batch pipelines and the incremental \
-             connectivity cache (boxed | csr). Served responses are \
-             byte-identical; csr answers decompose and edge churn from \
-             the flat planes (docs/data-plane.md).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the decomposition daemon: named dynamic-graph sessions, \
           incremental edge churn, batch decompose/orient via the \
           registry, over a Unix socket.")
-    Term.(const serve_run $ socket $ backend $ domains $ serve_metrics)
+    Term.(const serve_run $ socket $ domains $ serve_metrics)
 
 let () =
   let doc = "Nash-Williams forest decomposition in the LOCAL model" in

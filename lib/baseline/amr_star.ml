@@ -20,8 +20,7 @@ let of_forest_decomposition coloring =
         Queue.add v0 q;
         while not (Queue.is_empty q) do
           let u = Queue.take q in
-          Array.iter
-            (fun (w, fe) ->
+          G.iter_incident forest u (fun w fe ->
               if depth.(w) < 0 then begin
                 depth.(w) <- depth.(u) + 1;
                 (* the edge's upper endpoint is u; its parity picks the
@@ -29,7 +28,6 @@ let of_forest_decomposition coloring =
                 Coloring.set out femap.(fe) ((2 * c) + (depth.(u) mod 2));
                 Queue.add w q
               end)
-            (G.incident forest u)
         done
       end
     done

@@ -35,63 +35,15 @@ type outcome =
           least [(1+eps)·α] this certifies a local density violation and
           cannot happen (Prop 3.3); callers treat it as failure. *)
 
-(** The plane-generic search core. Algorithm 1 reads the graph only
-    through [n]/[m]/[src]/[dst], so it functorizes over any [GRAPH] and
-    the matching {!Nw_decomp.Coloring.S} instance; [Forest_algo]
-    instantiates it per plane so the per-edge hot loop runs without
-    dispatch. The top-level functions below are the dispatched
-    counterparts for callers holding a [Nw_decomp.Coloring.t]. *)
-module type CORE = sig
-  type coloring
-  type scratch
-
-  val scratch : coloring -> scratch
-
-  val search :
-    coloring ->
-    Nw_decomp.Palette.t ->
-    start:int ->
-    ?within:bool array ->
-    ?scratch:scratch ->
-    unit ->
-    outcome
-
-  val short_circuit : coloring -> sequence -> sequence
-  val apply : coloring -> sequence -> unit
-
-  val augment_edge :
-    coloring ->
-    Nw_decomp.Palette.t ->
-    edge:int ->
-    ?within:bool array ->
-    ?scratch:scratch ->
-    unit ->
-    search_stats option
-end
-
-module Make
-    (G : Nw_graphs.Graph_sig.GRAPH)
-    (C : Nw_decomp.Coloring.S with type graph = G.t) :
-  CORE with type coloring = C.t
-
-(** The two plane instances, matching [Nw_decomp.Coloring.Boxed] and
-    [Nw_decomp.Coloring.Csr_backed]. *)
-module Boxed_core : CORE with type coloring = Nw_decomp.Coloring.Boxed.t
-
-module Csr_core : CORE with type coloring = Nw_decomp.Coloring.Csr_backed.t
-
 type scratch
 (** Reusable timestamped working arrays for {!search} (the edge set [E_i],
     the parent pointers, the touched-vertex set). Hot loops that run one
     search per edge allocate this once via {!scratch} and pass it to every
-    call; a search without one allocates a fresh scratch internally. A
-    scratch is bound to the plane of the coloring it was created from;
-    passing it with a coloring on the other plane raises
-    [Invalid_argument]. *)
+    call; a search without one allocates a fresh scratch internally. *)
 
 (** [scratch coloring] allocates search scratch sized for [coloring]'s
-    graph, on [coloring]'s plane. A scratch may be reused across colorings
-    of graphs no larger than the one it was created for. *)
+    graph. A scratch may be reused across colorings of graphs no larger
+    than the one it was created for. *)
 val scratch : Nw_decomp.Coloring.t -> scratch
 
 (** [search coloring palette ~start ?within ?scratch ()] runs Algorithm 1

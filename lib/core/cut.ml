@@ -47,151 +47,133 @@ let create g rule ~epsilon ~alpha ~radius ~num_classes ~rng ~rounds =
   in
   { state; rng; rounds }
 
-(* The rule bodies are plane-generic: they read the graph only through
-   n/m/src/dst/degree/iter_incident plus [subgraph_of_edges] (depth-mod's
-   per-color trees), and take it from the coloring itself, so they run
-   directly on whichever plane the coloring was created on. [execute]
-   below dispatches once per call on the coloring's arm. *)
-module Rules
-    (Gr : Nw_graphs.Graph_sig.GRAPH_EXT)
-    (C : Coloring.S with type graph = Gr.t) =
-struct
-  (* an edge is eligible for removal when it lies in the region but not
-     inside the core *)
-  let eligible g core region e =
-    let u = Gr.src g e and v = Gr.dst g e in
-    region.(u) && region.(v) && not (core.(u) && core.(v))
+(* an edge is eligible for removal when it lies in the region but not
+   inside the core *)
+let eligible g core region e =
+  let u = G.src g e and v = G.dst g e in
+  region.(u) && region.(v) && not (core.(u) && core.(v))
 
-  let remove coloring removed e =
-    C.unset coloring e;
-    removed.(e) <- true
+let remove coloring removed e =
+  Coloring.unset coloring e;
+  removed.(e) <- true
 
-  (* rule bodies run under [execute]'s "cut" span *)
-  let[@obs.in_span] execute_depth_mod ~rng ~rounds coloring ~core ~region
-      ~removed ~n_mod =
-    let g = C.graph coloring in
-    let n = Gr.n g in
-    (* per color: BFS-root every tree of the eligible c-colored subgraph,
-       preferring roots inside the core, and delete edges whose deeper
-       endpoint depth is J_c modulo N (one random J per tree). *)
-    (* generation-stamped depths: absent = unvisited, so the per-color
-       reset is O(1) instead of an O(n) refill *)
-    let depth = Scratch.Ints.create n in
-    let offset = Array.make n 0 in
-    let max_depth = ref 0 in
-    for c = 0 to C.colors coloring - 1 do
-      Scratch.Ints.reset depth;
-      let keep =
-        Array.init (Gr.m g) (fun e ->
-            C.color coloring e = Some c && eligible g core region e)
-      in
-      let sub, emap = Gr.subgraph_of_edges g keep in
-      (* root preference: core vertices first, then everything *)
-      let bfs_from v0 =
-        if (not (Scratch.Ints.mem depth v0)) && Gr.degree sub v0 > 0
-        then begin
-          let j = Random.State.int rng n_mod in
-          let q = Queue.create () in
-          Scratch.Ints.set depth v0 0;
-          offset.(v0) <- j;
-          Queue.add v0 q;
-          while not (Queue.is_empty q) do
-            let u = Queue.take q in
-            let du = Scratch.Ints.get depth u ~default:0 in
-            if du > !max_depth then max_depth := du;
-            Gr.iter_incident sub u (fun w _ ->
-                if not (Scratch.Ints.mem depth w) then begin
-                  Scratch.Ints.set depth w (du + 1);
-                  offset.(w) <- j;
-                  Queue.add w q
-                end)
-          done
-        end
-      in
-      for v = 0 to n - 1 do
-        if core.(v) then bfs_from v
-      done;
-      for v = 0 to n - 1 do
-        bfs_from v
-      done;
-      Array.iteri
-        (fun se e ->
-          ignore se;
-          let u = Gr.src g e and v = Gr.dst g e in
-          let d =
-            max
-              (Scratch.Ints.get depth u ~default:(-1))
-              (Scratch.Ints.get depth v ~default:(-1))
-          in
-          if d mod n_mod = offset.(u) then remove coloring removed e)
-        emap
-    done;
-    Rounds.charge rounds ~label:"cut/depth-mod" (!max_depth + 2)
-
-  let[@obs.in_span] execute_sampled ~rng ~rounds coloring ~core ~region
-      ~removed ~orientation ~counters ~cap ~p =
-    let g = C.graph coloring in
-    for v = 0 to Gr.n g - 1 do
-      if region.(v) && counters.(v) < cap && Random.State.float rng 1.0 < p
+(* rule bodies run under [execute]'s "cut" span *)
+let[@obs.in_span] execute_depth_mod ~rng ~rounds coloring ~core ~region
+    ~removed ~n_mod =
+  let g = Coloring.graph coloring in
+  let n = G.n g in
+  (* per color: BFS-root every tree of the eligible c-colored subgraph,
+     preferring roots inside the core, and delete edges whose deeper
+     endpoint depth is J_c modulo N (one random J per tree). *)
+  (* generation-stamped depths: absent = unvisited, so the per-color
+     reset is O(1) instead of an O(n) refill *)
+  let depth = Scratch.Ints.create n in
+  let offset = Array.make n 0 in
+  let max_depth = ref 0 in
+  for c = 0 to Coloring.colors coloring - 1 do
+    Scratch.Ints.reset depth;
+    let keep =
+      Array.init (G.m g) (fun e ->
+          Coloring.color coloring e = Some c && eligible g core region e)
+    in
+    let sub, emap = G.subgraph_of_edges g keep in
+    (* root preference: core vertices first, then everything *)
+    let bfs_from v0 =
+      if (not (Scratch.Ints.mem depth v0)) && G.degree sub v0 > 0
       then begin
-        let candidates =
-          List.filter
-            (fun e -> (not removed.(e)) && eligible g core region e)
-            (O.out_edges orientation v)
-        in
-        match candidates with
-        | [] -> ()
-        | _ ->
-            let k = Random.State.int rng (List.length candidates) in
-            remove coloring removed (List.nth candidates k);
-            counters.(v) <- counters.(v) + 1
-      end
-    done;
-    Rounds.charge rounds ~label:"cut/sampled" 1
-
-  let is_good coloring ~core ~region =
-    let g = C.graph coloring in
-    let n = Gr.n g in
-    let ok = ref true in
-    let seen = Scratch.Marks.create n in
-    for c = 0 to C.colors coloring - 1 do
-      if !ok then begin
-        Scratch.Marks.reset seen;
+        let j = Random.State.int rng n_mod in
         let q = Queue.create () in
-        for v = 0 to n - 1 do
-          if core.(v) && not (Scratch.Marks.mem seen v) then begin
-            Scratch.Marks.add seen v;
-            Queue.add v q
-          end
-        done;
-        while !ok && not (Queue.is_empty q) do
+        Scratch.Ints.set depth v0 0;
+        offset.(v0) <- j;
+        Queue.add v0 q;
+        while not (Queue.is_empty q) do
           let u = Queue.take q in
-          if not region.(u) then ok := false
-          else
-            C.iter_colored_incident coloring u c (fun w _ ->
-                if not (Scratch.Marks.mem seen w) then begin
-                  Scratch.Marks.add seen w;
-                  Queue.add w q
-                end)
+          let du = Scratch.Ints.get depth u ~default:0 in
+          if du > !max_depth then max_depth := du;
+          G.iter_incident sub u (fun w _ ->
+              if not (Scratch.Ints.mem depth w) then begin
+                Scratch.Ints.set depth w (du + 1);
+                offset.(w) <- j;
+                Queue.add w q
+              end)
         done
       end
+    in
+    for v = 0 to n - 1 do
+      if core.(v) then bfs_from v
     done;
-    !ok
-end
+    for v = 0 to n - 1 do
+      bfs_from v
+    done;
+    Array.iteri
+      (fun se e ->
+        ignore se;
+        let u = G.src g e and v = G.dst g e in
+        let d =
+          max
+            (Scratch.Ints.get depth u ~default:(-1))
+            (Scratch.Ints.get depth v ~default:(-1))
+        in
+        if d mod n_mod = offset.(u) then remove coloring removed e)
+      emap
+  done;
+  Rounds.charge rounds ~label:"cut/depth-mod" (!max_depth + 2)
 
-module Boxed_rules = Rules (Nw_graphs.Multigraph) (Coloring.Boxed)
-module Csr_rules = Rules (Nw_graphs.Csr) (Coloring.Csr_backed)
+let[@obs.in_span] execute_sampled ~rng ~rounds coloring ~core ~region
+    ~removed ~orientation ~counters ~cap ~p =
+  let g = Coloring.graph coloring in
+  for v = 0 to G.n g - 1 do
+    if region.(v) && counters.(v) < cap && Random.State.float rng 1.0 < p
+    then begin
+      let candidates =
+        List.filter
+          (fun e -> (not removed.(e)) && eligible g core region e)
+          (O.out_edges orientation v)
+      in
+      match candidates with
+      | [] -> ()
+      | _ ->
+          let k = Random.State.int rng (List.length candidates) in
+          remove coloring removed (List.nth candidates k);
+          counters.(v) <- counters.(v) + 1
+    end
+  done;
+  Rounds.charge rounds ~label:"cut/sampled" 1
 
-(* Diam-reduce delegates to Diameter_reduction, which operates on the
-   dispatched coloring API (it is a cold, whole-region pass); the other
-   rules dispatch here and stay on one plane throughout. *)
+let is_good coloring ~core ~region =
+  let g = Coloring.graph coloring in
+  let n = G.n g in
+  let ok = ref true in
+  let seen = Scratch.Marks.create n in
+  for c = 0 to Coloring.colors coloring - 1 do
+    if !ok then begin
+      Scratch.Marks.reset seen;
+      let q = Queue.create () in
+      for v = 0 to n - 1 do
+        if core.(v) && not (Scratch.Marks.mem seen v) then begin
+          Scratch.Marks.add seen v;
+          Queue.add v q
+        end
+      done;
+      while !ok && not (Queue.is_empty q) do
+        let u = Queue.take q in
+        if not region.(u) then ok := false
+        else
+          Coloring.iter_colored_incident coloring u c (fun w _ ->
+              if not (Scratch.Marks.mem seen w) then begin
+                Scratch.Marks.add seen w;
+                Queue.add w q
+              end)
+      done
+    end
+  done;
+  !ok
+
+(* Diam-reduce delegates to Diameter_reduction (a cold, whole-region
+   pass over the same coloring API). *)
 let execute_diam_reduce t coloring ~core ~region ~removed ~epsilon' ~alpha =
   let g = Coloring.graph coloring in
-  let eligible e =
-    let u = G.src g e and v = G.dst g e in
-    region.(u) && region.(v) && not (core.(u) && core.(v))
-  in
-  let elig = Array.init (G.m g) eligible in
+  let elig = Array.init (G.m g) (eligible g core region) in
   let deleted =
     Diameter_reduction.delete_long_paths coloring ~eligible:elig
       ~epsilon:epsilon' ~alpha ~rng:t.rng ~rounds:t.rounds
@@ -213,29 +195,14 @@ let execute t coloring ~core ~region ~removed =
       ignore core;
       ignore region;
       ignore removed
-  | S_depth_mod { n_mod } -> (
-      match coloring with
-      | Coloring.Boxed b ->
-          Boxed_rules.execute_depth_mod ~rng:t.rng ~rounds:t.rounds b ~core
-            ~region ~removed ~n_mod
-      | Coloring.Csr (_, k) ->
-          Csr_rules.execute_depth_mod ~rng:t.rng ~rounds:t.rounds k ~core
-            ~region ~removed ~n_mod)
+  | S_depth_mod { n_mod } ->
+      execute_depth_mod ~rng:t.rng ~rounds:t.rounds coloring ~core ~region
+        ~removed ~n_mod
   | S_diam_reduce { epsilon'; alpha } ->
       execute_diam_reduce t coloring ~core ~region ~removed ~epsilon' ~alpha
-  | S_sampled { orientation; counters; cap; p } -> (
-      match coloring with
-      | Coloring.Boxed b ->
-          Boxed_rules.execute_sampled ~rng:t.rng ~rounds:t.rounds b ~core
-            ~region ~removed ~orientation ~counters ~cap ~p
-      | Coloring.Csr (_, k) ->
-          Csr_rules.execute_sampled ~rng:t.rng ~rounds:t.rounds k ~core
-            ~region ~removed ~orientation ~counters ~cap ~p)
-
-let is_good coloring ~core ~region =
-  match coloring with
-  | Coloring.Boxed b -> Boxed_rules.is_good b ~core ~region
-  | Coloring.Csr (_, k) -> Csr_rules.is_good k ~core ~region
+  | S_sampled { orientation; counters; cap; p } ->
+      execute_sampled ~rng:t.rng ~rounds:t.rounds coloring ~core ~region
+        ~removed ~orientation ~counters ~cap ~p
 
 let sampling_probability t =
   match t.state with S_sampled { p; _ } -> Some p | _ -> None

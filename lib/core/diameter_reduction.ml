@@ -35,14 +35,12 @@ let component_bfs forest src dist =
   let visited = ref [ src ] in
   while not (Queue.is_empty q) do
     let u = Queue.take q in
-    Array.iter
-      (fun (w, _) ->
+    G.iter_incident forest u (fun w _ ->
         if dist.(w) < 0 then begin
           dist.(w) <- dist.(u) + 1;
           visited := w :: !visited;
           Queue.add w q
         end)
-      (G.incident forest u)
   done;
   !visited
 

@@ -55,131 +55,87 @@ let default_radii ~n ~epsilon ~alpha ~max_degree ~cut =
 let check_epsilon epsilon =
   if epsilon <= 0.0 then invalid_arg "Forest_algo: epsilon <= 0"
 
-(* The CUT + augmentation phase is plane-generic: balls, edge scans and
-   the per-edge augmenting searches all run on whichever plane [g] is,
-   through the matching Coloring and Augmenting instances. Only two
-   things stay on the dispatched (boxed-carrying) API, threaded in as
-   closures so the span tree and the RNG draw order are byte-identical
-   to the pre-functor code: [make_cut] (Cut.create needs the boxed graph
-   for the Sampled rule's H-partition, and must run inside the
-   "forest_algo" span so its own spans/round charges attach there) and
-   [wrap] (Cut.execute/is_good take the dispatched coloring; wrapping
-   shares the underlying plane instance, so rule-body mutations land in
-   [coloring] directly). *)
-module Core
-    (Gr : Nw_graphs.Graph_sig.GRAPH_EXT)
-    (C : Coloring.S with type graph = Gr.t)
-    (A : Augmenting.CORE with type coloring = C.t) =
-struct
-  let partial_color g palette ~make_cut ~wrap ~radii ~nd ~rounds =
-    Obs.span "forest_algo" @@ fun () ->
-    let r, r' = radii in
-    let d = r + r' in
-    let n = Gr.n g and m = Gr.m g in
-    let cut_state = make_cut () in
-    let removed = Array.make m false in
-    let coloring = C.create g ~colors:(Palette.color_space palette) in
-    let pub = wrap coloring in
-    let scratch = A.scratch coloring in
-    let good_cuts = ref 0 and bad_cuts = ref 0 and stalls = ref 0 in
-    let max_seq = ref 0 and max_explored = ref 0 and max_iters = ref 0 in
-    let logn = int_of_float (log_ceil n) in
-    for z = 0 to nd.Net_decomp.num_classes - 1 do
-      Obs.span "forest_algo.class" ~attrs:[ ("class", Obs.Int z) ]
-      @@ fun () ->
-      Array.iteri
-        (fun id members ->
-          if nd.Net_decomp.cluster_class.(id) = z then begin
-            let core = Gr.ball_of_set g members r' in
-            let region = Gr.ball_of_set g members d in
-            Obs.count "forest_algo.clusters";
-            Cut.execute cut_state pub ~core ~region ~removed;
-            if Cut.is_good pub ~core ~region then incr good_cuts
-            else incr bad_cuts;
-            let in_cluster = Array.make n false in
-            List.iter (fun v -> in_cluster.(v) <- true) members;
-            Gr.fold_edges
-              (fun e u v () ->
-                if
-                  (not removed.(e))
-                  && C.color coloring e = None
-                  && (in_cluster.(u) || in_cluster.(v))
-                then begin
-                  match
-                    A.augment_edge coloring palette ~edge:e ~within:region
-                      ~scratch ()
-                  with
-                  | Some st ->
-                      let len = st.Augmenting.iterations + 1 in
-                      if len > !max_seq then max_seq := len;
-                      if st.Augmenting.explored > !max_explored then
-                        max_explored := st.Augmenting.explored;
-                      if st.Augmenting.iterations > !max_iters then
-                        max_iters := st.Augmenting.iterations;
-                      ()
-                  | None ->
-                      removed.(e) <- true;
-                      incr stalls
-                end)
-              g ()
-          end)
-        nd.Net_decomp.clusters;
-      (* all clusters of one class run concurrently; simulating a
-         cluster's CUT + augmentation takes O(D log n) rounds (Thm 4.1) *)
-      Rounds.charge rounds ~label:"forest-algo/class" (2 * d * (logn + 2))
-    done;
-    let leftover =
-      Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 removed
-    in
-    Obs.set_attr "classes" (Obs.Int nd.Net_decomp.num_classes);
-    Obs.set_attr "clusters" (Obs.Int (Array.length nd.Net_decomp.clusters));
-    Obs.set_attr "leftover_edges" (Obs.Int leftover);
-    Obs.set_attr "max_path_len" (Obs.Int !max_seq);
-    let stats =
-      {
-        classes = nd.Net_decomp.num_classes;
-        clusters = Array.length nd.Net_decomp.clusters;
-        good_cuts = !good_cuts;
-        bad_cuts = !bad_cuts;
-        stalls = !stalls;
-        leftover_edges = leftover;
-        max_sequence_length = !max_seq;
-        max_explored = !max_explored;
-        max_iterations = !max_iters;
-      }
-    in
-    (coloring, removed, stats)
-end
-
-module Boxed_core =
-  Core (Nw_graphs.Multigraph) (Coloring.Boxed) (Augmenting.Boxed_core)
-
-module Csr_core = Core (Nw_graphs.Csr) (Coloring.Csr_backed) (Augmenting.Csr_core)
-
 let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
   check_epsilon epsilon;
-  let r, _ = radii in
-  let make_cut () =
+  Obs.span "forest_algo" @@ fun () ->
+  let r, r' = radii in
+  let d = r + r' in
+  let n = G.n g and m = G.m g in
+  let cut_state =
     Cut.create g cut ~epsilon ~alpha ~radius:r
       ~num_classes:nd.Net_decomp.num_classes ~rng ~rounds
   in
-  (* dispatch once per run — the whole phase then stays on one plane *)
-  match Nw_graphs.Backend.default () with
-  | Nw_graphs.Backend.Boxed ->
-      let coloring, removed, stats =
-        Boxed_core.partial_color g palette ~make_cut
-          ~wrap:(fun b -> Coloring.Boxed b)
-          ~radii ~nd ~rounds
-      in
-      (Coloring.Boxed coloring, removed, stats)
-  | Nw_graphs.Backend.Csr ->
-      let plane = Nw_graphs.Csr.of_multigraph g in
-      let coloring, removed, stats =
-        Csr_core.partial_color plane palette ~make_cut
-          ~wrap:(fun k -> Coloring.Csr (g, k))
-          ~radii ~nd ~rounds
-      in
-      (Coloring.Csr (g, coloring), removed, stats)
+  let removed = Array.make m false in
+  let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
+  let scratch = Augmenting.scratch coloring in
+  let good_cuts = ref 0 and bad_cuts = ref 0 and stalls = ref 0 in
+  let max_seq = ref 0 and max_explored = ref 0 and max_iters = ref 0 in
+  let logn = int_of_float (log_ceil n) in
+  for z = 0 to nd.Net_decomp.num_classes - 1 do
+    Obs.span "forest_algo.class" ~attrs:[ ("class", Obs.Int z) ]
+    @@ fun () ->
+    Array.iteri
+      (fun id members ->
+        if nd.Net_decomp.cluster_class.(id) = z then begin
+          let core = G.ball_of_set g members r' in
+          let region = G.ball_of_set g members d in
+          Obs.count "forest_algo.clusters";
+          Cut.execute cut_state coloring ~core ~region ~removed;
+          if Cut.is_good coloring ~core ~region then incr good_cuts
+          else incr bad_cuts;
+          let in_cluster = Array.make n false in
+          List.iter (fun v -> in_cluster.(v) <- true) members;
+          G.fold_edges
+            (fun e u v () ->
+              if
+                (not removed.(e))
+                && Coloring.color coloring e = None
+                && (in_cluster.(u) || in_cluster.(v))
+              then begin
+                match
+                  Augmenting.augment_edge coloring palette ~edge:e ~within:region
+                    ~scratch ()
+                with
+                | Some st ->
+                    let len = st.Augmenting.iterations + 1 in
+                    if len > !max_seq then max_seq := len;
+                    if st.Augmenting.explored > !max_explored then
+                      max_explored := st.Augmenting.explored;
+                    if st.Augmenting.iterations > !max_iters then
+                      max_iters := st.Augmenting.iterations;
+                    ()
+                | None ->
+                    removed.(e) <- true;
+                    incr stalls
+              end)
+            g ()
+        end)
+      nd.Net_decomp.clusters;
+    (* all clusters of one class run concurrently; simulating a
+       cluster's CUT + augmentation takes O(D log n) rounds (Thm 4.1) *)
+    Rounds.charge rounds ~label:"forest-algo/class" (2 * d * (logn + 2))
+  done;
+  let leftover =
+    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 removed
+  in
+  Obs.set_attr "classes" (Obs.Int nd.Net_decomp.num_classes);
+  Obs.set_attr "clusters" (Obs.Int (Array.length nd.Net_decomp.clusters));
+  Obs.set_attr "leftover_edges" (Obs.Int leftover);
+  Obs.set_attr "max_path_len" (Obs.Int !max_seq);
+  let stats =
+    {
+      classes = nd.Net_decomp.num_classes;
+      clusters = Array.length nd.Net_decomp.clusters;
+      good_cuts = !good_cuts;
+      bad_cuts = !bad_cuts;
+      stalls = !stalls;
+      leftover_edges = leftover;
+      max_sequence_length = !max_seq;
+      max_explored = !max_explored;
+      max_iterations = !max_iters;
+    }
+  in
+  (coloring, removed, stats)
 
 let decompose_with_leftover g palette ~epsilon ~alpha ~cut ~radii ~rng ~rounds
     =

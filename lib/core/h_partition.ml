@@ -27,9 +27,8 @@ let compute g ~epsilon ~alpha_star ~rounds =
      joining at iteration [i] counts neighbors joining simultaneously, which
      matches "at most t neighbors in H_i ∪ ... ∪ H_k". *)
   (* a peeling announcement carries no payload, so the round is a
-     counting broadcast: on the CSR plane it streams the adjacency
-     vectors with zero per-message allocation (byte-identical to the
-     generic per-message path the boxed plane still executes) *)
+     counting broadcast: it streams the adjacency rows with zero
+     per-message allocation *)
   let iteration i =
     let decide v (st : peel_state) =
       ignore v;

@@ -72,8 +72,8 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
     in
     List.iter forbid (O.out_edges orientation u);
     List.iter forbid (O.out_edges orientation v);
-    Array.iter (fun (_, e') -> if min_layer e' = min_layer e then forbid e') (G.incident g u);
-    Array.iter (fun (_, e') -> if min_layer e' = min_layer e then forbid e') (G.incident g v);
+    G.iter_incident g u (fun _ e' -> if min_layer e' = min_layer e then forbid e');
+    G.iter_incident g v (fun _ e' -> if min_layer e' = min_layer e then forbid e');
     let rec pick = function
       | [] -> invalid_arg "Lsfd.distributed: residual palette exhausted"
       | c :: rest -> if Hashtbl.mem forbidden c then pick rest else c

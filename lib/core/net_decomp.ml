@@ -250,10 +250,8 @@ let mpx g ~rng ~beta ~rounds =
         if label.(v) < 0 then begin
           label.(v) <- center;
           if key > !max_key then max_key := key;
-          Array.iter
-            (fun (w, _) ->
-              if label.(w) < 0 then Heap.push heap (key +. 1.0) (w, center))
-            (G.incident g v);
+          G.iter_incident g v (fun w _ ->
+              if label.(w) < 0 then Heap.push heap (key +. 1.0) (w, center));
           drain ()
         end
         else drain ()

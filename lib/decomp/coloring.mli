@@ -17,68 +17,12 @@
     connected pair) and as the differential-testing oracle
     ({!oracle_would_close_cycle}).
 
-    The cache is plane-generic: {!Make} builds it over any
-    {!Nw_graphs.Graph_sig.GRAPH_EXT}, and the top-level [t] dispatches
-    once per coloring between the {!Boxed} and {!Csr_backed} instances
-    according to [Nw_graphs.Backend.default ()] — the same shape as the
-    message-passing kernel. Both instances are byte-identical in every
-    observable; the choice is purely a memory-layout knob.
-
     Invariant (enforced on every {!set}): each color class is a forest. *)
 
-(** The plane-generic connectivity cache: the full coloring API over an
-    abstract graph type. [Augmenting], [Cut] and [Forest_algo] functorize
-    over this (paired with the matching [GRAPH_EXT]) so their hot loops
-    run directly on one plane with no per-operation dispatch. *)
-module type S = sig
-  type graph
-  type t
-
-  val create : graph -> colors:int -> t
-  val graph : t -> graph
-  val colors : t -> int
-  val color : t -> int -> int option
-  val colored_count : t -> int
-  val uncolored : t -> int array
-  val iter_uncolored : (int -> unit) -> t -> unit
-  val would_close_cycle : t -> int -> int -> bool
-  val oracle_would_close_cycle : t -> int -> int -> bool
-  val set : t -> int -> int -> unit
-  val unset : t -> int -> unit
-  val path : t -> int -> int -> int list option
-  val component_edges : t -> int -> int -> int list
-  val component_size : t -> int -> int -> int
-  val component_edge_count : t -> int -> int -> int
-  val colored_incident : t -> int -> int -> (int * int) list
-  val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
-  val to_array : t -> int option array
-  val of_array : graph -> colors:int -> int option array -> t
-  val copy : t -> t
-  val extend : t -> graph -> t
-  val connected : t -> int -> int -> int -> bool
-  val subgraph : t -> int -> graph * int array
-end
-
-module Make (G : Nw_graphs.Graph_sig.GRAPH_EXT) : S with type graph = G.t
-
-(** The two plane instances. [Boxed] is the reference; [Csr_backed] runs
-    the identical op sequence over the flat planes. *)
-module Boxed : S with type graph = Nw_graphs.Multigraph.t
-
-module Csr_backed : S with type graph = Nw_graphs.Csr.t
-
-(** The dispatched coloring. The CSR arm carries the boxed source graph
-    so that {!graph}, {!subgraph} and everything downstream (artifacts,
-    checkpoints, verifiers) stay [Multigraph]-typed regardless of plane.
-    The constructors are exposed so the functorized cores ([Augmenting],
-    [Cut], [Forest_algo]) can dispatch once and then stay inside one
-    plane; ordinary consumers never need to match on them. *)
-type t = Boxed of Boxed.t | Csr of Nw_graphs.Multigraph.t * Csr_backed.t
+type t
 
 (** [create g ~colors] is the empty partial coloring of [g]'s edges with
-    color space [0..colors-1], on the plane selected by
-    [Nw_graphs.Backend.default ()] at this moment (dispatch happens once,
-    here — never per operation). *)
+    color space [0..colors-1]. *)
 val create : Nw_graphs.Multigraph.t -> colors:int -> t
 
 val graph : t -> Nw_graphs.Multigraph.t
@@ -147,12 +91,11 @@ val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
 (** Snapshot of all edge colors ([None] = uncolored). Fresh array. *)
 val to_array : t -> int option array
 
-(** [of_array g ~colors a] rebuilds a coloring from a snapshot, on the
-    plane selected by [Nw_graphs.Backend.default ()].
+(** [of_array g ~colors a] rebuilds a coloring from a snapshot.
     @raise Invalid_argument if some class is not a forest. *)
 val of_array : Nw_graphs.Multigraph.t -> colors:int -> int option array -> t
 
-(** Deep copy on the same plane as [t]. *)
+(** Deep copy. *)
 val copy : t -> t
 
 (** [extend t g'] transplants a live coloring onto [g'], a supergraph of
@@ -160,10 +103,10 @@ val copy : t -> t
     same endpoints; the new edge ids start uncolored. The per-color
     union-find and rooted spanning forests carry over untouched, so the
     cost is the array copies — O(m' + colors·n) — never a re-union or a
-    BFS (the CSR arm additionally re-mirrors the plane, O(m')). This is
+    BFS. This is
     the dynamic-graph entry point of the service layer: an edge insertion
     extends the coloring, then probes colors with {!connected} instead of
-    re-running a decomposition. The result stays on [t]'s plane.
+    re-running a decomposition.
     @raise Invalid_argument when [g'] is not such a supergraph. *)
 val extend : t -> Nw_graphs.Multigraph.t -> t
 
@@ -174,13 +117,11 @@ val extend : t -> Nw_graphs.Multigraph.t -> t
 val connected : t -> int -> int -> int -> bool
 
 (** [subgraph t c] is the color-[c] forest as a graph on all of [g]'s
-    vertices, with the map from new edge ids to original ids. Always a
-    [Multigraph], whatever the plane — the result feeds passes and
-    artifacts that archive it. *)
+    vertices, with the map from new edge ids to original ids. *)
 val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
 
-(** Process-wide query counters (atomic, shared across bench domains and
-    both plane instances): union-find connectivity queries, BFS
+(** Process-wide query counters (atomic, shared across bench domains):
+    union-find connectivity queries, BFS
     executions, lazy union-find rebuilds. The bench harness reports
     deltas per experiment. *)
 module Counters : sig

@@ -9,6 +9,7 @@ type entry = {
   name : string;
   description : string;
   star : bool;
+  simple_only : bool;
   reports_rounds : bool;
   yields : yields;
   build : spec -> Engine.pipeline;
@@ -30,6 +31,7 @@ let all =
       name = "exact";
       description = "exact arboricity witness (Gabow-Westermann)";
       star = false;
+      simple_only = false;
       reports_rounds = false;
       yields = Coloring_out;
       build = (fun s -> ignore s; Pipelines.exact ());
@@ -38,6 +40,7 @@ let all =
       name = "greedy";
       description = "centralized greedy forest coloring";
       star = false;
+      simple_only = false;
       reports_rounds = false;
       yields = Coloring_out;
       build = (fun s -> ignore s; Pipelines.greedy ());
@@ -46,6 +49,7 @@ let all =
       name = "be";
       description = "Barenboim-Elkin (2+eps)-approximate FD [BE10]";
       star = false;
+      simple_only = false;
       reports_rounds = true;
       yields = Coloring_out;
       build = (fun s -> Pipelines.be ~epsilon:s.epsilon);
@@ -54,6 +58,7 @@ let all =
       name = "augment";
       description = "Theorem 4.6 (1+eps)-approximate forest decomposition";
       star = false;
+      simple_only = false;
       reports_rounds = true;
       yields = Coloring_out;
       build =
@@ -64,6 +69,7 @@ let all =
       name = "star";
       description = "Theorem 5.4(1) star-forest decomposition";
       star = true;
+      simple_only = true;
       reports_rounds = true;
       yields = Coloring_out;
       build =
@@ -73,6 +79,7 @@ let all =
       name = "amr-star";
       description = "folklore 2-alpha star-forest baseline";
       star = true;
+      simple_only = false;
       reports_rounds = false;
       yields = Coloring_out;
       build = (fun s -> ignore s; Pipelines.amr ());
@@ -81,6 +88,7 @@ let all =
       name = "lsfd";
       description = "Theorem 2.3 list star-forest decomposition";
       star = true;
+      simple_only = false;
       reports_rounds = true;
       yields = Coloring_out;
       build = build_lsfd;
@@ -89,6 +97,7 @@ let all =
       name = "orientation";
       description = "Corollary 1.1 (1+eps)-alpha orientation";
       star = false;
+      simple_only = false;
       reports_rounds = true;
       yields = Orientation_out;
       build =
@@ -99,6 +108,7 @@ let all =
       name = "pseudo";
       description = "Corollary 1.1 pseudo-forest decomposition";
       star = false;
+      simple_only = false;
       reports_rounds = true;
       yields = Pseudo_out;
       build =

@@ -21,6 +21,8 @@ type entry = {
   name : string;  (** CLI name, e.g. ["augment"] *)
   description : string;
   star : bool;  (** verify classes as star forests *)
+  simple_only : bool;
+      (** the pipeline rejects multigraphs (parallel edges) *)
   reports_rounds : bool;  (** false for the centralized baselines *)
   yields : yields;
   build : spec -> Engine.pipeline;

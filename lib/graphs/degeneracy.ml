@@ -27,14 +27,12 @@ let ordering g =
     removed.(v) <- true;
     order.(i) <- v;
     if deg.(v) > !degen then degen := deg.(v);
-    Array.iter
-      (fun (w, _) ->
+    G.iter_incident g v (fun w _ ->
         if not removed.(w) then begin
           deg.(w) <- deg.(w) - 1;
           buckets.(deg.(w)) <- w :: buckets.(deg.(w));
           if deg.(w) < !cursor then cursor := deg.(w)
         end)
-      (G.incident g v)
   done;
   (!degen, order)
 

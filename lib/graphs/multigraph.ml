@@ -1,11 +1,50 @@
-(* nwlint:disable PERF002 -- this is the sanctioned boxed reference plane itself; the adjacency rows here are what Csr replaces, kept as the semantic baseline for the differential suite *)
+(* Adjacency is one flat row layout: [row_ptr] has n+1 entries and the
+   incident edges of vertex v are [packed.(row_ptr.(v)) ..
+   packed.(row_ptr.(v+1) - 1)], each an immediate int carrying
+   (neighbor lsl 31) lor edge_id. Plain int arrays are unboxed, so a row
+   scan is one load per incident edge with no tuple to chase.
+
+   Order contract: rows are filled by a single ascending pass over edge
+   ids (a counting sort), so every row lists its edges in ascending
+   edge-id order; iter_incident, fold_incident, incident and the BFS
+   helpers below all follow it. *)
 
 type t = {
   n : int;
   src : int array;
   dst : int array;
-  adj : (int * int) array array;
+  row_ptr : int array; (* n+1 entries, row_ptr.(n) = 2m *)
+  packed : int array; (* 2m entries: (neighbor lsl 31) lor edge_id *)
 }
+
+let limit = 1 lsl 31
+let pack nbr eid = (nbr lsl 31) lor eid
+let nbr_of p = p lsr 31
+let eid_of p = p land (limit - 1)
+
+(* Endpoints already validated; edge ids are 0..m-1. *)
+let finish n src dst =
+  let m = Array.length src in
+  if n >= limit then invalid_arg "Multigraph: n exceeds 2^31";
+  if m >= limit then invalid_arg "Multigraph: m exceeds 2^31";
+  let row_ptr = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    row_ptr.(src.(e) + 1) <- row_ptr.(src.(e) + 1) + 1;
+    row_ptr.(dst.(e) + 1) <- row_ptr.(dst.(e) + 1) + 1
+  done;
+  for v = 1 to n do
+    row_ptr.(v) <- row_ptr.(v) + row_ptr.(v - 1)
+  done;
+  let packed = Array.make (2 * m) 0 in
+  let fill = Array.copy row_ptr in
+  for e = 0 to m - 1 do
+    let u = src.(e) and v = dst.(e) in
+    packed.(fill.(u)) <- pack v e;
+    fill.(u) <- fill.(u) + 1;
+    packed.(fill.(v)) <- pack u e;
+    fill.(v) <- fill.(v) + 1
+  done;
+  { n; src; dst; row_ptr; packed }
 
 (* Endpoint pairs accumulate in shared growable int vectors (Vecbuf): a
    10^7-edge build allocates a handful of doubling arrays instead of 10^7
@@ -25,24 +64,7 @@ let add_edge b u v =
   Vecbuf.push b.bdst v;
   id
 
-let build b =
-  let m = Vecbuf.length b.bsrc in
-  let src = Vecbuf.to_array b.bsrc and dst = Vecbuf.to_array b.bdst in
-  let deg = Array.make b.bn 0 in
-  for e = 0 to m - 1 do
-    deg.(src.(e)) <- deg.(src.(e)) + 1;
-    deg.(dst.(e)) <- deg.(dst.(e)) + 1
-  done;
-  let adj = Array.init b.bn (fun v -> Array.make deg.(v) (0, 0)) in
-  let fill = Array.make b.bn 0 in
-  for e = 0 to m - 1 do
-    let u = src.(e) and v = dst.(e) in
-    adj.(u).(fill.(u)) <- (v, e);
-    fill.(u) <- fill.(u) + 1;
-    adj.(v).(fill.(v)) <- (u, e);
-    fill.(v) <- fill.(v) + 1
-  done;
-  { n = b.bn; src; dst; adj }
+let build b = finish b.bn (Vecbuf.to_array b.bsrc) (Vecbuf.to_array b.bdst)
 
 let of_edges n edges =
   let b = create_builder n in
@@ -61,25 +83,27 @@ let other_endpoint g e v =
   else if g.dst.(e) = v then g.src.(e)
   else invalid_arg "Multigraph.other_endpoint: vertex not on edge"
 
-let incident g v = g.adj.(v)
+let degree g v = g.row_ptr.(v + 1) - g.row_ptr.(v)
+
+let incident g v =
+  let lo = g.row_ptr.(v) in
+  Array.init (degree g v) (fun i ->
+      let p = g.packed.(lo + i) in
+      (nbr_of p, eid_of p))
 
 let iter_incident g v f =
-  let row = g.adj.(v) in
-  for i = 0 to Array.length row - 1 do
-    let w, e = row.(i) in
-    f w e
+  for i = g.row_ptr.(v) to g.row_ptr.(v + 1) - 1 do
+    let p = g.packed.(i) in
+    f (nbr_of p) (eid_of p)
   done
 
 let fold_incident g v ~init f =
-  let row = g.adj.(v) in
   let acc = ref init in
-  for i = 0 to Array.length row - 1 do
-    let w, e = row.(i) in
-    acc := f !acc w e
+  for i = g.row_ptr.(v) to g.row_ptr.(v + 1) - 1 do
+    let p = g.packed.(i) in
+    acc := f !acc (nbr_of p) (eid_of p)
   done;
   !acc
-
-let degree g v = Array.length g.adj.(v)
 
 let max_degree g =
   let d = ref 0 in
@@ -166,14 +190,12 @@ let bfs_limited g v r dist visit =
     let d = dist.(u) in
     visit u d;
     if d < r then
-      Array.iter
-        (fun (w, _) ->
+      iter_incident g u (fun w _ ->
           if dist.(w) < 0 then begin
             dist.(w) <- d + 1;
             touched := w :: !touched;
             Queue.add w q
           end)
-        g.adj.(u)
   done;
   List.iter (fun u -> dist.(u) <- -1) !touched
 
@@ -198,13 +220,11 @@ let ball_of_set g vs r =
     let u = Queue.take q in
     members.(u) <- true;
     if dist.(u) < r then
-      Array.iter
-        (fun (w, _) ->
+      iter_incident g u (fun w _ ->
           if dist.(w) < 0 then begin
             dist.(w) <- dist.(u) + 1;
             Queue.add w q
           end)
-        g.adj.(u)
   done;
   members
 

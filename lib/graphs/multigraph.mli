@@ -6,7 +6,11 @@
     studied here are undefined on them).
 
     The structure is immutable after construction: build with {!of_edges} or
-    via {!add_edge} on a {!builder}. *)
+    via {!add_edge} on a {!builder}. Adjacency is stored as flat int rows
+    (row offsets plus one packed [(neighbor, edge)] int per incidence);
+    every row lists its edges in ascending edge-id order, and every
+    traversal below follows that order. Limits: [n], [m] below [2^31]
+    ({!build} raises [Invalid_argument] otherwise). *)
 
 type t
 
@@ -46,12 +50,13 @@ val dst : t -> int -> int
     @raise Invalid_argument if [v] is not an endpoint of [e]. *)
 val other_endpoint : t -> int -> int -> int
 
-(** [incident g v] is the array of [(neighbor, edge_id)] pairs at [v];
-    parallel edges appear once per edge id. Do not mutate. *)
+(** [incident g v] is a fresh array of the [(neighbor, edge_id)] pairs at
+    [v], ascending edge id; parallel edges appear once per edge id. Hot
+    paths should use {!iter_incident}, which does not allocate. *)
 val incident : t -> int -> (int * int) array
 
 (** [iter_incident g v f] calls [f neighbor edge_id] for every incident
-    edge of [v], in the {!incident} (ascending edge-id) order. *)
+    edge of [v], in ascending edge-id order, without allocating. *)
 val iter_incident : t -> int -> (int -> int -> unit) -> unit
 
 (** [fold_incident g v ~init f] folds [f acc neighbor edge_id] in the
@@ -90,7 +95,7 @@ val power : t -> int -> t
 (** {1 Distances} *)
 
 (** [ball g v r] is the list of vertices within distance [r] of [v],
-    including [v]. *)
+    including [v], in reversed BFS-visit order. *)
 val ball : t -> int -> int -> int list
 
 (** [ball_of_set g vs r] is the set (as a membership array) of vertices

@@ -18,9 +18,8 @@ let head t e = t.head.(e)
 let tail t e = G.other_endpoint t.g e t.head.(e)
 
 let out_degree t v =
-  Array.fold_left
-    (fun acc (_, e) -> if t.head.(e) <> v then acc + 1 else acc)
-    0 (G.incident t.g v)
+  G.fold_incident t.g v ~init:0 (fun acc _ e ->
+      if t.head.(e) <> v then acc + 1 else acc)
 
 let max_out_degree t =
   let best = ref 0 in
@@ -31,9 +30,8 @@ let max_out_degree t =
   !best
 
 let out_edges t v =
-  Array.fold_left
-    (fun acc (_, e) -> if t.head.(e) <> v then e :: acc else acc)
-    [] (G.incident t.g v)
+  G.fold_incident t.g v ~init:[] (fun acc _ e ->
+      if t.head.(e) <> v then e :: acc else acc)
 
 let is_acyclic t =
   let n = G.n t.g in

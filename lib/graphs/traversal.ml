@@ -13,13 +13,11 @@ let components g =
       Queue.add s q;
       while not (Queue.is_empty q) do
         let u = Queue.take q in
-        Array.iter
-          (fun (w, _) ->
+        G.iter_incident g u (fun w _ ->
             if label.(w) < 0 then begin
               label.(w) <- c;
               Queue.add w q
             end)
-          (G.incident g u)
       done
     end
   done;
@@ -36,13 +34,11 @@ let distances g v =
   Queue.add v q;
   while not (Queue.is_empty q) do
     let u = Queue.take q in
-    Array.iter
-      (fun (w, _) ->
+    G.iter_incident g u (fun w _ ->
         if dist.(w) < 0 then begin
           dist.(w) <- dist.(u) + 1;
           Queue.add w q
         end)
-      (G.incident g u)
   done;
   dist
 
@@ -99,14 +95,12 @@ let bfs_tree g root =
   Queue.add root q;
   while not (Queue.is_empty q) do
     let u = Queue.take q in
-    Array.iter
-      (fun (w, e) ->
+    G.iter_incident g u (fun w e ->
         if depth.(w) < 0 then begin
           depth.(w) <- depth.(u) + 1;
           parent.(w) <- u;
           parent_edge.(w) <- e;
           Queue.add w q
         end)
-      (G.incident g u)
   done;
   (parent, parent_edge, depth)

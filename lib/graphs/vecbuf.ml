@@ -1,5 +1,5 @@
 (* Growable unboxed int vector: the shared builder buffer behind the
-   Multigraph and Csr edge builders and the generator endpoint pools.
+   Multigraph edge builder and the generator endpoint pools.
    Doubling int arrays instead of cons lists: a 10^7-push build touches a
    handful of contiguous arrays, never the minor heap per element. *)
 
@@ -23,8 +23,6 @@ let push t x =
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vecbuf.get: index out of range";
   t.buf.(i)
-
-let unsafe_get t i = t.buf.(i)
 
 let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vecbuf.set: index out of range";

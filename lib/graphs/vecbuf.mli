@@ -1,8 +1,8 @@
 (** Growable unboxed int vector (doubling backing array).
 
     One shared implementation of the PR 6 "growable int arrays" builder
-    idiom: the {!Multigraph} and {!Csr} edge builders append endpoint
-    pairs through it, and {!Generators} uses it for the
+    idiom: the {!Multigraph} edge builder appends endpoint pairs through
+    it, and {!Generators} uses it for the
     preferential-attachment endpoint pool. Appending [k] elements costs
     O(k) amortized with O(log k) allocations, all of them large arrays
     outside the per-element minor-heap traffic of a cons list. *)
@@ -20,10 +20,6 @@ val push : t -> int -> unit
 
 (** @raise Invalid_argument when the index is out of range. *)
 val get : t -> int -> int
-
-(** Unchecked read — for hot fill loops whose bounds are already
-    established (e.g. the CSR counting-sort pass over [0..length-1]). *)
-val unsafe_get : t -> int -> int
 
 (** @raise Invalid_argument when the index is out of range. *)
 val set : t -> int -> int -> unit

@@ -77,561 +77,444 @@ let with_faults f thunk =
   (x, stats)
 
 (* ------------------------------------------------------------------ *)
-(* the kernel, generic over the graph data plane                       *)
+(* the kernel                                                          *)
 (* ------------------------------------------------------------------ *)
 
-module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
-  type ('state, 'msg) t = {
-    g : G.t;
-    rounds : Rounds.t;
-    states : 'state array;
-    init : int -> 'state;
-    chaos : (faults * fault_stats) option;
-    par : int; (* ambient Dpool domain count captured at creation *)
-    delayed : (int, (int * int * 'msg) list) Hashtbl.t;
-        (* arrival round -> (dst, edge, msg), reversed arrival order *)
-    mutable round_num : int;
-    mutable delivered : int;
+module G = Nw_graphs.Multigraph
+
+type ('state, 'msg) t = {
+  g : G.t;
+  rounds : Rounds.t;
+  states : 'state array;
+  init : int -> 'state;
+  chaos : (faults * fault_stats) option;
+  par : int; (* ambient Dpool domain count captured at creation *)
+  delayed : (int, (int * int * 'msg) list) Hashtbl.t;
+      (* arrival round -> (dst, edge, msg), reversed arrival order *)
+  mutable round_num : int;
+  mutable delivered : int;
+}
+
+let create g ~rounds ~init =
+  {
+    g;
+    rounds;
+    states = Array.init (G.n g) init;
+    init;
+    chaos = !(Domain.DLS.get ambient);
+    par = Dpool.available ();
+    delayed = Hashtbl.create 4;
+    round_num = 0;
+    delivered = 0;
   }
 
-  let create g ~rounds ~init =
-    {
-      g;
-      rounds;
-      states = Array.init (G.n g) init;
-      init;
-      chaos = !(Domain.DLS.get ambient);
-      par = Dpool.available ();
-      delayed = Hashtbl.create 4;
-      round_num = 0;
-      delivered = 0;
-    }
+let graph t = t.g
+let state t v = t.states.(v)
+let set_state t v s = t.states.(v) <- s
+let states t = Array.copy t.states
+let fault_stats t = Option.map snd t.chaos
 
-  let graph t = t.g
-  let state t v = t.states.(v)
-  let set_state t v s = t.states.(v) <- s
-  let states t = Array.copy t.states
-  let fault_stats t = Option.map snd t.chaos
-
-  (* the fault-free path: byte-identical behavior to the kernel before
-     the chaos subsystem existed (the golden differential depends on it) *)
-  let plain_step t ~send ~recv =
-    let n = G.n t.g in
-    let inbox : (int * 'msg) list array = Array.make n [] in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (e, msg) ->
-          let w = G.other_endpoint t.g e v in
-          (* other_endpoint raises if e is not incident to v *)
-          inbox.(w) <- (e, msg) :: inbox.(w);
-          t.delivered <- t.delivered + 1)
-        (send v t.states.(v))
-    done;
-    for v = 0 to n - 1 do
-      t.states.(v) <- recv v t.states.(v) inbox.(v)
-    done
-
-  (* Domain-parallel fault-free round: vertex shards, per-domain
-     mailboxes, a deterministic merge. The sequential path builds
-     [inbox.(w)] by consing while scanning sources v = 0..n-1, i.e. the
-     final list is the reversed arrival order with arrival rank = source
-     order. Each domain scans a contiguous source shard and conses into
-     its own mailbox, so domain [d]'s buffer is the reversed arrival
-     order *within* shard [d]; concatenating buffers in descending shard
-     order rebuilds exactly the sequential list. Hence states, delivered
-     counts, and everything downstream are byte-identical at any K. *)
-  let plain_step_par t k ~send ~recv =
-    let n = G.n t.g in
-    let shards = Dpool.split n k in
-    let mailboxes : (int * 'msg) list array array =
-      Array.init k (fun _ -> Array.make n [])
-    in
-    let sent = Array.make k 0 in
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        let mail = mailboxes.(d) in
-        let c = ref 0 in
-        for v = lo to hi - 1 do
-          List.iter
-            (fun (e, msg) ->
-              let w = G.other_endpoint t.g e v in
-              mail.(w) <- (e, msg) :: mail.(w);
-              incr c)
-            (send v t.states.(v))
-        done;
-        sent.(d) <- !c);
-    (* merge in fixed shard order: deterministic by construction *)
-    for d = 0 to k - 1 do
-      t.delivered <- t.delivered + sent.(d)
-    done;
-    let inbox =
-      Array.init n (fun w ->
-          let acc = ref mailboxes.(0).(w) in
-          for d = 1 to k - 1 do
-            acc := mailboxes.(d).(w) @ !acc
-          done;
-          !acc)
-    in
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        for v = lo to hi - 1 do
-          t.states.(v) <- recv v t.states.(v) inbox.(v)
-        done)
-
-  (* Counting round (messages carry no payload): the all-incident
-     broadcast is a per-destination message count, so the kernel streams
-     the adjacency plane directly — no per-message list or tuple cells.
-     Message accounting matches plain_step exactly: one delivery per
-     incident edge of each deciding vertex. *)
-  let count_step t ~decide ~recv =
-    let n = G.n t.g in
-    let cnt = Array.make n 0 in
-    let sent = ref 0 in
-    for v = 0 to n - 1 do
-      if decide v t.states.(v) then
-        G.iter_incident t.g v (fun w _ ->
-            cnt.(w) <- cnt.(w) + 1;
-            incr sent)
-    done;
-    t.delivered <- t.delivered + !sent;
-    for v = 0 to n - 1 do
-      t.states.(v) <- recv v t.states.(v) cnt.(v)
-    done
-
-  let count_step_par t k ~decide ~recv =
-    let n = G.n t.g in
-    let shards = Dpool.split n k in
-    let cnts = Array.init k (fun _ -> Array.make n 0) in
-    let sent = Array.make k 0 in
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        let cnt = cnts.(d) in
-        let c = ref 0 in
-        for v = lo to hi - 1 do
-          if decide v t.states.(v) then
-            G.iter_incident t.g v (fun w _ ->
-                cnt.(w) <- cnt.(w) + 1;
-                incr c)
-        done;
-        sent.(d) <- !c);
-    for d = 0 to k - 1 do
-      t.delivered <- t.delivered + sent.(d)
-    done;
-    (* column-sharded merge: integer sums, order-independent *)
-    let cnt = cnts.(0) in
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        for dd = 1 to k - 1 do
-          let c = cnts.(dd) in
-          for w = lo to hi - 1 do
-            cnt.(w) <- cnt.(w) + c.(w)
-          done
-        done);
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        for v = lo to hi - 1 do
-          t.states.(v) <- recv v t.states.(v) cnt.(v)
-        done)
-
-  (* Exchange round (every vertex broadcasts one int on every incident
-     edge): the inbox of [w] is then exactly one value per incident
-     edge — the neighbor's broadcast — so the kernel gathers it by
-     streaming [w]'s own adjacency against a precomputed value array
-     instead of materializing per-message list cells. Runs identically
-     on both planes (the order contract below makes it plane-invariant);
-     message accounting matches the generic path: one delivery per
-     incidence, 2m per round. [recv] sees the messages in the
-     *receiver's incidence order* (ascending slot), which coincides on
-     both planes by the CSR order contract. *)
-  let exchange_step t ~value ~recv =
-    let n = G.n t.g in
-    let vals = Array.make n 0 in
-    for v = 0 to n - 1 do
-      vals.(v) <- value v t.states.(v)
-    done;
-    for v = 0 to n - 1 do
-      t.states.(v) <-
-        recv v t.states.(v) (fun f ->
-            G.iter_incident t.g v (fun u e -> f e vals.(u)))
-    done;
-    t.delivered <- t.delivered + (2 * G.m t.g)
-
-  let exchange_step_par t k ~value ~recv =
-    let n = G.n t.g in
-    let shards = Dpool.split n k in
-    let vals = Array.make n 0 in
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        for v = lo to hi - 1 do
-          vals.(v) <- value v t.states.(v)
-        done);
-    (* gather is read-only on [vals] and writes only the shard's own
-       states: deterministic at any K by construction *)
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        for v = lo to hi - 1 do
-          t.states.(v) <-
-            recv v t.states.(v) (fun f ->
-                G.iter_incident t.g v (fun u e -> f e vals.(u)))
-        done);
-    t.delivered <- t.delivered + (2 * G.m t.g)
-
-  (* Edge-valued exchange: like [exchange_step], but the broadcast value
-     may depend on the edge it crosses ([value v st e]) — the shape of
-     the concurrent multi-forest Cole–Vishkin round, where a vertex's
-     message on edge [e] is its color in [e]'s forest. The contract
-     requires [value] to be pure over the round (it must not observe
-     anything [recv] changes), so the gather evaluates it on the fly at
-     each receiver instead of snapshotting 2m message slots first: one
-     random access per delivery, no per-round edge-sized scratch. *)
-  let exchange_edges_step t ~value ~recv =
-    let n = G.n t.g in
-    for v = 0 to n - 1 do
-      t.states.(v) <-
-        recv v t.states.(v) (fun f ->
-            G.iter_incident t.g v (fun u e -> f e (value u t.states.(u) e)))
-    done;
-    t.delivered <- t.delivered + (2 * G.m t.g)
-
-  let exchange_edges_step_par t k ~value ~recv =
-    let n = G.n t.g in
-    let shards = Dpool.split n k in
-    (* purity of [value] over the round is what makes the shards
-       independent: every domain reads the same pre-round view *)
-    Dpool.run ~domains:k (fun d ->
-        let lo, hi = shards.(d) in
-        for v = lo to hi - 1 do
-          t.states.(v) <-
-            recv v t.states.(v) (fun f ->
-                G.iter_incident t.g v (fun u e ->
-                    f e (value u t.states.(u) e)))
-        done);
-    t.delivered <- t.delivered + (2 * G.m t.g)
-
-  (* the faulty path: crashed nodes neither send, receive, nor update
-     state; a restart resets the node to its initial state (state loss);
-     per-message delivery decisions come from the installed fault policy.
-     With a policy that never fires (all Deliver, everyone up, no
-     reorder), inboxes are built in exactly the plain_step order, so the
-     outcome is still byte-identical.
-
-     Always sequential: the timeline digest is order-sensitive over the
-     full event sequence, and keeping one canonical event order is what
-     makes it a cross-backend, cross-domain-count invariant. *)
-  let faulty_step t (f, st) ~send ~recv =
-    let n = G.n t.g in
-    let r = t.round_num in
-    let up = Array.init n (fun v -> f.node_up ~round:r v) in
-    for v = 0 to n - 1 do
-      let up_before = r = 0 || f.node_up ~round:(r - 1) v in
-      if up_before && not up.(v) then begin
-        st.crashes <- st.crashes + 1;
-        note st ~code:1 ~round:r ~who:v;
-        Nw_obs.Obs.count "chaos.crashes"
-      end;
-      if up.(v) && f.state_reset ~round:r v then begin
-        t.states.(v) <- t.init v;
-        st.restarts <- st.restarts + 1;
-        note st ~code:2 ~round:r ~who:v;
-        Nw_obs.Obs.count "chaos.restarts"
-      end
-    done;
-    let inbox : (int * 'msg) list array = Array.make n [] in
-    let deliver_to w e msg =
-      if up.(w) then begin
+(* the fault-free path: byte-identical behavior to the kernel before
+   the chaos subsystem existed (the golden differential depends on it) *)
+let plain_step t ~send ~recv =
+  let n = G.n t.g in
+  let inbox : (int * 'msg) list array = Array.make n [] in
+  for v = 0 to n - 1 do
+    List.iter
+      (fun (e, msg) ->
+        let w = G.other_endpoint t.g e v in
+        (* other_endpoint raises if e is not incident to v *)
         inbox.(w) <- (e, msg) :: inbox.(w);
-        t.delivered <- t.delivered + 1
-      end
-      else begin
-        (* messages to a down node are lost *)
-        st.drops <- st.drops + 1;
-        note st ~code:3 ~round:r ~who:e;
-        Nw_obs.Obs.count "chaos.drops"
-      end
-    in
-    (* delayed messages scheduled for this round arrive first, in the
-       order they were delayed *)
-    (match Hashtbl.find_opt t.delayed r with
-    | None -> ()
-    | Some l ->
-        Hashtbl.remove t.delayed r;
-        List.iter (fun (w, e, msg) -> deliver_to w e msg) (List.rev l));
-    for v = 0 to n - 1 do
-      if up.(v) then
+        t.delivered <- t.delivered + 1)
+      (send v t.states.(v))
+  done;
+  for v = 0 to n - 1 do
+    t.states.(v) <- recv v t.states.(v) inbox.(v)
+  done
+
+(* Domain-parallel fault-free round: vertex shards, per-domain
+   mailboxes, a deterministic merge. The sequential path builds
+   [inbox.(w)] by consing while scanning sources v = 0..n-1, i.e. the
+   final list is the reversed arrival order with arrival rank = source
+   order. Each domain scans a contiguous source shard and conses into
+   its own mailbox, so domain [d]'s buffer is the reversed arrival
+   order *within* shard [d]; concatenating buffers in descending shard
+   order rebuilds exactly the sequential list. Hence states, delivered
+   counts, and everything downstream are byte-identical at any K. *)
+let plain_step_par t k ~send ~recv =
+  let n = G.n t.g in
+  let shards = Dpool.split n k in
+  let mailboxes : (int * 'msg) list array array =
+    Array.init k (fun _ -> Array.make n [])
+  in
+  let sent = Array.make k 0 in
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      let mail = mailboxes.(d) in
+      let c = ref 0 in
+      for v = lo to hi - 1 do
         List.iter
           (fun (e, msg) ->
             let w = G.other_endpoint t.g e v in
-            match f.deliver ~round:r ~edge:e ~src:v ~dst:w with
-            | Deliver -> deliver_to w e msg
-            | Drop ->
-                st.drops <- st.drops + 1;
-                note st ~code:3 ~round:r ~who:e;
-                Nw_obs.Obs.count "chaos.drops"
-            | Duplicate k ->
-                let k = max 0 k in
-                for _ = 0 to k do
-                  deliver_to w e msg
-                done;
-                if k > 0 then begin
-                  st.dups <- st.dups + k;
-                  note st ~code:4 ~round:r ~who:e;
-                  Nw_obs.Obs.count ~by:k "chaos.dups"
-                end
-            | Delay d ->
-                if d <= 0 then deliver_to w e msg
-                else begin
-                  let arrival = r + d in
-                  let cur =
-                    Option.value ~default:[]
-                      (Hashtbl.find_opt t.delayed arrival)
-                  in
-                  Hashtbl.replace t.delayed arrival ((w, e, msg) :: cur);
-                  st.delays <- st.delays + 1;
-                  note st ~code:5 ~round:r ~who:e;
-                  Nw_obs.Obs.count "chaos.delays"
-                end)
+            mail.(w) <- (e, msg) :: mail.(w);
+            incr c)
           (send v t.states.(v))
-    done;
-    for v = 0 to n - 1 do
-      if up.(v) then begin
-        let msgs = inbox.(v) in
-        let msgs =
-          match f.reorder ~round:r ~dst:v (List.length msgs) with
-          | None -> msgs
-          | Some perm ->
-              let arr = Array.of_list msgs in
-              if Array.length perm <> Array.length arr then msgs
-              else begin
-                st.reorders <- st.reorders + 1;
-                note st ~code:6 ~round:r ~who:v;
-                Array.to_list (Array.map (fun i -> arr.(i)) perm)
+      done;
+      sent.(d) <- !c);
+  (* merge in fixed shard order: deterministic by construction *)
+  for d = 0 to k - 1 do
+    t.delivered <- t.delivered + sent.(d)
+  done;
+  let inbox =
+    Array.init n (fun w ->
+        let acc = ref mailboxes.(0).(w) in
+        for d = 1 to k - 1 do
+          acc := mailboxes.(d).(w) @ !acc
+        done;
+        !acc)
+  in
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      for v = lo to hi - 1 do
+        t.states.(v) <- recv v t.states.(v) inbox.(v)
+      done)
+
+(* Counting round (messages carry no payload): the all-incident
+   broadcast is a per-destination message count, so the kernel streams
+   the adjacency rows directly — no per-message list or tuple cells.
+   Message accounting matches plain_step exactly: one delivery per
+   incident edge of each deciding vertex. *)
+let count_step t ~decide ~recv =
+  let n = G.n t.g in
+  let cnt = Array.make n 0 in
+  let sent = ref 0 in
+  for v = 0 to n - 1 do
+    if decide v t.states.(v) then
+      G.iter_incident t.g v (fun w _ ->
+          cnt.(w) <- cnt.(w) + 1;
+          incr sent)
+  done;
+  t.delivered <- t.delivered + !sent;
+  for v = 0 to n - 1 do
+    t.states.(v) <- recv v t.states.(v) cnt.(v)
+  done
+
+let count_step_par t k ~decide ~recv =
+  let n = G.n t.g in
+  let shards = Dpool.split n k in
+  let cnts = Array.init k (fun _ -> Array.make n 0) in
+  let sent = Array.make k 0 in
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      let cnt = cnts.(d) in
+      let c = ref 0 in
+      for v = lo to hi - 1 do
+        if decide v t.states.(v) then
+          G.iter_incident t.g v (fun w _ ->
+              cnt.(w) <- cnt.(w) + 1;
+              incr c)
+      done;
+      sent.(d) <- !c);
+  for d = 0 to k - 1 do
+    t.delivered <- t.delivered + sent.(d)
+  done;
+  (* column-sharded merge: integer sums, order-independent *)
+  let cnt = cnts.(0) in
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      for dd = 1 to k - 1 do
+        let c = cnts.(dd) in
+        for w = lo to hi - 1 do
+          cnt.(w) <- cnt.(w) + c.(w)
+        done
+      done);
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      for v = lo to hi - 1 do
+        t.states.(v) <- recv v t.states.(v) cnt.(v)
+      done)
+
+(* Exchange round (every vertex broadcasts one int on every incident
+   edge): the inbox of [w] is then exactly one value per incident
+   edge — the neighbor's broadcast — so the kernel gathers it by
+   streaming [w]'s own adjacency against a precomputed value array
+   instead of materializing per-message list cells. Message accounting
+   matches the generic path: one delivery per incidence, 2m per round.
+   [recv] sees the messages in the *receiver's incidence order*
+   (ascending edge id). *)
+let exchange_step t ~value ~recv =
+  let n = G.n t.g in
+  let vals = Array.make n 0 in
+  for v = 0 to n - 1 do
+    vals.(v) <- value v t.states.(v)
+  done;
+  for v = 0 to n - 1 do
+    t.states.(v) <-
+      recv v t.states.(v) (fun f ->
+          G.iter_incident t.g v (fun u e -> f e vals.(u)))
+  done;
+  t.delivered <- t.delivered + (2 * G.m t.g)
+
+let exchange_step_par t k ~value ~recv =
+  let n = G.n t.g in
+  let shards = Dpool.split n k in
+  let vals = Array.make n 0 in
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      for v = lo to hi - 1 do
+        vals.(v) <- value v t.states.(v)
+      done);
+  (* gather is read-only on [vals] and writes only the shard's own
+     states: deterministic at any K by construction *)
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      for v = lo to hi - 1 do
+        t.states.(v) <-
+          recv v t.states.(v) (fun f ->
+              G.iter_incident t.g v (fun u e -> f e vals.(u)))
+      done);
+  t.delivered <- t.delivered + (2 * G.m t.g)
+
+(* Edge-valued exchange: like [exchange_step], but the broadcast value
+   may depend on the edge it crosses ([value v st e]) — the shape of
+   the concurrent multi-forest Cole–Vishkin round, where a vertex's
+   message on edge [e] is its color in [e]'s forest. The contract
+   requires [value] to be pure over the round (it must not observe
+   anything [recv] changes), so the gather evaluates it on the fly at
+   each receiver instead of snapshotting 2m message slots first: one
+   random access per delivery, no per-round edge-sized scratch. *)
+let exchange_edges_step t ~value ~recv =
+  let n = G.n t.g in
+  for v = 0 to n - 1 do
+    t.states.(v) <-
+      recv v t.states.(v) (fun f ->
+          G.iter_incident t.g v (fun u e -> f e (value u t.states.(u) e)))
+  done;
+  t.delivered <- t.delivered + (2 * G.m t.g)
+
+let exchange_edges_step_par t k ~value ~recv =
+  let n = G.n t.g in
+  let shards = Dpool.split n k in
+  (* purity of [value] over the round is what makes the shards
+     independent: every domain reads the same pre-round view *)
+  Dpool.run ~domains:k (fun d ->
+      let lo, hi = shards.(d) in
+      for v = lo to hi - 1 do
+        t.states.(v) <-
+          recv v t.states.(v) (fun f ->
+              G.iter_incident t.g v (fun u e ->
+                  f e (value u t.states.(u) e)))
+      done);
+  t.delivered <- t.delivered + (2 * G.m t.g)
+
+(* the faulty path: crashed nodes neither send, receive, nor update
+   state; a restart resets the node to its initial state (state loss);
+   per-message delivery decisions come from the installed fault policy.
+   With a policy that never fires (all Deliver, everyone up, no
+   reorder), inboxes are built in exactly the plain_step order, so the
+   outcome is still byte-identical.
+
+   Always sequential: the timeline digest is order-sensitive over the
+   full event sequence, and keeping one canonical event order is what
+   makes it a cross-domain-count invariant. *)
+let faulty_step t (f, st) ~send ~recv =
+  let n = G.n t.g in
+  let r = t.round_num in
+  let up = Array.init n (fun v -> f.node_up ~round:r v) in
+  for v = 0 to n - 1 do
+    let up_before = r = 0 || f.node_up ~round:(r - 1) v in
+    if up_before && not up.(v) then begin
+      st.crashes <- st.crashes + 1;
+      note st ~code:1 ~round:r ~who:v;
+      Nw_obs.Obs.count "chaos.crashes"
+    end;
+    if up.(v) && f.state_reset ~round:r v then begin
+      t.states.(v) <- t.init v;
+      st.restarts <- st.restarts + 1;
+      note st ~code:2 ~round:r ~who:v;
+      Nw_obs.Obs.count "chaos.restarts"
+    end
+  done;
+  let inbox : (int * 'msg) list array = Array.make n [] in
+  let deliver_to w e msg =
+    if up.(w) then begin
+      inbox.(w) <- (e, msg) :: inbox.(w);
+      t.delivered <- t.delivered + 1
+    end
+    else begin
+      (* messages to a down node are lost *)
+      st.drops <- st.drops + 1;
+      note st ~code:3 ~round:r ~who:e;
+      Nw_obs.Obs.count "chaos.drops"
+    end
+  in
+  (* delayed messages scheduled for this round arrive first, in the
+     order they were delayed *)
+  (match Hashtbl.find_opt t.delayed r with
+  | None -> ()
+  | Some l ->
+      Hashtbl.remove t.delayed r;
+      List.iter (fun (w, e, msg) -> deliver_to w e msg) (List.rev l));
+  for v = 0 to n - 1 do
+    if up.(v) then
+      List.iter
+        (fun (e, msg) ->
+          let w = G.other_endpoint t.g e v in
+          match f.deliver ~round:r ~edge:e ~src:v ~dst:w with
+          | Deliver -> deliver_to w e msg
+          | Drop ->
+              st.drops <- st.drops + 1;
+              note st ~code:3 ~round:r ~who:e;
+              Nw_obs.Obs.count "chaos.drops"
+          | Duplicate k ->
+              let k = max 0 k in
+              for _ = 0 to k do
+                deliver_to w e msg
+              done;
+              if k > 0 then begin
+                st.dups <- st.dups + k;
+                note st ~code:4 ~round:r ~who:e;
+                Nw_obs.Obs.count ~by:k "chaos.dups"
               end
-        in
-        t.states.(v) <- recv v t.states.(v) msgs
-      end
-    done
-
-  (* the all-incident broadcast of a deciding vertex, as explicit
-     messages in the incident (ascending edge-id) order — the faulty
-     path needs real per-message verdicts *)
-  let synth_send t ~decide v st =
-    if decide v st then
-      List.rev
-        (G.fold_incident t.g v ~init:[] (fun acc _ e -> (e, ()) :: acc))
-    else []
-
-  (* the kernel charges one round per call on behalf of whatever phase
-     span is open in the caller (or the trace's unattributed bucket) *)
-  let[@obs.in_span] round t ~label ~send ~recv =
-    let before = t.delivered in
-    (match t.chaos with
-    | None ->
-        if t.par > 1 then plain_step_par t t.par ~send ~recv
-        else plain_step t ~send ~recv
-    | Some c -> faulty_step t c ~send ~recv);
-    t.round_num <- t.round_num + 1;
-    Rounds.charge t.rounds ~label 1;
-    Nw_obs.Obs.count "msg_net.rounds";
-    if t.delivered > before then
-      Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
-
-  let[@obs.in_span] round_count t ~label ~decide ~recv =
-    let before = t.delivered in
-    (match t.chaos with
-    | None ->
-        if t.par > 1 then count_step_par t t.par ~decide ~recv
-        else count_step t ~decide ~recv
-    | Some c ->
-        (* under faults every message needs its own verdict: fall back
-           to the canonical sequential per-message path *)
-        let send v st = synth_send t ~decide v st in
-        let recv v st msgs = recv v st (List.length msgs) in
-        faulty_step t c ~send ~recv);
-    t.round_num <- t.round_num + 1;
-    Rounds.charge t.rounds ~label 1;
-    Nw_obs.Obs.count "msg_net.rounds";
-    if t.delivered > before then
-      Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
-
-  let[@obs.in_span] round_exchange t ~label ~value ~recv =
-    let before = t.delivered in
-    (match t.chaos with
-    | None ->
-        if t.par > 1 then exchange_step_par t t.par ~value ~recv
-        else exchange_step t ~value ~recv
-    | Some c ->
-        (* under faults every message needs its own verdict: fall back
-           to the canonical sequential per-message path (recv then sees
-           the inbox order, as the fault scheduler dictates) *)
-        let send v st =
-          let x = value v st in
-          List.rev
-            (G.fold_incident t.g v ~init:[] (fun acc _ e -> (e, x) :: acc))
-        in
-        let recv v st msgs =
-          recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
-        in
-        faulty_step t c ~send ~recv);
-    t.round_num <- t.round_num + 1;
-    Rounds.charge t.rounds ~label 1;
-    Nw_obs.Obs.count "msg_net.rounds";
-    if t.delivered > before then
-      Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
-
-  let[@obs.in_span] round_exchange_edges t ~label ~value ~recv =
-    let before = t.delivered in
-    (match t.chaos with
-    | None ->
-        if t.par > 1 then exchange_edges_step_par t t.par ~value ~recv
-        else exchange_edges_step t ~value ~recv
-    | Some c ->
-        let send v st =
-          List.rev
-            (G.fold_incident t.g v ~init:[] (fun acc _ e ->
-                 (e, value v st e) :: acc))
-        in
-        let recv v st msgs =
-          recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
-        in
-        faulty_step t c ~send ~recv);
-    t.round_num <- t.round_num + 1;
-    Rounds.charge t.rounds ~label 1;
-    Nw_obs.Obs.count "msg_net.rounds";
-    if t.delivered > before then
-      Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
-
-  let messages_delivered t = t.delivered
-  let rounds_executed t = t.round_num
-
-  let run_until t ~label ~send ~recv ~halted ~max_rounds =
-    let n = G.n t.g in
-    let all_halted () =
-      let rec check v = v >= n || (halted v t.states.(v) && check (v + 1)) in
-      check 0
-    in
-    let rec loop executed =
-      if all_halted () then executed
-      else if executed >= max_rounds then
-        failwith "Msg_net.run_until: max_rounds exceeded"
-      else begin
-        round t ~label ~send ~recv;
-        loop (executed + 1)
-      end
-    in
-    loop 0
-end
-
-(* ------------------------------------------------------------------ *)
-(* the Multigraph-facing API: dispatches to the plane selected by      *)
-(* Backend.default at creation time                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed_kernel = Make (Nw_graphs.Multigraph)
-module Csr_kernel = Make (Nw_graphs.Csr)
-
-type ('state, 'msg) t =
-  | Boxed of ('state, 'msg) Boxed_kernel.t
-  | Csr of Nw_graphs.Multigraph.t * ('state, 'msg) Csr_kernel.t
-      (* the original graph is kept for [graph]: callers hold Multigraph
-         handles and artifact kinds stay backend-agnostic *)
-
-let create g ~rounds ~init =
-  match Nw_graphs.Backend.default () with
-  | Nw_graphs.Backend.Boxed -> Boxed (Boxed_kernel.create g ~rounds ~init)
-  | Nw_graphs.Backend.Csr ->
-      Csr
-        (g, Csr_kernel.create (Nw_graphs.Csr.of_multigraph g) ~rounds ~init)
-
-let graph = function
-  | Boxed b -> Boxed_kernel.graph b
-  | Csr (g, _) -> g
-
-let state = function
-  | Boxed b -> Boxed_kernel.state b
-  | Csr (_, c) -> Csr_kernel.state c
-
-let set_state = function
-  | Boxed b -> Boxed_kernel.set_state b
-  | Csr (_, c) -> Csr_kernel.set_state c
-
-let states = function
-  | Boxed b -> Boxed_kernel.states b
-  | Csr (_, c) -> Csr_kernel.states c
-
-let fault_stats = function
-  | Boxed b -> Boxed_kernel.fault_stats b
-  | Csr (_, c) -> Csr_kernel.fault_stats c
-
-let round t ~label ~send ~recv =
-  match t with
-  | Boxed b -> Boxed_kernel.round b ~label ~send ~recv
-  | Csr (_, c) -> Csr_kernel.round c ~label ~send ~recv
-
-let round_count t ~label ~decide ~recv =
-  match t with
-  | Boxed b ->
-      (* reference plane: execute the exact generic per-message path the
-         seed kernel ran, so the boxed backend stays the byte-for-byte
-         (and allocation-for-allocation) baseline *)
-      let g = Boxed_kernel.graph b in
-      let send v st =
-        if decide v st then
-          List.rev
-            (Nw_graphs.Multigraph.fold_incident g v ~init:[]
-               (fun acc _ e -> (e, ()) :: acc))
-        else []
+          | Delay d ->
+              if d <= 0 then deliver_to w e msg
+              else begin
+                let arrival = r + d in
+                let cur =
+                  Option.value ~default:[]
+                    (Hashtbl.find_opt t.delayed arrival)
+                in
+                Hashtbl.replace t.delayed arrival ((w, e, msg) :: cur);
+                st.delays <- st.delays + 1;
+                note st ~code:5 ~round:r ~who:e;
+                Nw_obs.Obs.count "chaos.delays"
+              end)
+        (send v t.states.(v))
+  done;
+  for v = 0 to n - 1 do
+    if up.(v) then begin
+      let msgs = inbox.(v) in
+      let msgs =
+        match f.reorder ~round:r ~dst:v (List.length msgs) with
+        | None -> msgs
+        | Some perm ->
+            let arr = Array.of_list msgs in
+            if Array.length perm <> Array.length arr then msgs
+            else begin
+              st.reorders <- st.reorders + 1;
+              note st ~code:6 ~round:r ~who:v;
+              Array.to_list (Array.map (fun i -> arr.(i)) perm)
+            end
       in
-      let recv v st msgs = recv v st (List.length msgs) in
-      Boxed_kernel.round b ~label ~send ~recv
-  | Csr (_, c) -> Csr_kernel.round_count c ~label ~decide ~recv
+      t.states.(v) <- recv v t.states.(v) msgs
+    end
+  done
 
-let round_exchange t ~label ~value ~recv =
-  match t with
-  | Boxed b ->
-      (* reference plane: the exact generic per-message path, as with
-         round_count — the boxed backend stays the byte-for-byte (and
-         allocation-for-allocation) baseline. recv then consumes the
-         inbox in generic arrival order, not incidence order; the
-         primitive's contract already requires order-insensitivity, and
-         the cross-plane differentials pin the outcome. *)
-      let g = Boxed_kernel.graph b in
+(* the all-incident broadcast of a deciding vertex, as explicit
+   messages in the incident (ascending edge-id) order — the faulty
+   path needs real per-message verdicts *)
+let synth_send t ~decide v st =
+  if decide v st then
+    List.rev
+      (G.fold_incident t.g v ~init:[] (fun acc _ e -> (e, ()) :: acc))
+  else []
+
+(* the kernel charges one round per call on behalf of whatever phase
+   span is open in the caller (or the trace's unattributed bucket) *)
+let[@obs.in_span] round t ~label ~send ~recv =
+  let before = t.delivered in
+  (match t.chaos with
+  | None ->
+      if t.par > 1 then plain_step_par t t.par ~send ~recv
+      else plain_step t ~send ~recv
+  | Some c -> faulty_step t c ~send ~recv);
+  t.round_num <- t.round_num + 1;
+  Rounds.charge t.rounds ~label 1;
+  Nw_obs.Obs.count "msg_net.rounds";
+  if t.delivered > before then
+    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
+
+let[@obs.in_span] round_count t ~label ~decide ~recv =
+  let before = t.delivered in
+  (match t.chaos with
+  | None ->
+      if t.par > 1 then count_step_par t t.par ~decide ~recv
+      else count_step t ~decide ~recv
+  | Some c ->
+      (* under faults every message needs its own verdict: fall back
+         to the canonical sequential per-message path *)
+      let send v st = synth_send t ~decide v st in
+      let recv v st msgs = recv v st (List.length msgs) in
+      faulty_step t c ~send ~recv);
+  t.round_num <- t.round_num + 1;
+  Rounds.charge t.rounds ~label 1;
+  Nw_obs.Obs.count "msg_net.rounds";
+  if t.delivered > before then
+    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
+
+let[@obs.in_span] round_exchange t ~label ~value ~recv =
+  let before = t.delivered in
+  (match t.chaos with
+  | None ->
+      if t.par > 1 then exchange_step_par t t.par ~value ~recv
+      else exchange_step t ~value ~recv
+  | Some c ->
+      (* under faults every message needs its own verdict: fall back
+         to the canonical sequential per-message path (recv then sees
+         the inbox order, as the fault scheduler dictates) *)
       let send v st =
         let x = value v st in
         List.rev
-          (Nw_graphs.Multigraph.fold_incident g v ~init:[] (fun acc _ e ->
-               (e, x) :: acc))
+          (G.fold_incident t.g v ~init:[] (fun acc _ e -> (e, x) :: acc))
       in
       let recv v st msgs =
         recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
       in
-      Boxed_kernel.round b ~label ~send ~recv
-  | Csr (_, c) -> Csr_kernel.round_exchange c ~label ~value ~recv
+      faulty_step t c ~send ~recv);
+  t.round_num <- t.round_num + 1;
+  Rounds.charge t.rounds ~label 1;
+  Nw_obs.Obs.count "msg_net.rounds";
+  if t.delivered > before then
+    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
 
-let round_exchange_edges t ~label ~value ~recv =
-  match t with
-  | Boxed b ->
-      (* reference plane: generic per-message path, as above *)
-      let g = Boxed_kernel.graph b in
+let[@obs.in_span] round_exchange_edges t ~label ~value ~recv =
+  let before = t.delivered in
+  (match t.chaos with
+  | None ->
+      if t.par > 1 then exchange_edges_step_par t t.par ~value ~recv
+      else exchange_edges_step t ~value ~recv
+  | Some c ->
       let send v st =
         List.rev
-          (Nw_graphs.Multigraph.fold_incident g v ~init:[] (fun acc _ e ->
+          (G.fold_incident t.g v ~init:[] (fun acc _ e ->
                (e, value v st e) :: acc))
       in
       let recv v st msgs =
         recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
       in
-      Boxed_kernel.round b ~label ~send ~recv
-  | Csr (_, c) -> Csr_kernel.round_exchange_edges c ~label ~value ~recv
+      faulty_step t c ~send ~recv);
+  t.round_num <- t.round_num + 1;
+  Rounds.charge t.rounds ~label 1;
+  Nw_obs.Obs.count "msg_net.rounds";
+  if t.delivered > before then
+    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
 
-let messages_delivered = function
-  | Boxed b -> Boxed_kernel.messages_delivered b
-  | Csr (_, c) -> Csr_kernel.messages_delivered c
-
-let rounds_executed = function
-  | Boxed b -> Boxed_kernel.rounds_executed b
-  | Csr (_, c) -> Csr_kernel.rounds_executed c
+let messages_delivered t = t.delivered
+let rounds_executed t = t.round_num
 
 let run_until t ~label ~send ~recv ~halted ~max_rounds =
-  match t with
-  | Boxed b -> Boxed_kernel.run_until b ~label ~send ~recv ~halted ~max_rounds
-  | Csr (_, c) -> Csr_kernel.run_until c ~label ~send ~recv ~halted ~max_rounds
+  let n = G.n t.g in
+  let all_halted () =
+    let rec check v = v >= n || (halted v t.states.(v) && check (v + 1)) in
+    check 0
+  in
+  let rec loop executed =
+    if all_halted () then executed
+    else if executed >= max_rounds then
+      failwith "Msg_net.run_until: max_rounds exceeded"
+    else begin
+      round t ~label ~send ~recv;
+      loop (executed + 1)
+    end
+  in
+  loop 0

@@ -70,101 +70,14 @@ type fault_stats = {
     by every net created inside. Nests; the inner context wins. *)
 val with_faults : faults -> (unit -> 'a) -> 'a * fault_stats
 
-(** {2 The generic kernel}
+(** {2 The kernel}
 
-    The kernel itself is a functor over the {!Nw_graphs.Graph_sig.GRAPH}
-    data plane: the same round semantics run on the boxed reference plane
-    ([Multigraph]) or the compact CSR plane ([Csr]), byte-identically.
-    Rounds additionally shard across [Dpool.available ()] domains (captured
-    at creation) with a deterministic mailbox merge, so results are
+    Rounds shard across [Dpool.available ()] domains (captured at
+    creation) with a deterministic mailbox merge, so results are
     byte-identical to the sequential path at any domain count; under an
     ambient fault context the canonical sequential event order is always
     used, keeping the fault-timeline digest invariant. See
     [docs/data-plane.md]. *)
-
-module Make (G : Nw_graphs.Graph_sig.GRAPH) : sig
-  type ('state, 'msg) t
-
-  val create :
-    G.t -> rounds:Rounds.t -> init:(int -> 'state) -> ('state, 'msg) t
-
-  val graph : ('state, 'msg) t -> G.t
-  val state : ('state, 'msg) t -> int -> 'state
-  val set_state : ('state, 'msg) t -> int -> 'state -> unit
-  val states : ('state, 'msg) t -> 'state array
-  val fault_stats : ('state, 'msg) t -> fault_stats option
-
-  val round :
-    ('state, 'msg) t ->
-    label:string ->
-    send:(int -> 'state -> (int * 'msg) list) ->
-    recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
-    unit
-
-  (** Specialised all-incident broadcast round, payload-free: vertices for
-      which [decide] holds send [()] on every incident edge; [recv] sees the
-      count of received messages. Semantically [round] with the synthesised
-      send/recv, but executed directly on the adjacency plane (no
-      per-message allocation). *)
-  val round_count :
-    ('state, unit) t ->
-    label:string ->
-    decide:(int -> 'state -> bool) ->
-    recv:(int -> 'state -> int -> 'state) ->
-    unit
-
-  (** Specialised all-incident int broadcast (the Cole–Vishkin exchange
-      shape): every vertex broadcasts [value v st] on every incident
-      edge; [recv v st iter] consumes the inbox through [iter f], which
-      calls [f edge msg] once per incident edge of [v] — in [v]'s own
-      incidence order, identical on both planes by the CSR order
-      contract — without materializing message lists. Accounting matches
-      {!round}: 2m deliveries, one round charged. Under a fault context
-      the canonical per-message path runs instead and [iter] follows the
-      (fault-scheduled) inbox order, so [recv] must not depend on
-      message order beyond edge identity. *)
-  val round_exchange :
-    ('state, int) t ->
-    label:string ->
-    value:(int -> 'state -> int) ->
-    recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
-    unit
-
-  (** Like {!round_exchange} but the broadcast value may depend on the
-      edge it crosses ([value v st e]) — the concurrent multi-forest
-      Cole–Vishkin shape. Contract: [value] must be {e pure over the
-      round} — it must not observe anything [recv] changes (state or
-      shared mutable data), so the kernel is free to evaluate it before
-      or during delivery. The streamed path exploits this by computing
-      each message at its receiver with no per-round edge-sized
-      scratch. *)
-  val round_exchange_edges :
-    ('state, int) t ->
-    label:string ->
-    value:(int -> 'state -> int -> int) ->
-    recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
-    unit
-
-  val messages_delivered : ('state, 'msg) t -> int
-  val rounds_executed : ('state, 'msg) t -> int
-
-  val run_until :
-    ('state, 'msg) t ->
-    label:string ->
-    send:(int -> 'state -> (int * 'msg) list) ->
-    recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
-    halted:(int -> 'state -> bool) ->
-    max_rounds:int ->
-    int
-end
-
-(** {2 The Multigraph-facing API}
-
-    What the algorithms use. [create] consults {!Nw_graphs.Backend.default}:
-    on [Boxed] the net runs on the graph as given; on [Csr] the graph is
-    converted once and the rounds run on the compact plane ([graph] still
-    returns the original). Either way the observable behavior is
-    byte-identical. *)
 
 type ('state, 'msg) t
 
@@ -200,9 +113,11 @@ val round :
   recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
   unit
 
-(** Payload-free all-incident broadcast round; see {!Make.round_count}.
-    On the boxed backend this executes the exact generic per-message path
-    (the reference baseline); on CSR it streams the adjacency plane. *)
+(** Payload-free all-incident broadcast round: vertices for which
+    [decide] holds send [()] on every incident edge; [recv] sees the count
+    of received messages. Semantically {!round} with the synthesised
+    send/recv, but executed directly on the adjacency rows (no
+    per-message allocation). *)
 val round_count :
   ('state, unit) t ->
   label:string ->
@@ -210,12 +125,15 @@ val round_count :
   recv:(int -> 'state -> int -> 'state) ->
   unit
 
-(** All-incident int broadcast; see {!Make.round_exchange}. As with
-    {!round_count}, the boxed backend executes the exact generic
-    per-message path (the reference baseline, [recv] seeing generic
-    arrival order); CSR streams the adjacency plane in incidence order.
-    [recv] must therefore be order-insensitive beyond edge identity —
-    which the primitive already requires for its fault fallback. *)
+(** All-incident int broadcast (the Cole–Vishkin exchange shape): every
+    vertex broadcasts [value v st] on every incident edge; [recv v st
+    iter] consumes the inbox through [iter f], which calls [f edge msg]
+    once per incident edge of [v], in [v]'s own incidence order, without
+    materializing message lists. Accounting matches {!round}: 2m
+    deliveries, one round charged. Under a fault context the canonical
+    per-message path runs instead and [iter] follows the
+    (fault-scheduled) inbox order, so [recv] must not depend on message
+    order beyond edge identity. *)
 val round_exchange :
   ('state, int) t ->
   label:string ->
@@ -223,9 +141,13 @@ val round_exchange :
   recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
   unit
 
-(** Edge-valued exchange; see {!Make.round_exchange_edges} for the
-    purity contract on [value]. Backend split as in {!round_exchange}:
-    boxed runs the generic per-message reference path, CSR streams. *)
+(** Like {!round_exchange} but the broadcast value may depend on the edge
+    it crosses ([value v st e]) — the concurrent multi-forest
+    Cole–Vishkin shape. Contract: [value] must be {e pure over the round}
+    — it must not observe anything [recv] changes (state or shared
+    mutable data), so the kernel is free to evaluate it before or during
+    delivery. The streamed path exploits this by computing each message
+    at its receiver with no per-round edge-sized scratch. *)
 val round_exchange_edges :
   ('state, int) t ->
   label:string ->

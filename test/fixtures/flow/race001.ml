@@ -12,7 +12,7 @@ let work xs = List.iter (fun x -> bump x) xs
 let shard_sum parts =
   Nw_localsim.Dpool.run ~domains:4 (fun i -> work (List.nth parts i))
 
-module Net = Nw_localsim.Msg_net.Make (Nw_graphs.Multigraph)
+module Net = Nw_localsim.Msg_net
 
 let seen = ref []
 

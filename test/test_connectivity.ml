@@ -202,18 +202,15 @@ let test_copy_preserves_cache_coherence () =
   check_all_queries "churned original" c
 
 (* -------------------------------------------------------------------- *)
-(* dynamic-graph differential: extend/connected across planes            *)
+(* dynamic-graph differential: extend/connected vs a DFS oracle         *)
 (* -------------------------------------------------------------------- *)
 
 (* The session layer's churn pattern (docs/service.md): an insertion
    extends the live coloring onto a supergraph and probes the palette
    with [connected]; a deletion tombstones a slot (unset — slot ids are
-   never reused). Replay one op script on both planes of the functorized
-   core and check every probe, every chosen insertion color, and the
-   final snapshot against a from-scratch DFS oracle and against each
-   other. *)
-
-module Backend = Nw_graphs.Backend
+   never reused). Replay one op script on the coloring cache and check
+   every probe, every chosen insertion color, and the final snapshot
+   against a from-scratch DFS oracle. *)
 
 type dyn_op =
   | Insert of int * int
@@ -242,10 +239,9 @@ let gen_script st n k steps =
   done;
   List.rev !ops
 
-(* replay on one plane; every Insert rebuilds the supergraph and goes
+(* replay on the cache; every Insert rebuilds the supergraph and goes
    through [extend], mirroring Session.insert_edge *)
-let replay kind n k script =
-  Backend.with_kind kind @@ fun () ->
+let replay n k script =
   let edges = ref [] (* reversed *) in
   let c = ref (Coloring.create (G.of_edges n []) ~colors:k) in
   let probes = ref [] and chosen = ref [] in
@@ -331,25 +327,18 @@ let replay_oracle n k script =
 
 let prop_extend_connected_differential =
   QCheck.Test.make
-    ~name:"extend/connected: boxed == csr == DFS oracle under tombstoned churn"
+    ~name:"extend/connected == DFS oracle under tombstoned churn"
     ~count:30 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let st = rng seed in
       let n = 5 + Random.State.int st 8 in
       let k = 1 + Random.State.int st 3 in
       let script = gen_script st n k 50 in
-      let bp, bc, bs = replay Backend.Boxed n k script in
-      let cp, cc, cs = replay Backend.Csr n k script in
+      let bp, bc, bs = replay n k script in
       let op, oc, os = replay_oracle n k script in
-      if bp <> cp then Alcotest.fail "probe answers differ boxed vs csr";
-      if bp <> op then Alcotest.fail "probe answers differ boxed vs oracle";
-      if bc <> cc then
-        Alcotest.fail "insertion colors differ boxed vs csr";
-      if bc <> oc then
-        Alcotest.fail "insertion colors differ boxed vs oracle";
-      if bs <> cs then Alcotest.fail "final snapshot differs boxed vs csr";
-      if bs <> os then
-        Alcotest.fail "final snapshot differs boxed vs oracle";
+      if bp <> op then Alcotest.fail "probe answers differ from the oracle";
+      if bc <> oc then Alcotest.fail "insertion colors differ from the oracle";
+      if bs <> os then Alcotest.fail "final snapshot differs from the oracle";
       true)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)

@@ -370,9 +370,38 @@ let test_chaos_resume_coloring () =
         (Coloring.to_array (Store.coloring baseline "coloring"))
         (Coloring.to_array (Store.coloring store "coloring"))
 
+(* [simple_only] is what front ends check before running an entry: it
+   must be set exactly on the entries whose pipeline rejects a
+   multigraph *)
+let test_simple_only () =
+  let g = gm () in
+  Alcotest.(check bool) "fixture has parallel edges" false (G.is_simple g);
+  List.iter
+    (fun (e : Registry.entry) ->
+      let alpha = fst (Nw_baseline.Gabow_westermann.arboricity g) in
+      let pipeline =
+        e.Registry.build { Registry.graph = g; epsilon = 0.5; alpha }
+      in
+      let rejected =
+        match
+          Engine.run
+            (Engine.ctx ~rng:(rng 5) ~rounds:(Rounds.create ()))
+            pipeline
+            ~init:(Store.put Store.empty "graph" (Artifact.Graph g))
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool)
+        (e.Registry.name ^ " rejects multigraphs iff simple_only")
+        e.Registry.simple_only rejected)
+    Registry.all
+
 let () =
   Alcotest.run "engine"
     [
+      ( "registry",
+        [ Alcotest.test_case "simple_only" `Quick test_simple_only ] );
       ( "golden equivalence",
         [
           Alcotest.test_case "augment" `Quick test_equiv_augment;

@@ -80,6 +80,14 @@ let race001_fixture () =
   assert_finding ds "RACE001" "Dpool.run callback";
   assert_finding ds "RACE001" "~recv callback"
 
+(* the exchange rounds shard like [round]: writes from their ~recv and
+   ~value callbacks are races too *)
+let race001_exchange_fixture () =
+  let ds = fixture_findings () in
+  assert_finding ds "RACE001" "Race003.heard";
+  assert_finding ds "RACE001" "Race003.last_value";
+  assert_finding ds "RACE001" "~value callback"
+
 let race002_fixture () =
   let ds = fixture_findings () in
   assert_finding ds "RACE002" "Race002.make_key";
@@ -152,8 +160,8 @@ let injected_race () =
         if Filename.basename path <> "msg_net.ml" then (path, content)
         else
           let content =
-            replace ~first:true ~needle:"  let plain_step_par"
-              ~by:"  let leaked_total = ref 0\n\n  let plain_step_par" content
+            replace ~first:true ~needle:"let plain_step_par"
+              ~by:"let leaked_total = ref 0\n\nlet plain_step_par" content
           in
           let content =
             replace ~first:true ~needle:"let c = ref 0 in"
@@ -269,6 +277,7 @@ let () =
       ( "fixtures",
         [
           tc "RACE001 fires" race001_fixture;
+          tc "RACE001 fires on exchange rounds" race001_exchange_fixture;
           tc "RACE002 fires" race002_fixture;
           tc "CONTRACT001 fires" contract001_fixture;
           tc "EFF001 fires" eff001_fixture;

@@ -4,8 +4,8 @@
        [--wall-threshold PCT] [--rounds-tolerance N]
        [--throughput-threshold PCT] [--json]
 
-   Loads two sets of nw-bench records, aligns them by
-   (exp, env.backend), and compares the trajectory-bearing metrics:
+   Loads two sets of nw-bench records, aligns them by exp, and compares
+   the trajectory-bearing metrics:
 
      wall_s          regression when new > base * (1 + wall-threshold%)
      charged_rounds  regression when |new - base| > rounds-tolerance
@@ -16,7 +16,9 @@
                      contract as charged_rounds
      failed          regression when the new record carries a non-null
                      failure and the base does not
-     throughput legs aligned by (instance, backend, domains, edges);
+     throughput legs aligned by (instance, domains, edges); a record
+                     with several legs for one key (the two-plane era)
+                     is represented by its fastest;
                      regression when edges_per_sec <
                      base * (1 - throughput-threshold%)
      service         invalid / errors counts must not grow (a served
@@ -36,11 +38,24 @@ module J = Nw_obs.Json_lite
 
 type leg = {
   leg_instance : string; (* which timed pipeline; "-" on legacy records *)
-  leg_backend : string;
   leg_domains : int;
   leg_edges : int;
   leg_eps : float;
 }
+
+let same_leg a b =
+  String.equal a.leg_instance b.leg_instance
+  && a.leg_domains = b.leg_domains
+  && a.leg_edges = b.leg_edges
+
+(* records from the two-data-plane era timed each (instance, domains,
+   edges) once per plane; the fastest of those legs is the one a current
+   record continues *)
+let fastest_per_key legs =
+  List.filter
+    (fun l ->
+      not (List.exists (fun o -> same_leg o l && o.leg_eps > l.leg_eps) legs))
+    legs
 
 type service = {
   sv_invalid : int;
@@ -52,7 +67,6 @@ type service = {
 type run = {
   r_file : string;
   r_exp : string;
-  r_backend : string option;
   r_quick : bool;
   r_domains : int;
   r_wall : float;
@@ -146,20 +160,17 @@ let load_run file =
       let legs =
         match J.member "throughput" json with
         | Some (J.List ls) ->
-            List.filter_map
+            fastest_per_key
+            @@ List.filter_map
               (fun l ->
                 match
-                  ( jstr l "backend",
-                    jint l "domains",
-                    jint l "edges",
-                    jfloat l "edges_per_sec" )
+                  (jint l "domains", jint l "edges", jfloat l "edges_per_sec")
                 with
-                | Some b, Some d, Some e, Some eps ->
+                | Some d, Some e, Some eps ->
                     Some
                       {
                         leg_instance =
                           Option.value (jstr l "instance") ~default:"-";
-                        leg_backend = b;
                         leg_domains = d;
                         leg_edges = e;
                         leg_eps = eps;
@@ -174,8 +185,6 @@ let load_run file =
           (match jstr json "exp" with
           | Some e -> e
           | None -> die "%s: missing field \"exp\"" file);
-        r_backend =
-          Option.bind (J.member "env" json) (fun env -> jstr env "backend");
         r_quick =
           (match J.member "quick" json with
           | Some (J.Bool b) -> b
@@ -192,8 +201,7 @@ let load_run file =
         r_service = service;
       }
 
-let key r =
-  r.r_exp ^ "/" ^ Option.value r.r_backend ~default:"-"
+let key r = r.r_exp
 
 (* one comparison row of the delta table / JSON report *)
 type row = {
@@ -267,21 +275,15 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
       };
   List.iter
     (fun bl ->
-      let matches l =
-        String.equal l.leg_instance bl.leg_instance
-        && String.equal l.leg_backend bl.leg_backend
-        && l.leg_domains = bl.leg_domains
-        && l.leg_edges = bl.leg_edges
-      in
-      match List.find_opt matches neu.r_legs with
+      match List.find_opt (same_leg bl) neu.r_legs with
       | None -> ()
       | Some nl ->
           let floor = bl.leg_eps *. (1.0 -. (tp_pct /. 100.0)) in
           push
             {
               row_key =
-                Printf.sprintf "%s[%s %s x%d %de]" k bl.leg_instance
-                  bl.leg_backend bl.leg_domains bl.leg_edges;
+                Printf.sprintf "%s[%s x%d %de]" k bl.leg_instance
+                  bl.leg_domains bl.leg_edges;
               row_metric = "edges_per_sec";
               row_base = bl.leg_eps;
               row_new = nl.leg_eps;
@@ -462,10 +464,16 @@ let main () =
   in
   parse `None (List.tl (Array.to_list Sys.argv));
   if !base_files = [] || !new_files = [] then usage ();
+  (* one record per exp on each side: a second one could only be
+     aligned by guessing *)
   let index files =
     List.fold_left
       (fun acc f ->
         let r = load_run f in
+        (match List.assoc_opt (key r) acc with
+        | Some prev ->
+            die "%s and %s both record exp %S" prev.r_file f (key r)
+        | None -> ());
         (key r, r) :: acc)
       []
       (List.rev files)

@@ -145,8 +145,8 @@ let rules =
     ( "PERF002",
       Diagnostic.Error,
       "no new boxed-tuple adjacency planes ((int * int) rows nested in \
-       any two array/list containers) in lib/ — adjacency lives in the \
-       Csr/Multigraph backends" );
+       any two array/list containers) in lib/ — adjacency lives in \
+       Multigraph's flat int rows" );
     ( "RACE001",
       Diagnostic.Error,
       "no writes to global refs or the Store reachable from a Dpool.run \

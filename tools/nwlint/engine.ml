@@ -533,11 +533,12 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
       (* a new boxed-tuple adjacency plane — per-vertex rows of (int *
          int) endpoints held in any two nested {array, list} containers:
          `(int * int) array array`, `(int * int) list array`, ... —
-         reintroduces the pointer-chasing data plane the CSR backend
-         exists to replace. The list-row forms matter since the
-         functorized Coloring/Augmenting core: an incremental-churn
-         helper in lib/decomp that accumulates adjacency as list rows
-         would silently pin the cache to the boxed plane. *)
+         allocates one tuple per incidence and makes every scan chase
+         pointers; adjacency lives in Multigraph's flat int rows. The
+         list-row forms matter as much as the array ones: an
+         incremental-churn helper in lib/decomp that accumulates
+         adjacency as list rows would rebuild a boxed layout beside the
+         graph. *)
       method! core_type ct =
         (if scope.in_lib then
            let is_int c =
@@ -566,11 +567,11 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
                              %s %s` in lib/"
                             inner outer)
                          (Some
-                            "adjacency planes belong to the graph \
-                             backends: use Nw_graphs.Csr (flat Bigarray \
-                             planes, packed neighbor/edge ints) or the \
-                             sanctioned Multigraph reference plane \
-                             instead of a new boxed plane")
+                            "adjacency belongs to Nw_graphs.Multigraph \
+                             (flat int rows, packed neighbor/edge ints): \
+                             scan it with Multigraph.iter_incident / \
+                             fold_incident instead of building a new \
+                             boxed plane")
                    | _ -> ())
                | None -> ())
            | None -> ());

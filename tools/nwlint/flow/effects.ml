@@ -82,7 +82,14 @@ let default_config =
     obs_prefixes = [ "Nw_obs."; "Nw_localsim.Rounds." ];
     rng_prefixes = [ "Nw_chaos.Rng." ];
     dpool_run = [ "Nw_localsim.Dpool.run" ];
-    msgnet_fns = [ "round"; "round_count"; "run_until" ];
+    msgnet_fns =
+      [
+        "round";
+        "round_count";
+        "round_exchange";
+        "round_exchange_edges";
+        "run_until";
+      ];
     store_prefixes = [ "Nw_engine.Store." ];
     pure_roots = [ "Nw_chaos.Rng."; "Nw_chaos.Plan."; "Nw_decomp.Verify." ];
     merge_markers = [ "merge" ];
@@ -615,7 +622,7 @@ and spawn_sites ctx canonical args loc =
       List.iter
         (fun (label, e) ->
           match label with
-          | Labelled (("send" | "recv" | "decide") as l) ->
+          | Labelled (("send" | "recv" | "decide" | "value") as l) ->
               spawn (Msgnet_callback l) e
           | _ -> ())
         args

@@ -9,12 +9,12 @@
      "Nw_<dir>.Foo.bar" (files outside lib/ get bare "Foo.bar");
    - every top-level value definition (including ones nested in
      [module M = struct .. end] and functor bodies, whose canonical
-     names carry the module path, e.g. "Nw_localsim.Msg_net.Make.round");
+     names carry the module path, e.g. "Nw_x.Foo.Make.bar");
    - project-wide module aliases, including functor instantiations:
-     [module Boxed_kernel = Make (G)] maps the canonical module path
-     Nw_localsim.Msg_net.Boxed_kernel to ...Msg_net.Make, so a
-     cross-file [Net.round] (with [module Net = Nw_localsim.Msg_net.
-     Boxed_kernel]) resolves to the functor body's definition.
+     [module Inst = Make (G)] maps the canonical module path
+     Nw_x.Foo.Inst to Nw_x.Foo.Make, so a cross-file [M.bar] (with
+     [module M = Nw_x.Foo.Inst]) resolves to the functor body's
+     definition.
 
    Resolution is name-based and deliberately conservative: a reference
    that does not resolve to a known project definition is treated as
