@@ -26,6 +26,31 @@ let domain_rounds_baseline () = Rounds.domain_total ()
 let domain_rounds_since r0 = Rounds.domain_total () - r0
 
 (* ------------------------------------------------------------------ *)
+(* core counts for the env stamp                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The CPUs this process may run on, as `nproc` reports them (None when
+   the command is unavailable), and the runtime's recommended domain
+   count: a timing is read against both. Rendered as the two env
+   fields "nproc" (number or null) and "recommended_domain_count", one
+   per line at the env object's indentation. *)
+let core_counts_json () =
+  let nproc =
+    try
+      let ic = Unix.open_process_in "nproc 2>/dev/null" in
+      let line =
+        try int_of_string_opt (String.trim (input_line ic))
+        with End_of_file -> None
+      in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some k -> string_of_int k
+      | _ -> "null"
+    with Unix.Unix_error _ | Sys_error _ -> "null"
+  in
+  Printf.sprintf "\"nproc\": %s,\n    \"recommended_domain_count\": %d" nproc
+    (Domain.recommended_domain_count ())
+
+(* ------------------------------------------------------------------ *)
 (* output sink                                                         *)
 (* ------------------------------------------------------------------ *)
 

@@ -10,100 +10,67 @@
 
 open Exp_common
 module FA = Nw_core.Forest_algo
-module Dpool = Nw_localsim.Dpool
 
 (* ------------------------------------------------------------------ *)
 (* data-plane throughput sweep                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* The same H-partition peel, on large forest-union instances (the top
-   size is 10^7 edges), at each domain count. The peel is the
+   size is 10^7 edges), timed once per instance. The peel is the
    message-dense inner loop of the whole pipeline: every round is an
    all-incident counting broadcast, so edges/sec here is the data plane's
-   streaming rate. Every domain count must produce the byte-identical
-   layer array — the sweep aborts otherwise — making the table a
-   differential test that happens to be timed. *)
-
-let throughput_domains = [ 1; 4 ]
+   streaming rate. *)
 
 type leg = {
   instance : string; (* which timed pipeline: "peel" or "hp-star" *)
   n : int;
   edges : int;
-  domains : int;
   wall : float;
   eps : float; (* edges per second *)
 }
 
-let time_leg g ~alpha domains =
-  Dpool.with_domains domains @@ fun () ->
-  let rounds = Rounds.create () in
-  let t0 = Unix.gettimeofday () in
-  let hp =
-    Nw_core.H_partition.compute g ~epsilon:1.0 ~alpha_star:alpha ~rounds
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (hp, wall)
+(* m = alpha * (n - 1): 10^6 and 10^7 edges at alpha = 8 *)
+let sizes = [ 125_001; 1_250_001 ]
+
+(* one timed leg per size: [time g] returns the wall of one run *)
+let sweep ~instance ~alpha time =
+  List.map
+    (fun n ->
+      let g = Gen.forest_union (rng (15000 + n)) n alpha in
+      let m = G.m g in
+      let wall = time g in
+      { instance; n; edges = m; wall; eps = float_of_int m /. wall })
+    sizes
 
 let leg_rows legs =
-  let baseline_of leg =
-    List.find (fun l -> l.n = leg.n && l.domains = 1) legs
-  in
   List.map
     (fun leg ->
       [
         d leg.n;
         d leg.edges;
-        d leg.domains;
         Printf.sprintf "%.3f" leg.wall;
         Printf.sprintf "%.3e" leg.eps;
-        Printf.sprintf "%.2fx" (leg.eps /. (baseline_of leg).eps);
       ])
     legs
+
+let leg_header = [ "n"; "edges"; "wall s"; "edges/sec" ]
 
 let throughput_sweep () =
   section "E15b: data-plane throughput (H-partition peel, edges/sec)";
   let alpha = 8 in
   let legs =
-    List.concat_map
-      (fun n ->
-        let st = rng (15000 + n) in
-        let g = Gen.forest_union st n alpha in
-        let m = G.m g in
-        let reference = ref None in
-        List.map
-          (fun domains ->
-            let hp, wall = time_leg g ~alpha domains in
-            let layer = hp.Nw_core.H_partition.layer in
-            (match !reference with
-            | None -> reference := Some layer
-            | Some ref_layer ->
-                Array.iteri
-                  (fun v l ->
-                    if l <> ref_layer.(v) then
-                      failwith
-                        (Printf.sprintf
-                           "throughput sweep: K=%d diverges from K=1 at \
-                            vertex %d"
-                           domains v))
-                  layer);
-            {
-              instance = "peel";
-              n;
-              edges = m;
-              domains;
-              wall;
-              eps = float_of_int m /. wall;
-            })
-          throughput_domains)
-      [ 125_001; 1_250_001 (* m = alpha * (n - 1): 10^6 and 10^7 edges *) ]
+    sweep ~instance:"peel" ~alpha (fun g ->
+        let rounds = Rounds.create () in
+        let t0 = Unix.gettimeofday () in
+        ignore
+          (Nw_core.H_partition.compute g ~epsilon:1.0 ~alpha_star:alpha
+             ~rounds
+            : Nw_core.H_partition.t);
+        Unix.gettimeofday () -. t0)
   in
-  table ~title:"H-partition peel throughput by domain count"
-    ~header:[ "n"; "edges"; "domains"; "wall s"; "edges/sec"; "vs K=1" ]
+  table ~title:"H-partition peel throughput" ~header:leg_header
     ~rows:(leg_rows legs);
-  note
-    "identical layer arrays were asserted across every domain count; the \
-     counting round streams the packed adjacency rows.";
+  note "the counting round streams the packed adjacency rows.";
   legs
 
 (* ------------------------------------------------------------------ *)
@@ -116,8 +83,7 @@ let throughput_sweep () =
    verification all included — so edges/sec here is what a `forestd
    decompose` caller actually sees. The pipeline is the Theorem 2.1
    chain (peel -> acyclic orientation -> 3t-star-forest), whose cost is
-   adjacency streaming rather than augmenting-path search. Every domain
-   count must produce the byte-identical coloring. *)
+   adjacency streaming rather than augmenting-path search. *)
 
 let hp_star_pipeline ~alpha =
   let open Nw_engine in
@@ -169,8 +135,7 @@ let hp_star_pipeline ~alpha =
       ];
   }
 
-let time_pipeline_leg g ~alpha domains =
-  Dpool.with_domains domains @@ fun () ->
+let time_pipeline_leg g ~alpha =
   let open Nw_engine in
   let rounds = Rounds.create () in
   let rng = Random.State.make [| 0x5ca1e |] in
@@ -186,48 +151,17 @@ let time_pipeline_leg g ~alpha domains =
   (* verification is asserted but sits outside the timed window: it is
      post-hoc checking, not pipeline work *)
   verified (Verify.star_forest_decomposition coloring) |> ignore;
-  (coloring, wall)
+  wall
 
 let pipeline_sweep () =
   section "E15c: full-pipeline throughput (engine-run hp-star, edges/sec)";
   let alpha = 8 in
-  let legs =
-    List.concat_map
-      (fun n ->
-        let st = rng (15000 + n) in
-        let g = Gen.forest_union st n alpha in
-        let m = G.m g in
-        let reference = ref None in
-        List.map
-          (fun domains ->
-            let coloring, wall = time_pipeline_leg g ~alpha domains in
-            let colors = Nw_decomp.Coloring.to_array coloring in
-            (match !reference with
-            | None -> reference := Some colors
-            | Some ref_colors ->
-                if colors <> ref_colors then
-                  failwith
-                    (Printf.sprintf
-                       "pipeline sweep: K=%d coloring diverges from K=1"
-                       domains));
-            {
-              instance = "hp-star";
-              n;
-              edges = m;
-              domains;
-              wall;
-              eps = float_of_int m /. wall;
-            })
-          throughput_domains)
-      [ 125_001; 1_250_001 ]
-  in
-  table ~title:"engine-run hp-star pipeline throughput by domain count"
-    ~header:[ "n"; "edges"; "domains"; "wall s"; "edges/sec"; "vs K=1" ]
+  let legs = sweep ~instance:"hp-star" ~alpha (time_pipeline_leg ~alpha) in
+  table ~title:"engine-run hp-star pipeline throughput" ~header:leg_header
     ~rows:(leg_rows legs);
   note
     "end-to-end engine walls (passes and artifact store; verification \
-     asserted outside the timed window), byte-identical colorings \
-     asserted across every domain count; contrast with the kernel-only \
+     asserted outside the timed window); contrast with the kernel-only \
      peel rows above.";
   legs
 
@@ -238,18 +172,20 @@ let write_json legs wall_s =
   let oc = open_out "BENCH_scaling.json" in
   let leg_json l =
     Printf.sprintf
-      "    { \"instance\": \"%s\", \"domains\": %d, \"n\": %d, \"edges\": \
-       %d, \"wall_s\": %.6f, \"edges_per_sec\": %.1f }"
-      l.instance l.domains l.n l.edges l.wall l.eps
+      "    { \"instance\": \"%s\", \"n\": %d, \"edges\": %d, \"wall_s\": \
+       %.6f, \"edges_per_sec\": %.1f }"
+      l.instance l.n l.edges l.wall l.eps
   in
   Printf.fprintf oc
     "{\n\
     \  \"schema\": \"nw-bench/2\",\n\
     \  \"exp\": \"scaling\",\n\
-    \  \"desc\": \"data-plane throughput sweep (H-partition peel)\",\n\
+    \  \"desc\": \"data-plane throughput sweep (H-partition peel, \
+     engine-run hp-star)\",\n\
     \  \"quick\": false,\n\
-    \  \"domains\": %d,\n\
+    \  \"domains\": 1,\n\
     \  \"env\": {\n\
+    \    %s,\n\
     \    \"hostname\": \"%s\",\n\
     \    \"ocaml_version\": \"%s\",\n\
     \    \"stamped_at\": %.0f\n\
@@ -263,7 +199,7 @@ let write_json legs wall_s =
     \  \"phases\": null,\n\
     \  \"failed\": null\n\
      }\n"
-    (List.fold_left (fun acc l -> max acc l.domains) 1 legs)
+    (core_counts_json ())
     (try Unix.gethostname () with _ -> "unknown")
     Sys.ocaml_version (Unix.time ()) wall_s
     (String.concat ",\n" (List.map leg_json legs));

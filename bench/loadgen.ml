@@ -23,7 +23,6 @@ let usage =
   "loadgen --forestd PATH [options]\n\
    \  --forestd PATH     forestd executable to spawn (required)\n\
    \  --socket PATH      Unix socket path (default: private temp path)\n\
-   \  --domains K        worker domains for the daemon (default 1)\n\
    \  --seed N           workload RNG seed (default 11)\n\
    \  --requests N       total mixed requests to replay (default 120)\n\
    \  --mix B:P:C        batch:point:churn request weights (default 1:3:6)\n\
@@ -50,7 +49,6 @@ let die fmt =
 type cfg = {
   mutable forestd : string;
   mutable socket : string;
-  mutable domains : int;
   mutable seed : int;
   mutable requests : int;
   mutable mix : int * int * int;
@@ -81,7 +79,6 @@ let parse_args () =
     {
       forestd = "";
       socket = "";
-      domains = 1;
       seed = 11;
       requests = 120;
       mix = (1, 3, 6);
@@ -102,9 +99,6 @@ let parse_args () =
         go rest
     | "--socket" :: v :: rest ->
         cfg.socket <- v;
-        go rest
-    | "--domains" :: v :: rest ->
-        cfg.domains <- int_of_string v;
         go rest
     | "--seed" :: v :: rest ->
         cfg.seed <- int_of_string v;
@@ -146,7 +140,6 @@ let parse_args () =
   in
   (match Array.to_list Sys.argv with _ :: args -> go args | [] -> ());
   if cfg.forestd = "" then die "--forestd is required";
-  if cfg.domains < 1 then die "--domains must be >= 1";
   if cfg.requests < 1 then die "--requests must be >= 1";
   if cfg.n < 4 then die "--n must be >= 4";
   if cfg.alpha < 1 then die "--alpha must be >= 1";
@@ -166,16 +159,7 @@ let parse_args () =
 let spawn_daemon cfg =
   (if Sys.file_exists cfg.socket then
      try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-  let argv =
-    [|
-      cfg.forestd;
-      "serve";
-      "--socket";
-      cfg.socket;
-      "--domains";
-      string_of_int cfg.domains;
-    |]
-  in
+  let argv = [| cfg.forestd; "serve"; "--socket"; cfg.socket |] in
   Unix.create_process cfg.forestd argv Unix.stdin Unix.stderr Unix.stderr
 
 let connect cfg =
@@ -389,7 +373,7 @@ let write_record cfg ~wall_s ~service_obj =
     \  \"desc\": \"forestd serve under a seeded %d:%d:%d \
      batch:point:churn mix\",\n\
     \  \"quick\": %b,\n\
-    \  \"domains\": %d,\n\
+    \  \"domains\": 1,\n\
     \  \"env\": {\n\
     \    \"git_commit\": %s,\n\
     \    \"hostname\": \"%s\",\n\
@@ -397,7 +381,7 @@ let write_record cfg ~wall_s ~service_obj =
     \    \"stamped_at\": %.0f\n\
     \  },\n\
     \  \"rounds_attribution\": \"per-domain\",\n\
-    \  \"counter_attribution\": \"%s\",\n\
+    \  \"counter_attribution\": \"exact\",\n\
     \  \"wall_s\": %.6f,\n\
     \  \"charged_rounds\": 0,\n\
     \  \"connectivity\": {\n\
@@ -409,14 +393,13 @@ let write_record cfg ~wall_s ~service_obj =
     \  \"phases\": null,\n\
     \  \"failed\": null\n\
      }\n"
-    b p c cfg.quick cfg.domains
+    b p c cfg.quick
     (match git_commit () with
     | Some c -> Printf.sprintf "\"%s\"" (json_escape c)
     | None -> "null")
     (json_escape (try Unix.gethostname () with _ -> "unknown"))
     (json_escape Sys.ocaml_version)
     (Unix.time ())
-    (if cfg.domains > 1 then "process-wide" else "exact")
     wall_s service_obj;
   close_out oc
 
@@ -629,8 +612,7 @@ let () =
 
   (* cross-run output equality: the final served coloring is the
      deterministic product of the seeded workload, so one run can dump
-     it and another (same seed/mix, e.g. a different --domains) must
-     reproduce it exactly *)
+     it and a same-seed replay must reproduce it exactly *)
   (if cfg.dump_colors <> "" then begin
      let oc = open_out cfg.dump_colors in
      Array.iter (fun c -> Printf.fprintf oc "%d\n" c) !last_colors;
@@ -708,7 +690,7 @@ let () =
   in
   write_record cfg ~wall_s ~service_obj;
   Printf.printf
-    "loadgen: %d requests (%d invalid) in %.2fs over %d domain(s); %d \
-     incremental, %d fallbacks -> %s\n"
-    total !invalid wall_s cfg.domains !incr_updates !fallbacks cfg.json;
+    "loadgen: %d requests (%d invalid) in %.2fs; %d incremental, %d \
+     fallbacks -> %s\n"
+    total !invalid wall_s !incr_updates !fallbacks cfg.json;
   if !invalid > 0 then exit 1

@@ -241,10 +241,8 @@ end
 let slow_experiments = [ "e9"; "e15" ]
 
 (* per-experiment resource attribution: Gc.quick_stat deltas on the
-   running domain plus the Dpool accumulators for whatever helper
-   domains allocated during parallel rounds (invisible to this domain's
-   quick_stat). top_heap is the process high-water mark at the end of
-   the experiment, not a delta. *)
+   running domain (every LOCAL round runs on it). top_heap is the
+   process high-water mark at the end of the experiment, not a delta. *)
 type resources = {
   minor_words : float;
   major_words : float;
@@ -252,8 +250,6 @@ type resources = {
   minor_collections : int;
   major_collections : int;
   top_heap_words : int;
-  worker_minor_words : int;
-  worker_major_words : int;
 }
 
 type record = {
@@ -282,8 +278,6 @@ let run_one (name, desc, run) =
   let c0 = C.snapshot () in
   let r0 = Exp_common.domain_rounds_baseline () in
   let s0 = Gc.quick_stat () in
-  let w0_minor = Nw_localsim.Dpool.worker_minor_words () in
-  let w0_major = Nw_localsim.Dpool.worker_major_words () in
   let t0 = Unix.gettimeofday () in
   let run_guarded () =
     try
@@ -332,8 +326,6 @@ let run_one (name, desc, run) =
         minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
         major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
         top_heap_words = s1.Gc.top_heap_words;
-        worker_minor_words = Nw_localsim.Dpool.worker_minor_words () - w0_minor;
-        worker_major_words = Nw_localsim.Dpool.worker_major_words () - w0_major;
       };
     failed;
     trace;
@@ -398,6 +390,7 @@ type env_stamp = {
   pipeline : string * string;
       (* (registry name, pass-list hash) of the engine's algorithm
          registry, so trajectory diffs can detect pipeline drift *)
+  cores : string; (* rendered "nproc"/"recommended_domain_count" pair *)
 }
 
 let capture_env () =
@@ -422,6 +415,7 @@ let capture_env () =
       | None -> None
       | Some (plan, _) -> Some (Plan.digest plan, Plan.summary plan));
     pipeline = Nw_engine.Registry.stamp ();
+    cores = Exp_common.core_counts_json ();
   }
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
@@ -468,6 +462,7 @@ let write_json ~quick ~domains ~env r =
     \  \"domains\": %d,\n\
     \  \"env\": {\n\
      %s\
+    \    %s,\n\
     \    \"git_commit\": %s,\n\
     \    \"hostname\": \"%s\",\n\
     \    \"ocaml_version\": \"%s\",\n\
@@ -488,9 +483,7 @@ let write_json ~quick ~domains ~env r =
     \    \"promoted_words\": %.0f,\n\
     \    \"minor_collections\": %d,\n\
     \    \"major_collections\": %d,\n\
-    \    \"top_heap_words\": %d,\n\
-    \    \"worker_minor_words\": %d,\n\
-    \    \"worker_major_words\": %d\n\
+    \    \"top_heap_words\": %d\n\
     \  },\n\
     \  \"phases\": %s,\n\
     \  \"failed\": %s\n\
@@ -507,6 +500,7 @@ let write_json ~quick ~domains ~env r =
     Printf.sprintf
       "    \"pipeline\": { \"registry\": \"%s\", \"hash\": \"%s\" },\n"
       (json_escape registry) (json_escape hash))
+    env.cores
     (match env.git_commit with
     | None -> "null"
     | Some c -> Printf.sprintf "\"%s\"" (json_escape c))
@@ -518,7 +512,6 @@ let write_json ~quick ~domains ~env r =
     r.resources.minor_words r.resources.major_words
     r.resources.promoted_words r.resources.minor_collections
     r.resources.major_collections r.resources.top_heap_words
-    r.resources.worker_minor_words r.resources.worker_major_words
     (phases_json r.trace)
     (match r.failed with
     | None -> "null"

@@ -116,11 +116,25 @@ let check_env file json =
       | None -> ()
       | Some (J.String _) -> ()
       | Some _ ->
-          fail file "env field \"backend\" must be a string when present")
+          fail file "env field \"backend\" must be a string when present");
+      (* core counts are optional — records stamped before they existed
+         omit them — but when present nproc is a number (null when the
+         command was unavailable) and recommended_domain_count a number *)
+      (match J.member "nproc" env with
+      | None | Some J.Null | Some (J.Number _) -> ()
+      | Some _ ->
+          fail file
+            "env field \"nproc\" must be a number or null when present");
+      (match J.member "recommended_domain_count" env with
+      | None | Some (J.Number _) -> ()
+      | Some _ ->
+          fail file
+            "env field \"recommended_domain_count\" must be a number when \
+             present")
   | _ -> ()
 
 (* additive nw-bench/2 field: a throughput sweep (BENCH_scaling.json) is a
-   list of (domains, instance, rate) legs, each fully numeric so
+   list of (instance, edges, rate) legs, each fully numeric so
    trajectory tooling can diff edges_per_sec across commits *)
 let check_throughput file json =
   match J.member "throughput" json with
@@ -132,12 +146,20 @@ let check_throughput file json =
           if not (shape_obj leg) then
             fail file "throughput leg %d is not an object" i
           else begin
-            (* backend is historical, as in env *)
+            (* backend and domains are historical: legs from the
+               two-plane and sharded-round eras name the data plane and
+               the domain count they ran at; current legs omit both *)
             (match J.member "backend" leg with
             | None | Some (J.String _) -> ()
             | Some _ ->
                 fail file
                   "throughput leg field \"backend\" must be a string when \
+                   present");
+            (match J.member "domains" leg with
+            | None | Some (J.Number _) -> ()
+            | Some _ ->
+                fail file
+                  "throughput leg field \"domains\" must be a number when \
                    present");
             (* instance is optional — legs predating the full-pipeline
                sweep omit it — but when present it names the timed
@@ -150,17 +172,16 @@ let check_throughput file json =
                    present");
             List.iter
               (fun f -> check_field file leg (f, shape_number))
-              [ "domains"; "edges"; "wall_s"; "edges_per_sec" ]
+              [ "edges"; "wall_s"; "edges_per_sec" ]
           end)
         legs
   | Some _ -> fail file "field \"throughput\" must be an array when present"
 
 (* additive nw-bench/2 field: per-experiment GC/allocator attribution
-   captured as quick_stat deltas around the measured run (plus the
-   Dpool worker accumulators for helper-domain allocation). Old
-   records without it stay valid; when present every field must be a
-   number — top_heap_words is the high-water mark at experiment end,
-   not a delta, but it is numeric all the same. *)
+   captured as quick_stat deltas around the measured run. Old records
+   without it stay valid; when present every field must be a number —
+   top_heap_words is the high-water mark at experiment end, not a
+   delta, but it is numeric all the same. *)
 let resources_fields =
   [
     "minor_words";
@@ -169,9 +190,11 @@ let resources_fields =
     "minor_collections";
     "major_collections";
     "top_heap_words";
-    "worker_minor_words";
-    "worker_major_words";
   ]
+
+(* historical: records from the sharded-round era also counted what
+   helper domains allocated; accepted, not required *)
+let legacy_resources_fields = [ "worker_minor_words"; "worker_major_words" ]
 
 let check_resources file json =
   match J.member "resources" json with
@@ -179,7 +202,13 @@ let check_resources file json =
   | Some (J.Obj _ as res) ->
       List.iter
         (fun f -> check_field file res (f, shape_number))
-        resources_fields
+        resources_fields;
+      List.iter
+        (fun f ->
+          match J.member f res with
+          | None | Some (J.Number _) -> ()
+          | Some _ -> fail file "resources field %S must be a number" f)
+        legacy_resources_fields
   | Some _ -> fail file "field \"resources\" must be an object when present"
 
 (* additive nw-bench/2 field: the served-traffic record written by

@@ -206,8 +206,7 @@ let check_input path g (algorithm : Registry.entry) =
   end
 
 let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
-    chaos chaos_seed domains flight serve_metrics =
-  Nw_localsim.Dpool.with_domains domains @@ fun () ->
+    chaos chaos_seed flight serve_metrics =
   let g = Io.read_edge_list path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
@@ -247,7 +246,6 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
           ("algorithm", algo_name);
           ("epsilon", string_of_float epsilon);
           ("seed", string_of_int seed);
-          ("domains", string_of_int domains);
           ("registry", registry);
           ("registry_hash", registry_hash);
           ("pipeline", pipeline.Engine.pl_name);
@@ -475,14 +473,6 @@ let decompose_cmd =
             "Seed for the fault plan; the same (plan, seed) pair replays \
              the identical fault timeline.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"K"
-          ~doc:
-            "Shard each LOCAL round across K domains. Results, round \
-             ledgers, and chaos digests are byte-identical to K=1.")
-  in
   let flight =
     Arg.(
       value
@@ -520,7 +510,7 @@ let decompose_cmd =
        ~doc:"Run a decomposition algorithm on a graph.")
     Term.(
       const decompose $ graph_pos $ algorithm $ epsilon_arg $ seed_arg $ alpha
-      $ dot $ save $ trace $ metrics $ chaos $ chaos_seed $ domains $ flight
+      $ dot $ save $ trace $ metrics $ chaos $ chaos_seed $ flight
       $ serve_metrics)
 
 (* ------------------------------------------------------------------ *)
@@ -530,8 +520,7 @@ let decompose_cmd =
 (* run a decomposition with Obs on and print the Prometheus text
    exposition of the finished trace — the one-shot, pipeable face of the
    same rendering --serve-metrics serves over a socket *)
-let stats_run path algorithm epsilon seed alpha_opt domains =
-  Nw_localsim.Dpool.with_domains domains @@ fun () ->
+let stats_run path algorithm epsilon seed alpha_opt =
   let g = Io.read_edge_list path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
@@ -571,20 +560,13 @@ let stats_cmd =
       & info [ "alpha" ] ~docv:"A"
           ~doc:"Arboricity bound (computed exactly when omitted).")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"K"
-          ~doc:"Shard each LOCAL round across K domains.")
-  in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Run a decomposition and print its Obs registry (counters, \
           histograms, per-pass aggregates) in Prometheus text format.")
     Term.(
-      const stats_run $ graph_pos $ algorithm $ epsilon_arg $ seed_arg $ alpha
-      $ domains)
+      const stats_run $ graph_pos $ algorithm $ epsilon_arg $ seed_arg $ alpha)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -686,7 +668,7 @@ let verify_cmd =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let serve_run socket domains serve_metrics =
+let serve_run socket serve_metrics =
   (* daemon-side failures use the same one-line JSON stderr diagnostic
      shape as the chaos path: machine-consumable, Json_lite-escaped,
      paired with a distinctive exit code (2 = CLI misuse, 3 = runtime
@@ -701,7 +683,6 @@ let serve_run socket domains serve_metrics =
     Nw_service.Server.serve
       {
         Nw_service.Server.socket_path = socket;
-        domains;
         metrics_socket = serve_metrics;
       }
   with
@@ -729,14 +710,6 @@ let serve_cmd =
              is reclaimed; any other existing file is refused with a \
              JSON diagnostic and exit 2.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"K"
-          ~doc:
-            "Persistent worker-pool size for batch requests. Served \
-             outputs are byte-identical across K.")
-  in
   let serve_metrics =
     Arg.(
       value
@@ -753,7 +726,7 @@ let serve_cmd =
          "Run the decomposition daemon: named dynamic-graph sessions, \
           incremental edge churn, batch decompose/orient via the \
           registry, over a Unix socket.")
-    Term.(const serve_run $ socket $ domains $ serve_metrics)
+    Term.(const serve_run $ socket $ serve_metrics)
 
 let () =
   let doc = "Nash-Williams forest decomposition in the LOCAL model" in

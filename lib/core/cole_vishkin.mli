@@ -12,6 +12,7 @@
     of the rooted forest [g]. [parent_edge.(v)] is the edge to [v]'s parent,
     or [-1] at roots; [ids] are distinct non-negative identifiers.
     Colors returned are in [{0, 1, 2}] and proper along every edge of [g].
+    This is {!three_color_forests} with [t = 1].
 
     @raise Invalid_argument if [g] with [parent_edge] is not a rooted forest
     (some vertex's parent edge not incident to it). *)
@@ -29,7 +30,7 @@ val three_color :
     edge [e], its color in forest [edge_forest.(e)], and every forest
     advances one step. The result is the flat color plane: slot
     [v * t + j] is [v]'s color in forest [j], byte-identical to the
-    corresponding standalone [three_color] run on that forest's subgraph;
+    corresponding standalone {!three_color} run on that forest's subgraph;
     the rounds charged to [rounds] equal one standalone run's (the
     per-forest ledgers coincide), not their sum.
 

@@ -8,9 +8,9 @@
     + one exchange round tells every vertex its neighbors' layers; the
       acyclic orientation (edges point to higher layer, ties by id) and the
       out-edge labeling are then decided locally per vertex;
-    + the per-forest Cole–Vishkin 3-coloring runs on the kernel
-      ({!Cole_vishkin.three_color}), and each vertex colors its own child
-      edges from its final vertex color.
+    + the Cole–Vishkin 3-coloring of all [t] forests runs concurrently on
+      one kernel net ({!Cole_vishkin.three_color_forests}), and each vertex
+      colors its own child edges from its final vertex color.
 
     The round ledger therefore contains only {e executed} rounds,
     certifying that the charge model used by the centrally simulated

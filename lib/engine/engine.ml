@@ -1,5 +1,4 @@
 module Rounds = Nw_localsim.Rounds
-module Dpool = Nw_localsim.Dpool
 module Obs = Nw_obs.Obs
 module Flight = Nw_obs.Flight
 
@@ -68,18 +67,10 @@ let run ?resume ?checkpoint ctx pipeline ~init =
           ~attrs:
             [ ("pipeline", Obs.Str pipeline.pl_name); ("index", Obs.Int i) ]
         @@ fun () ->
-        (* resource attribution: quick_stat deltas on this domain plus
-           the Dpool accumulators for helper-domain allocation. Guarded
-           by the Obs switch so disabled runs stay zero-cost, and
+        (* resource attribution: quick_stat deltas on this domain.
+           Guarded by the Obs switch so disabled runs stay zero-cost, and
            carried as span attrs so BENCH phase records are unchanged. *)
-        let res0 =
-          if Obs.enabled () then
-            Some
-              ( Gc.quick_stat (),
-                Dpool.worker_minor_words (),
-                Dpool.worker_major_words () )
-          else None
-        in
+        let res0 = if Obs.enabled () then Some (Gc.quick_stat ()) else None in
         let before = Rounds.total ctx.rounds in
         let out =
           try
@@ -106,7 +97,7 @@ let run ?resume ?checkpoint ctx pipeline ~init =
           (Obs.Int (Rounds.total ctx.rounds - before));
         (match res0 with
         | None -> ()
-        | Some (s0, wmin0, wmaj0) ->
+        | Some s0 ->
             let s1 = Gc.quick_stat () in
             Obs.set_attr "pass_minor_words"
               (Obs.Float (s1.Gc.minor_words -. s0.Gc.minor_words));
@@ -118,11 +109,7 @@ let run ?resume ?checkpoint ctx pipeline ~init =
               (Obs.Int (s1.Gc.minor_collections - s0.Gc.minor_collections));
             Obs.set_attr "pass_major_collections"
               (Obs.Int (s1.Gc.major_collections - s0.Gc.major_collections));
-            Obs.set_attr "top_heap_words" (Obs.Int s1.Gc.top_heap_words);
-            Obs.set_attr "pass_worker_minor_words"
-              (Obs.Int (Dpool.worker_minor_words () - wmin0));
-            Obs.set_attr "pass_worker_major_words"
-              (Obs.Int (Dpool.worker_major_words () - wmaj0)));
+            Obs.set_attr "top_heap_words" (Obs.Int s1.Gc.top_heap_words));
         store := out;
         match checkpoint with
         | None -> ()

@@ -88,7 +88,6 @@ type ('state, 'msg) t = {
   states : 'state array;
   init : int -> 'state;
   chaos : (faults * fault_stats) option;
-  par : int; (* ambient Dpool domain count captured at creation *)
   delayed : (int, (int * int * 'msg) list) Hashtbl.t;
       (* arrival round -> (dst, edge, msg), reversed arrival order *)
   mutable round_num : int;
@@ -102,7 +101,6 @@ let create g ~rounds ~init =
     states = Array.init (G.n g) init;
     init;
     chaos = !(Domain.DLS.get ambient);
-    par = Dpool.available ();
     delayed = Hashtbl.create 4;
     round_num = 0;
     delivered = 0;
@@ -132,53 +130,6 @@ let plain_step t ~send ~recv =
     t.states.(v) <- recv v t.states.(v) inbox.(v)
   done
 
-(* Domain-parallel fault-free round: vertex shards, per-domain
-   mailboxes, a deterministic merge. The sequential path builds
-   [inbox.(w)] by consing while scanning sources v = 0..n-1, i.e. the
-   final list is the reversed arrival order with arrival rank = source
-   order. Each domain scans a contiguous source shard and conses into
-   its own mailbox, so domain [d]'s buffer is the reversed arrival
-   order *within* shard [d]; concatenating buffers in descending shard
-   order rebuilds exactly the sequential list. Hence states, delivered
-   counts, and everything downstream are byte-identical at any K. *)
-let plain_step_par t k ~send ~recv =
-  let n = G.n t.g in
-  let shards = Dpool.split n k in
-  let mailboxes : (int * 'msg) list array array =
-    Array.init k (fun _ -> Array.make n [])
-  in
-  let sent = Array.make k 0 in
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      let mail = mailboxes.(d) in
-      let c = ref 0 in
-      for v = lo to hi - 1 do
-        List.iter
-          (fun (e, msg) ->
-            let w = G.other_endpoint t.g e v in
-            mail.(w) <- (e, msg) :: mail.(w);
-            incr c)
-          (send v t.states.(v))
-      done;
-      sent.(d) <- !c);
-  (* merge in fixed shard order: deterministic by construction *)
-  for d = 0 to k - 1 do
-    t.delivered <- t.delivered + sent.(d)
-  done;
-  let inbox =
-    Array.init n (fun w ->
-        let acc = ref mailboxes.(0).(w) in
-        for d = 1 to k - 1 do
-          acc := mailboxes.(d).(w) @ !acc
-        done;
-        !acc)
-  in
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      for v = lo to hi - 1 do
-        t.states.(v) <- recv v t.states.(v) inbox.(v)
-      done)
-
 (* Counting round (messages carry no payload): the all-incident
    broadcast is a per-destination message count, so the kernel streams
    the adjacency rows directly — no per-message list or tuple cells.
@@ -199,90 +150,19 @@ let count_step t ~decide ~recv =
     t.states.(v) <- recv v t.states.(v) cnt.(v)
   done
 
-let count_step_par t k ~decide ~recv =
-  let n = G.n t.g in
-  let shards = Dpool.split n k in
-  let cnts = Array.init k (fun _ -> Array.make n 0) in
-  let sent = Array.make k 0 in
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      let cnt = cnts.(d) in
-      let c = ref 0 in
-      for v = lo to hi - 1 do
-        if decide v t.states.(v) then
-          G.iter_incident t.g v (fun w _ ->
-              cnt.(w) <- cnt.(w) + 1;
-              incr c)
-      done;
-      sent.(d) <- !c);
-  for d = 0 to k - 1 do
-    t.delivered <- t.delivered + sent.(d)
-  done;
-  (* column-sharded merge: integer sums, order-independent *)
-  let cnt = cnts.(0) in
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      for dd = 1 to k - 1 do
-        let c = cnts.(dd) in
-        for w = lo to hi - 1 do
-          cnt.(w) <- cnt.(w) + c.(w)
-        done
-      done);
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      for v = lo to hi - 1 do
-        t.states.(v) <- recv v t.states.(v) cnt.(v)
-      done)
-
 (* Exchange round (every vertex broadcasts one int on every incident
-   edge): the inbox of [w] is then exactly one value per incident
-   edge — the neighbor's broadcast — so the kernel gathers it by
-   streaming [w]'s own adjacency against a precomputed value array
-   instead of materializing per-message list cells. Message accounting
-   matches the generic path: one delivery per incidence, 2m per round.
-   [recv] sees the messages in the *receiver's incidence order*
-   (ascending edge id). *)
-let exchange_step t ~value ~recv =
-  let n = G.n t.g in
-  let vals = Array.make n 0 in
-  for v = 0 to n - 1 do
-    vals.(v) <- value v t.states.(v)
-  done;
-  for v = 0 to n - 1 do
-    t.states.(v) <-
-      recv v t.states.(v) (fun f ->
-          G.iter_incident t.g v (fun u e -> f e vals.(u)))
-  done;
-  t.delivered <- t.delivered + (2 * G.m t.g)
-
-let exchange_step_par t k ~value ~recv =
-  let n = G.n t.g in
-  let shards = Dpool.split n k in
-  let vals = Array.make n 0 in
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      for v = lo to hi - 1 do
-        vals.(v) <- value v t.states.(v)
-      done);
-  (* gather is read-only on [vals] and writes only the shard's own
-     states: deterministic at any K by construction *)
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      for v = lo to hi - 1 do
-        t.states.(v) <-
-          recv v t.states.(v) (fun f ->
-              G.iter_incident t.g v (fun u e -> f e vals.(u)))
-      done);
-  t.delivered <- t.delivered + (2 * G.m t.g)
-
-(* Edge-valued exchange: like [exchange_step], but the broadcast value
-   may depend on the edge it crosses ([value v st e]) — the shape of
-   the concurrent multi-forest Cole–Vishkin round, where a vertex's
-   message on edge [e] is its color in [e]'s forest. The contract
+   edge, and the value may depend on the edge it crosses: [value v st
+   e]) — the shape of the concurrent multi-forest Cole–Vishkin round,
+   where a vertex's message on edge [e] is its color in [e]'s forest.
+   The inbox of [w] is then exactly one value per incident edge, so the
+   kernel gathers it by streaming [w]'s own adjacency instead of
+   materializing per-message list cells; [recv] sees the messages in
+   the receiver's incidence order (ascending edge id). The contract
    requires [value] to be pure over the round (it must not observe
    anything [recv] changes), so the gather evaluates it on the fly at
-   each receiver instead of snapshotting 2m message slots first: one
-   random access per delivery, no per-round edge-sized scratch. *)
+   each receiver: one random access per delivery, no per-round
+   edge-sized scratch. Accounting matches the generic path: one
+   delivery per incidence, 2m per round. *)
 let exchange_edges_step t ~value ~recv =
   let n = G.n t.g in
   for v = 0 to n - 1 do
@@ -292,31 +172,12 @@ let exchange_edges_step t ~value ~recv =
   done;
   t.delivered <- t.delivered + (2 * G.m t.g)
 
-let exchange_edges_step_par t k ~value ~recv =
-  let n = G.n t.g in
-  let shards = Dpool.split n k in
-  (* purity of [value] over the round is what makes the shards
-     independent: every domain reads the same pre-round view *)
-  Dpool.run ~domains:k (fun d ->
-      let lo, hi = shards.(d) in
-      for v = lo to hi - 1 do
-        t.states.(v) <-
-          recv v t.states.(v) (fun f ->
-              G.iter_incident t.g v (fun u e ->
-                  f e (value u t.states.(u) e)))
-      done);
-  t.delivered <- t.delivered + (2 * G.m t.g)
-
 (* the faulty path: crashed nodes neither send, receive, nor update
    state; a restart resets the node to its initial state (state loss);
    per-message delivery decisions come from the installed fault policy.
    With a policy that never fires (all Deliver, everyone up, no
    reorder), inboxes are built in exactly the plain_step order, so the
-   outcome is still byte-identical.
-
-   Always sequential: the timeline digest is order-sensitive over the
-   full event sequence, and keeping one canonical event order is what
-   makes it a cross-domain-count invariant. *)
+   outcome is still byte-identical. *)
 let faulty_step t (f, st) ~send ~recv =
   let n = G.n t.g in
   let r = t.round_num in
@@ -421,68 +282,36 @@ let synth_send t ~decide v st =
 
 (* the kernel charges one round per call on behalf of whatever phase
    span is open in the caller (or the trace's unattributed bucket) *)
-let[@obs.in_span] round t ~label ~send ~recv =
-  let before = t.delivered in
-  (match t.chaos with
-  | None ->
-      if t.par > 1 then plain_step_par t t.par ~send ~recv
-      else plain_step t ~send ~recv
-  | Some c -> faulty_step t c ~send ~recv);
+let[@obs.in_span] charge_round t ~label ~before =
   t.round_num <- t.round_num + 1;
   Rounds.charge t.rounds ~label 1;
   Nw_obs.Obs.count "msg_net.rounds";
   if t.delivered > before then
     Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
+
+let[@obs.in_span] round t ~label ~send ~recv =
+  let before = t.delivered in
+  (match t.chaos with
+  | None -> plain_step t ~send ~recv
+  | Some c -> faulty_step t c ~send ~recv);
+  charge_round t ~label ~before
 
 let[@obs.in_span] round_count t ~label ~decide ~recv =
   let before = t.delivered in
   (match t.chaos with
-  | None ->
-      if t.par > 1 then count_step_par t t.par ~decide ~recv
-      else count_step t ~decide ~recv
+  | None -> count_step t ~decide ~recv
   | Some c ->
       (* under faults every message needs its own verdict: fall back
-         to the canonical sequential per-message path *)
+         to the canonical per-message path *)
       let send v st = synth_send t ~decide v st in
       let recv v st msgs = recv v st (List.length msgs) in
       faulty_step t c ~send ~recv);
-  t.round_num <- t.round_num + 1;
-  Rounds.charge t.rounds ~label 1;
-  Nw_obs.Obs.count "msg_net.rounds";
-  if t.delivered > before then
-    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
-
-let[@obs.in_span] round_exchange t ~label ~value ~recv =
-  let before = t.delivered in
-  (match t.chaos with
-  | None ->
-      if t.par > 1 then exchange_step_par t t.par ~value ~recv
-      else exchange_step t ~value ~recv
-  | Some c ->
-      (* under faults every message needs its own verdict: fall back
-         to the canonical sequential per-message path (recv then sees
-         the inbox order, as the fault scheduler dictates) *)
-      let send v st =
-        let x = value v st in
-        List.rev
-          (G.fold_incident t.g v ~init:[] (fun acc _ e -> (e, x) :: acc))
-      in
-      let recv v st msgs =
-        recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
-      in
-      faulty_step t c ~send ~recv);
-  t.round_num <- t.round_num + 1;
-  Rounds.charge t.rounds ~label 1;
-  Nw_obs.Obs.count "msg_net.rounds";
-  if t.delivered > before then
-    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
+  charge_round t ~label ~before
 
 let[@obs.in_span] round_exchange_edges t ~label ~value ~recv =
   let before = t.delivered in
   (match t.chaos with
-  | None ->
-      if t.par > 1 then exchange_edges_step_par t t.par ~value ~recv
-      else exchange_edges_step t ~value ~recv
+  | None -> exchange_edges_step t ~value ~recv
   | Some c ->
       let send v st =
         List.rev
@@ -493,28 +322,7 @@ let[@obs.in_span] round_exchange_edges t ~label ~value ~recv =
         recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
       in
       faulty_step t c ~send ~recv);
-  t.round_num <- t.round_num + 1;
-  Rounds.charge t.rounds ~label 1;
-  Nw_obs.Obs.count "msg_net.rounds";
-  if t.delivered > before then
-    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
+  charge_round t ~label ~before
 
 let messages_delivered t = t.delivered
 let rounds_executed t = t.round_num
-
-let run_until t ~label ~send ~recv ~halted ~max_rounds =
-  let n = G.n t.g in
-  let all_halted () =
-    let rec check v = v >= n || (halted v t.states.(v) && check (v + 1)) in
-    check 0
-  in
-  let rec loop executed =
-    if all_halted () then executed
-    else if executed >= max_rounds then
-      failwith "Msg_net.run_until: max_rounds exceeded"
-    else begin
-      round t ~label ~send ~recv;
-      loop (executed + 1)
-    end
-  in
-  loop 0

@@ -72,12 +72,13 @@ val with_faults : faults -> (unit -> 'a) -> 'a * fault_stats
 
 (** {2 The kernel}
 
-    Rounds shard across [Dpool.available ()] domains (captured at
-    creation) with a deterministic mailbox merge, so results are
-    byte-identical to the sequential path at any domain count; under an
-    ambient fault context the canonical sequential event order is always
-    used, keeping the fault-timeline digest invariant. See
-    [docs/data-plane.md]. *)
+    One sequential kernel: every round runs on the calling domain, in
+    one canonical event order. Three round entry points, each with one
+    message shape: {!round} (arbitrary per-edge messages),
+    {!round_count} (payload-free broadcast) and {!round_exchange_edges}
+    (one int per incident edge). The last two stream the adjacency rows
+    fault-free and fall back to the per-message path under an ambient
+    fault context. See [docs/data-plane.md]. *)
 
 type ('state, 'msg) t
 
@@ -125,29 +126,20 @@ val round_count :
   recv:(int -> 'state -> int -> 'state) ->
   unit
 
-(** All-incident int broadcast (the Cole–Vishkin exchange shape): every
-    vertex broadcasts [value v st] on every incident edge; [recv v st
-    iter] consumes the inbox through [iter f], which calls [f edge msg]
-    once per incident edge of [v], in [v]'s own incidence order, without
-    materializing message lists. Accounting matches {!round}: 2m
-    deliveries, one round charged. Under a fault context the canonical
-    per-message path runs instead and [iter] follows the
-    (fault-scheduled) inbox order, so [recv] must not depend on message
-    order beyond edge identity. *)
-val round_exchange :
-  ('state, int) t ->
-  label:string ->
-  value:(int -> 'state -> int) ->
-  recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
-  unit
-
-(** Like {!round_exchange} but the broadcast value may depend on the edge
-    it crosses ([value v st e]) — the concurrent multi-forest
-    Cole–Vishkin shape. Contract: [value] must be {e pure over the round}
-    — it must not observe anything [recv] changes (state or shared
-    mutable data), so the kernel is free to evaluate it before or during
-    delivery. The streamed path exploits this by computing each message
-    at its receiver with no per-round edge-sized scratch. *)
+(** All-incident int broadcast whose value may depend on the edge it
+    crosses ([value v st e]) — the concurrent multi-forest Cole–Vishkin
+    shape. [recv v st iter] consumes the inbox through [iter f], which
+    calls [f edge msg] once per incident edge of [v], in [v]'s own
+    incidence order, without materializing message lists. Accounting
+    matches {!round}: 2m deliveries, one round charged. Contract:
+    [value] must be {e pure over the round} — it must not observe
+    anything [recv] changes (state or shared mutable data), so the
+    kernel is free to evaluate it before or during delivery. The
+    streamed path exploits this by computing each message at its
+    receiver with no per-round edge-sized scratch. Under a fault
+    context the canonical per-message path runs instead and [iter]
+    follows the (fault-scheduled) inbox order, so [recv] must not
+    depend on message order beyond edge identity. *)
 val round_exchange_edges :
   ('state, int) t ->
   label:string ->
@@ -161,16 +153,3 @@ val messages_delivered : ('state, 'msg) t -> int
 (** Rounds executed on this net since creation (the fault clock: windows
     and crash schedules in fault plans are phrased in this counter). *)
 val rounds_executed : ('state, 'msg) t -> int
-
-(** [run_until t ~label ~send ~recv ~halted ~max_rounds] repeats {!round}
-    until every vertex satisfies [halted] or [max_rounds] elapse; returns the
-    number of rounds executed.
-    @raise Failure if [max_rounds] is exceeded. *)
-val run_until :
-  ('state, 'msg) t ->
-  label:string ->
-  send:(int -> 'state -> (int * 'msg) list) ->
-  recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
-  halted:(int -> 'state -> bool) ->
-  max_rounds:int ->
-  int

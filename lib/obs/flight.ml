@@ -17,9 +17,10 @@
    domains without stopping them; every mutated field is a single word,
    so a concurrent append can at worst leave one stale slot in the
    snapshot — acceptable for a post-mortem, and the dumping domain
-   (the one that failed) is always exact. Dpool spawns short-lived
-   helper domains, so the registry is bounded: beyond [max_rings] the
-   oldest ring is dropped and the dump says so. *)
+   (the one that failed) is always exact. Short-lived domains (the
+   bench harness's per-experiment workers) would grow the registry
+   without end, so it is bounded: beyond [max_rings] the oldest ring is
+   dropped and the dump says so. *)
 
 let now () = Monotonic_clock.now ()
 

@@ -14,8 +14,9 @@
     The subsystem is disabled by default and then costs one atomic load
     per call and allocates nothing: instrumented hot paths stay hot.
     When enabled, all state is {e domain-local} (per [Domain.DLS]), so
-    the bench harness fanning experiments across [--domains K] never
-    mixes two experiments' spans or rounds.
+    the bench harness fanning experiments across domains
+    ([bench/main.exe --domains K]) never mixes two experiments' spans or
+    rounds.
 
     Three exporters: Chrome [trace_event] JSON (open in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}), a JSONL

@@ -3,13 +3,11 @@ module Prometheus = Nw_obs.Prometheus
 module Metrics_server = Nw_obs.Metrics_server
 module Plan = Nw_chaos.Plan
 module Registry = Nw_engine.Registry
-module Dpool = Nw_localsim.Dpool
 module J = Nw_obs.Json_lite
 module Jmit = Nw_obs.Json_lite.Emit
 
 type config = {
   socket_path : string;
-  domains : int;
   metrics_socket : string option;
 }
 
@@ -356,8 +354,6 @@ let serve_connection st client ~publish ~stop =
       try loop () with Sys_error _ -> ())
 
 let serve config =
-  if config.domains < 1 then
-    raise (Server_error "domains must be at least 1");
   (* shared reclaim policy with the metrics endpoint: stale socket files
      are swept, anything else at the path is refused (Invalid_argument) *)
   Metrics_server.reclaim_socket_path ~whom:"forestd serve"
@@ -405,8 +401,6 @@ let serve config =
     Option.iter Metrics_server.stop msrv
   in
   Fun.protect ~finally:finish @@ fun () ->
-  (* one persistent worker pool for every batch request *)
-  Dpool.with_domains config.domains @@ fun () ->
   fst
   @@ Obs.collect
   @@ fun () ->

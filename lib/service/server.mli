@@ -4,11 +4,8 @@
     file through {!Nw_obs.Metrics_server.reclaim_socket_path}, so a
     non-socket path is refused with [Invalid_argument], never unlinked),
     then answers nw-wire/1 frames one connection at a time on the
-    calling domain. Batch work inside a request still runs on the
-    persistent [Dpool] worker pool ([config.domains]), so the daemon is
-    sequential at the request level — every session mutation is trivially
-    race-free — while individual decompositions parallelize exactly like
-    the one-shot CLI.
+    calling domain, batch work included, so every session mutation is
+    trivially race-free.
 
     Per request: an [Obs] span [serve:<op>] tagged with the request id
     (and session), a [service.latency_ms.<op>] histogram observation and
@@ -25,7 +22,6 @@
 
 type config = {
   socket_path : string;
-  domains : int;  (** worker pool size, >= 1 *)
   metrics_socket : string option;  (** [--serve-metrics] endpoint *)
 }
 

@@ -1,26 +1,16 @@
-(* RACE001 fixture: shard callbacks mutating shared global state.
+(* RACE001 fixture: spawned thunks mutating shared global state.
 
-   [shard_sum] reaches a global-ref write three calls deep under
-   Dpool.run; [round_once] writes a global from a sharded ~recv
-   callback. Both must be flagged: at --domains K>1 the write order
-   depends on the scheduler, so outputs stop being byte-identical. *)
+   [spawn_sum] reaches a global-ref write three calls deep under
+   Domain.spawn; [spawn_seen] writes a global directly inside its
+   thunk. Both must be flagged: the spawning domain can read or write
+   the same ref concurrently. *)
 
 let total = ref 0
 let bump n = total := !total + n
 let work xs = List.iter (fun x -> bump x) xs
-
-let shard_sum parts =
-  Nw_localsim.Dpool.run ~domains:4 (fun i -> work (List.nth parts i))
-
-module Net = Nw_localsim.Msg_net
+let spawn_sum xs = Domain.join (Domain.spawn (fun () -> work xs))
 
 let seen = ref []
 
-let round_once net state =
-  Net.round net state
-    ~send:(fun v st -> [ (v, st) ])
-    ~recv:(fun v st msgs ->
-      seen := v :: !seen;
-      ignore msgs;
-      st)
-    ~decide:(fun _v st -> st)
+let spawn_seen v =
+  Domain.join (Domain.spawn (fun () -> seen := v :: !seen))

@@ -78,6 +78,63 @@ let test_cv_big_ids () =
   in
   Alcotest.(check bool) "proper" true (check_proper_coloring g colors)
 
+(* [three_color_forests] claims that slot [v * t + j] and the round
+   ledger equal a standalone [three_color] run on forest [j]: t random
+   spanning trees on one vertex set, each rooted at a random vertex,
+   under distinct large ids *)
+let prop_cv_forests_match_standalone =
+  QCheck.Test.make ~name:"three_color_forests == per-forest three_color"
+    ~count:150 (QCheck.int_bound 100000) (fun seed ->
+      let st = rng seed in
+      let n = 2 + Random.State.int st 59 and t = 1 + Random.State.int st 4 in
+      let ids =
+        let a = Array.init n (fun v -> 1_000_003 + (v * 7919)) in
+        for i = n - 1 downto 1 do
+          let k = Random.State.int st (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(k);
+          a.(k) <- x
+        done;
+        a
+      in
+      let trees = Array.init t (fun _ -> Gen.random_tree st n) in
+      let tree_parent =
+        Array.map
+          (fun tr ->
+            let _, pe, _ = T.bfs_tree tr (Random.State.int st n) in
+            pe)
+          trees
+      in
+      (* tree j's k-th edge is edge j * (n - 1) + k of the union *)
+      let g =
+        G.of_edges n
+          (List.concat_map
+             (fun tr -> Array.to_list (G.edges tr))
+             (Array.to_list trees))
+      in
+      let edge_forest = Array.init (G.m g) (fun e -> e / (n - 1)) in
+      let parent_edge =
+        Array.init (n * t) (fun i ->
+            let v = i / t and j = i mod t in
+            let e = tree_parent.(j).(v) in
+            if e < 0 then -1 else (j * (n - 1)) + e)
+      in
+      let rounds = Rounds.create () in
+      let all =
+        CV.three_color_forests g ~edge_forest ~parent_edge ~t ~ids ~rounds
+      in
+      List.for_all
+        (fun j ->
+          let rj = Rounds.create () in
+          let cj =
+            CV.three_color trees.(j) ~parent_edge:tree_parent.(j) ~ids
+              ~rounds:rj
+          in
+          Rounds.ledger rj = Rounds.ledger rounds
+          && Array.for_all Fun.id
+               (Array.init n (fun v -> cj.(v) = all.((v * t) + j))))
+        (List.init t Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* H-partition (Theorem 2.1)                                           *)
 (* ------------------------------------------------------------------ *)
@@ -396,6 +453,7 @@ let () =
           Alcotest.test_case "forest + isolated" `Quick
             test_cv_forest_with_isolated;
           Alcotest.test_case "big ids" `Quick test_cv_big_ids;
+          QCheck_alcotest.to_alcotest prop_cv_forests_match_standalone;
         ] );
       ( "h_partition",
         [

@@ -1,9 +1,10 @@
 (* nwlint-flow tests: each interprocedural rule fires on its fixture
    under test/fixtures/flow; the shipped lib/ tree is flow-clean; the
-   contract verifier covers every registry pipeline; a deliberately
-   injected shared-ref write inside a real Dpool shard lambda is
-   caught (the "would @lint-deep fail?" drill); suppressions, the
-   summary cache, and the baseline ratchet round-trip. *)
+   contract verifier covers every registry pipeline; a shared-ref write
+   from a Domain.spawn thunk deliberately injected into a real lib/
+   function is caught (the "would @lint-deep fail?" drill);
+   suppressions, the summary cache, and the baseline ratchet
+   round-trip. *)
 
 module D = Nwlint_core.Diagnostic
 module Engine = Nwlint_core.Engine
@@ -77,16 +78,8 @@ let race001_fixture () =
   let ds = fixture_findings () in
   assert_finding ds "RACE001" "Race001.total";
   assert_finding ds "RACE001" "Race001.seen";
-  assert_finding ds "RACE001" "Dpool.run callback";
-  assert_finding ds "RACE001" "~recv callback"
-
-(* the exchange rounds shard like [round]: writes from their ~recv and
-   ~value callbacks are races too *)
-let race001_exchange_fixture () =
-  let ds = fixture_findings () in
-  assert_finding ds "RACE001" "Race003.heard";
-  assert_finding ds "RACE001" "Race003.last_value";
-  assert_finding ds "RACE001" "~value callback"
+  (* the three-calls-deep write names its whole chain *)
+  assert_finding ds "RACE001" "Race001.work -> Race001.bump"
 
 let race002_fixture () =
   let ds = fixture_findings () in
@@ -137,7 +130,7 @@ let contract_coverage () =
     registry_names;
   Alcotest.(check bool) "all pass bodies analyzed" true (r.Flow.pass_count >= 20)
 
-(* --- injected race: a shared-ref write inside a real Dpool shard --- *)
+(* --- injected race: a spawned write to a shared ref inside lib/ ---- *)
 
 let replace ~first ~needle ~by s =
   let nl = String.length needle in
@@ -159,20 +152,25 @@ let injected_race () =
       (fun (path, content) ->
         if Filename.basename path <> "msg_net.ml" then (path, content)
         else
+          (* a kernel round that hands work to a helper domain, which
+             bumps a module-level counter *)
           let content =
-            replace ~first:true ~needle:"let plain_step_par"
-              ~by:"let leaked_total = ref 0\n\nlet plain_step_par" content
+            replace ~first:true ~needle:"let count_step "
+              ~by:"let leaked_total = ref 0\n\nlet count_step " content
           in
           let content =
-            replace ~first:true ~needle:"let c = ref 0 in"
-              ~by:"let c = ref 0 in\n        incr leaked_total;" content
+            replace ~first:true ~needle:"let sent = ref 0 in"
+              ~by:
+                "let sent = ref 0 in\n\
+                \  Domain.join (Domain.spawn (fun () -> incr leaked_total));"
+              content
           in
           (path, content))
       sources
   in
   let r = Flow.analyze_sources mutated in
   Alcotest.(check bool)
-    "injected shard write to a shared ref is caught" true
+    "injected spawned write to a shared ref is caught" true
     (List.exists
        (fun d ->
          d.D.rule = "RACE001" && contains ~needle:"leaked_total" d.D.message)
@@ -202,7 +200,7 @@ let pure_root_eff001 () =
 let race_src =
   "(* nwlint:disable RACE001 -- fixture: demonstrating suppression *)\n\
    let total = ref 0\n\
-   let shard xs = Nw_localsim.Dpool.run ~domains:2 (fun _ -> total := List.length xs)\n"
+   let spawn xs = Domain.spawn (fun () -> total := List.length xs)\n"
 
 let flow_suppression () =
   let r = Flow.analyze_sources [ ("supp.ml", race_src) ] in
@@ -277,7 +275,6 @@ let () =
       ( "fixtures",
         [
           tc "RACE001 fires" race001_fixture;
-          tc "RACE001 fires on exchange rounds" race001_exchange_fixture;
           tc "RACE002 fires" race002_fixture;
           tc "CONTRACT001 fires" contract001_fixture;
           tc "EFF001 fires" eff001_fixture;

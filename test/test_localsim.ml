@@ -83,47 +83,6 @@ let test_rounds_domain_total () =
   Alcotest.(check int) "this domain is unaffected by the worker" 3
     (Rounds.domain_total () - before)
 
-(* Round attribution across the column-sharded counting path:
-   Rounds.charge fires on the calling domain after the Dpool fan-out
-   joins, never inside a helper, so the caller's domain_total delta
-   captures every charged round at any K — and the kernel's
-   deterministic merge keeps states and message counts byte-identical
-   across K = 1/2/4. This pins the attribution contract the bench
-   harness relies on under --domains. *)
-let test_rounds_domain_total_counting_par () =
-  let module Dpool = Nw_localsim.Dpool in
-  let run_at k =
-    Dpool.with_domains k (fun () ->
-        let g = Gen.path 33 in
-        let rounds = Rounds.create () in
-        let before = Rounds.domain_total () in
-        let net = Net.create g ~rounds ~init:(fun v -> v) in
-        for _ = 1 to 3 do
-          Net.round_count net ~label:"count"
-            ~decide:(fun _ st -> st mod 2 = 0)
-            ~recv:(fun _ st cnt -> st + cnt)
-        done;
-        let states = List.init (G.n g) (Net.state net) in
-        ( Rounds.domain_total () - before,
-          Rounds.total rounds,
-          Net.messages_delivered net,
-          states ))
-  in
-  let d1, t1, m1, s1 = run_at 1 in
-  Alcotest.(check int) "charges land on the calling domain" t1 d1;
-  List.iter
-    (fun k ->
-      let dk, tk, mk, sk = run_at k in
-      Alcotest.(check int)
-        (Printf.sprintf "domain_total attribution at K=%d" k)
-        d1 dk;
-      Alcotest.(check int) (Printf.sprintf "ledger total at K=%d" k) t1 tk;
-      Alcotest.(check int) (Printf.sprintf "messages at K=%d" k) m1 mk;
-      Alcotest.(check bool)
-        (Printf.sprintf "states byte-identical at K=%d" k)
-        true (s1 = sk))
-    [ 2; 4 ]
-
 (* one round of neighbor color exchange on a path *)
 let test_msg_net_exchange () =
   let g = Gen.path 4 in
@@ -139,44 +98,6 @@ let test_msg_net_exchange () =
     (List.sort compare nbrs1);
   Alcotest.(check int) "one round charged" 1 (Rounds.total rounds);
   Alcotest.(check int) "messages: 2 per edge" 6 (Net.messages_delivered net)
-
-(* distributed BFS distance from vertex 0 via run_until *)
-let test_msg_net_run_until () =
-  let g = Gen.path 6 in
-  let rounds = Rounds.create () in
-  let net =
-    Net.create g ~rounds ~init:(fun v -> if v = 0 then 0 else -1)
-  in
-  let executed =
-    Net.run_until net ~label:"bfs"
-      ~send:(fun v d ->
-        if d >= 0 then
-          Array.to_list (Array.map (fun (_, e) -> (e, d)) (G.incident g v))
-        else [])
-      ~recv:(fun _ d msgs ->
-        List.fold_left
-          (fun acc (_, d') -> if acc < 0 || d' + 1 < acc then d' + 1 else acc)
-          d msgs)
-      ~halted:(fun _ d -> d >= 0)
-      ~max_rounds:10
-  in
-  Alcotest.(check int) "rounds = eccentricity" 5 executed;
-  for v = 0 to 5 do
-    Alcotest.(check int) (Printf.sprintf "distance %d" v) v (Net.state net v)
-  done
-
-let test_msg_net_max_rounds () =
-  let g = Gen.path 3 in
-  let rounds = Rounds.create () in
-  let net = Net.create g ~rounds ~init:(fun _ -> ()) in
-  Alcotest.check_raises "exceeds budget"
-    (Failure "Msg_net.run_until: max_rounds exceeded") (fun () ->
-      ignore
-        (Net.run_until net ~label:"spin"
-           ~send:(fun _ _ -> [])
-           ~recv:(fun _ st _ -> st)
-           ~halted:(fun _ _ -> false)
-           ~max_rounds:3))
 
 let test_msg_net_bad_edge_rejected () =
   let g = Gen.path 3 in
@@ -250,8 +171,6 @@ let () =
             test_rounds_charge_max_label_order;
           Alcotest.test_case "per-domain total" `Quick
             test_rounds_domain_total;
-          Alcotest.test_case "counting path at K=1/2/4" `Quick
-            test_rounds_domain_total_counting_par;
         ] );
       ( "ball_view",
         [
@@ -262,8 +181,6 @@ let () =
       ( "msg_net",
         [
           Alcotest.test_case "exchange" `Quick test_msg_net_exchange;
-          Alcotest.test_case "run_until bfs" `Quick test_msg_net_run_until;
-          Alcotest.test_case "max rounds" `Quick test_msg_net_max_rounds;
           Alcotest.test_case "bad edge" `Quick test_msg_net_bad_edge_rejected;
         ] );
     ]

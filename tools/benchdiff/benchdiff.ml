@@ -16,9 +16,10 @@
                      contract as charged_rounds
      failed          regression when the new record carries a non-null
                      failure and the base does not
-     throughput legs aligned by (instance, domains, edges); a record
-                     with several legs for one key (the two-plane era)
-                     is represented by its fastest;
+     throughput legs aligned by (instance, edges); a legacy record
+                     with a domain-count sweep is represented by its
+                     K=1 legs, and one with several legs for one key
+                     (the two-plane era) by its fastest;
                      regression when edges_per_sec <
                      base * (1 - throughput-threshold%)
      service         invalid / errors counts must not grow (a served
@@ -38,19 +39,16 @@ module J = Nw_obs.Json_lite
 
 type leg = {
   leg_instance : string; (* which timed pipeline; "-" on legacy records *)
-  leg_domains : int;
   leg_edges : int;
   leg_eps : float;
 }
 
 let same_leg a b =
-  String.equal a.leg_instance b.leg_instance
-  && a.leg_domains = b.leg_domains
-  && a.leg_edges = b.leg_edges
+  String.equal a.leg_instance b.leg_instance && a.leg_edges = b.leg_edges
 
-(* records from the two-data-plane era timed each (instance, domains,
-   edges) once per plane; the fastest of those legs is the one a current
-   record continues *)
+(* records from the two-data-plane era timed each (instance, edges) once
+   per plane; the fastest of those legs is the one a current record
+   continues *)
 let fastest_per_key legs =
   List.filter
     (fun l ->
@@ -163,15 +161,18 @@ let load_run file =
             fastest_per_key
             @@ List.filter_map
               (fun l ->
+                (* sharded-round-era legs name their domain count; a
+                   current record continues the sequential (K=1) leg *)
                 match
-                  (jint l "domains", jint l "edges", jfloat l "edges_per_sec")
+                  ( Option.value (jint l "domains") ~default:1,
+                    jint l "edges",
+                    jfloat l "edges_per_sec" )
                 with
-                | Some d, Some e, Some eps ->
+                | 1, Some e, Some eps ->
                     Some
                       {
                         leg_instance =
                           Option.value (jstr l "instance") ~default:"-";
-                        leg_domains = d;
                         leg_edges = e;
                         leg_eps = eps;
                       }
@@ -282,8 +283,7 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
           push
             {
               row_key =
-                Printf.sprintf "%s[%s x%d %de]" k bl.leg_instance
-                  bl.leg_domains bl.leg_edges;
+                Printf.sprintf "%s[%s %de]" k bl.leg_instance bl.leg_edges;
               row_metric = "edges_per_sec";
               row_base = bl.leg_eps;
               row_new = nl.leg_eps;

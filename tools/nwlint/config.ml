@@ -149,10 +149,9 @@ let rules =
        Multigraph's flat int rows" );
     ( "RACE001",
       Diagnostic.Error,
-      "no writes to global refs or the Store reachable from a Dpool.run \
-       / Domain.spawn / sharded Msg_net round callback (route through \
-       Domain.DLS, per-shard state, or an allowlisted accumulator) \
-       [--flow]" );
+      "no writes to global refs or the Store reachable from a \
+       Domain.spawn thunk (route through Domain.DLS or domain-local \
+       state) [--flow]" );
     ( "RACE002",
       Diagnostic.Error,
       "Domain.DLS keys are created at module top level only, and the \

@@ -10,27 +10,24 @@
    - its *call edges*: every reference that resolves to a project
      definition (bare references count — a function passed to
      List.iter may be called);
-   - its *spawn edges*: the callback arguments of Dpool.run,
-     Domain.spawn, and the sharded Msg_net round entry points.
+   - its *spawn edges*: the thunks handed to Domain.spawn.
 
    Writes whose target root is a local, a parameter, or a captured
-   binding are the per-shard mailbox discipline and are not events;
+   binding are the spawned domain's own state and are not events;
    only targets that resolve to a top-level project definition count.
    The region model (docs/static-analysis.md): Scratch and Obs/Rounds
    are sanctioned state, Chaos.Rng is the seed-threaded draw source,
-   allowlisted merge accumulators are Accum, everything else that is
-   written is a global-ref. *)
+   everything else that is written is a global-ref. *)
 
 open Ppxlib
 module P = Project
 
-type region = Scratch | Obs | Rng | Accum | Store_region | Global
+type region = Scratch | Obs | Rng | Store_region | Global
 
 let region_name = function
   | Scratch -> "Scratch"
   | Obs -> "Obs/Rounds"
   | Rng -> "Chaos.Rng"
-  | Accum -> "accumulator"
   | Store_region -> "Store"
   | Global -> "global-ref"
 
@@ -46,29 +43,19 @@ type event =
   | Wall_clock of string
   | Rng_unseeded of string
 
-type spawn_kind = Dpool_run | Domain_spawn | Msgnet_callback of string
-
-let spawn_kind_name = function
-  | Dpool_run -> "Dpool.run"
-  | Domain_spawn -> "Domain.spawn"
-  | Msgnet_callback label -> "Msg_net round ~" ^ label
-
 type node = {
   n_name : string;
   n_loc : Location.t;
   n_synthetic : bool;
   mutable n_events : (event * Location.t) list;
   mutable n_calls : (string * Location.t) list;
-  mutable n_spawns : (spawn_kind * string * Location.t) list;
+  mutable n_spawns : (string * Location.t) list;  (* spawned root, site *)
 }
 
 type config = {
   scratch_modules : string list;
-  accumulators : string list;  (* canonical allowlisted merge accumulators *)
   obs_prefixes : string list;  (* canonical prefixes of sanctioned state *)
   rng_prefixes : string list;
-  dpool_run : string list;  (* canonical spawn entry points *)
-  msgnet_fns : string list;  (* sharded round entry points, by last segment *)
   store_prefixes : string list;  (* canonical Store module prefixes *)
   pure_roots : string list;  (* canonical prefixes EFF001 treats as pure *)
   merge_markers : string list;  (* substrings naming merge-phase functions *)
@@ -77,19 +64,8 @@ type config = {
 let default_config =
   {
     scratch_modules = [ "Scratch"; "Counters" ];
-    accumulators =
-      [ "Nw_localsim.Dpool.worker_minor"; "Nw_localsim.Dpool.worker_major" ];
     obs_prefixes = [ "Nw_obs."; "Nw_localsim.Rounds." ];
     rng_prefixes = [ "Nw_chaos.Rng." ];
-    dpool_run = [ "Nw_localsim.Dpool.run" ];
-    msgnet_fns =
-      [
-        "round";
-        "round_count";
-        "round_exchange";
-        "round_exchange_edges";
-        "run_until";
-      ];
     store_prefixes = [ "Nw_engine.Store." ];
     pure_roots = [ "Nw_chaos.Rng."; "Nw_chaos.Plan."; "Nw_decomp.Verify." ];
     merge_markers = [ "merge" ];
@@ -104,7 +80,6 @@ let region_of cfg name =
   let segs = String.split_on_char '.' name in
   let mods = match segs with [] | [ _ ] -> [] | _ -> P.drop_last segs in
   if List.exists (fun m -> List.mem m cfg.scratch_modules) mods then Scratch
-  else if List.mem name cfg.accumulators then Accum
   else if List.exists (fun p -> has_prefix ~prefix:p name) cfg.obs_prefixes
   then Obs
   else if List.exists (fun p -> has_prefix ~prefix:p name) cfg.rng_prefixes
@@ -309,11 +284,9 @@ let nth_positional args n =
   in
   go n args
 
-let fresh_synth ctx kind loc =
+let fresh_synth ctx loc =
   let line = loc.loc_start.pos_lnum in
-  let name =
-    Printf.sprintf "%s#%s:%d" ctx.node.n_name (spawn_kind_name kind) line
-  in
+  let name = Printf.sprintf "%s#Domain.spawn:%d" ctx.node.n_name line in
   { n_name = name; n_loc = loc; n_synthetic = true; n_events = [];
     n_calls = []; n_spawns = [] }
 
@@ -571,66 +544,35 @@ and store_access ctx canonical args loc =
           ]
       then event ctx (Store_read (key ())) loc
 
-(* spawn-point detection: Dpool.run's callback, Domain.spawn's thunk,
-   and the ~send/~recv/~decide arguments of sharded Msg_net rounds *)
+(* spawn-point detection: Domain.spawn's thunk *)
 and spawn_sites ctx canonical args loc =
-  let spawn kind e =
-    let e =
-      let rec strip e =
-        match e.pexp_desc with
-        | Pexp_constraint (e, _) -> strip e
-        | _ -> e
-      in
-      strip e
-    in
-    match e.pexp_desc with
-    | Pexp_function _ -> synth ctx kind e loc
-    | Pexp_ident { txt = Lident v; _ }
-      when List.mem_assoc v ctx.local_funs ->
-        synth ctx kind (List.assoc v ctx.local_funs) loc
-    | Pexp_ident { txt; _ } -> (
-        match
-          P.resolve_def ctx.proj ctx.file ~modpath:ctx.modpath
-            (P.flatten_lid txt)
-        with
-        | Some d ->
-            ctx.node.n_spawns <- (kind, d.d_name, loc) :: ctx.node.n_spawns
-        | None -> ())
-    | _ -> ()
-  in
-  if List.mem canonical ctx.cfg.dpool_run then (
-    (* the callback is the last positional argument *)
-    let rec last_pos acc = function
-      | [] -> acc
-      | (Nolabel, e) :: rest -> last_pos (Some e) rest
-      | _ :: rest -> last_pos acc rest
-    in
-    match last_pos None args with
-    | Some e -> spawn Dpool_run e
-    | None -> ())
-  else if canonical = "Domain.spawn" then (
+  if canonical = "Domain.spawn" then
     match nth_positional args 0 with
-    | Some e -> spawn Domain_spawn e
-    | None -> ())
-  else
-    let segs = String.split_on_char '.' canonical in
-    let is_msgnet =
-      List.exists (fun s -> s = "Msg_net") segs
-      && List.mem (List.nth segs (List.length segs - 1)) ctx.cfg.msgnet_fns
-    in
-    if is_msgnet then
-      List.iter
-        (fun (label, e) ->
-          match label with
-          | Labelled (("send" | "recv" | "decide" | "value") as l) ->
-              spawn (Msgnet_callback l) e
-          | _ -> ())
-        args
+    | None -> ()
+    | Some e -> (
+        let rec strip e =
+          match e.pexp_desc with Pexp_constraint (e, _) -> strip e | _ -> e
+        in
+        let e = strip e in
+        match e.pexp_desc with
+        | Pexp_function _ -> synth ctx e loc
+        | Pexp_ident { txt = Lident v; _ }
+          when List.mem_assoc v ctx.local_funs ->
+            synth ctx (List.assoc v ctx.local_funs) loc
+        | Pexp_ident { txt; _ } -> (
+            match
+              P.resolve_def ctx.proj ctx.file ~modpath:ctx.modpath
+                (P.flatten_lid txt)
+            with
+            | Some d ->
+                ctx.node.n_spawns <- (d.d_name, loc) :: ctx.node.n_spawns
+            | None -> ())
+        | _ -> ())
 
-and synth ctx kind e loc =
-  let node = fresh_synth ctx kind loc in
+and synth ctx e loc =
+  let node = fresh_synth ctx loc in
   ctx.out := node :: !(ctx.out);
-  ctx.node.n_spawns <- (kind, node.n_name, loc) :: ctx.node.n_spawns;
+  ctx.node.n_spawns <- (node.n_name, loc) :: ctx.node.n_spawns;
   let saved_node = ctx.node and saved_synth = ctx.in_synth in
   let saved_depth = ctx.lambda_depth in
   ctx.node <- node;

@@ -1,10 +1,8 @@
 (* Orchestration for the interprocedural rules.
 
-   RACE001  writes(global-ref | Store) reachable from a Dpool.run /
-            Domain.spawn / sharded Msg_net round callback. Writes to
-            locals and captured per-shard state are fine (the mailbox
-            discipline), Domain.DLS-routed state is fine, and the
-            allowlisted Dpool merge accumulators are fine.
+   RACE001  writes(global-ref | Store) reachable from a Domain.spawn
+            thunk. Writes to locals and captured state are fine, and
+            Domain.DLS-routed state is fine.
    RACE002  Domain.DLS key creation outside module top level, or a
             non-sanctioned DLS read reachable from a merge-phase
             function (name contains "merge"); the Obs/Rounds
@@ -60,7 +58,7 @@ let race001 cfg summary =
   Hashtbl.iter
     (fun _ (n : E.node) ->
       List.iter
-        (fun (kind, root, site) ->
+        (fun (root, site) ->
           match
             S.witness summary ~root ~pred:(fun _ ev ->
                 match ev with
@@ -81,15 +79,13 @@ let race001 cfg summary =
                 diag ~rule:"RACE001" ~severity:D.Error
                   ~message:
                     (Printf.sprintf
-                       "write to %s inside a %s callback (spawned at %s; \
-                        chain: %s) breaks byte-identical determinism at \
-                        --domains K>1"
-                       what (E.spawn_kind_name kind) (site_text site)
-                       (chain_text chain))
+                       "write to %s inside a Domain.spawn thunk (spawned \
+                        at %s; chain: %s) races with the spawning domain"
+                       what (site_text site) (chain_text chain))
                   ~hint:
-                    "route the write through Domain.DLS, per-shard local \
-                     state merged after the join, or an allowlisted Dpool \
-                     accumulator"
+                    "route the write through Domain.DLS, or keep it in \
+                     state local to the spawned domain and publish it \
+                     through Domain.join"
                   loc
                 :: !out)
         n.E.n_spawns)

@@ -51,7 +51,7 @@ type def = {
 type t = {
   files : file list;
   libs : (string, unit) Hashtbl.t;  (* known wrapper names *)
-  lib_of_mod : (string, string) Hashtbl.t;  (* "Dpool" -> "Nw_localsim" *)
+  lib_of_mod : (string, string) Hashtbl.t;  (* "Msg_net" -> "Nw_localsim" *)
   defs : (string, def) Hashtbl.t;
   mod_aliases : (string, string list) Hashtbl.t;
       (* canonical module path -> canonical target segments *)

@@ -2,7 +2,7 @@
 
    Nodes come from Effects; edges are call edges plus spawn edges
    (effects escape through a spawned callback to its spawner, which is
-   what makes a pass body "own" the IO its shard lambdas perform).
+   what makes a spawner "own" the IO its spawned thunks perform).
    Tarjan emits SCCs in reverse topological order — every SCC only
    after all SCCs it reaches — so one linear fold computes each
    summary as the union of its members' intrinsic events and the
@@ -34,7 +34,7 @@ let successors g (n : E.node) =
     (fun (callee, _) -> if Hashtbl.mem g callee then Some callee else None)
     n.E.n_calls
   @ List.filter_map
-      (fun (_, root, _) -> if Hashtbl.mem g root then Some root else None)
+      (fun (root, _) -> if Hashtbl.mem g root then Some root else None)
       n.E.n_spawns
 
 (* iterative Tarjan (explicit stack so deep call chains cannot blow the
