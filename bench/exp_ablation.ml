@@ -115,9 +115,9 @@ let radius_ablation () =
           | Some r -> Some (G.ball_of_set g [ u; v ] r)
         in
         match Aug.augment_edge coloring palette ~edge:e ?within ~scratch () with
-        | Some stats ->
+        | Ok stats ->
             max_len := max !max_len (stats.Aug.iterations + 1)
-        | None -> incr stalls)
+        | Error _ -> incr stalls)
       (Coloring.uncolored coloring);
     verified (Verify.partial_forest_decomposition coloring) |> ignore;
     (!stalls, !max_len)

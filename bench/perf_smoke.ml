@@ -15,6 +15,9 @@
    The data-plane leg runs the H-partition peel twice — through the
    streaming counting round and through the per-message round — and
    requires identical layers and a throughput sanity floor.
+   The allocation leg runs Algorithm 2's augmenting phase
+   (Forest_algo.partial_color) and bounds the minor-heap words per
+   augment call.
 
    Prints a wall-clock ns/query table with the cached/BFS speedup, then a
    Bechamel pass over the same kernels for statistically robust per-run
@@ -245,6 +248,65 @@ let data_plane_check ~fast =
   end;
   flush stdout
 
+(* ------------------------------------------------------------------ *)
+(* allocation leg: minor words per augment call                        *)
+(* ------------------------------------------------------------------ *)
+
+module FA = Nw_core.Forest_algo
+module Engine = Nw_engine.Engine
+module Obs = Nw_obs.Obs
+
+(* The augmenting phase of the `augment` entry on forest_union n=2000
+   alpha=8 — the engine's `partial` pipeline (plan, network
+   decomposition, Forest_algo.partial_color): one Algorithm 1 search per
+   edge, walking C(e, c) in place. Search, short-circuit and apply
+   allocate a few small records and lists per call; more than [limit]
+   words per call means something on the per-call path went back to
+   building paths or tables. Minor words are deterministic for a fixed
+   input, so the gate cannot flake. The call count comes from a second,
+   traced run (tracing allocates, so it is not the measured one). *)
+let augment_alloc_check () =
+  let limit = 300.0 in
+  let n = 2000 and alpha = 8 and epsilon = 0.5 in
+  let g = Gen.forest_union (rng n) n alpha in
+  let cut = Nw_core.Cut.Depth_mod in
+  let eps', palette, radii = FA.fd_plan g ~epsilon ~alpha ~cut ~radii:None in
+  let pipeline =
+    Nw_engine.Pipelines.partial g palette ~epsilon:eps' ~alpha ~cut ~radii
+  in
+  let run () =
+    let ctx =
+      Engine.ctx ~rng:(Random.State.make [| 7 |])
+        ~rounds:(Nw_localsim.Rounds.create ())
+    in
+    let init =
+      Nw_engine.Store.put Nw_engine.Store.empty "graph"
+        (Nw_engine.Artifact.Graph g)
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Engine.run ctx pipeline ~init);
+    Gc.minor_words () -. w0
+  in
+  let words = run () in
+  Obs.set_enabled true;
+  let _, trace = Obs.collect run in
+  Obs.set_enabled false;
+  let calls =
+    Option.value ~default:0 (List.assoc_opt "augment.calls" (Obs.counters trace))
+  in
+  let per_call = words /. float_of_int (max 1 calls) in
+  Printf.printf
+    "\n== allocation: partial pipeline, n=%d m=%d alpha=%d ==\n\
+     %d augment calls, %.0f minor words, %.1f words/call (limit %.0f)\n"
+    n (G.m g) alpha calls words per_call limit;
+  if calls = 0 || per_call > limit then begin
+    Printf.eprintf
+      "perf smoke: %.1f minor words per augment call exceeds %.0f\n" per_call
+      limit;
+    exit 1
+  end;
+  flush stdout
+
 let () =
   let fast = Array.exists (( = ) "--fast") Sys.argv in
   let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv in
@@ -253,5 +315,6 @@ let () =
   let cs = cases ~fast in
   wall_table ~fast cs;
   data_plane_check ~fast;
+  augment_alloc_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -39,10 +39,10 @@ let () =
   Array.iteri
     (fun i e ->
       (match Aug.augment_edge coloring palette ~edge:e () with
-      | Some stats ->
+      | Ok stats ->
           worst_len := max !worst_len (stats.Aug.iterations + 1);
           worst_explored := max !worst_explored stats.Aug.explored
-      | None -> failwith "augmentation cannot stall above the arboricity");
+      | Error _ -> failwith "augmentation cannot stall above the arboricity");
       (* validity holds at *every* prefix; spot-check a few *)
       if (i + 1) mod 200 = 0 || i + 1 = G.m g then begin
         Verify.exn (Verify.partial_forest_decomposition coloring);

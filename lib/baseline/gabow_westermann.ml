@@ -3,59 +3,6 @@ module Coloring = Nw_decomp.Coloring
 module Palette = Nw_decomp.Palette
 module Augmenting = Nw_core.Augmenting
 
-(* The stalled edge set of Algorithm 1 is the closure of {start} under
-   "add edges of C(e, c) adjacent to the current set"; its spanned vertex
-   set is the density witness (final inequality of Prop 3.3). *)
-let witness_of_stall g coloring palette start =
-  let spanned = Hashtbl.create 64 in
-  let u0, v0 = G.endpoints g start in
-  Hashtbl.replace spanned u0 ();
-  Hashtbl.replace spanned v0 ();
-  let in_set = Hashtbl.create 64 in
-  Hashtbl.replace in_set start ();
-  (* the coloring is frozen during the closure computation, so each
-     C(e, c) is extracted once even though the fixpoint loop rescans every
-     member on every pass *)
-  let path_memo = Hashtbl.create 64 in
-  let path e c =
-    match Hashtbl.find_opt path_memo (e, c) with
-    | Some p -> p
-    | None ->
-        let p = Coloring.path coloring e c in
-        Hashtbl.add path_memo (e, c) p;
-        p
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let members = Hashtbl.fold (fun e () acc -> e :: acc) in_set [] in
-    List.iter
-      (fun e ->
-        let own = Coloring.color coloring e in
-        List.iter
-          (fun c ->
-            if own <> Some c then
-              match path e c with
-              | None -> ()
-              | Some path_edges ->
-                  List.iter
-                    (fun e' ->
-                      if not (Hashtbl.mem in_set e') then begin
-                        let u, v = G.endpoints g e' in
-                        if Hashtbl.mem spanned u || Hashtbl.mem spanned v
-                        then begin
-                          Hashtbl.replace in_set e' ();
-                          Hashtbl.replace spanned u ();
-                          Hashtbl.replace spanned v ();
-                          changed := true
-                        end
-                      end)
-                    path_edges)
-          (Palette.get palette e))
-      members
-  done;
-  Hashtbl.fold (fun v () acc -> v :: acc) spanned []
-
 let decompose g palette =
   Nw_obs.Obs.span "baseline.gabow_westermann" @@ fun () ->
   let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
@@ -65,9 +12,11 @@ let decompose g palette =
     if i >= Array.length edges then Ok coloring
     else
       let e = edges.(i) in
+      (* a stall's vertex set is the density witness (final inequality
+         of Prop 3.3) *)
       match Augmenting.augment_edge coloring palette ~edge:e ~scratch () with
-      | Some _ -> color_all (i + 1)
-      | None -> Error (witness_of_stall g coloring palette e)
+      | Ok _ -> color_all (i + 1)
+      | Error witness -> Error witness
   in
   color_all 0
 

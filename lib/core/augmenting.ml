@@ -11,16 +11,19 @@ type search_stats = {
   growth : (int * int) list;
 }
 
-type outcome = Found of sequence * search_stats | Stalled of search_stats
+type outcome =
+  | Found of sequence * search_stats
+  | Stalled of search_stats * int list
 
 (* Timestamped scratch for Algorithm 1, reusable across searches on the
    same coloring (the hot loops of Forest_algo and Gabow–Westermann run
-   one search per edge): membership of the growing edge set E_i, the
-   BFS parent pointers pi : edge -> parent edge (line 9), and the
-   "touched" vertex set, all as int arrays stamped per search — no
-   hashing, no per-search allocation. *)
+   one search per edge): the growing edge set E_i in joining order, its
+   membership, the BFS parent pointers pi : edge -> parent edge
+   (line 9), and the "touched" vertex set, all as int arrays stamped per
+   search — no hashing, no per-search allocation. *)
 type scratch = {
-  in_set : int array; (* edge -> stamp when it joined E_i *)
+  members : int array; (* slot -> edge: E_i in the order edges joined *)
+  mark : int array; (* edge -> stamp: in E_i, or on one short_circuit path *)
   parent : int array; (* edge -> parent edge (valid when current) *)
   touched : int array; (* vertex -> stamp when first covered by E_i *)
   mutable stamp : int;
@@ -29,16 +32,41 @@ type scratch = {
 let scratch coloring =
   let g = Coloring.graph coloring in
   {
-    in_set = Array.make (max 1 (G.m g)) 0;
+    members = Array.make (max 1 (G.m g)) 0;
+    mark = Array.make (max 1 (G.m g)) 0;
     parent = Array.make (max 1 (G.m g)) (-1);
     touched = Array.make (max 1 (G.n g)) 0;
     stamp = 0;
   }
 
+let scratch_for coloring = function
+  | None -> scratch coloring
+  | Some sc ->
+      let g = Coloring.graph coloring in
+      if Array.length sc.mark < G.m g || Array.length sc.touched < G.n g then
+        invalid_arg "Augmenting: scratch from a smaller graph";
+      sc
+
 let edge_allowed g within e =
   match within with
   | None -> true
   | Some members -> members.(G.src g e) && members.(G.dst g e)
+
+(* the vertices of a stalled E_i, each once: the touched set, read off
+   the members and cleared as it is read (the search is over) *)
+let stall_witness g sc ~now ~explored =
+  let acc = ref [] in
+  let take v =
+    if sc.touched.(v) = now then begin
+      sc.touched.(v) <- 0;
+      acc := v :: !acc
+    end
+  in
+  for s = 0 to explored - 1 do
+    take (G.src g sc.members.(s));
+    take (G.dst g sc.members.(s))
+  done;
+  !acc
 
 let search coloring palette ~start ?within ?scratch:sc () =
   let g = Coloring.graph coloring in
@@ -47,43 +75,49 @@ let search coloring palette ~start ?within ?scratch:sc () =
   | Some _ -> invalid_arg "Augmenting.search: start edge already colored");
   if not (edge_allowed g within start) then
     invalid_arg "Augmenting.search: start edge outside the search region";
-  let sc =
-    match sc with
-    | Some sc ->
-        if
-          Array.length sc.in_set < G.m g
-          || Array.length sc.touched < G.n g
-        then invalid_arg "Augmenting.search: scratch from a smaller graph";
-        sc
-    | None -> scratch coloring
-  in
+  let sc = scratch_for coloring sc in
   Obs.span "augment.search" @@ fun () ->
   sc.stamp <- sc.stamp + 1;
   let now = sc.stamp in
   let explored = ref 0 in
-  let in_set e = sc.in_set.(e) = now in
-  let touched v = sc.touched.(v) = now in
   let touch v = sc.touched.(v) <- now in
   let add_edge e p =
-    sc.in_set.(e) <- now;
+    sc.mark.(e) <- now;
     sc.parent.(e) <- p;
+    sc.members.(!explored) <- e;
     incr explored
   in
   add_edge start (-1);
   touch (G.src g start);
   touch (G.dst g start);
-  (* the coloring is immutable for the duration of the search, so
-     C(e, c) is a fixed path; memoize it per (edge, color) — members
-     are rescanned on every iteration and would otherwise re-extract
-     the same path *)
-  let path_memo = Hashtbl.create 64 in
-  let path e c =
-    match Hashtbl.find_opt path_memo (e, c) with
-    | Some p -> p
-    | None ->
-        let p = Coloring.path coloring e c in
-        Hashtbl.add path_memo (e, c) p;
-        p
+  (* path edges adjacent to E_i (and allowed) join it, child of [cur] *)
+  let cur = ref start in
+  let visit e' =
+    if
+      sc.mark.(e') <> now
+      && edge_allowed g within e'
+      && (sc.touched.(G.src g e') = now || sc.touched.(G.dst g e') = now)
+    then add_edge e' !cur
+  in
+  let found_e = ref (-1) and found_c = ref (-1) in
+  (* Every color of [e]. A first scan asks once whether C(e, c) is empty
+     (an almost augmenting sequence ends there); a rescan knows it is
+     not, since the first one went on. The coloring is immutable during
+     the search, so C(e, c) is fixed and is just walked again. An edge's
+     own color needs no skip: its path is [e] itself, already in E_i,
+     and costs no query. *)
+  let rec scan_colors e ~first = function
+    | [] -> ()
+    | c :: rest ->
+        if first && not (Coloring.path_exists coloring e c) then begin
+          found_e := e;
+          found_c := c
+        end
+        else begin
+          cur := e;
+          Coloring.iter_path coloring e c visit;
+          scan_colors e ~first rest
+        end
   in
   let trace_back e c =
     (* walk pi pointers to the start edge; colors along the way are the
@@ -102,120 +136,74 @@ let search coloring palette ~start ?within ?scratch:sc () =
     in
     walk e c []
   in
-  let growth = ref [ (0, 1) ] in
-  let rec iterate i members =
-    (* members: current E_i as a list; process every (edge, color) *)
-    let found = ref None in
-    let fresh = ref [] in
-    let consider e =
-      let own_color = Coloring.color coloring e in
-      let rec colors = function
-        | [] -> ()
-        | c :: rest ->
-            if !found <> None then ()
-            else if own_color = Some c then colors rest
-            else begin
-              (match path e c with
-              | None ->
-                  (* C(e, c) = ∅: almost augmenting sequence found *)
-                  found := Some (trace_back e c)
-              | Some path_edges ->
-                  (* add path edges adjacent to E_i (and allowed) *)
-                  List.iter
-                    (fun e' ->
-                      if (not (in_set e')) && edge_allowed g within e'
-                      then begin
-                        if touched (G.src g e') || touched (G.dst g e')
-                        then begin
-                          add_edge e' e;
-                          fresh := e' :: !fresh
-                        end
-                      end)
-                    path_edges);
-              colors rest
-            end
-      in
-      colors (Palette.get palette e)
-    in
-    let rec scan = function
-      | [] -> ()
-      | e :: rest ->
-          if !found = None then begin
-            consider e;
-            scan rest
-          end
-    in
-    scan members;
+  (* Iteration i scans E_i newest member first, i.e. slots hi-1 down to
+     0; members joining meanwhile wait for iteration i+1. Slots below
+     [scanned] were scanned by iteration i-1. *)
+  let rec iterate i ~scanned growth =
+    let hi = !explored in
+    let s = ref (hi - 1) in
+    while !s >= 0 && !found_e < 0 do
+      let e = sc.members.(!s) in
+      scan_colors e ~first:(!s >= scanned) (Palette.get palette e);
+      decr s
+    done;
     let stats () =
-      { iterations = i; explored = !explored; growth = List.rev !growth }
+      { iterations = i; explored = !explored; growth = List.rev growth }
     in
-    match !found with
-    | Some seq -> Found (seq, stats ())
-    | None ->
-        (* register the vertices of fresh edges as touched only now:
-           the paper's E_{e,c} is defined by adjacency to E_i, not
-           E_{i+1} *)
-        List.iter
-          (fun e ->
-            touch (G.src g e);
-            touch (G.dst g e))
-          !fresh;
-        if !fresh = [] then Stalled (stats ())
-        else begin
-          growth := (i + 1, !explored) :: !growth;
-          iterate (i + 1) (!fresh @ members)
-        end
+    if !found_e >= 0 then Found (trace_back !found_e !found_c, stats ())
+    else if !explored = hi then
+      Stalled (stats (), stall_witness g sc ~now ~explored:hi)
+    else begin
+      (* register the vertices of fresh edges as touched only now: the
+         paper's E_{e,c} is defined by adjacency to E_i, not E_{i+1} *)
+      for s = hi to !explored - 1 do
+        touch (G.src g sc.members.(s));
+        touch (G.dst g sc.members.(s))
+      done;
+      iterate (i + 1) ~scanned:hi ((i + 1, !explored) :: growth)
+    end
   in
-  iterate 0 [ start ]
+  iterate 0 ~scanned:0 [ (0, 1) ]
 
-let short_circuit coloring seq =
-  (* Proposition 3.4: while some e_i lies on C(e_j, c_j) with j < i-1,
-     splice out the middle. Paths refer to the unmodified coloring, so
-     each is memoized per (edge, color) — as a hashed edge set, making
-     every membership probe O(1) instead of a List.mem scan. *)
-  let memo = Hashtbl.create 64 in
-  let path_set e c =
-    match Hashtbl.find_opt memo (e, c) with
-    | Some s -> s
-    | None ->
-        let s =
-          match Coloring.path coloring e c with
-          | None -> None
-          | Some edges ->
-              let h = Hashtbl.create (2 * List.length edges) in
-              List.iter (fun x -> Hashtbl.replace h x ()) edges;
-              Some h
-        in
-        Hashtbl.add memo (e, c) s;
-        s
-  in
-  let on_path e (ej, cj) =
-    match path_set ej cj with None -> false | Some h -> Hashtbl.mem h e
-  in
-  let rec compress seq =
-    let arr = Array.of_list seq in
-    let l = Array.length arr in
-    let cut = ref None in
-    (* find the pair with the smallest j then largest i for a maximal
-       cut *)
-    (try
-       for j = 0 to l - 3 do
-         for i = l - 1 downto j + 2 do
-           if !cut = None && on_path (fst arr.(i)) arr.(j) then begin
-             cut := Some (j, i);
-             raise Exit
-           end
-         done
-       done
-     with Exit -> ());
-    match !cut with
-    | None -> seq
-    | Some (j, i) ->
-        let prefix = Array.to_list (Array.sub arr 0 (j + 1)) in
-        let suffix = Array.to_list (Array.sub arr i (l - i)) in
-        compress (prefix @ suffix)
-  in
-  compress seq
+let short_circuit ?scratch:sc coloring seq =
+  match seq with
+  | [] | [ _ ] | [ _; _ ] -> seq
+  | _ ->
+      (* Proposition 3.4: while some e_i lies on C(e_j, c_j) with
+         j < i-1, splice out the middle, taking the smallest j and for it
+         the largest i. After a splice no earlier j can cut again (the
+         sequence only lost edges) and neither can j itself (i was the
+         largest), so one forward pass does it. Paths refer to the
+         unmodified coloring; each is marked on the scratch edge stamps
+         and asked for at most once. *)
+      let sc = scratch_for coloring sc in
+      let arr = Array.of_list seq in
+      let l = Array.length arr in
+      let mark_path e c =
+        sc.stamp <- sc.stamp + 1;
+        let now = sc.stamp in
+        Coloring.iter_path coloring e c (fun x -> sc.mark.(x) <- now);
+        now
+      in
+      let rec pass j acc =
+        if j >= l then List.rev acc
+        else
+          let ej, cj = arr.(j) in
+          let next =
+            if j + 2 >= l || not (Coloring.path_exists coloring ej cj) then
+              j + 1
+            else begin
+              let now = mark_path ej cj in
+              let i = ref (l - 1) in
+              while !i >= j + 2 && sc.mark.(fst arr.(!i)) <> now do
+                decr i
+              done;
+              if !i >= j + 2 then !i else j + 1
+            end
+          in
+          pass next (arr.(j) :: acc)
+      in
+      pass 0 []
 
 let apply coloring seq =
   (match seq with
@@ -228,17 +216,18 @@ let apply coloring seq =
      validated by Coloring.set's cycle check *)
   List.iter (fun (e, c) -> Coloring.set coloring e c) (List.rev seq)
 
-let augment_edge coloring palette ~edge ?within ?scratch () =
+let augment_edge coloring palette ~edge ?within ?scratch:sc () =
   Obs.count "augment.calls";
-  match search coloring palette ~start:edge ?within ?scratch () with
-  | Stalled stats ->
+  let sc = scratch_for coloring sc in
+  match search coloring palette ~start:edge ?within ~scratch:sc () with
+  | Stalled (stats, witness) ->
       Obs.count "augment.stalls";
       Obs.observe "augment.explored" (float_of_int stats.explored);
-      None
+      Error witness
   | Found (seq, stats) ->
       Obs.observe "augment.explored" (float_of_int stats.explored);
       Obs.observe "augment.iterations" (float_of_int stats.iterations);
-      let seq = short_circuit coloring seq in
+      let seq = short_circuit ~scratch:sc coloring seq in
       Obs.observe "augment.path_len" (float_of_int (List.length seq));
       apply coloring seq;
-      Some stats
+      Ok stats

@@ -30,14 +30,18 @@ type search_stats = {
 
 type outcome =
   | Found of sequence * search_stats
-  | Stalled of search_stats
+  | Stalled of search_stats * int list
       (** the reachable edge set stopped growing: with palettes of size at
           least [(1+eps)·α] this certifies a local density violation and
-          cannot happen (Prop 3.3); callers treat it as failure. *)
+          cannot happen (Prop 3.3); callers treat it as failure. The list
+          is the vertex set of the stalled [E_i] — the closure of [{e1}]
+          under "add the edges of [C(e, c)] adjacent to the set", i.e. the
+          density witness of Prop 3.3's final inequality. *)
 
 type scratch
-(** Reusable timestamped working arrays for {!search} (the edge set [E_i],
-    the parent pointers, the touched-vertex set). Hot loops that run one
+(** Reusable timestamped working arrays for {!search} and
+    {!short_circuit} (the edge set [E_i], the parent pointers, the
+    touched-vertex set). Hot loops that run one
     search per edge allocate this once via {!scratch} and pass it to every
     call; a search without one allocates a fresh scratch internally. *)
 
@@ -60,10 +64,12 @@ val search :
   unit ->
   outcome
 
-(** [short_circuit coloring seq] extracts an augmenting subsequence
-    satisfying (A3) as well (Proposition 3.4). Paths are evaluated on the
-    current (pre-augmentation) coloring. *)
-val short_circuit : Nw_decomp.Coloring.t -> sequence -> sequence
+(** [short_circuit ?scratch coloring seq] extracts an augmenting
+    subsequence satisfying (A3) as well (Proposition 3.4). Paths are
+    evaluated on the current (pre-augmentation) coloring. A sequence of
+    fewer than 3 entries is returned as is, without allocating. *)
+val short_circuit :
+  ?scratch:scratch -> Nw_decomp.Coloring.t -> sequence -> sequence
 
 (** [apply coloring seq] performs the augmentation: assigns [ψ(e_i) = c_i]
     from the tail of the sequence forward (the induction order of
@@ -73,8 +79,8 @@ val short_circuit : Nw_decomp.Coloring.t -> sequence -> sequence
 val apply : Nw_decomp.Coloring.t -> sequence -> unit
 
 (** [augment_edge coloring palette ~edge ?within ?scratch ()] searches,
-    short-circuits and applies; [Some stats] on success, [None] on a
-    stall. *)
+    short-circuits and applies; [Ok stats] on success, [Error witness] on
+    a stall, with the stall's vertex set (see {!Stalled}). *)
 val augment_edge :
   Nw_decomp.Coloring.t ->
   Nw_decomp.Palette.t ->
@@ -82,4 +88,4 @@ val augment_edge :
   ?within:bool array ->
   ?scratch:scratch ->
   unit ->
-  search_stats option
+  (search_stats, int list) result

@@ -96,7 +96,7 @@ let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
                   Augmenting.augment_edge coloring palette ~edge:e ~within:region
                     ~scratch ()
                 with
-                | Some st ->
+                | Ok st ->
                     let len = st.Augmenting.iterations + 1 in
                     if len > !max_seq then max_seq := len;
                     if st.Augmenting.explored > !max_explored then
@@ -104,7 +104,7 @@ let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
                     if st.Augmenting.iterations > !max_iters then
                       max_iters := st.Augmenting.iterations;
                     ()
-                | None ->
+                | Error _ ->
                     removed.(e) <- true;
                     incr stalls
               end)
@@ -228,8 +228,8 @@ let[@obs.in_span] lfd_leftover g ~colors ~phi0 ~q1 ~removed ~rng ~rounds =
           Coloring.iter_uncolored
             (fun e ->
               match Augmenting.augment_edge c1 q1_sub ~edge:e ~scratch () with
-              | Some _ -> ()
-              | None ->
+              | Ok _ -> ()
+              | Error _ ->
                   failwith
                     "Forest_algo.list_forest_decomposition: leftover \
                      palettes below the leftover arboricity")

@@ -68,11 +68,10 @@ type t = {
   fp_vertex : int array array; (* color -> vertex -> parent, -1 root *)
   fp_edge : int array array; (* color -> vertex -> edge to parent *)
   fp_depth : int array array; (* color -> vertex -> depth from root *)
-  (* timestamped BFS scratch, shared across queries *)
+  (* timestamped BFS/walk scratch, shared across queries *)
   mark : int array;
-  via : int array; (* vertex -> edge used to reach it in current BFS *)
-  pred : int array; (* vertex -> predecessor in current BFS *)
   qbuf : int array; (* BFS queue buffer for rebuild / reroot *)
+  pbuf : int array; (* v-side half of the path being walked *)
   mutable stamp : int;
 }
 
@@ -101,9 +100,8 @@ let create g ~colors =
     fp_edge = Array.make colors [||];
     fp_depth = Array.make colors [||];
     mark = Array.make n 0;
-    via = Array.make n (-1);
-    pred = Array.make n (-1);
     qbuf = Array.make n 0;
+    pbuf = Array.make n 0;
     stamp = 0;
   }
 
@@ -310,60 +308,47 @@ let uf_connected t c u v =
   uf_find p u = uf_find p v
 
 (* ---------------------------------------------------------------- *)
-(* BFS path extraction (for extraction and as a test oracle)         *)
+(* BFS connectivity (the test oracle)                                *)
 (* ---------------------------------------------------------------- *)
 
 (* Bidirectional BFS inside color class [c] between [src] and [dst],
-   never crossing edge [skip]. Expands the smaller frontier and stops
-   as soon as either side's component is exhausted, so deciding
-   "disconnected" costs only the smaller component — the common case
-   during augmentation, where one endpoint is isolated in most colors.
-
-   Returns [None] when disconnected; [Some (x, w, e)] when the two
-   searches met via edge [e] between [x] (src side) and [w] (dst
-   side). The [via]/[pred] scratch then encodes both half-paths. *)
-let bfs_color t c src dst skip =
+   never crossing edge [skip]: do the two searches meet? Expands the
+   smaller frontier and stops as soon as either side's component is
+   exhausted, so deciding "disconnected" costs only the smaller
+   component. *)
+let bfs_connected t c src dst skip =
   Atomic.incr Counters.bfs_runs;
   Obs.count "coloring.bfs_runs";
-  (* two stamps: src side = stamp, dst side = stamp + 1 *)
+  (* two stamps: src side = stamp - 1, dst side = stamp *)
   t.stamp <- t.stamp + 2;
   let s_src = t.stamp - 1 and s_dst = t.stamp in
   t.mark.(src) <- s_src;
-  t.via.(src) <- -1;
-  t.pred.(src) <- -1;
   t.mark.(dst) <- s_dst;
-  t.via.(dst) <- -1;
-  t.pred.(dst) <- -1;
   let frontier_src = ref [ src ] and frontier_dst = ref [ dst ] in
-  let meeting = ref None in
-  (* expand one side's whole frontier; my/other are the side stamps; a
-     meeting is always recorded as (src-side, dst-side, e) *)
-  let expand frontier my other ~from_src =
+  let met = ref false in
+  (* expand one side's whole frontier; my/other are the side stamps *)
+  let expand frontier my other =
     let next = ref [] in
     List.iter
       (fun x ->
-        if !meeting = None then
+        if not !met then
           iter_adj t c x (fun w e ->
-              if !meeting = None && e <> skip then
-                if t.mark.(w) = other then
-                  meeting :=
-                    Some (if from_src then (x, w, e) else (w, x, e))
+              if (not !met) && e <> skip then
+                if t.mark.(w) = other then met := true
                 else if t.mark.(w) <> my then begin
                   t.mark.(w) <- my;
-                  t.via.(w) <- e;
-                  t.pred.(w) <- x;
                   next := w :: !next
                 end))
       !frontier;
     frontier := !next
   in
   let rec loop () =
-    if !meeting <> None then !meeting
-    else if !frontier_src = [] || !frontier_dst = [] then None
+    if !met then true
+    else if !frontier_src = [] || !frontier_dst = [] then false
     else begin
       if List.compare_lengths !frontier_src !frontier_dst <= 0 then
-        expand frontier_src s_src s_dst ~from_src:true
-      else expand frontier_dst s_dst s_src ~from_src:false;
+        expand frontier_src s_src s_dst
+      else expand frontier_dst s_dst s_src;
       loop ()
     end
   in
@@ -383,7 +368,7 @@ let would_close_cycle t e c =
 let oracle_would_close_cycle t e c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.oracle_would_close_cycle: color out of range";
-  bfs_color t c (G.src t.g e) (G.dst t.g e) e <> None
+  bfs_connected t c (G.src t.g e) (G.dst t.g e) e
 
 let connected t c u v =
   if c < 0 || c >= t.colors then
@@ -430,54 +415,65 @@ let set t e c =
     uf_union t c u v
   end
 
-let path t e c =
+let check_color t c name =
   if c < 0 || c >= t.colors then
-    invalid_arg "Coloring.path: color out of range";
-  if t.assign.(e) = c then Some [ e ]
+    invalid_arg ("Coloring." ^ name ^ ": color out of range")
+
+(* the one counted test behind C(e, c): free when e has color c, one
+   union-find query otherwise (graphs have no self-loops) *)
+let path_exists_unchecked t e c =
+  t.assign.(e) = c || uf_connected t c (G.src t.g e) (G.dst t.g e)
+
+let path_exists t e c =
+  check_color t c "path_exists";
+  path_exists_unchecked t e c
+
+(* One climb of the rooted forest to the LCA, O(path length): the u-side
+   edges are emitted as they are reached (u->lca order), the v-side ones
+   buffered and emitted after them (v->lca order). *)
+let iter_path_unchecked t e c f =
+  if t.assign.(e) = c then f e
   else begin
-    let u = G.src t.g e and v = G.dst t.g e in
-    if u = v then begin
-      (* self-loop: no tree path; legacy BFS answer for compatibility *)
-      match bfs_color t c u v e with
-      | None -> None
-      | Some (x, w, mid) ->
-          let rec walk stop_at y acc =
-            if y = stop_at then acc
-            else walk stop_at t.pred.(y) (t.via.(y) :: acc)
-          in
-          Some (walk u x [] @ (mid :: walk v w []))
-    end
-    else if not (uf_connected t c u v) then
-      (* O(alpha) disconnection test: the common case in augmentation *)
-      None
-    else begin
-      (* extract the unique tree path by climbing the rooted forest to
-         the LCA: O(path length), no component traversal. Emitted as
-         the u-side half in u->lca order followed by the v-side half in
-         v->lca order, mirroring the bidirectional-BFS half-path format
-         this replaces. *)
-      let pv = t.fp_vertex.(c)
-      and pe = t.fp_edge.(c)
-      and dep = t.fp_depth.(c) in
-      let uside = ref [] and vside = ref [] in
-      let x = ref u and y = ref v in
-      while dep.(!x) > dep.(!y) do
-        uside := pe.(!x) :: !uside;
-        x := pv.(!x)
-      done;
-      while dep.(!y) > dep.(!x) do
-        vside := pe.(!y) :: !vside;
-        y := pv.(!y)
-      done;
-      while !x <> !y do
-        uside := pe.(!x) :: !uside;
-        x := pv.(!x);
-        vside := pe.(!y) :: !vside;
-        y := pv.(!y)
-      done;
-      Some (List.rev_append !uside (List.rev !vside))
-    end
+    ensure_uf t c;
+    let pv = t.fp_vertex.(c)
+    and pe = t.fp_edge.(c)
+    and dep = t.fp_depth.(c)
+    and buf = t.pbuf in
+    let x = ref (G.src t.g e) and y = ref (G.dst t.g e) and k = ref 0 in
+    while dep.(!x) > dep.(!y) do
+      f pe.(!x);
+      x := pv.(!x)
+    done;
+    while dep.(!y) > dep.(!x) do
+      buf.(!k) <- pe.(!y);
+      incr k;
+      y := pv.(!y)
+    done;
+    while !x <> !y do
+      if pv.(!x) < 0 then invalid_arg "Coloring.iter_path: C(e, c) is empty";
+      f pe.(!x);
+      x := pv.(!x);
+      buf.(!k) <- pe.(!y);
+      incr k;
+      y := pv.(!y)
+    done;
+    for i = 0 to !k - 1 do
+      f buf.(i)
+    done
   end
+
+let iter_path t e c f =
+  check_color t c "iter_path";
+  iter_path_unchecked t e c f
+
+let path t e c =
+  check_color t c "path";
+  if path_exists_unchecked t e c then begin
+    let acc = ref [] in
+    iter_path_unchecked t e c (fun x -> acc := x :: !acc);
+    Some (List.rev !acc)
+  end
+  else None
 
 let component_edges t v c =
   if c < 0 || c >= t.colors then
@@ -578,9 +574,8 @@ let extend t g' =
     fp_edge = Array.map Array.copy t.fp_edge;
     fp_depth = Array.map Array.copy t.fp_depth;
     mark = Array.make n 0;
-    via = Array.make n (-1);
-    pred = Array.make n (-1);
     qbuf = Array.make n 0;
+    pbuf = Array.make n 0;
     stamp = 0;
   }
 

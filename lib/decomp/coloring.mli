@@ -12,10 +12,10 @@
     union-find in O(α(n)) amortized: insertions ({!set}) update it in
     place, deletions ({!unset}, recoloring) invalidate only the affected
     color via a generation counter, and the next query on that color
-    lazily rebuilds it from the color's own edge list. Breadth-first
-    search survives solely for actual path extraction ({!path} on a
-    connected pair) and as the differential-testing oracle
-    ({!oracle_would_close_cycle}).
+    lazily rebuilds it from the color's own edge list. Paths are read off
+    a rooted spanning forest per color by an LCA climb ({!iter_path});
+    breadth-first search survives solely as the differential-testing
+    oracle ({!oracle_would_close_cycle}).
 
     Invariant (enforced on every {!set}): each color class is a forest. *)
 
@@ -65,8 +65,23 @@ val unset : t -> int -> unit
     connected case is extracted from the maintained rooted forest in
     O(path length), listed as the [u]-side half (from [u] towards the
     meeting point) followed by the [v]-side half (from [v] towards it) —
-    consumers treat the result as an edge set. *)
+    consumers treat the result as an edge set. Equals {!path_exists}
+    followed by {!iter_path}, and counts exactly what {!path_exists}
+    counts. *)
 val path : t -> int -> int -> int list option
+
+(** [path_exists t e c] is [path t e c <> None], at the cost of the
+    counted test alone: free when [e] has color [c], one union-find query
+    otherwise. *)
+val path_exists : t -> int -> int -> bool
+
+(** [iter_path t e c f] calls [f] on each edge of [C(e, c)] in {!path}'s
+    order, without allocating and without touching the query counters.
+    One climb of the rooted forest; the [v]-side half is buffered in
+    scratch owned by [t], so [f] must not walk another path of [t].
+    @raise Invalid_argument when [C(e, c)] is empty ({!path_exists} is
+    the test). *)
+val iter_path : t -> int -> int -> (int -> unit) -> unit
 
 (** [component_edges t v c] lists the edges of the color-[c] tree containing
     vertex [v] (empty when [v] is isolated in that color). *)

@@ -143,13 +143,10 @@ let uses_at_most t k =
     g (Ok ())
 
 let max_forest_diameter t =
-  let best = ref 0 in
-  for c = 0 to Coloring.colors t - 1 do
-    let forest, _ = Coloring.subgraph t c in
-    let d = Nw_graphs.Traversal.tree_diameter forest in
-    if d > !best then best := d
-  done;
-  !best
+  Nw_graphs.Traversal.max_tree_diameter
+    ~n:(G.n (Coloring.graph t))
+    ~forests:(Coloring.colors t)
+    (fun c v visit -> Coloring.iter_colored_incident t v c visit)
 
 let colors_used t =
   let k = Coloring.colors t in

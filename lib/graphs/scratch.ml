@@ -5,9 +5,8 @@
    and never need clearing.
 
    These are per-call/per-structure workspaces threaded explicitly by
-   their owners — no instance lives at top level, so they are safe under
-   domain-parallel callers as long as each instance stays on one domain
-   (the same discipline as any mutable scratch). *)
+   their owners — no instance lives at top level, so each one belongs to
+   whoever created it (the same discipline as any mutable scratch). *)
 
 module Ints = struct
   type t = {

@@ -50,32 +50,56 @@ let diameter g =
   done;
   !best
 
-(* Farthest vertex (and its distance) from [v] within v's component. *)
-let farthest g v =
-  let dist = distances g v in
-  let best_v = ref v and best_d = ref 0 in
-  Array.iteri
-    (fun u d ->
-      if d > !best_d then begin
-        best_d := d;
-        best_v := u
-      end)
-    dist;
-  (!best_v, !best_d)
+(* Double-sweep BFS: in a tree, a vertex farthest from any start is an
+   end of a longest path, so a second sweep from it measures the
+   diameter. One mark/dist/queue triple serves every sweep of every
+   forest: a fresh stamp per sweep, and a vertex is still unswept in
+   forest f when its mark predates f's first sweep. *)
+let max_tree_diameter ~n ~forests iter =
+  let mark = Array.make n 0 and dist = Array.make n 0 in
+  let queue = Array.make n 0 in
+  let stamp = ref 0 and tail = ref 0 and next_d = ref 0 in
+  let visit w _ =
+    if mark.(w) <> !stamp then begin
+      mark.(w) <- !stamp;
+      dist.(w) <- !next_d;
+      queue.(!tail) <- w;
+      incr tail
+    end
+  in
+  (* sweep [s]'s tree of forest [f]; the last vertex dequeued is a
+     farthest one *)
+  let sweep f s =
+    incr stamp;
+    mark.(s) <- !stamp;
+    dist.(s) <- 0;
+    queue.(0) <- s;
+    tail := 1;
+    let h = ref 0 in
+    while !h < !tail do
+      let x = queue.(!h) in
+      incr h;
+      next_d := dist.(x) + 1;
+      iter f x visit
+    done;
+    queue.(!tail - 1)
+  in
+  let best = ref 0 in
+  for f = 0 to forests - 1 do
+    let swept = !stamp in
+    for v = 0 to n - 1 do
+      if mark.(v) <= swept then begin
+        let far = sweep f (sweep f v) in
+        if dist.(far) > !best then best := dist.(far)
+      end
+    done
+  done;
+  !best
 
 let tree_diameter g =
   if not (is_forest g) then invalid_arg "Traversal.tree_diameter: not a forest";
-  let label, c = components g in
-  let rep = Array.make c (-1) in
-  Array.iteri (fun v l -> if rep.(l) < 0 then rep.(l) <- v) label;
-  let best = ref 0 in
-  Array.iter
-    (fun v ->
-      let far, _ = farthest g v in
-      let _, d = farthest g far in
-      if d > !best then best := d)
-    rep;
-  !best
+  max_tree_diameter ~n:(G.n g) ~forests:1 (fun _ v visit ->
+      G.iter_incident g v visit)
 
 let spanning_forest g =
   let uf = Union_find.create (G.n g) in

@@ -17,9 +17,18 @@ val distances : Multigraph.t -> int -> int array
 val diameter : Multigraph.t -> int
 
 (** [tree_diameter g] computes, for a forest, the maximum over trees of the
-    path diameter using two BFS passes per component (O(n + m)).
+    path diameter: {!max_tree_diameter} with one forest, O(n + m).
     @raise Invalid_argument if [g] is not a forest. *)
 val tree_diameter : Multigraph.t -> int
+
+(** [max_tree_diameter ~n ~forests iter] is the largest tree diameter
+    over [forests] forests on the vertex set [0..n-1], where
+    [iter f v visit] calls [visit w e] for each edge [e] joining [v] to
+    [w] in forest [f]. Two BFS sweeps per tree over buffers shared by all
+    of them: O(forests·n + edges) time, three n-arrays of space.
+    Acyclicity is the caller's to guarantee. *)
+val max_tree_diameter :
+  n:int -> forests:int -> (int -> int -> (int -> int -> unit) -> unit) -> int
 
 (** [spanning_forest g] is the edge-id set (membership array over edges) of
     an arbitrary spanning forest of [g]. *)

@@ -79,6 +79,88 @@ let prop_gw_witness_on_stall =
           | Error witness -> GW.check_witness g (alpha - 1) witness
       end)
 
+(* Oracle: the closure Gabow–Westermann computed for its witness before
+   the stall's own vertex set replaced it — {start} closed under "add
+   the edges of C(e, c) adjacent to the spanned vertices", recomputed to
+   a fixpoint; returns the spanned vertex set. *)
+let closure_of_stall g coloring palette start =
+  let spanned = Hashtbl.create 64 in
+  let u0, v0 = G.endpoints g start in
+  Hashtbl.replace spanned u0 ();
+  Hashtbl.replace spanned v0 ();
+  let in_set = Hashtbl.create 64 in
+  Hashtbl.replace in_set start ();
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let members = Hashtbl.fold (fun e () acc -> e :: acc) in_set [] in
+    List.iter
+      (fun e ->
+        let own = Coloring.color coloring e in
+        List.iter
+          (fun c ->
+            if own <> Some c then
+              match Coloring.path coloring e c with
+              | None -> ()
+              | Some path_edges ->
+                  List.iter
+                    (fun e' ->
+                      if not (Hashtbl.mem in_set e') then begin
+                        let u, v = G.endpoints g e' in
+                        if Hashtbl.mem spanned u || Hashtbl.mem spanned v
+                        then begin
+                          Hashtbl.replace in_set e' ();
+                          Hashtbl.replace spanned u ();
+                          Hashtbl.replace spanned v ();
+                          changed := true
+                        end
+                      end)
+                    path_edges)
+          (Palette.get palette e))
+      members
+  done;
+  Hashtbl.fold (fun v () acc -> v :: acc) spanned []
+
+(* a stall's witness is that closure's vertex set: replay
+   Gabow–Westermann's edge-by-edge augmentation up to its first stall
+   and compare, as sets, with the oracle and with what GW reports *)
+let prop_gw_witness_is_closure =
+  QCheck.Test.make ~name:"stall witness = Algorithm 1 closure" ~count:60
+    (QCheck.int_bound 100000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 4 + Random.State.int st 8 in
+      let g =
+        if seed mod 2 = 0 then Gen.erdos_renyi st n 0.6
+        else Gen.forest_union st n 3
+      in
+      QCheck.assume (G.m g > 0);
+      let k = max 1 (Arb.brute_force g - 1) in
+      let palette =
+        if seed mod 3 = 0 then
+          Palette.of_lists ~colors:(2 * k)
+            (Gen.list_palettes st g ~colors:(2 * k) ~size:k)
+        else Palette.full g k
+      in
+      let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
+      let scratch = Nw_core.Augmenting.scratch coloring in
+      let sorted l = List.sort_uniq compare l in
+      let rec first_stall e =
+        if e >= G.m g then None
+        else
+          match
+            Nw_core.Augmenting.augment_edge coloring palette ~edge:e ~scratch ()
+          with
+          | Ok _ -> first_stall (e + 1)
+          | Error w -> Some (w, closure_of_stall g coloring palette e)
+      in
+      match (first_stall 0, GW.list_forest_partition g palette) with
+      | None, Ok _ -> true
+      | Some (w, oracle), Error gw ->
+          sorted w = sorted oracle && sorted gw = sorted w
+          && List.length w = List.length (sorted w)
+      | _ -> false)
+
 let test_gw_list_seymour () =
   (* Seymour: alpha-sized palettes always admit a list decomposition *)
   let st = rng 2 in
@@ -209,7 +291,12 @@ let () =
           Alcotest.test_case "witness" `Quick test_gw_witness;
           Alcotest.test_case "seymour lists" `Quick test_gw_list_seymour;
         ] );
-      qsuite "gw_props" [ prop_gw_matches_brute_force; prop_gw_witness_on_stall ];
+      qsuite "gw_props"
+        [
+          prop_gw_matches_brute_force;
+          prop_gw_witness_on_stall;
+          prop_gw_witness_is_closure;
+        ];
       ( "amr_star",
         [
           Alcotest.test_case "2 alpha stars" `Quick test_amr_star;

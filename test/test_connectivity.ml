@@ -135,6 +135,64 @@ let prop_component_counts =
       done;
       true)
 
+(* the path walk against [path]: over random partial colorings of simple
+   graphs and of multigraphs dense in parallel edges (graphs have no
+   self-loops), [path_exists] is [path <> None] and agrees with the BFS
+   oracle, it costs one union-find query unless e has color c (then
+   none), and [iter_path] emits [path]'s edges in [path]'s order without
+   touching the counters — or refuses an empty C(e, c) *)
+let prop_path_walk =
+  QCheck.Test.make ~name:"iter_path walks path; path_exists = path <> None"
+    ~count:40 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let g =
+        if seed mod 2 = 0 then
+          Gen.erdos_renyi st (4 + Random.State.int st 10) 0.45
+        else begin
+          let n = 3 + Random.State.int st 5 in
+          let pair () =
+            let u = Random.State.int st n in
+            (u, (u + 1 + Random.State.int st (n - 1)) mod n)
+          in
+          G.of_edges n (List.init (2 + Random.State.int st 20) (fun _ -> pair ()))
+        end
+      in
+      QCheck.assume (G.m g > 0);
+      let colors = 1 + Random.State.int st 3 in
+      let c = Coloring.create g ~colors in
+      for _ = 1 to 3 * G.m g do
+        random_op st c
+      done;
+      let uf () = (Coloring.Counters.snapshot ()).Coloring.Counters.uf_queries in
+      for e = 0 to G.m g - 1 do
+        for col = 0 to colors - 1 do
+          let p = Coloring.path c e col in
+          let own = Coloring.color c e = Some col in
+          let q0 = uf () in
+          let exists = Coloring.path_exists c e col in
+          if uf () - q0 <> (if own then 0 else 1) then
+            Alcotest.failf "e=%d c=%d path_exists cost %d queries" e col
+              (uf () - q0);
+          if exists <> (p <> None) then
+            Alcotest.failf "e=%d c=%d path_exists=%b path=%s" e col exists
+              (if p = None then "None" else "Some _");
+          if exists <> (own || Coloring.oracle_would_close_cycle c e col) then
+            Alcotest.failf "e=%d c=%d path_exists disagrees with BFS" e col;
+          let walked = ref [] in
+          let q1 = uf () in
+          (match Coloring.iter_path c e col (fun x -> walked := x :: !walked) with
+          | () ->
+              if p <> Some (List.rev !walked) then
+                Alcotest.failf "e=%d c=%d walk differs from path" e col
+          | exception Invalid_argument _ ->
+              if p <> None then
+                Alcotest.failf "e=%d c=%d walk refused a nonempty path" e col);
+          if uf () <> q1 then Alcotest.failf "e=%d c=%d walk was counted" e col
+        done
+      done;
+      true)
+
 (* unit: a disconnection created by unset is visible on the very next
    query — the generation counter must force the lazy rebuild *)
 let test_lazy_rebuild_after_unset () =
@@ -356,7 +414,7 @@ let () =
             test_copy_preserves_cache_coherence;
         ] );
       qsuite "differential"
-        [ prop_differential; prop_component_counts ];
+        [ prop_differential; prop_component_counts; prop_path_walk ];
       qsuite "dynamic"
         [ prop_extend_connected_differential ];
     ]

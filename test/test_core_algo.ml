@@ -48,8 +48,8 @@ let test_augment_k5 () =
   Array.iter
     (fun e ->
       match Aug.augment_edge coloring palette ~edge:e () with
-      | Some _ -> ()
-      | None -> Alcotest.fail "augmentation stalled below arboricity")
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "augmentation stalled below arboricity")
     (Coloring.uncolored coloring);
   Verify.exn (Verify.forest_decomposition coloring)
 
@@ -72,8 +72,8 @@ let test_augment_stall_on_tight_palette () =
   let palette = Palette.full g 1 in
   let coloring = Coloring.create g ~colors:1 in
   (match Aug.augment_edge coloring palette ~edge:0 () with
-  | Some _ -> ()
-  | None -> Alcotest.fail "first edge must color");
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "first edge must color");
   match Aug.search coloring palette ~start:1 () with
   | Aug.Stalled _ -> ()
   | Aug.Found _ -> Alcotest.fail "must stall: alpha = 2 > palette size"
@@ -127,10 +127,10 @@ let prop_augmentation_preserves_invariant =
           (fun e ->
             if !ok then
               match Aug.augment_edge coloring palette ~edge:e () with
-              | Some _ ->
+              | Ok _ ->
                   if Verify.partial_forest_decomposition coloring <> Ok ()
                   then ok := false
-              | None -> ())
+              | Error _ -> ())
           (Array.to_list (Coloring.uncolored coloring));
         !ok
       end)

@@ -155,6 +155,36 @@ let prop_coloring_churn =
         reference;
       !matches && Nw_decomp.Verify.partial_forest_decomposition c = Ok ())
 
+(* property: the linear diameter report equals the all-pairs one, color
+   by color, over partial colorings of multigraphs (parallel edges, a
+   tail of isolated vertices, colors left empty) *)
+let prop_max_forest_diameter =
+  QCheck.Test.make ~name:"max_forest_diameter = all-pairs diameter per color"
+    ~count:100 (QCheck.int_bound 100000)
+    (fun seed ->
+      let st = rng seed in
+      let used = 2 + Random.State.int st 14 in
+      let n = used + Random.State.int st 4 in
+      let edges =
+        List.init (Random.State.int st 40) (fun _ ->
+            let u = Random.State.int st used in
+            (u, (u + 1 + Random.State.int st (used - 1)) mod used))
+      in
+      let g = G.of_edges n edges in
+      let colors = 1 + Random.State.int st 4 in
+      let c = Coloring.create g ~colors in
+      for e = 0 to G.m g - 1 do
+        let col = Random.State.int st (colors + 1) in
+        if col < colors && not (Coloring.would_close_cycle c e col) then
+          Coloring.set c e col
+      done;
+      let want = ref 0 in
+      for col = 0 to colors - 1 do
+        let forest, _ = Coloring.subgraph c col in
+        want := max !want (Nw_graphs.Traversal.diameter forest)
+      done;
+      Verify.max_forest_diameter c = !want)
+
 (* ------------------------------------------------------------------ *)
 (* Verifier (incl. failure injection)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -297,7 +327,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_coloring_roundtrip;
           Alcotest.test_case "subgraph" `Quick test_coloring_subgraph;
         ] );
-      qsuite "coloring_props" [ prop_coloring_churn ];
+      qsuite "coloring_props" [ prop_coloring_churn; prop_max_forest_diameter ];
       ( "coloring_io",
         [
           Alcotest.test_case "roundtrip" `Quick test_coloring_io_roundtrip;

@@ -152,10 +152,53 @@ let chaos_fingerprint () =
 let expected_chaos =
   "digest=fcd043481214ff7c drops=13 dups=14 delays=9 reorders=75 2cf578599038f35310cfbe250291c34e rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=b13f7bc72e21bfba1e0e88ffba27b946"
 
+(* Algorithm 1's statistics, which E5 publishes: every [augment_edge]
+   stats record over both graphs, augmenting edge by edge in id order
+   with palettes of exactly alpha colors (long sequences, so the
+   short-circuit runs), of alpha-1 colors (stalls) and of alpha+1
+   colors inside radius-2 balls, each followed by the coloring it
+   leaves. *)
+let search_stats_string () =
+  let module Aug = Nw_core.Augmenting in
+  let module Palette = Nw_decomp.Palette in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (_, g) ->
+      let alpha = fst (Nw_baseline.Gabow_westermann.arboricity g) in
+      List.iter
+        (fun (k, radius) ->
+          let palette = Palette.full g k in
+          let coloring = Coloring.create g ~colors:k in
+          let scratch = Aug.scratch coloring in
+          for e = 0 to G.m g - 1 do
+            let within =
+              Option.map
+                (fun r -> G.ball_of_set g [ G.src g e; G.dst g e ] r)
+                radius
+            in
+            match Aug.augment_edge coloring palette ~edge:e ?within ~scratch () with
+            | Ok st ->
+                Printf.bprintf b "%d:%d:" st.Aug.iterations st.Aug.explored;
+                List.iter (fun (i, x) -> Printf.bprintf b "%d/%d," i x) st.Aug.growth;
+                Buffer.add_char b ';'
+            | Error _ -> Buffer.add_string b "stall;"
+          done;
+          Array.iter
+            (fun c ->
+              Buffer.add_string b
+                (match c with Some c -> string_of_int c ^ "," | None -> "-,"))
+            (Coloring.to_array coloring))
+        [ (alpha, None); (alpha - 1, None); (alpha + 1, Some 2) ])
+    graphs;
+  Buffer.contents b
+
+let expected_search_stats = "20836a458265bff8b7e881af911c4d3a"
+
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then begin
     print_actual ();
     Printf.printf "chaos: %S\n" (chaos_fingerprint ());
+    Printf.printf "search stats: %S\n" (md5 (search_stats_string ()));
     exit 0
   end
 
@@ -168,6 +211,10 @@ let test_entry gname g (entry : Registry.entry) () =
   Alcotest.(check string)
     (Printf.sprintf "%s on %s" entry.Registry.name gname)
     want (run_case entry g)
+
+let test_search_stats () =
+  Alcotest.(check string) "augment_edge stats" expected_search_stats
+    (md5 (search_stats_string ()))
 
 let test_chaos () =
   Alcotest.(check string) "lsfd under chaos" expected_chaos
@@ -185,4 +232,8 @@ let () =
                  (test_entry gname g entry))
              Registry.all ))
        graphs
-    @ [ ("pinned-chaos", [ Alcotest.test_case "fault digest" `Quick test_chaos ]) ])
+    @ [
+        ("pinned-chaos", [ Alcotest.test_case "fault digest" `Quick test_chaos ]);
+        ( "pinned-search",
+          [ Alcotest.test_case "augment stats" `Quick test_search_stats ] );
+      ])
