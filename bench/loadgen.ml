@@ -3,9 +3,10 @@
    Spawns a daemon on a private Unix socket, loads one session, then
    replays a seeded mix of batch (decompose), point (stats), and churn
    (insert/delete-edge) requests while validating every response:
-   id echo, epoch monotonicity, server-side verification flags, color
-   bounds on incremental answers, and a final client-side forest check
-   of the served coloring against an independently rebuilt live graph.
+   id echo, epoch monotonicity, server-side verification flags, the
+   churn mode the entry allows and color bounds on incremental answers,
+   and a final client-side check of the served coloring, with the
+   entry's own checker, against an independently rebuilt live graph.
    Client-observed latencies are summarised as nearest-rank p50/p95/p99
    per request class and written — together with throughput and the
    daemon's incremental/fallback tallies — into the additive `service`
@@ -254,10 +255,13 @@ type mirror = {
   mutable live_list : int array; (* live slot ids, for O(1) random picks *)
   mutable live_count : int;
   mutable epoch : int;
-  mutable colors_used : int; (* from the last decompose; 0 = none yet *)
+  mutable palette : int;
+      (* max color id + 1 of the last decompose; 0 = none yet. Star
+         pipelines use sparse ids, so the count of distinct colors is
+         not a bound *)
   (* a fallback re-decomposition may widen the palette without telling
      the churn response, so the bound check pauses until the next
-     decompose refreshes colors_used *)
+     decompose refreshes the palette *)
   mutable palette_exact : bool;
 }
 
@@ -274,7 +278,7 @@ let mirror_of_edges n edges =
     live_list = Array.init cap (fun i -> if i < m then i else 0);
     live_count = m;
     epoch = 0;
-    colors_used = 0;
+    palette = 0;
     palette_exact = false;
   }
 
@@ -409,10 +413,28 @@ let write_record cfg ~wall_s ~service_obj =
 
 let () =
   let cfg = parse_args () in
+  (* star-flagged entries (star forests, list star forests) are checked
+     as star forests, and the daemon keeps no live coloring for them: the
+     forest-only insert probe cannot enforce their predicate, so every
+     insert must come back as a colored fallback. Entries that reject
+     multigraphs get a simple session: a simple input graph, and inserts
+     that never duplicate a live pair. *)
+  let star, simple_only =
+    match Nw_engine.Registry.find cfg.algorithm with
+    | Some e -> Nw_engine.Registry.(e.star, e.simple_only)
+    | None -> (false, false)
+  in
   let rng = Random.State.make [| cfg.seed |] in
-  let g = Gen.forest_union rng cfg.n cfg.alpha in
+  let g =
+    if simple_only then Gen.forest_union_simple rng cfg.n cfg.alpha
+    else Gen.forest_union rng cfg.n cfg.alpha
+  in
   let edges = G.edges g in
   let mi = mirror_of_edges cfg.n edges in
+  let pair u v = if u < v then (u, v) else (v, u) in
+  let live_pairs = Hashtbl.create 64 in
+  if simple_only then
+    Array.iter (fun (u, v) -> Hashtbl.replace live_pairs (pair u v) ()) edges;
   let pid = spawn_daemon cfg in
   let cleanup () =
     (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -472,22 +494,23 @@ let () =
     | Some true -> ()
     | _ -> flag "%s: served output not verified" what);
     (match member_int json "colors_used" with
-    | Some k when k >= 1 ->
-        mi.colors_used <- k;
-        mi.palette_exact <- true
+    | Some k when k >= 1 -> ()
     | _ -> flag "%s: missing colors_used" what);
     match J.member "colors" json with
     | Some (J.List cols) ->
         if List.length cols <> mi.used then
           flag "%s: %d colors for %d slots" what (List.length cols) mi.used
-        else
+        else begin
           last_colors :=
             Array.of_list
-              (List.map (fun c -> Option.value ~default:(-1) (J.to_int c)) cols)
+              (List.map (fun c -> Option.value ~default:(-1) (J.to_int c)) cols);
+          mi.palette <- 1 + Array.fold_left max 0 !last_colors;
+          mi.palette_exact <- true
+        end
     | _ -> flag "%s: missing colors array" what
   in
 
-  (* warm-up decompose so churn has a coloring to extend *)
+  (* warm-up decompose so churn has a coloring to grow *)
   let id, json, _ = rpc conn (decompose_fields ()) in
   if expect_ok ~what:"decompose(warmup)" id json then
     check_decompose ~what:"decompose(warmup)" json;
@@ -520,8 +543,13 @@ let () =
     end
     else if mi.live_count <= cfg.n / 4 || Random.State.bool wrng then begin
       (* churn: insert a random non-loop edge *)
-      let u = Random.State.int wrng cfg.n in
-      let v = (u + 1 + Random.State.int wrng (cfg.n - 1)) mod cfg.n in
+      let rec draw () =
+        let u = Random.State.int wrng cfg.n in
+        let v = (u + 1 + Random.State.int wrng (cfg.n - 1)) mod cfg.n in
+        if simple_only && Hashtbl.mem live_pairs (pair u v) then draw ()
+        else (u, v)
+      in
+      let u, v = draw () in
       let id, json, ms =
         rpc conn
           [
@@ -535,21 +563,28 @@ let () =
       if expect_ok ~what:"insert-edge" id json then begin
         check_epoch ~what:"insert-edge" mi json;
         let slot = mirror_insert mi u v in
+        if simple_only then Hashtbl.replace live_pairs (pair u v) ();
         (match member_int json "edge" with
         | Some e when e = slot -> ()
         | Some e -> flag "insert-edge: slot %d, mirror expected %d" e slot
         | None -> flag "insert-edge: missing edge id");
         match (member_str json "mode", member_int json "color") with
-        | Some "incremental", Some c
-          when c >= 0 && (c < mi.colors_used || not mi.palette_exact) ->
+        | Some "incremental", None when mi.palette = 0 ->
+            (* nothing decomposed yet: the append is structural *)
             ()
-        | Some "incremental", Some c ->
+        | Some "incremental", Some c
+          when (not star) && mi.palette > 0 && c >= 0
+               && (c < mi.palette || not mi.palette_exact) ->
+            ()
+        | Some "incremental", Some c when (not star) && mi.palette > 0 ->
             flag "insert-edge: incremental color %d outside palette of %d" c
-              mi.colors_used
-        | Some "fallback", _ -> mi.palette_exact <- false
-        | m, _ ->
-            flag "insert-edge: unexpected mode %s"
+              mi.palette
+        | Some "fallback", Some c when c >= 0 && mi.palette > 0 ->
+            mi.palette_exact <- false
+        | m, c ->
+            flag "insert-edge: unexpected mode %s with color %s"
               (Option.value ~default:"?" m)
+              (Option.fold ~none:"none" ~some:string_of_int c)
       end
     end
     else begin
@@ -567,7 +602,9 @@ let () =
       churn_ms := ms :: !churn_ms;
       if expect_ok ~what:"delete-edge" id json then begin
         check_epoch ~what:"delete-edge" mi json;
-        ignore (mirror_delete mi idx);
+        let dead = mirror_delete mi idx in
+        if simple_only then
+          Hashtbl.remove live_pairs (pair (fst mi.slots.(dead)) (snd mi.slots.(dead)));
         match member_str json "mode" with
         | Some ("incremental" | "fallback") -> ()
         | m ->
@@ -596,15 +633,17 @@ let () =
         end
       done;
       let g' = G.build bld in
-      let col = Coloring.create g' ~colors:(max 1 mi.colors_used) in
+      let col = Coloring.create g' ~colors:mi.palette in
       List.iter
         (fun (e, c) ->
-          if c < 0 || c >= mi.colors_used then
-            flag "final coloring: live slot has color %d of %d" c
-              mi.colors_used
+          if c < 0 then flag "final coloring: live slot %d uncolored" e
           else Coloring.set col e c)
         !live_colors;
-      match Verify.forest_decomposition col with
+      let check =
+        if star then Verify.star_forest_decomposition
+        else Verify.forest_decomposition
+      in
+      match check col with
       | Ok () -> ()
       | Error msg -> flag "final coloring fails client-side check: %s" msg
     end

@@ -33,21 +33,32 @@ module G = Nw_graphs.Multigraph
 
    Each color additionally threads its edges through [enxt]/[eprv]
    (head [ehead.(c)]) so the lazy union-find rebuild below touches only
-   that color's edges, never all m. *)
+   that color's edges, never all m.
+
+   Endpoints are read from the coloring's own [src]/[dst] rows (shared
+   with the graph at [create], one array load per edge). [add_edge]
+   appends edges in place: every per-edge array has a capacity of at
+   least [m] and grows by doubling, so the edge count [m], not the
+   array length, bounds the edge ids. *)
 
 type t = {
-  g : G.t;
+  n : int;
+  mutable m : int;
+  mutable g : G.t; (* the graph over the first [G.m g] edges; stale
+                      after [add_edge] until [graph] rebuilds it *)
+  mutable src : int array; (* edge -> first endpoint *)
+  mutable dst : int array; (* edge -> second endpoint *)
   colors : int;
-  assign : int array; (* edge -> color or -1 *)
+  mutable assign : int array; (* edge -> color or -1 *)
   mutable colored : int;
   (* (color, vertex) adjacency DLLs over node ids 2e+slot; -1 = nil *)
   head : int array array; (* color -> vertex -> node id *)
-  nxt : int array; (* 2m *)
-  prv : int array; (* 2m *)
+  mutable nxt : int array; (* 2m *)
+  mutable prv : int array; (* 2m *)
   (* per-color edge DLLs; -1 = nil *)
   ehead : int array;
-  enxt : int array; (* m *)
-  eprv : int array; (* m *)
+  mutable enxt : int array; (* m *)
+  mutable eprv : int array; (* m *)
   ecount : int array; (* edges currently in each color *)
   (* incremental per-color connectivity: union-find with path
      compression and union by size, carrying per-component vertex and
@@ -79,8 +90,13 @@ let create g ~colors =
   if colors < 0 then invalid_arg "Coloring.create: negative color count";
   let n = G.n g in
   let m = G.m g in
+  let src, dst = G.endpoint_rows g in
   {
+    n;
+    m;
     g;
+    src;
+    dst;
     colors;
     assign = Array.make m (-1);
     colored = 0;
@@ -105,20 +121,35 @@ let create g ~colors =
     stamp = 0;
   }
 
-let graph t = t.g
+(* per-edge arrays may hold slack past [m] after [add_edge] *)
+let check_edge t e name =
+  if e < 0 || e >= t.m then
+    invalid_arg ("Coloring." ^ name ^ ": edge out of range")
+
+let graph t =
+  if G.m t.g < t.m then begin
+    let b = G.create_builder t.n in
+    for e = 0 to t.m - 1 do
+      ignore (G.add_edge b t.src.(e) t.dst.(e))
+    done;
+    t.g <- G.build b
+  end;
+  t.g
+
 let colors t = t.colors
 
 let color t e =
+  check_edge t e "color";
   let c = t.assign.(e) in
   if c < 0 then None else Some c
 
 let colored_count t = t.colored
 
 let uncolored t =
-  let k = Array.length t.assign - t.colored in
+  let k = t.m - t.colored in
   let out = Array.make k 0 in
   let j = ref 0 in
-  for e = 0 to Array.length t.assign - 1 do
+  for e = 0 to t.m - 1 do
     if t.assign.(e) < 0 then begin
       out.(!j) <- e;
       incr j
@@ -127,7 +158,7 @@ let uncolored t =
   out
 
 let iter_uncolored f t =
-  for e = 0 to Array.length t.assign - 1 do
+  for e = 0 to t.m - 1 do
     if t.assign.(e) < 0 then f e
   done
 
@@ -141,7 +172,7 @@ let iter_uncolored f t =
    and must not allocate a tuple per step. *)
 let node_neighbor t nd =
   let e = nd lsr 1 in
-  if nd land 1 = 0 then G.dst t.g e else G.src t.g e
+  if nd land 1 = 0 then t.dst.(e) else t.src.(e)
 
 let iter_adj t c x f =
   let nd = ref t.head.(c).(x) in
@@ -210,7 +241,7 @@ let uf_union t c u v =
   end
 
 let uf_rebuild t c =
-  let n = G.n t.g in
+  let n = t.n in
   if Array.length t.uf_parent.(c) = 0 then begin
     t.uf_parent.(c) <- Array.init n (fun i -> i);
     t.uf_size.(c) <- Array.make n 1;
@@ -232,14 +263,17 @@ let uf_rebuild t c =
   end;
   let e = ref t.ehead.(c) in
   while !e >= 0 do
-    uf_union t c (G.src t.g !e) (G.dst t.g !e);
+    uf_union t c t.src.(!e) t.dst.(!e);
     e := t.enxt.(!e)
   done;
   (* rebuild the rooted spanning forest: BFS each component, parents
-     pointing toward the component's lowest-id unvisited vertex *)
+     pointing toward the component's lowest-id unvisited vertex. The
+     adjacency walk is [iter_adj] written out, so a rebuild allocates no
+     closure per vertex. *)
   let pv = t.fp_vertex.(c)
   and pe = t.fp_edge.(c)
-  and dep = t.fp_depth.(c) in
+  and dep = t.fp_depth.(c)
+  and head = t.head.(c) in
   for r = 0 to n - 1 do
     if dep.(r) < 0 then begin
       dep.(r) <- 0;
@@ -249,14 +283,19 @@ let uf_rebuild t c =
       while !h < !tail do
         let x = t.qbuf.(!h) in
         incr h;
-        iter_adj t c x (fun w e ->
-            if dep.(w) < 0 then begin
-              dep.(w) <- dep.(x) + 1;
-              pv.(w) <- x;
-              pe.(w) <- e;
-              t.qbuf.(!tail) <- w;
-              incr tail
-            end)
+        let nd = ref head.(x) in
+        while !nd >= 0 do
+          let cur = !nd in
+          nd := t.nxt.(cur);
+          let w = node_neighbor t cur in
+          if dep.(w) < 0 then begin
+            dep.(w) <- dep.(x) + 1;
+            pv.(w) <- x;
+            pe.(w) <- cur lsr 1;
+            t.qbuf.(!tail) <- w;
+            incr tail
+          end
+        done
       done
     end
   done;
@@ -357,31 +396,34 @@ let bfs_connected t c src dst skip =
 let would_close_cycle t e c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.would_close_cycle: color out of range";
+  check_edge t e "would_close_cycle";
   if t.assign.(e) = c then
     (* color classes are forests: u and v are joined only through e *)
     false
   else begin
-    let u = G.src t.g e and v = G.dst t.g e in
+    let u = t.src.(e) and v = t.dst.(e) in
     u = v || uf_connected t c u v
   end
 
 let oracle_would_close_cycle t e c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.oracle_would_close_cycle: color out of range";
-  bfs_connected t c (G.src t.g e) (G.dst t.g e) e
+  check_edge t e "oracle_would_close_cycle";
+  bfs_connected t c t.src.(e) t.dst.(e) e
 
 let connected t c u v =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.connected: color out of range";
-  let n = G.n t.g in
+  let n = t.n in
   if u < 0 || u >= n || v < 0 || v >= n then
     invalid_arg "Coloring.connected: vertex out of range";
   u = v || uf_connected t c u v
 
 let unset t e =
+  check_edge t e "unset";
   let c = t.assign.(e) in
   if c >= 0 then begin
-    let u = G.src t.g e and v = G.dst t.g e in
+    let u = t.src.(e) and v = t.dst.(e) in
     unlink_node t c u (2 * e);
     unlink_node t c v ((2 * e) + 1);
     unlink_edge t c e;
@@ -394,11 +436,12 @@ let unset t e =
 let set t e c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.set: color out of range";
+  check_edge t e "set";
   if t.assign.(e) <> c then begin
     if would_close_cycle t e c then
       invalid_arg "Coloring.set: would close a cycle";
     unset t e;
-    let u = G.src t.g e and v = G.dst t.g e in
+    let u = t.src.(e) and v = t.dst.(e) in
     (* the cycle check above just ensured color c's union-find is clean
        (and allocated), so insertion maintains it incrementally — no
        invalidation. The rooted forest re-hangs the smaller side before
@@ -419,13 +462,45 @@ let check_color t c name =
   if c < 0 || c >= t.colors then
     invalid_arg ("Coloring." ^ name ^ ": color out of range")
 
+let grow a cap pad =
+  let b = Array.make cap pad in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Append an uncolored edge in place. When the per-edge arrays are full
+   they are all replaced by arrays of twice the capacity: the fresh
+   [src]/[dst] rows stop sharing the graph's, and every fresh slot of
+   the other rows is already the uncolored/unlinked -1, so the new id
+   needs only its endpoints written. Per-color and per-vertex state is
+   untouched: an uncolored edge is in no forest. *)
+let add_edge t u v =
+  if u < 0 || u >= t.n || v < 0 || v >= t.n then
+    invalid_arg "Coloring.add_edge: endpoint out of range";
+  if u = v then invalid_arg "Coloring.add_edge: self-loop";
+  let e = t.m in
+  if e = Array.length t.assign then begin
+    let cap = max 16 (2 * e) in
+    t.src <- grow t.src cap 0;
+    t.dst <- grow t.dst cap 0;
+    t.assign <- grow t.assign cap (-1);
+    t.nxt <- grow t.nxt (2 * cap) (-1);
+    t.prv <- grow t.prv (2 * cap) (-1);
+    t.enxt <- grow t.enxt cap (-1);
+    t.eprv <- grow t.eprv cap (-1)
+  end;
+  t.src.(e) <- u;
+  t.dst.(e) <- v;
+  t.m <- e + 1;
+  e
+
 (* the one counted test behind C(e, c): free when e has color c, one
    union-find query otherwise (graphs have no self-loops) *)
 let path_exists_unchecked t e c =
-  t.assign.(e) = c || uf_connected t c (G.src t.g e) (G.dst t.g e)
+  t.assign.(e) = c || uf_connected t c t.src.(e) t.dst.(e)
 
 let path_exists t e c =
   check_color t c "path_exists";
+  check_edge t e "path_exists";
   path_exists_unchecked t e c
 
 (* One climb of the rooted forest to the LCA, O(path length): the u-side
@@ -439,7 +514,7 @@ let iter_path_unchecked t e c f =
     and pe = t.fp_edge.(c)
     and dep = t.fp_depth.(c)
     and buf = t.pbuf in
-    let x = ref (G.src t.g e) and y = ref (G.dst t.g e) and k = ref 0 in
+    let x = ref t.src.(e) and y = ref t.dst.(e) and k = ref 0 in
     while dep.(!x) > dep.(!y) do
       f pe.(!x);
       x := pv.(!x)
@@ -464,10 +539,12 @@ let iter_path_unchecked t e c f =
 
 let iter_path t e c f =
   check_color t c "iter_path";
+  check_edge t e "iter_path";
   iter_path_unchecked t e c f
 
 let path t e c =
   check_color t c "path";
+  check_edge t e "path";
   if path_exists_unchecked t e c then begin
     let acc = ref [] in
     iter_path_unchecked t e c (fun x -> acc := x :: !acc);
@@ -515,7 +592,9 @@ let colored_incident t v c =
 let iter_colored_incident t v c f = iter_adj t c v f
 
 let to_array t =
-  Array.map (fun c -> if c < 0 then None else Some c) t.assign
+  Array.init t.m (fun e ->
+      let c = t.assign.(e) in
+      if c < 0 then None else Some c)
 
 let of_array g ~colors a =
   if Array.length a <> G.m g then
@@ -524,61 +603,8 @@ let of_array g ~colors a =
   Array.iteri (fun e c -> match c with None -> () | Some c -> set t e c) a;
   t
 
-let copy t = of_array t.g ~colors:t.colors (to_array t)
-
-(* Transplant a live coloring onto a supergraph without disturbing the
-   per-color caches: every per-edge array is blitted into a larger one
-   (new ids start unlinked/uncolored), every per-color per-vertex array
-   is copied as-is, and only the BFS scratch is reset (mark semantics
-   are "equal to the current stamp", so zeroed marks with stamp 0 are
-   clean — the stamp is bumped before first use). Nothing here
-   re-unions or runs a BFS, so union-find state, generation counters
-   and rooted forests all survive; the cost is the copies,
-   O(m' + colors * n). *)
-let extend t g' =
-  let n = G.n t.g and m = G.m t.g in
-  let m' = G.m g' in
-  if G.n g' <> n then invalid_arg "Coloring.extend: vertex set changed";
-  if m' < m then invalid_arg "Coloring.extend: edge set shrank";
-  for e = 0 to m - 1 do
-    if
-      not
-        (Int.equal (G.src t.g e) (G.src g' e)
-        && Int.equal (G.dst t.g e) (G.dst g' e))
-    then
-      invalid_arg "Coloring.extend: existing edge ids not preserved"
-  done;
-  let grow a len pad =
-    let b = Array.make len pad in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
-  {
-    g = g';
-    colors = t.colors;
-    assign = grow t.assign m' (-1);
-    colored = t.colored;
-    head = Array.map Array.copy t.head;
-    nxt = grow t.nxt (2 * m') (-1);
-    prv = grow t.prv (2 * m') (-1);
-    ehead = Array.copy t.ehead;
-    enxt = grow t.enxt m' (-1);
-    eprv = grow t.eprv m' (-1);
-    ecount = Array.copy t.ecount;
-    uf_parent = Array.map Array.copy t.uf_parent;
-    uf_size = Array.map Array.copy t.uf_size;
-    uf_edges = Array.map Array.copy t.uf_edges;
-    uf_gen = Array.copy t.uf_gen;
-    uf_built = Array.copy t.uf_built;
-    fp_vertex = Array.map Array.copy t.fp_vertex;
-    fp_edge = Array.map Array.copy t.fp_edge;
-    fp_depth = Array.map Array.copy t.fp_depth;
-    mark = Array.make n 0;
-    qbuf = Array.make n 0;
-    pbuf = Array.make n 0;
-    stamp = 0;
-  }
+let copy t = of_array (graph t) ~colors:t.colors (to_array t)
 
 let subgraph t c =
-  let keep = Array.map (fun c' -> c' = c) t.assign in
-  G.subgraph_of_edges t.g keep
+  let keep = Array.init t.m (fun e -> t.assign.(e) = c) in
+  G.subgraph_of_edges (graph t) keep

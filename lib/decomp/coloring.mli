@@ -12,12 +12,17 @@
     union-find in O(α(n)) amortized: insertions ({!set}) update it in
     place, deletions ({!unset}, recoloring) invalidate only the affected
     color via a generation counter, and the next query on that color
-    lazily rebuilds it from the color's own edge list. Paths are read off
-    a rooted spanning forest per color by an LCA climb ({!iter_path});
-    breadth-first search survives solely as the differential-testing
-    oracle ({!oracle_would_close_cycle}).
+    lazily rebuilds it from the color's own edge list, in O(n + m_c) for
+    a color of m_c edges. Paths are read off a rooted spanning forest per
+    color by an LCA climb ({!iter_path}); breadth-first search survives
+    solely as the differential-testing oracle ({!oracle_would_close_cycle}).
 
-    Invariant (enforced on every {!set}): each color class is a forest. *)
+    The edge set may grow: {!add_edge} appends an uncolored edge in
+    place, in amortized O(1), without touching any color's state.
+
+    Invariant (enforced on every {!set}): each color class is a forest.
+    Functions taking an edge id raise [Invalid_argument] when it is not
+    below the current edge count. *)
 
 type t
 
@@ -25,6 +30,9 @@ type t
     color space [0..colors-1]. *)
 val create : Nw_graphs.Multigraph.t -> colors:int -> t
 
+(** [graph t] is the graph whose edges [t] colors. After {!add_edge}
+    it is rebuilt once, in O(n + m), on the first call, then cached
+    until the next {!add_edge}. *)
 val graph : t -> Nw_graphs.Multigraph.t
 val colors : t -> int
 
@@ -113,17 +121,17 @@ val of_array : Nw_graphs.Multigraph.t -> colors:int -> int option array -> t
 (** Deep copy. *)
 val copy : t -> t
 
-(** [extend t g'] transplants a live coloring onto [g'], a supergraph of
-    [graph t] on the same vertex set whose first [m] edge ids carry the
-    same endpoints; the new edge ids start uncolored. The per-color
-    union-find and rooted spanning forests carry over untouched, so the
-    cost is the array copies — O(m' + colors·n) — never a re-union or a
-    BFS. This is
-    the dynamic-graph entry point of the service layer: an edge insertion
-    extends the coloring, then probes colors with {!connected} instead of
-    re-running a decomposition.
-    @raise Invalid_argument when [g'] is not such a supergraph. *)
-val extend : t -> Nw_graphs.Multigraph.t -> t
+(** [add_edge t u v] appends a fresh uncolored [u]–[v] edge and returns
+    its id, which is the previous edge count: ids stay dense and are
+    never reused. Amortized O(1): the per-edge arrays grow by doubling
+    capacity, and no per-color union-find, rooted forest or adjacency
+    list is touched, since an uncolored edge belongs to no forest. This
+    is the dynamic-graph entry point of the service layer: an edge
+    insertion appends here, then probes colors with {!connected} and
+    colors the edge with {!set}, instead of re-running a decomposition.
+    {!graph} rebuilds the grown graph on demand.
+    @raise Invalid_argument on an out-of-range endpoint or a self-loop. *)
+val add_edge : t -> int -> int -> int
 
 (** [connected t c u v]: are [u] and [v] connected inside the color-[c]
     forest? O(α(n)) amortized via the per-color union-find. Coloring a

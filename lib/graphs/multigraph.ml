@@ -77,6 +77,7 @@ let m g = Array.length g.src
 let endpoints g e = (g.src.(e), g.dst.(e))
 let src g e = g.src.(e)
 let dst g e = g.dst.(e)
+let endpoint_rows g = (g.src, g.dst)
 
 let other_endpoint g e v =
   if g.src.(e) = v then g.dst.(e)

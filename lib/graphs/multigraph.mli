@@ -46,6 +46,12 @@ val src : t -> int -> int
 (** Second endpoint of an edge, as given at construction; non-allocating. *)
 val dst : t -> int -> int
 
+(** [endpoint_rows g] is [(src, dst)]: the graph's own endpoint arrays,
+    indexed by edge id, shared rather than copied, for callers that keep
+    an edge-indexed structure over [g] and read endpoints in their inner
+    loops. Callers must not write to them. *)
+val endpoint_rows : t -> int array * int array
+
 (** [other_endpoint g e v] is the endpoint of [e] that is not [v].
     @raise Invalid_argument if [v] is not an endpoint of [e]. *)
 val other_endpoint : t -> int -> int -> int

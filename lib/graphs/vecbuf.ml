@@ -28,4 +28,8 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vecbuf.set: index out of range";
   t.buf.(i) <- x
 
+let truncate t k =
+  if k < 0 || k > t.len then invalid_arg "Vecbuf.truncate: length out of range";
+  t.len <- k
+
 let to_array t = Array.sub t.buf 0 t.len

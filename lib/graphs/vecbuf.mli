@@ -24,4 +24,8 @@ val get : t -> int -> int
 (** @raise Invalid_argument when the index is out of range. *)
 val set : t -> int -> int -> unit
 
+(** [truncate t k] keeps the first [k] elements.
+    @raise Invalid_argument unless [0 <= k <= length t]. *)
+val truncate : t -> int -> unit
+
 val to_array : t -> int array

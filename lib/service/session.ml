@@ -1,4 +1,5 @@
 module G = Nw_graphs.Multigraph
+module Vecbuf = Nw_graphs.Vecbuf
 module Orientation = Nw_graphs.Orientation
 module Rounds = Nw_localsim.Rounds
 module Coloring = Nw_decomp.Coloring
@@ -27,12 +28,16 @@ type t = {
   s_name : string;
   s_n : int;
   mutable s_epoch : int;
-  s_builder : G.builder;  (* slot table; append-only *)
-  mutable s_graph : G.t;  (* over all slots, dead ones included *)
+  (* the slot table, append-only: slot -> endpoints, dead slots
+     included *)
+  s_src : Vecbuf.t;
+  s_dst : Vecbuf.t;
   mutable s_live : bool array;  (* slot -> not tombstoned *)
   mutable s_slots : int;
   mutable s_live_count : int;
-  mutable s_col : Coloring.t option;  (* live incremental coloring *)
+  mutable s_col : Coloring.t option;
+      (* live incremental coloring over every slot; its edge ids are
+         the slot ids *)
   mutable s_palette : int;  (* color budget of [s_col] *)
   mutable s_batch : batch option;
   mutable s_chaos : (Plan.t * int) option;
@@ -48,6 +53,13 @@ let total_slots t = t.s_slots
 let incremental_updates t = t.s_incremental
 let fallbacks t = t.s_fallbacks
 
+let slot_colors t =
+  Option.map
+    (fun col ->
+      Array.init t.s_slots (fun s ->
+          Option.value ~default:(-1) (Coloring.color col s)))
+    t.s_col
+
 let last_algorithm t =
   Option.map (fun b -> b.b_entry.Registry.name) t.s_batch
 
@@ -59,15 +71,16 @@ let valid_edge ~n u v =
 
 let create ~name ~n ~edges =
   if n < 0 then invalid_arg "Session.create: negative vertex count";
-  let builder = G.create_builder n in
+  let src = Vecbuf.create () and dst = Vecbuf.create () in
   List.iter
     (fun (u, v) ->
       match valid_edge ~n u v with
-      | Ok () -> ignore (G.add_edge builder u v)
+      | Ok () ->
+          Vecbuf.push src u;
+          Vecbuf.push dst v
       | Error e -> invalid_arg ("Session.create: " ^ e))
     edges;
-  let graph = G.build builder in
-  let slots = G.m graph in
+  let slots = Vecbuf.length src in
   let live = Array.make (max 16 slots) false in
   for s = 0 to slots - 1 do
     live.(s) <- true
@@ -76,8 +89,8 @@ let create ~name ~n ~edges =
     s_name = name;
     s_n = n;
     s_epoch = 1;
-    s_builder = builder;
-    s_graph = graph;
+    s_src = src;
+    s_dst = dst;
     s_live = live;
     s_slots = slots;
     s_live_count = slots;
@@ -104,6 +117,9 @@ let ensure_live_capacity t k =
     t.s_live <- fresh
   end
 
+let add_slot_edge t b s =
+  ignore (G.add_edge b (Vecbuf.get t.s_src s) (Vecbuf.get t.s_dst s))
+
 (* compact the live slots into a standalone graph; [slotmap] sends each
    compact edge id back to its slot *)
 let live_graph t =
@@ -112,13 +128,20 @@ let live_graph t =
   let j = ref 0 in
   for s = 0 to t.s_slots - 1 do
     if t.s_live.(s) then begin
-      let u, v = G.endpoints t.s_graph s in
-      ignore (G.add_edge b u v);
+      add_slot_edge t b s;
       slotmap.(!j) <- s;
       incr j
     end
   done;
   (G.build b, slotmap)
+
+(* every slot, dead ones included, so edge id = slot id *)
+let slot_graph t =
+  let b = G.create_builder t.s_n in
+  for s = 0 to t.s_slots - 1 do
+    add_slot_edge t b s
+  done;
+  G.build b
 
 (* ------------------------------------------------------------------ *)
 (* batch work                                                          *)
@@ -185,15 +208,21 @@ let extract_output ~entry ~slots ~slotmap store =
       Pseudo { slot_colors; k = _k }
 
 (* install a verified forest decomposition as the live incremental
-   coloring over the slot graph. The palette is exactly the colors the
-   batch run used: churn must stay inside the advertised budget, and
-   when it cannot, the session *falls back* instead of silently widening
-   the decomposition. *)
-let install t output verified =
+   coloring over the slot graph. The palette is the color ids the batch
+   run named (max id + 1, which unlike the count of distinct colors
+   holds for sparse ids): churn must stay inside the advertised budget,
+   and when it cannot, the session *falls back* instead of silently
+   widening the decomposition. Only plain forest
+   entries get a live coloring: the insert probe admits a color exactly
+   when the edge closes no cycle in it, which is the whole predicate of
+   a forest decomposition but not of a star forest (every component a
+   star) or a list decomposition (the color must lie in the edge's
+   list). *)
+let install t ~entry output verified =
   match (output, verified) with
-  | Colored { slot_colors; colors_used }, Ok () ->
-      let palette = max 1 colors_used in
-      let col = Coloring.create t.s_graph ~colors:palette in
+  | Colored { slot_colors; _ }, Ok () when not entry.Registry.star ->
+      let palette = 1 + Array.fold_left max 0 slot_colors in
+      let col = Coloring.create (slot_graph t) ~colors:palette in
       Array.iteri
         (fun s c -> if c >= 0 && t.s_live.(s) then Coloring.set col s c)
         slot_colors;
@@ -233,7 +262,7 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
       t.s_batch <-
         Some { b_entry = entry; b_epsilon = epsilon; b_seed = seed;
                b_alpha = alpha };
-      install t output verified;
+      install t ~entry output verified;
       Ok
         {
           d_output = output;
@@ -308,43 +337,41 @@ type churn = {
   ch_epoch : int;
 }
 
-(* the validity re-check behind every incremental answer: inside the
-   maintained cache, the touched component must still satisfy the forest
-   invariant (edges = vertices - 1) *)
-let forest_ok col v c =
-  let ec = Coloring.component_edge_count col v c in
-  let sz = Coloring.component_size col v c in
-  Int.equal ec (sz - 1)
-
-(* full re-decomposition with the remembered batch parameters — the
-   cache declined (no admissible color, or the re-check failed) *)
-let fallback_rebuild t ~slot ~released =
+(* full re-decomposition with the remembered batch parameters for the
+   insert of [slot]: no palette color admits the edge, or the entry has
+   no live coloring to probe. The answer carries the slot's color in the
+   verified re-decomposition. When the re-decomposition fails the
+   insert answers an error, so it must leave no edge behind: the slot,
+   which no client has seen, is removed again. *)
+let fallback_insert t ~slot =
   t.s_fallbacks <- t.s_fallbacks + 1;
   Obs.count "service.fallbacks";
-  match t.s_batch with
-  | None -> Error "no batch parameters to fall back to"
-  | Some b -> (
-      match
+  let redecomposed =
+    match t.s_batch with
+    | None -> Error "no batch parameters to fall back to"
+    | Some b ->
         decompose t ~entry:b.b_entry ~epsilon:b.b_epsilon ~seed:b.b_seed
           ~alpha:b.b_alpha
-      with
-      | Error e ->
-          t.s_col <- None;
-          Error ("fallback re-decomposition failed: " ^ e)
-      | Ok _ ->
-          let color =
-            match (released, t.s_col) with
-            | Some c, _ -> Some c
-            | None, Some col -> Coloring.color col slot
-            | None, None -> None
-          in
-          Ok
-            {
-              ch_edge = slot;
-              ch_color = color;
-              ch_mode = Fallback;
-              ch_epoch = t.s_epoch;
-            })
+  in
+  match redecomposed with
+  | Error e ->
+      t.s_col <- None;
+      t.s_slots <- slot;
+      t.s_live.(slot) <- false;
+      t.s_live_count <- t.s_live_count - 1;
+      Vecbuf.truncate t.s_src slot;
+      Vecbuf.truncate t.s_dst slot;
+      Error ("fallback re-decomposition failed: " ^ e)
+  | Ok d ->
+      let color =
+        match (d.d_output, d.d_verified) with
+        | Colored { slot_colors; _ }, Ok () when slot_colors.(slot) >= 0 ->
+            Some slot_colors.(slot)
+        | _ -> None
+      in
+      Ok
+        { ch_edge = slot; ch_color = color; ch_mode = Fallback;
+          ch_epoch = t.s_epoch }
 
 let incremental_ok t ~slot ~color =
   t.s_incremental <- t.s_incremental + 1;
@@ -352,28 +379,38 @@ let incremental_ok t ~slot ~color =
   Ok { ch_edge = slot; ch_color = color; ch_mode = Incremental;
        ch_epoch = t.s_epoch }
 
+(* the last batch promised a coloring: every insert must answer with a
+   color, so without a live coloring to probe it re-decomposes *)
+let promised_coloring t =
+  match t.s_batch with
+  | Some { b_entry = { Registry.yields = Registry.Coloring_out; _ }; _ } ->
+      true
+  | Some _ | None -> false
+
 let insert_edge t ~u ~v =
   match valid_edge ~n:t.s_n u v with
   | Error e -> Error e
   | Ok () -> (
-      let slot = G.add_edge t.s_builder u v in
+      let slot = t.s_slots in
+      Vecbuf.push t.s_src u;
+      Vecbuf.push t.s_dst v;
       ensure_live_capacity t (slot + 1);
       t.s_live.(slot) <- true;
       t.s_slots <- slot + 1;
       t.s_live_count <- t.s_live_count + 1;
-      t.s_graph <- G.build t.s_builder;
       t.s_epoch <- t.s_epoch + 1;
       match t.s_col with
+      | None when promised_coloring t -> fallback_insert t ~slot
       | None ->
-          (* no live decomposition: the append is structural only *)
+          (* no decomposition yet: the append is structural only *)
           incremental_ok t ~slot ~color:None
       | Some col -> (
-          (* carry the whole cache onto the grown graph, then probe the
+          (* append the edge to the cache in place, then probe the
              palette: color c admits the edge iff u and v are not
              already connected in forest c — O(palette · α(n)) against
-             the union-find, no BFS, no pipeline *)
-          let col = Coloring.extend col t.s_graph in
-          t.s_col <- Some col;
+             the union-find, plus the lazy O(n + m_c) rebuild of a color
+             a delete dirtied; no BFS, no pipeline *)
+          ignore (Coloring.add_edge col u v);
           let rec probe c =
             if c >= t.s_palette then None
             else if not (Coloring.connected col c u v) then Some c
@@ -382,13 +419,8 @@ let insert_edge t ~u ~v =
           match probe 0 with
           | Some c ->
               Coloring.set col slot c;
-              if forest_ok col u c then incremental_ok t ~slot ~color:(Some c)
-              else begin
-                (* cache inconsistency: unwind this edge and rebuild *)
-                Coloring.unset col slot;
-                fallback_rebuild t ~slot ~released:None
-              end
-          | None -> fallback_rebuild t ~slot ~released:None))
+              incremental_ok t ~slot ~color:(Some c)
+          | None -> fallback_insert t ~slot))
 
 let delete_edge t ~edge =
   if edge < 0 || edge >= t.s_slots then
@@ -399,17 +431,15 @@ let delete_edge t ~edge =
     t.s_live.(edge) <- false;
     t.s_live_count <- t.s_live_count - 1;
     t.s_epoch <- t.s_epoch + 1;
-    match t.s_col with
-    | None -> incremental_ok t ~slot:edge ~color:None
-    | Some col -> (
-        match Coloring.color col edge with
-        | None -> incremental_ok t ~slot:edge ~color:None
-        | Some c ->
-            let u, _ = G.endpoints t.s_graph edge in
-            Coloring.unset col edge;
-            (* deletion only shrinks forests, but the re-check still
-               guards the lazily rebuilt cache before the next probe
-               trusts it *)
-            if forest_ok col u c then incremental_ok t ~slot:edge ~color:(Some c)
-            else fallback_rebuild t ~slot:edge ~released:(Some c))
+    (* deletion only shrinks a forest: unset dirties the edge's color,
+       whose union-find is rebuilt by the next probe that reaches it *)
+    let color =
+      match t.s_col with
+      | None -> None
+      | Some col ->
+          let c = Coloring.color col edge in
+          Coloring.unset col edge;
+          c
+    in
+    incremental_ok t ~slot:edge ~color
   end

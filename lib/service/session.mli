@@ -2,7 +2,8 @@
 
     A session owns a growing edge-slot table over a fixed vertex set:
     insertions append a slot, deletions tombstone one (slot ids — the
-    wire protocol's edge ids — are never reused), and every mutation or
+    wire protocol's edge ids — are never reused once an insert has
+    answered with them), and every mutation or
     re-decomposition bumps the session {e epoch}, so a client can order
     responses and detect staleness.
 
@@ -12,18 +13,28 @@
     construction, same alpha resolution, same pipeline — so a served
     response is byte-identical to the one-shot path on the same graph.
 
-    After a forest decomposition, edge churn is answered
-    {e incrementally}: the live {!Nw_decomp.Coloring} is
-    {!Nw_decomp.Coloring.extend}ed onto the grown graph and the new edge
-    probes the existing palette with {!Nw_decomp.Coloring.connected}
-    (O(α(n)) amortized per color, against the PR1 per-color union-find).
-    A successful probe is validity re-checked against the forest
-    invariant (component edge count = component size − 1 in the cache);
-    if no color admits the edge or the re-check fails, the session falls
-    back to a full re-decomposition with the remembered batch
-    parameters — the fallback saves engine checkpoints as it goes and
-    resumes from the last pass boundary if an attempt dies. Chaos plans
-    armed on the session run batch work under
+    After a verified forest decomposition, edge churn is answered
+    {e incrementally} and in place, at a cost that does not grow with
+    the edge count m. The session keeps its slot table as two endpoint
+    rows and the live {!Nw_decomp.Coloring} over every slot (edge id =
+    slot id); no slot graph is built per update. An insert appends the
+    edge to the coloring ({!Nw_decomp.Coloring.add_edge}, amortized
+    O(1)), probes the palette in color order with
+    {!Nw_decomp.Coloring.connected} (O(α(n)) amortized per color) and
+    colors the edge with the first admissible color; {!Nw_decomp.Coloring.set}
+    itself refuses a cycle, so no re-check follows. A delete is a bare
+    {!Nw_decomp.Coloring.unset}: it dirties the edge's color, and the
+    next probe that reaches that color rebuilds its union-find from the
+    color's own edges, O(n + m_c) with m_c ≤ n − 1 — the one per-update
+    term left, proportional to n, never to m.
+
+    If no palette color admits the edge, or the last batch entry has no
+    live coloring (star-forest and list entries: the forest-only probe
+    cannot enforce their predicate), the session falls back to a full
+    re-decomposition with the remembered batch parameters, checked with
+    the entry's own checker — the fallback saves engine checkpoints as
+    it goes and resumes from the last pass boundary if an attempt dies.
+    Chaos plans armed on the session run batch work under
     {!Nw_chaos.Harness.run_epochs_resumable}, so every served response
     carries the harness's valid/detected/corrupt classification. *)
 
@@ -46,6 +57,10 @@ val total_slots : t -> int
 
 val incremental_updates : t -> int
 val fallbacks : t -> int
+
+(** The live incremental coloring as one color per slot ([-1] for dead
+    or uncolored slots), when the session has one. Fresh array. *)
+val slot_colors : t -> int array option
 
 (** Wire name of the algorithm behind the live coloring, if any. *)
 val last_algorithm : t -> string option
@@ -81,11 +96,11 @@ type decomposed = {
 }
 
 (** Run a registry entry over the compacted live graph. [alpha:None]
-    resolves the exact arboricity like the CLI does. A [Colored] result
-    becomes the session's live incremental coloring (palette = colors
-    used); [Oriented]/[Pseudo] results clear it. [Error] covers an
-    empty-session decompose and a chaos-killed run (the detail carries
-    the harness classification). *)
+    resolves the exact arboricity like the CLI does. A verified
+    [Colored] result of a non-star entry becomes the session's live
+    incremental coloring (palette = max color id + 1); any other result
+    clears it. [Error] covers an empty-session decompose and a
+    chaos-killed run (the detail carries the harness classification). *)
 val decompose :
   t ->
   entry:Nw_engine.Registry.entry ->
@@ -109,12 +124,20 @@ type churn = {
   ch_epoch : int;
 }
 
-(** Append an edge slot. With a live coloring, extends it and probes the
-    palette; falls back to a full re-decomposition when the cache
-    declines. Without one, the append is structural only. *)
+(** Append an edge slot. With a live coloring, appends the edge to it in
+    place and probes the palette: O(palette · α(n)) amortized, plus
+    O(n + m_c) for each color a delete dirtied since its last probe.
+    Falls back to a full re-decomposition when no color admits the edge,
+    or when the last batch yielded a coloring but left no live one (a
+    star-forest or list entry, or an unverified result), so an insert
+    after a coloring batch always answers with a color. Before any batch
+    the append is structural only. When the fallback's re-decomposition
+    fails the insert answers [Error] and leaves the edges as they were:
+    the slot is not kept, and the next insert gets its id. *)
 val insert_edge : t -> u:int -> v:int -> (churn, string) result
 
-(** Tombstone a slot. With a live coloring this is a pure cache
-    operation (unset + lazy invalidation) followed by the forest
-    invariant re-check; it never needs the fallback. *)
+(** Tombstone a slot. With a live coloring this is a bare unset of the
+    slot's edge, O(1): its color's union-find is rebuilt lazily by the
+    next probe that reaches it. Deletion only shrinks a forest, so it
+    never needs the fallback. *)
 val delete_edge : t -> edge:int -> (churn, string) result

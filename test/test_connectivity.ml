@@ -260,15 +260,15 @@ let test_copy_preserves_cache_coherence () =
   check_all_queries "churned original" c
 
 (* -------------------------------------------------------------------- *)
-(* dynamic-graph differential: extend/connected vs a DFS oracle         *)
+(* dynamic-graph differential: add_edge/connected vs a DFS oracle       *)
 (* -------------------------------------------------------------------- *)
 
 (* The session layer's churn pattern (docs/service.md): an insertion
-   extends the live coloring onto a supergraph and probes the palette
+   appends an edge to the live coloring in place and probes the palette
    with [connected]; a deletion tombstones a slot (unset — slot ids are
    never reused). Replay one op script on the coloring cache and check
-   every probe, every chosen insertion color, and the final snapshot
-   against a from-scratch DFS oracle. *)
+   every probe, every chosen insertion color, the final snapshot and
+   the rebuilt graph against a from-scratch DFS oracle. *)
 
 type dyn_op =
   | Insert of int * int
@@ -297,36 +297,38 @@ let gen_script st n k steps =
   done;
   List.rev !ops
 
-(* replay on the cache; every Insert rebuilds the supergraph and goes
-   through [extend], mirroring Session.insert_edge *)
+(* replay on the cache; every Insert appends through [add_edge],
+   mirroring Session.insert_edge *)
 let replay n k script =
   let edges = ref [] (* reversed *) in
-  let c = ref (Coloring.create (G.of_edges n []) ~colors:k) in
+  let c = Coloring.create (G.of_edges n []) ~colors:k in
   let probes = ref [] and chosen = ref [] in
   List.iter
     (fun op ->
       match op with
       | Insert (u, v) ->
+          let e = Coloring.add_edge c u v in
+          if e <> List.length !edges then
+            Alcotest.fail "add_edge did not return the next edge id";
           edges := (u, v) :: !edges;
-          let g' = G.of_edges n (List.rev !edges) in
-          c := Coloring.extend !c g';
-          let e = G.m g' - 1 in
           let col = ref (-1) in
           (try
              for cand = 0 to k - 1 do
-               if not (Coloring.connected !c cand u v) then begin
+               if not (Coloring.connected c cand u v) then begin
                  col := cand;
                  raise Exit
                end
              done
            with Exit -> ());
-          if !col >= 0 then Coloring.set !c e !col;
+          if !col >= 0 then Coloring.set c e !col;
           chosen := !col :: !chosen
-      | Delete i -> if Coloring.color !c i <> None then Coloring.unset !c i
+      | Delete i -> if Coloring.color c i <> None then Coloring.unset c i
       | Probe (col, u, v) ->
-          probes := Coloring.connected !c col u v :: !probes)
+          probes := Coloring.connected c col u v :: !probes)
     script;
-  (List.rev !probes, List.rev !chosen, Coloring.to_array !c)
+  if G.edges (Coloring.graph c) <> Array.of_list (List.rev !edges) then
+    Alcotest.fail "the rebuilt graph differs from the inserted edges";
+  (List.rev !probes, List.rev !chosen, Coloring.to_array c)
 
 (* the DFS oracle replays the same script over a plain slot table *)
 let replay_oracle n k script =
@@ -383,7 +385,7 @@ let replay_oracle n k script =
   in
   (List.rev !probes, List.rev !chosen, snapshot)
 
-let prop_extend_connected_differential =
+let prop_add_edge_connected_differential =
   QCheck.Test.make
     ~name:"extend/connected == DFS oracle under tombstoned churn"
     ~count:30 (QCheck.int_bound 1_000_000)
@@ -416,5 +418,5 @@ let () =
       qsuite "differential"
         [ prop_differential; prop_component_counts; prop_path_walk ];
       qsuite "dynamic"
-        [ prop_extend_connected_differential ];
+        [ prop_add_edge_connected_differential ];
     ]

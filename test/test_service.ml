@@ -14,7 +14,9 @@
      palette color admits the edge, with a correct fallback otherwise;
    - golden equivalence: a served decompose is byte-identical to the
      one-shot engine sequence forestd runs for the same graph and seed,
-     and Coloring.extend/connected agree with a from-scratch oracle. *)
+     Coloring.add_edge/connected agree with a from-scratch oracle, and
+     seeded churn scripts answer exactly as a session that rebuilds its
+     graph and coloring after every operation. *)
 
 module G = Nw_graphs.Multigraph
 module Gen = Nw_graphs.Generators
@@ -363,7 +365,38 @@ let churn_incremental_then_fallback () =
   | Ok _ -> Alcotest.fail "double delete must be rejected"
   | Error _ -> ()
 
-(* --- Coloring.extend / connected differential ----------------------- *)
+(* a star entry keeps no live coloring, so every insert falls back to a
+   verified star-forest decomposition; an insert whose fallback fails
+   (the simple-only star pipeline handed a parallel edge) answers an
+   error and keeps no slot *)
+let churn_star_fallback () =
+  let s = Session.create ~name:"st" ~n:5 ~edges:[ (0, 1); (1, 2); (2, 3) ] in
+  (match
+     Session.decompose s ~entry:(entry "star") ~epsilon:0.5 ~seed:1
+       ~alpha:None
+   with
+  | Ok d ->
+      Alcotest.(check bool) "star batch verified" true
+        (Result.is_ok d.Session.d_verified)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "no live coloring" true
+    (Option.is_none (Session.slot_colors s));
+  (match Session.insert_edge s ~u:0 ~v:1 with
+  | Ok _ -> Alcotest.fail "a parallel edge must fail the star fallback"
+  | Error _ -> ());
+  Alcotest.(check int) "failed insert keeps no live edge" 3
+    (Session.live_edges s);
+  Alcotest.(check int) "failed insert keeps no slot" 3 (Session.total_slots s);
+  match Session.insert_edge s ~u:3 ~v:4 with
+  | Ok c ->
+      Alcotest.(check string) "star insert falls back" "fallback"
+        (Session.mode_label c.Session.ch_mode);
+      Alcotest.(check int) "slot id reused" 3 c.Session.ch_edge;
+      Alcotest.(check bool) "fallback answers a color" true
+        (Option.is_some c.Session.ch_color)
+  | Error e -> Alcotest.fail e
+
+(* --- Coloring.add_edge / connected differential --------------------- *)
 
 (* naive oracle: u and v are connected in color c iff a DFS over the
    edges of color c reaches v from u *)
@@ -403,21 +436,23 @@ let extend_connected_differential () =
     in
     place 0
   done;
-  (* grow the graph by fresh random edges and carry the cache over *)
-  let b = G.create_builder (G.n g) in
-  Array.iter (fun (u, v) -> ignore (G.add_edge b u v)) (G.edges g);
-  for _ = 1 to 15 do
+  let before = Coloring.to_array col in
+  (* grow the cache in place by fresh random edges *)
+  for i = 1 to 15 do
     let u = Random.State.int st (G.n g) in
     let v = (u + 1 + Random.State.int st (G.n g - 1)) mod G.n g in
-    ignore (G.add_edge b u v)
+    Alcotest.(check int) "next edge id" (G.m g + i - 1)
+      (Coloring.add_edge col u v)
   done;
-  let g' = G.build b in
-  let col' = Coloring.extend col g' in
-  (* old assignments survive verbatim *)
-  for e = 0 to G.m g - 1 do
+  let g' = Coloring.graph col in
+  Alcotest.(check int) "grown graph" (G.m g + 15) (G.m g');
+  (* old assignments survive verbatim; the new edges start uncolored *)
+  let after = Coloring.to_array col in
+  for e = 0 to G.m g' - 1 do
     Alcotest.(check (option int))
       (Printf.sprintf "edge %d color preserved" e)
-      (Coloring.color col e) (Coloring.color col' e)
+      (if e < G.m g then before.(e) else None)
+      after.(e)
   done;
   (* connectivity answers match the DFS oracle on the grown graph, for
      every color, across a seeded sample of vertex pairs *)
@@ -427,10 +462,173 @@ let extend_connected_differential () =
     for c = 0 to colors - 1 do
       Alcotest.(check bool)
         (Printf.sprintf "connected(%d) %d-%d matches oracle" c u v)
-        (oracle_connected g' col' c u v)
-        (Coloring.connected col' c u v)
+        (oracle_connected g' col c u v)
+        (Coloring.connected col c u v)
     done
   done
+
+(* --- churn differential: in-place session vs rebuild-everything ------ *)
+
+(* The oracle is the session as it behaved when every operation rebuilt
+   the slot graph and the coloring from scratch: a plain slot table, a
+   DFS over each color for the palette probe, and a one-shot engine run
+   on the compacted live graph for the fallback. *)
+type oracle = {
+  o_n : int;
+  mutable o_slots : (int * int) list;  (* reversed *)
+  mutable o_live : bool array;
+  mutable o_colors : int array;  (* slot -> color, -1 dead or uncolored *)
+  mutable o_palette : int;
+  mutable o_epoch : int;
+}
+
+let oracle_slot o s = List.nth o.o_slots (List.length o.o_slots - 1 - s)
+
+let oracle_color_connected o c u v =
+  let adj = Array.make o.o_n [] in
+  List.iteri
+    (fun i (a, b) ->
+      let s = List.length o.o_slots - 1 - i in
+      if o.o_colors.(s) = c then begin
+        adj.(a) <- b :: adj.(a);
+        adj.(b) <- a :: adj.(b)
+      end)
+    o.o_slots;
+  let seen = Array.make o.o_n false in
+  let rec dfs x =
+    if not seen.(x) then begin
+      seen.(x) <- true;
+      List.iter dfs adj.(x)
+    end
+  in
+  dfs u;
+  seen.(v)
+
+let oracle_decompose o ~name ~seed =
+  let slots = List.length o.o_slots in
+  let b = G.create_builder o.o_n and slotmap = ref [] in
+  for s = 0 to slots - 1 do
+    if o.o_live.(s) then begin
+      let u, v = oracle_slot o s in
+      ignore (G.add_edge b u v);
+      slotmap := s :: !slotmap
+    end
+  done;
+  let gl = G.build b and slotmap = Array.of_list (List.rev !slotmap) in
+  let alpha = fst (Nw_baseline.Gabow_westermann.arboricity gl) in
+  let col = one_shot gl ~name ~epsilon:0.5 ~seed ~alpha in
+  o.o_colors <- Array.make slots (-1);
+  Array.iteri
+    (fun e s -> o.o_colors.(s) <- Option.value ~default:(-1) (Coloring.color col e))
+    slotmap;
+  o.o_palette <- 1 + Array.fold_left max 0 o.o_colors;
+  o.o_epoch <- o.o_epoch + 1
+
+(* (mode, color, epoch) of one oracle churn answer *)
+let oracle_insert o ~name ~seed u v =
+  let slot = List.length o.o_slots in
+  o.o_slots <- (u, v) :: o.o_slots;
+  o.o_live <- Array.append o.o_live [| true |];
+  o.o_colors <- Array.append o.o_colors [| -1 |];
+  o.o_epoch <- o.o_epoch + 1;
+  let rec probe c =
+    if c >= o.o_palette then None
+    else if not (oracle_color_connected o c u v) then Some c
+    else probe (c + 1)
+  in
+  match probe 0 with
+  | Some c ->
+      o.o_colors.(slot) <- c;
+      ("incremental", Some c, o.o_epoch)
+  | None ->
+      oracle_decompose o ~name ~seed;
+      ("fallback", Some o.o_colors.(slot), o.o_epoch)
+
+let oracle_delete o slot =
+  o.o_live.(slot) <- false;
+  o.o_epoch <- o.o_epoch + 1;
+  let released = o.o_colors.(slot) in
+  o.o_colors.(slot) <- -1;
+  ("incremental", (if released >= 0 then Some released else None), o.o_epoch)
+
+let churn_matches_rebuild_oracle name =
+  QCheck.Test.make ~count:25
+    ~name:(name ^ " churn = rebuild oracle")
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 5 + Random.State.int st 8 in
+      let g = Gen.forest_union st n (1 + Random.State.int st 2) in
+      let edges = Array.to_list (G.edges g) in
+      let s = Session.create ~name:"q" ~n ~edges in
+      let o =
+        { o_n = n; o_slots = List.rev edges;
+          o_live = Array.make (List.length edges) true; o_colors = [||];
+          o_palette = 0; o_epoch = 1 }
+      in
+      (match
+         Session.decompose s ~entry:(entry name) ~epsilon:0.5 ~seed
+           ~alpha:None
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      oracle_decompose o ~name ~seed;
+      let check_live step =
+        let cols =
+          match Session.slot_colors s with
+          | Some c -> c
+          | None -> Alcotest.failf "step %d: no live coloring" step
+        in
+        if cols <> o.o_colors then
+          Alcotest.failf "step %d: slot colors differ from the oracle" step;
+        let b = G.create_builder n and assigned = ref [] in
+        Array.iteri
+          (fun slot c ->
+            if o.o_live.(slot) then begin
+              let u, v = oracle_slot o slot in
+              assigned := (G.add_edge b u v, c) :: !assigned
+            end)
+          cols;
+        let col = Coloring.create (G.build b) ~colors:(max 1 o.o_palette) in
+        List.iter
+          (fun (e, c) ->
+            if c < 0 then Alcotest.failf "step %d: a live slot is uncolored" step;
+            Coloring.set col e c)
+          !assigned;
+        match Verify.forest_decomposition col with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "step %d: %s" step e
+      in
+      check_live 0;
+      for step = 1 to 40 do
+        let live = Session.live_edges s in
+        let expected, got =
+          if live <= 1 || Random.State.int st 5 < 3 then begin
+            let u = Random.State.int st n in
+            let v = (u + 1 + Random.State.int st (n - 1)) mod n in
+            (oracle_insert o ~name ~seed u v, Session.insert_edge s ~u ~v)
+          end
+          else begin
+            let rec pick () =
+              let slot = Random.State.int st (Session.total_slots s) in
+              if o.o_live.(slot) then slot else pick ()
+            in
+            let slot = pick () in
+            (oracle_delete o slot, Session.delete_edge s ~edge:slot)
+          end
+        in
+        (match got with
+        | Ok c ->
+            let answer =
+              (Session.mode_label c.Session.ch_mode, c.Session.ch_color,
+               c.Session.ch_epoch)
+            in
+            if answer <> expected then
+              Alcotest.failf "step %d: answer differs from the oracle" step
+        | Error e -> Alcotest.failf "step %d: %s" step e);
+        check_live step
+      done;
+      true)
 
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
@@ -462,5 +660,11 @@ let () =
           [
             ("incremental vs fallback", churn_incremental_then_fallback);
             ("extend/connected differential", extend_connected_differential);
-          ] );
+            ("star inserts fall back", churn_star_fallback);
+          ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              churn_matches_rebuild_oracle "augment";
+              churn_matches_rebuild_oracle "exact";
+            ] );
     ]
