@@ -8,7 +8,6 @@
 module G = Nw_graphs.Multigraph
 module Gen = Nw_graphs.Generators
 module Coloring = Nw_decomp.Coloring
-module Verify = Nw_decomp.Verify
 module Rounds = Nw_localsim.Rounds
 module Engine = Nw_engine.Engine
 module Store = Nw_engine.Store
@@ -59,24 +58,12 @@ let smoke_entry g ~alpha entry =
        (Engine.digest (entry.Registry.build spec))
        (Engine.digest (entry.Registry.build spec)));
   let store = run_entry entry spec ~seed:42 in
-  (match entry.Registry.yields with
-  | Registry.Coloring_out ->
-      let c = Store.coloring store "coloring" in
-      check_report (name "verify")
-        (if entry.Registry.star then Verify.star_forest_decomposition c
-         else Verify.forest_decomposition c);
-      (* same seed, same pipeline => byte-identical coloring *)
-      let store' = run_entry entry spec ~seed:42 in
-      check (name "replay") (coloring_of store = coloring_of store')
-  | Registry.Orientation_out ->
-      check (name "orientation-bound")
-        (Nw_graphs.Orientation.max_out_degree
-           (Store.orientation store "orientation")
-         <= int_of_float (ceil ((1. +. 0.5) *. float_of_int alpha)))
-  | Registry.Pseudo_out ->
-      let assignment, k = Store.assignment store "assignment" in
-      check_report (name "verify")
-        (Verify.pseudo_forest_assignment g assignment ~k))
+  check_report (name "verify") (Registry.verify entry spec store);
+  if entry.Registry.yields = Registry.Coloring_out then begin
+    (* same seed, same pipeline => byte-identical coloring *)
+    let store' = run_entry entry spec ~seed:42 in
+    check (name "replay") (coloring_of store = coloring_of store')
+  end
 
 (* checkpoint/resume: a crash after pass [i] must resume to the same
    coloring while recharging only the rounds of the remaining passes *)

@@ -18,7 +18,9 @@
    The allocation leg runs Algorithm 2's augmenting phase
    (Forest_algo.partial_color) and bounds the minor-heap words per
    augment call. The churn leg serves edge inserts and deletes on a
-   20000-vertex Session and bounds the bytes allocated per update.
+   20000-vertex Session and bounds the bytes allocated per update. The
+   alpha leg counts the matroid partitions a served decompose with alpha
+   omitted runs on the same session shape.
 
    Prints a wall-clock ns/query table with the cached/BFS speedup, then a
    Bechamel pass over the same kernels for statistically robust per-run
@@ -393,6 +395,64 @@ let churn_alloc_check () =
   end;
   flush stdout
 
+(* ------------------------------------------------------------------ *)
+(* alpha leg: matroid partitions per served decompose with alpha omitted *)
+(* ------------------------------------------------------------------ *)
+
+(* The serve-churn session shape: forest_union n=20000 alpha=3
+   (m = 3(n-1), so the density bound is 3 and the degeneracy 4), and the
+   same graph plus one edge (density bound 4 = degeneracy). An augment
+   decompose with alpha omitted resolves alpha by the Nash-Williams
+   sandwich: no partition when the bounds meet, one at the density bound
+   when alpha equals it. A binary search from the degeneracy runs 2 and
+   1. Each partition is a "baseline.gabow_westermann" span; the count is
+   deterministic, so the gate is on it, not on time. *)
+let alpha_resolution_check () =
+  let n = 20_000 and alpha = 3 in
+  let g = Gen.forest_union (rng n) n alpha in
+  let entry = Option.get (Nw_engine.Registry.find "augment") in
+  let partitions label ~extra ~limit =
+    let edges = Array.to_list (G.edges g) @ extra in
+    let s = Session.create ~name:"perf-smoke-alpha" ~n ~edges in
+    Obs.set_enabled true;
+    let t0 = Unix.gettimeofday () in
+    let r, trace =
+      Obs.collect (fun () ->
+          Session.decompose s ~entry ~epsilon:0.5 ~seed:7 ~alpha:None)
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    Obs.set_enabled false;
+    let resolved =
+      match r with
+      | Ok d -> d.Session.d_alpha
+      | Error e ->
+          Printf.eprintf "perf smoke: alpha leg decompose failed: %s\n" e;
+          exit 1
+    in
+    let calls =
+      List.fold_left
+        (fun acc (p : Obs.phase) ->
+          if String.equal p.Obs.name "baseline.gabow_westermann" then
+            acc + p.Obs.calls
+          else acc)
+        0 (Obs.phases trace)
+    in
+    Printf.printf
+      "%-10s m=%d alpha=%d: %d partitions (limit %d), %.2f s traced\n" label
+      (List.length edges) resolved calls limit wall;
+    if calls > limit then begin
+      Printf.eprintf
+        "perf smoke: %s decompose ran %d matroid partitions, limit %d\n"
+        label calls limit;
+      exit 1
+    end
+  in
+  Printf.printf
+    "\n== alpha: partitions per served decompose, n=%d alpha=%d ==\n" n alpha;
+  partitions "initial" ~extra:[] ~limit:1;
+  partitions "plus edge" ~extra:[ (0, 1) ] ~limit:0;
+  flush stdout
+
 let () =
   let fast = Array.exists (( = ) "--fast") Sys.argv in
   let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv in
@@ -403,5 +463,6 @@ let () =
   data_plane_check ~fast;
   augment_alloc_check ();
   churn_alloc_check ();
+  alpha_resolution_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -148,8 +148,8 @@ let info_run path exact =
   let alpha_star, _ = Arb.pseudo_arboricity g in
   Format.printf "pseudo-arboricity: %d@." alpha_star;
   if exact then begin
-    let alpha, _ = Nw_baseline.Gabow_westermann.arboricity g in
-    Format.printf "arboricity (exact): %d@." alpha
+    Format.printf "arboricity (exact): %d@."
+      (Nw_baseline.Gabow_westermann.arboricity_value g)
   end
 
 let info_cmd =
@@ -157,7 +157,9 @@ let info_cmd =
     Arg.(
       value & flag
       & info [ "exact" ]
-          ~doc:"Also compute the exact arboricity (matroid partition).")
+          ~doc:
+            "Also compute the exact arboricity (the density bound when it \
+             meets the degeneracy, else by matroid partition).")
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Print graph statistics.")
@@ -213,7 +215,7 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   let alpha =
     match alpha_opt with
     | Some a -> a
-    | None -> fst (Nw_baseline.Gabow_westermann.arboricity g)
+    | None -> Nw_baseline.Gabow_westermann.arboricity_value g
   in
   Format.printf "graph: %a, alpha = %d, eps = %g@." G.pp g alpha epsilon;
   (* the flight recorder and metrics server piggyback on the Obs stream;
@@ -527,7 +529,7 @@ let stats_run path algorithm epsilon seed alpha_opt =
   let alpha =
     match alpha_opt with
     | Some a -> a
-    | None -> fst (Nw_baseline.Gabow_westermann.arboricity g)
+    | None -> Nw_baseline.Gabow_westermann.arboricity_value g
   in
   Obs.set_enabled true;
   let (), t =

@@ -30,7 +30,17 @@ val list_forest_partition :
     {!forest_partition}. Polynomial time; exact on any multigraph. *)
 val arboricity : Nw_graphs.Multigraph.t -> int * Nw_decomp.Coloring.t
 
-(** [density_witness g k]: when [forest_partition g k] stalls, the witness
-    vertex set [S] satisfies [|E(G[S])| > k * (|S| - 1)]; this checks that
-    inequality (used by tests). *)
+(** [arboricity_value g] is [fst (arboricity g)], found with as few
+    partitions as the Nash-Williams sandwich allows. The density bound
+    [lo = max_C ⌈m_C/(n_C−1)⌉] is a lower bound on [α] and the
+    degeneracy [hi] an upper bound: when they meet, [lo] is returned
+    without running any partition; otherwise one {!forest_partition} at
+    [lo] settles the common case [α = lo], and only a stall there falls
+    back to the binary search over [(lo, hi]]. Returns no witness: use
+    {!arboricity} when the decomposition itself is needed. *)
+val arboricity_value : Nw_graphs.Multigraph.t -> int
+
+(** [check_witness g k vertices]: when [forest_partition g k] stalls, the
+    witness vertex set [S] satisfies [|E(G[S])| > k * (|S| - 1)]; this
+    checks that inequality for [S = vertices] (used by tests). *)
 val check_witness : Nw_graphs.Multigraph.t -> int -> int list -> bool

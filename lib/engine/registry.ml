@@ -1,6 +1,7 @@
 module G = Nw_graphs.Multigraph
 module Arb = Nw_graphs.Arboricity
 module Palette = Nw_decomp.Palette
+module Verify = Nw_decomp.Verify
 
 type spec = { graph : G.t; epsilon : float; alpha : int }
 type yields = Coloring_out | Orientation_out | Pseudo_out
@@ -16,11 +17,13 @@ type entry = {
 }
 
 (* the `lsfd` CLI recipe sizes its own palette from the graph's exact
-   pseudo-arboricity, like the paper's Theorem 2.3 statement *)
+   pseudo-arboricity, like the paper's Theorem 2.3 statement; an
+   edgeless graph (α* = 0) gets an empty palette, not a negative one *)
 let build_lsfd { graph = g; epsilon; alpha = _ } =
   let alpha_star, _ = Arb.pseudo_arboricity g in
   let k =
-    int_of_float (floor ((4.0 +. epsilon) *. float_of_int alpha_star)) - 1
+    max 0
+      (int_of_float (floor ((4.0 +. epsilon) *. float_of_int alpha_star)) - 1)
   in
   let palette = Palette.full g k in
   Pipelines.lsfd g palette ~epsilon ~alpha_star
@@ -115,6 +118,22 @@ let all =
         (fun s -> Pipelines.pseudo s.graph ~epsilon:s.epsilon ~alpha:s.alpha);
     };
   ]
+
+let verify entry { graph = g; epsilon; alpha } store =
+  match entry.yields with
+  | Coloring_out ->
+      let c = Store.coloring store "coloring" in
+      if entry.star then Verify.star_forest_decomposition c
+      else Verify.forest_decomposition c
+  | Orientation_out ->
+      let o = Store.orientation store "orientation" in
+      let bound =
+        int_of_float (ceil ((1. +. epsilon) *. float_of_int alpha))
+      in
+      Verify.orientation_out_degree o bound
+  | Pseudo_out ->
+      let a, k = Store.assignment store "assignment" in
+      Verify.pseudo_forest_assignment g a ~k
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
 let names () = List.map (fun e -> e.name) all

@@ -30,6 +30,14 @@ type entry = {
 }
 
 val all : entry list
+
+(** [verify entry spec store] is [entry]'s own checker on the store its
+    pipeline left for [spec]: a (star) forest decomposition for
+    [Coloring_out] (star when [entry.star]), out-degree at most
+    [⌈(1+ε)α⌉] for [Orientation_out], a pseudo-forest assignment for
+    [Pseudo_out]. *)
+val verify : entry -> spec -> Store.t -> (unit, string) result
+
 val find : string -> entry option
 val names : unit -> string list
 

@@ -15,8 +15,10 @@ module Artifact = Nw_engine.Artifact
 (* the batch parameters behind the live coloring, remembered so the
    churn fallback can re-run the same decomposition on the mutated
    graph. [b_alpha] keeps the caller's option: when it was omitted the
-   fallback re-resolves the exact arboricity of the *new* graph rather
-   than reusing a bound the mutations may have invalidated. *)
+   fallback re-resolves the exact arboricity of the *new* graph (by the
+   Nash-Williams sandwich, a partition only when the density bound and
+   the degeneracy disagree) rather than reusing a bound the mutations
+   may have invalidated. *)
 type batch = {
   b_entry : Registry.entry;
   b_epsilon : float;
@@ -167,23 +169,6 @@ type decomposed = {
   d_chaos : chaos_summary option;
 }
 
-(* same checkers the engine smoke gate applies per yields kind *)
-let verify_output ~entry ~gl ~epsilon ~alpha store =
-  match entry.Registry.yields with
-  | Registry.Coloring_out ->
-      let c = EStore.coloring store "coloring" in
-      if entry.Registry.star then Verify.star_forest_decomposition c
-      else Verify.forest_decomposition c
-  | Registry.Orientation_out ->
-      let o = EStore.orientation store "orientation" in
-      let bound =
-        int_of_float (ceil ((1. +. epsilon) *. float_of_int alpha))
-      in
-      Verify.orientation_out_degree o bound
-  | Registry.Pseudo_out ->
-      let a, k = EStore.assignment store "assignment" in
-      Verify.pseudo_forest_assignment gl a ~k
-
 let extract_output ~entry ~slots ~slotmap store =
   match entry.Registry.yields with
   | Registry.Coloring_out ->
@@ -239,11 +224,10 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
     let alpha_v =
       match alpha with
       | Some a -> a
-      | None -> fst (Nw_baseline.Gabow_westermann.arboricity gl)
+      | None -> Nw_baseline.Gabow_westermann.arboricity_value gl
     in
-    let pipeline =
-      entry.Registry.build { Registry.graph = gl; epsilon; alpha = alpha_v }
-    in
+    let spec = { Registry.graph = gl; epsilon; alpha = alpha_v } in
+    let pipeline = entry.Registry.build spec in
     (* the exact one-shot sequence of [forestd decompose]: a fresh seeded
        RNG, a fresh rounds ledger, the graph under "graph" — so the
        served output is byte-identical to the CLI on the same graph *)
@@ -254,7 +238,7 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
       let init = EStore.put EStore.empty "graph" (Artifact.Graph gl) in
       Engine.run ?resume ~checkpoint:save ctx pipeline ~init
     in
-    let verify = verify_output ~entry ~gl ~epsilon ~alpha:alpha_v in
+    let verify = Registry.verify entry spec in
     let finish store chaos_summary =
       let output = extract_output ~entry ~slots:t.s_slots ~slotmap store in
       let verified = verify store in

@@ -13,6 +13,7 @@ module GW = Nw_baseline.Gabow_westermann
 module Amr = Nw_baseline.Amr_star
 module Greedy = Nw_baseline.Greedy_forest
 module BE = Nw_baseline.Barenboim_elkin
+module Obs = Nw_obs.Obs
 
 let rng seed = Random.State.make [| seed; 31337 |]
 
@@ -52,6 +53,73 @@ let prop_gw_matches_brute_force =
       let n = 4 + Random.State.int st 8 in
       let g = Gen.erdos_renyi st n 0.5 in
       G.m g = 0 || fst (GW.arboricity g) = Arb.brute_force g)
+
+(* [arboricity_value] must agree with the witnessed search and with
+   Nash-Williams' formula on simple graphs, multigraphs and disjoint
+   unions of both (so components of different density), n <= 12 *)
+let prop_gw_value_matches =
+  QCheck.Test.make ~name:"arboricity_value = arboricity = brute force"
+    ~count:120 (QCheck.int_bound 100000)
+    (fun seed ->
+      let st = rng seed in
+      let small () =
+        let n = 2 + Random.State.int st 5 in
+        match Random.State.int st 3 with
+        | 0 -> Gen.erdos_renyi st n (Random.State.float st 1.0)
+        | 1 -> Gen.forest_union st n (1 + Random.State.int st 3)
+        | _ -> Gen.complete n
+      in
+      let g =
+        match Random.State.int st 3 with
+        | 0 -> Gen.erdos_renyi st (4 + Random.State.int st 9) 0.5
+        | 1 ->
+            Gen.forest_union st (2 + Random.State.int st 11)
+              (1 + Random.State.int st 4)
+        | _ -> Gen.disjoint_union (small ()) (small ())
+      in
+      let v = GW.arboricity_value g in
+      v = fst (GW.arboricity g) && v = Arb.brute_force g)
+
+(* partitions run by [arboricity_value], counted as
+   "baseline.gabow_westermann" spans *)
+let partitions_run g =
+  Obs.set_enabled true;
+  let v, trace =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+        Obs.collect (fun () -> GW.arboricity_value g))
+  in
+  let calls =
+    List.fold_left
+      (fun acc (p : Obs.phase) ->
+        if String.equal p.Obs.name "baseline.gabow_westermann" then
+          acc + p.Obs.calls
+        else acc)
+      0 (Obs.phases trace)
+  in
+  (v, calls)
+
+(* the sandwich, not the binary search, settles these: a cycle has
+   density bound 2 = degeneracy (no partition); K4 has density bound 2 <
+   degeneracy 3 and alpha 2 (one partition, at 2). The search from the
+   degeneracy down would run 1 and 2. K5 with a pendant path has density
+   bound 2 < alpha 3 < degeneracy 4: the partition at 2 stalls and the
+   search over (2, 4] resolves it. *)
+let test_gw_value_partitions () =
+  let k5_tail =
+    G.of_edges 12
+      (Array.to_list (G.edges (Gen.complete 5))
+      @ List.init 7 (fun i -> (4 + i, 5 + i)))
+  in
+  List.iter
+    (fun (name, g, alpha, partitions) ->
+      let v, calls = partitions_run g in
+      Alcotest.(check int) (name ^ " alpha") alpha v;
+      Alcotest.(check int) (name ^ " partitions") partitions calls)
+    [
+      ("cycle", Gen.cycle 9, 2, 0);
+      ("K4", Gen.complete 4, 2, 1);
+      ("K5 + path", k5_tail, 3, 2);
+    ]
 
 let test_gw_witness () =
   (* K5 cannot be covered by 2 forests; the witness must certify it *)
@@ -289,11 +357,14 @@ let () =
         [
           Alcotest.test_case "known" `Quick test_gw_known_arboricities;
           Alcotest.test_case "witness" `Quick test_gw_witness;
+          Alcotest.test_case "value partitions" `Quick
+            test_gw_value_partitions;
           Alcotest.test_case "seymour lists" `Quick test_gw_list_seymour;
         ] );
       qsuite "gw_props"
         [
           prop_gw_matches_brute_force;
+          prop_gw_value_matches;
           prop_gw_witness_on_stall;
           prop_gw_witness_is_closure;
         ];

@@ -49,6 +49,18 @@ let test_gw_disconnected () =
   Alcotest.(check int) "disconnected arboricity = max component" 2 a;
   Verify.exn (Verify.forest_decomposition c)
 
+(* the sandwich path on the same degenerate inputs, plus two components
+   whose densities differ: K5 (alpha 3) beside a path (alpha 1) *)
+let test_gw_value_degenerate () =
+  let value = Nw_baseline.Gabow_westermann.arboricity_value in
+  Alcotest.(check int) "empty arboricity value" 0 (value empty);
+  Alcotest.(check int) "isolated arboricity value" 0 (value isolated);
+  Alcotest.(check int) "single edge value" 1 (value single_edge);
+  Alcotest.(check int) "disconnected value = max component" 2
+    (value disconnected);
+  Alcotest.(check int) "K5 + path value" 3
+    (value (Gen.disjoint_union (Gen.complete 5) (Gen.path 6)))
+
 let test_h_partition_degenerate () =
   let rounds = Rounds.create () in
   let hp =
@@ -159,6 +171,8 @@ let () =
           Alcotest.test_case "arboricity" `Quick test_arboricity_degenerate;
           Alcotest.test_case "gabow-westermann" `Quick test_gw_degenerate;
           Alcotest.test_case "gw disconnected" `Quick test_gw_disconnected;
+          Alcotest.test_case "gw arboricity value" `Quick
+            test_gw_value_degenerate;
           Alcotest.test_case "h-partition" `Quick test_h_partition_degenerate;
           Alcotest.test_case "forest_algo" `Quick test_forest_algo_degenerate;
           Alcotest.test_case "forest_algo disconnected" `Quick

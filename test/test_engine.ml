@@ -397,11 +397,35 @@ let test_simple_only () =
         e.Registry.simple_only rejected)
     Registry.all
 
+(* every entry finishes on an edgeless graph, with the arboricity the
+   CLI resolves (0), and passes its own checker; the lsfd recipe once
+   sized a palette of (4+eps)*0 - 1 = -1 colors here *)
+let test_edgeless () =
+  let g = G.of_edges 5 [] in
+  let alpha = Nw_baseline.Gabow_westermann.arboricity_value g in
+  Alcotest.(check int) "edgeless alpha" 0 alpha;
+  List.iter
+    (fun (e : Registry.entry) ->
+      let spec = { Registry.graph = g; epsilon = 0.5; alpha } in
+      let store =
+        Engine.run
+          (Engine.ctx ~rng:(rng 5) ~rounds:(Rounds.create ()))
+          (e.Registry.build spec)
+          ~init:(Store.put Store.empty "graph" (Artifact.Graph g))
+      in
+      Alcotest.(check (result unit string))
+        (e.Registry.name ^ " verifies on an edgeless graph")
+        (Ok ()) (Registry.verify e spec store))
+    Registry.all
+
 let () =
   Alcotest.run "engine"
     [
       ( "registry",
-        [ Alcotest.test_case "simple_only" `Quick test_simple_only ] );
+        [
+          Alcotest.test_case "simple_only" `Quick test_simple_only;
+          Alcotest.test_case "edgeless" `Quick test_edgeless;
+        ] );
       ( "golden equivalence",
         [
           Alcotest.test_case "augment" `Quick test_equiv_augment;
