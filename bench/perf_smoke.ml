@@ -20,7 +20,9 @@
    augment call. The churn leg serves edge inserts and deletes on a
    20000-vertex Session and bounds the bytes allocated per update. The
    alpha leg counts the matroid partitions a served decompose with alpha
-   omitted runs on the same session shape.
+   omitted runs on the same session shape. The heap leg serves 200
+   decompose batches through Server.handle with Obs on and bounds the
+   growth of the live heap.
 
    Prints a wall-clock ns/query table with the cached/BFS speedup, then a
    Bechamel pass over the same kernels for statistically robust per-run
@@ -453,6 +455,80 @@ let alpha_resolution_check () =
   partitions "plus edge" ~extra:[ (0, 1) ] ~limit:0;
   flush stdout
 
+(* ------------------------------------------------------------------ *)
+(* heap leg: daemon memory across served batches                       *)
+(* ------------------------------------------------------------------ *)
+
+module Server = Nw_service.Server
+module Wire = Nw_service.Wire
+
+(* The daemon's setting in process: Obs on, one long-lived collection,
+   requests through Server.handle. A forest_union n=2000 alpha=3 session
+   plus one edge, then augment decompose batches with alpha omitted.
+   Each batch records a few hundred spans (one augment.search per
+   augmented edge); a daemon that kept every request's span tree held
+   about 0.87 MB more per batch (43 MB live after 50 batches, 174 MB
+   after 200). Folded into per-name totals, the live heap after batch
+   200 stays within [limit] times the heap after batch 10; the session's
+   own state is the same at both. *)
+let heap_check () =
+  let limit = 2.0 in
+  let n = 2000 and alpha = 3 and batches = 200 in
+  let g = Gen.forest_union (rng n) n alpha in
+  let st = Server.create_state () in
+  let next_id = ref 0 in
+  let call fields =
+    incr next_id;
+    let resp, _ =
+      Server.handle st (Wire.obj_fields (Wire.int "id" !next_id :: fields))
+    in
+    match Nw_obs.Json_lite.(member "ok" (parse resp)) with
+    | Some (Nw_obs.Json_lite.Bool true) -> ()
+    | _ ->
+        Printf.eprintf "perf smoke: heap leg request failed: %s\n" resp;
+        exit 1
+  in
+  let edges =
+    Array.to_list (G.edges g)
+    |> List.map (fun (u, v) -> Printf.sprintf "[%d,%d]" u v)
+    |> String.concat ","
+  in
+  let session = Wire.str "session" "perf-smoke-heap" in
+  let heap_mb () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+    /. 1e6
+  in
+  Obs.set_enabled true;
+  let (h10, h200), _ =
+    Obs.collect (fun () ->
+        call
+          [ Wire.str "op" "load-graph"; session; Wire.int "n" n;
+            Wire.raw "edges" ("[" ^ edges ^ "]") ];
+        call [ Wire.str "op" "insert-edge"; session; Wire.int "u" 0;
+               Wire.int "v" 1 ];
+        let h10 = ref 0.0 in
+        for b = 1 to batches do
+          call [ Wire.str "op" "decompose"; session;
+                 Wire.str "algorithm" "augment" ];
+          if b = 10 then h10 := heap_mb ()
+        done;
+        (!h10, heap_mb ()))
+  in
+  Obs.set_enabled false;
+  Printf.printf
+    "\n== heap: served augment batches, n=%d m=%d alpha omitted, Obs on ==\n\
+     live heap %.1f MB after batch 10, %.1f MB after batch %d \
+     (limit %.1fx)\n"
+    n (G.m g + 1) h10 h200 batches limit;
+  if h200 > limit *. h10 then begin
+    Printf.eprintf
+      "perf smoke: live heap grew from %.1f MB to %.1f MB over %d batches\n"
+      h10 h200 batches;
+    exit 1
+  end;
+  flush stdout
+
 let () =
   let fast = Array.exists (( = ) "--fast") Sys.argv in
   let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv in
@@ -464,5 +540,6 @@ let () =
   augment_alloc_check ();
   churn_alloc_check ();
   alpha_resolution_check ();
+  heap_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

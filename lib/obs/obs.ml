@@ -39,6 +39,23 @@ type hist_acc = {
   h_buckets : int array; (* power-of-two buckets, see bucket_of *)
 }
 
+(* the per-name totals of every span of one name, see [fold_roots];
+   nanoseconds summed as native ints (63 bits hold 146 years), so an
+   update allocates no boxed int64 *)
+type phase_acc = {
+  mutable a_calls : int;
+  mutable a_total_ns : int;
+  mutable a_self_ns : int;
+  mutable a_rounds : int;
+  mutable a_rounds_by_label : (string * int) list; (* reversed first-charge *)
+}
+
+type totals = {
+  by_name : (string, phase_acc) Hashtbl.t;
+  mutable order : string list; (* reversed first-seen pre-order *)
+  mutable wall_ns : int64; (* summed over the roots added *)
+}
+
 (* Everything a domain records between the start and end of a [collect].
    One context is live per domain at a time; [collect] swaps in a fresh
    one, so parallel bench domains never share mutable state. *)
@@ -46,6 +63,7 @@ type ctx = {
   ctx_tid : int;
   mutable stack : span list; (* innermost first *)
   mutable roots : span list; (* completed roots, reversed *)
+  folded : totals; (* roots completed before the last [fold_roots] *)
   mutable orphan_rounds : (string * int) list; (* charged outside spans *)
   ctx_counters : (string, int ref) Hashtbl.t;
   ctx_hists : (string, hist_acc) Hashtbl.t;
@@ -53,11 +71,15 @@ type ctx = {
 
 type trace = ctx
 
+let fresh_totals () =
+  { by_name = Hashtbl.create 16; order = []; wall_ns = 0L }
+
 let fresh_ctx () =
   {
     ctx_tid = (Domain.self () :> int);
     stack = [];
     roots = [];
+    folded = fresh_totals ();
     orphan_rounds = [];
     ctx_counters = Hashtbl.create 16;
     ctx_hists = Hashtbl.create 16;
@@ -193,7 +215,7 @@ let collect f =
   (x, fresh)
 
 let is_empty t =
-  t.roots = [] && t.orphan_rounds = []
+  t.roots = [] && t.folded.order = [] && t.orphan_rounds = []
   && Hashtbl.length t.ctx_counters = 0
   && Hashtbl.length t.ctx_hists = 0
 
@@ -234,53 +256,102 @@ let iter_spans t f =
   in
   List.iter (walk 0) (List.rev t.roots)
 
+(* add every span under [roots] (reversed, as kept in a ctx) to [tot],
+   in pre-order: O(spans) hashtable updates. Runs of spans mostly share
+   a literal name (one augment.search per augmented edge), so a
+   physically equal name reuses the last accumulator without hashing. *)
+let add_roots tot roots =
+  let last = ref None in
+  let acc_of (sp : span) =
+    match !last with
+    | Some (name, a) when name == sp.name -> a
+    | _ ->
+        let a =
+          match Hashtbl.find_opt tot.by_name sp.name with
+          | Some a -> a
+          | None ->
+              let a =
+                {
+                  a_calls = 0;
+                  a_total_ns = 0;
+                  a_self_ns = 0;
+                  a_rounds = 0;
+                  a_rounds_by_label = [];
+                }
+              in
+              Hashtbl.add tot.by_name sp.name a;
+              tot.order <- sp.name :: tot.order;
+              a
+        in
+        last := Some (sp.name, a);
+        a
+  in
+  let add (sp : span) =
+    let a = acc_of sp in
+    a.a_calls <- a.a_calls + 1;
+    a.a_total_ns <- a.a_total_ns + Int64.to_int sp.dur_ns;
+    a.a_self_ns <- a.a_self_ns + Int64.to_int (self_ns sp);
+    a.a_rounds <- a.a_rounds + sp.self_rounds;
+    a.a_rounds_by_label <-
+      List.fold_left
+        (fun acc (l, r) -> assoc_add acc l r)
+        a.a_rounds_by_label
+        (List.rev sp.rounds_by_label)
+  in
+  let rec walk sp =
+    add sp;
+    List.iter walk (List.rev sp.children)
+  in
+  List.iter
+    (fun root ->
+      tot.wall_ns <- Int64.add tot.wall_ns root.dur_ns;
+      walk root)
+    (List.rev roots)
+
+(* fresh accumulators: a copy never aliases the live ones *)
+let copy_totals tot =
+  let by_name = Hashtbl.copy tot.by_name in
+  Hashtbl.filter_map_inplace
+    (fun _ a -> Some { a with a_calls = a.a_calls })
+    by_name;
+  { tot with by_name }
+
+let fold_roots () =
+  let c = ctx () in
+  add_roots c.folded c.roots;
+  c.roots <- []
+
+(* the folded totals first, then the unfolded roots: folded roots
+   completed earlier, so first-seen order matches a walk over all *)
 let phases t =
-  let order = ref [] in
-  let tbl : (string, phase) Hashtbl.t = Hashtbl.create 16 in
-  iter_spans t (fun _ sp ->
-      let cur =
-        match Hashtbl.find_opt tbl sp.name with
-        | Some p -> p
-        | None ->
-            order := sp.name :: !order;
-            {
-              name = sp.name;
-              calls = 0;
-              total_ns = 0L;
-              self_ns = 0L;
-              rounds = 0;
-              rounds_by_label = [];
-            }
-      in
-      Hashtbl.replace tbl sp.name
-        {
-          cur with
-          calls = cur.calls + 1;
-          total_ns = Int64.add cur.total_ns sp.dur_ns;
-          self_ns = Int64.add cur.self_ns (self_ns sp);
-          rounds = cur.rounds + sp.self_rounds;
-          rounds_by_label =
-            List.fold_left
-              (fun acc (l, r) -> assoc_add acc l r)
-              cur.rounds_by_label
-              (List.rev sp.rounds_by_label);
-        });
+  let tot = copy_totals t.folded in
+  add_roots tot t.roots;
   List.rev_map
     (fun name ->
-      let p = Hashtbl.find tbl name in
-      { p with rounds_by_label = List.rev p.rounds_by_label })
-    !order
+      let a = Hashtbl.find tot.by_name name in
+      {
+        name;
+        calls = a.a_calls;
+        total_ns = Int64.of_int a.a_total_ns;
+        self_ns = Int64.of_int a.a_self_ns;
+        rounds = a.a_rounds;
+        rounds_by_label = List.rev a.a_rounds_by_label;
+      })
+    tot.order
 
 let unattributed_rounds t =
   List.fold_left (fun acc (_, r) -> acc + r) 0 t.orphan_rounds
 
 let total_rounds t =
   let acc = ref (unattributed_rounds t) in
+  Hashtbl.iter (fun _ a -> acc := !acc + a.a_rounds) t.folded.by_name;
   iter_spans t (fun _ sp -> acc := !acc + sp.self_rounds);
   !acc
 
 let root_wall_ns t =
-  List.fold_left (fun acc sp -> Int64.add acc sp.dur_ns) 0L t.roots
+  List.fold_left
+    (fun acc sp -> Int64.add acc sp.dur_ns)
+    t.folded.wall_ns t.roots
 
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.ctx_counters []
@@ -330,13 +401,13 @@ let percentile (h : histogram) q =
   end
 
 (* a read-only copy of this domain's in-flight trace: completed root
-   spans are immutable once closed, so sharing them is safe; counters
-   and histogram accumulators are still live and get copied. Open spans
-   are not included. The metrics exposition path renders this between
-   passes without waiting for [collect]. *)
+   spans are immutable once closed, so sharing them is safe; folded
+   totals, counters and histogram accumulators are still live and get
+   copied. Open spans are not included. The metrics exposition path
+   renders this between passes without waiting for [collect]. *)
 let live_snapshot () =
   let c = ctx () in
-  let snap = fresh_ctx () in
+  let snap = { (fresh_ctx ()) with folded = copy_totals c.folded } in
   snap.roots <- c.roots;
   snap.orphan_rounds <- c.orphan_rounds;
   Hashtbl.iter

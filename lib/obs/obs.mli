@@ -80,6 +80,23 @@ val collect : (unit -> 'a) -> 'a * trace
 
 val is_empty : trace -> bool
 
+(** [fold_roots ()] folds the current domain's completed root spans
+    into per-name totals (calls, inclusive and self time, self-rounds
+    and their per-label split, in first-seen pre-order) kept in the
+    in-flight trace, and drops the span trees. Cost: O(spans folded).
+    Open spans, counters, histograms and unattributed rounds are not
+    touched; a fold with no completed roots is a no-op.
+
+    {!phases}, {!total_rounds}, {!root_wall_ns}, {!is_empty} and
+    {!live_snapshot} read the folded totals together with the unfolded
+    roots, so their values (and a Prometheus rendering of them) are the
+    same before and after a fold. {!pp_summary}'s tree and the Chrome
+    and JSONL exports show only unfolded spans; the summary's header
+    totals include folded ones. A long-lived collection (the daemon's)
+    folds after every request, so its memory is bounded by the number of
+    distinct span names, not by the requests served. *)
+val fold_roots : unit -> unit
+
 (** {1 Summaries} *)
 
 type histogram = {
@@ -90,7 +107,8 @@ type histogram = {
   buckets : (float * int) list;  (** (upper bound, count), non-empty only *)
 }
 
-(** Aggregate of all spans sharing a name, in first-seen pre-order.
+(** Aggregate of all spans sharing a name, folded ones included, in
+    first-seen pre-order.
     [self_ns] excludes child spans; [rounds] are self-rounds, so summing
     either column over all phases (plus {!unattributed_rounds}) gives
     the trace totals with no double counting. *)
@@ -112,7 +130,8 @@ val unattributed_rounds : trace -> int
     equals the ledger total charged during the collection. *)
 val total_rounds : trace -> int
 
-(** Wall time covered by root spans (children are inside their roots). *)
+(** Wall time covered by root spans, folded ones included (children are
+    inside their roots). *)
 val root_wall_ns : trace -> int64
 
 val counters : trace -> (string * int) list
@@ -127,18 +146,22 @@ val histograms : trace -> (string * histogram) list
 val percentile : histogram -> float -> float option
 
 (** Read-only copy of the current domain's in-flight trace: completed
-    root spans (open spans excluded), counters, histograms, and
-    unattributed rounds as of now. Safe to render while recording
+    root spans (open spans excluded), folded totals, counters,
+    histograms, and unattributed rounds as of now. Later spans and
+    folds do not change it. Safe to render while recording
     continues — the metrics exposition path calls this between
     pipeline passes. *)
 val live_snapshot : unit -> trace
 
-(** Render the span tree (durations, per-span rounds, attributes),
-    then counters and histograms. *)
+(** Render the span tree of the unfolded spans (durations, per-span
+    rounds, attributes), then counters and histograms. The header's wall
+    time and round total include folded spans (see {!fold_roots}). *)
 val pp_summary : Format.formatter -> trace -> unit
 
 (** {1 Exporters} *)
 
+(** Both exporters write the unfolded spans only: a span folded by
+    {!fold_roots} survives in {!phases}, not as an event. *)
 module Export : sig
   (** Chrome [trace_event] JSON ([{"traceEvents": [...]}], complete
       "X" events, microsecond timestamps, one [tid] lane per domain).

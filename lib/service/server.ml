@@ -286,7 +286,7 @@ let dispatch st ~id request =
   | Wire.Shutdown ->
       Wire.response_ok ~id [ Wire.bool "stopping" true ]
 
-let handle st payload =
+let serve_payload st payload =
   st.st_requests <- st.st_requests + 1;
   Obs.count "service.requests";
   match Wire.parse_request payload with
@@ -318,6 +318,14 @@ let handle st payload =
         match request with Wire.Shutdown -> `Shutdown | _ -> `Continue
       in
       (resp, continue)
+
+(* the request's [serve:<op>] span has closed: keep its per-name totals
+   and drop the tree, so a long-lived collection holds memory bounded by
+   the span names seen, not by the requests served *)
+let handle st payload =
+  let answer = serve_payload st payload in
+  Obs.fold_roots ();
+  answer
 
 (* ------------------------------------------------------------------ *)
 (* the daemon                                                          *)
@@ -381,8 +389,9 @@ let serve config =
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise (Server_error ("listen: " ^ Unix.error_message e)));
-  (* the request spans/histograms always run; the exposition endpoint is
-     opt-in. Obs-on changes no served bytes (the PR2 guarantee). *)
+  (* the request spans/histograms always run ([handle] folds each
+     request's spans into per-name totals); the exposition endpoint is
+     opt-in. Obs-on changes no served bytes. *)
   Obs.set_enabled true;
   let published = Atomic.make "" in
   let msrv =

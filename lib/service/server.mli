@@ -9,9 +9,13 @@
 
     Per request: an [Obs] span [serve:<op>] tagged with the request id
     (and session), a [service.latency_ms.<op>] histogram observation and
-    a [service.requests] counter bump. With [metrics_socket] set, a
-    {!Nw_obs.Metrics_server} endpoint serves the Prometheus rendering of
-    the live snapshot, republished after every request.
+    a [service.requests] counter bump. Once the span closes, {!handle}
+    folds the request's spans into per-name totals
+    ({!Nw_obs.Obs.fold_roots}), so the daemon's trace memory is bounded
+    by the distinct span names, not by the requests served. With
+    [metrics_socket] set, a {!Nw_obs.Metrics_server} endpoint serves the
+    Prometheus rendering of the live snapshot, republished after every
+    request.
 
     A framing error ([Wire.Protocol_error]) poisons only its connection:
     the daemon answers [id:null]/[protocol-error] and closes that
@@ -54,5 +58,7 @@ val errors : state -> int
 (** [handle state payload] dispatches one request payload and returns
     the response payload plus whether the daemon should keep serving.
     Never raises on hostile input — parse failures and survivable
-    dispatch exceptions become error responses. *)
+    dispatch exceptions become error responses. Ends with
+    {!Nw_obs.Obs.fold_roots}: the request's completed spans survive as
+    per-name totals in the current Obs collection, not as a tree. *)
 val handle : state -> string -> string * [ `Continue | `Shutdown ]

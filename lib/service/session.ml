@@ -326,10 +326,13 @@ type churn = {
    no live coloring to probe. The answer carries the slot's color in the
    verified re-decomposition. When the re-decomposition fails the
    insert answers an error, so it must leave no edge behind: the slot,
-   which no client has seen, is removed again. *)
-let fallback_insert t ~slot =
+   which no client has seen, is removed again. [cause] names the
+   per-cause fallback counter, [no_live_coloring] or [palette_full]; a
+   failed re-decomposition also counts [redecompose_failed]. *)
+let fallback_insert t ~slot ~cause =
   t.s_fallbacks <- t.s_fallbacks + 1;
   Obs.count "service.fallbacks";
+  Obs.count ("service.fallbacks." ^ cause);
   let redecomposed =
     match t.s_batch with
     | None -> Error "no batch parameters to fall back to"
@@ -339,6 +342,7 @@ let fallback_insert t ~slot =
   in
   match redecomposed with
   | Error e ->
+      Obs.count "service.fallbacks.redecompose_failed";
       t.s_col <- None;
       t.s_slots <- slot;
       t.s_live.(slot) <- false;
@@ -384,7 +388,8 @@ let insert_edge t ~u ~v =
       t.s_live_count <- t.s_live_count + 1;
       t.s_epoch <- t.s_epoch + 1;
       match t.s_col with
-      | None when promised_coloring t -> fallback_insert t ~slot
+      | None when promised_coloring t ->
+          fallback_insert t ~slot ~cause:"no_live_coloring"
       | None ->
           (* no decomposition yet: the append is structural only *)
           incremental_ok t ~slot ~color:None
@@ -404,7 +409,7 @@ let insert_edge t ~u ~v =
           | Some c ->
               Coloring.set col slot c;
               incremental_ok t ~slot ~color:(Some c)
-          | None -> fallback_insert t ~slot))
+          | None -> fallback_insert t ~slot ~cause:"palette_full"))
 
 let delete_edge t ~edge =
   if edge < 0 || edge >= t.s_slots then

@@ -133,7 +133,11 @@ type churn = {
     after a coloring batch always answers with a color. Before any batch
     the append is structural only. When the fallback's re-decomposition
     fails the insert answers [Error] and leaves the edges as they were:
-    the slot is not kept, and the next insert gets its id. *)
+    the slot is not kept, and the next insert gets its id. Each fallback
+    bumps the Obs counter [service.fallbacks] and one named by its
+    cause, [service.fallbacks.no_live_coloring] or
+    [service.fallbacks.palette_full]; a failed re-decomposition also
+    bumps [service.fallbacks.redecompose_failed]. *)
 val insert_edge : t -> u:int -> v:int -> (churn, string) result
 
 (** Tombstone a slot. With a live coloring this is a bare unset of the

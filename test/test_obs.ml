@@ -566,6 +566,85 @@ let test_live_snapshot () =
   in
   ()
 
+(* [fold_roots] trades span trees for per-name totals: everything the
+   exposition reads (phases in first-seen order, round and wall totals)
+   must be the same before and after, with roots folded in several
+   steps and a fold that meets unfolded roots later *)
+let test_fold_roots () =
+  with_enabled @@ fun () ->
+  let r = Rounds.create () in
+  let request ?(late = false) i =
+    Obs.span "req" ~attrs:[ ("i", Obs.Int i) ] (fun () ->
+        Rounds.charge r ~label:"a" 2;
+        Obs.span "inner" (fun () ->
+            Rounds.charge r ~label:"b" i;
+            Obs.span "leaf" (fun () -> Rounds.charge r ~label:"a" 1));
+        Obs.span "inner" (fun () -> ());
+        if late then Obs.span "late" (fun () -> Rounds.charge r ~label:"c" 4);
+        Obs.count "c");
+    Rounds.charge r ~label:"out" 1;
+    Obs.observe "h" (float_of_int i)
+  in
+  let view () =
+    let t = Obs.live_snapshot () in
+    ( Prom.to_string [ t ],
+      Obs.total_rounds t,
+      Obs.root_wall_ns t,
+      Obs.phases t )
+  in
+  let same what (text, rounds, wall, phases) (text', rounds', wall', phases') =
+    Alcotest.(check string) (what ^ ": exposition") text text';
+    Alcotest.(check int) (what ^ ": total rounds") rounds rounds';
+    Alcotest.(check int64) (what ^ ": root wall") wall wall';
+    Alcotest.(check bool) (what ^ ": phases") true (phases = phases')
+  in
+  let (), t =
+    Obs.collect (fun () ->
+        Obs.fold_roots ();
+        Alcotest.(check bool) "a fold with no roots keeps the trace empty"
+          true
+          (Obs.is_empty (Obs.live_snapshot ()));
+        request 1;
+        request 2;
+        let v0 = view () in
+        Obs.fold_roots ();
+        same "first fold" v0 (view ());
+        Obs.fold_roots ();
+        same "second fold" v0 (view ());
+        (* folded totals plus unfolded roots, one name first seen late *)
+        let snap = Obs.live_snapshot () in
+        let snap_text = Prom.to_string [ snap ] in
+        request ~late:true 3;
+        let ((_, _, _, phases1) as v1) = view () in
+        Alcotest.(check (list string))
+          "first-seen order across folded and unfolded spans"
+          [ "req"; "inner"; "leaf"; "late" ]
+          (List.map (fun (p : Obs.phase) -> p.Obs.name) phases1);
+        Obs.fold_roots ();
+        same "fold after more spans" v1 (view ());
+        (* a fold inside an open span leaves that span's children alone *)
+        Obs.span "open" (fun () ->
+            request 4;
+            Obs.fold_roots ());
+        request 5;
+        Obs.fold_roots ();
+        Alcotest.(check string) "an earlier snapshot does not move"
+          snap_text (Prom.to_string [ snap ]))
+  in
+  Alcotest.(check int) "folded rounds match the ledger" (Rounds.total r)
+    (Obs.total_rounds t);
+  let calls name = (Option.get (phase_by_name t name)).Obs.calls in
+  Alcotest.(check int) "req calls" 5 (calls "req");
+  Alcotest.(check int) "inner calls" 10 (calls "inner");
+  Alcotest.(check int) "open calls" 1 (calls "open");
+  Alcotest.(check (list (pair string int)))
+    "per-label split survives the fold" [ ("a", 10) ]
+    (Option.get (phase_by_name t "req")).Obs.rounds_by_label;
+  let b = Buffer.create 64 in
+  Obs.Export.jsonl b [ t ];
+  Alcotest.(check bool) "exports show no folded span" false
+    (contains (Buffer.contents b) "\"type\":\"span\"")
+
 (* ------------------------------------------------------------------ *)
 (* metrics endpoint                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -714,6 +793,7 @@ let () =
           Alcotest.test_case "label escaping" `Quick
             test_prometheus_label_escaping;
           Alcotest.test_case "live snapshot" `Quick test_live_snapshot;
+          Alcotest.test_case "fold roots" `Quick test_fold_roots;
         ] );
       ( "metrics-server",
         [

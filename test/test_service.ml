@@ -31,8 +31,17 @@ module Wire = Nw_service.Wire
 module Session = Nw_service.Session
 module Server = Nw_service.Server
 module J = Nw_obs.Json_lite
+module Obs = Nw_obs.Obs
 
 let rng seed = Random.State.make [| seed |]
+
+(* Obs recording is process-wide: restore the default-off switch *)
+let with_obs f =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+let counter t name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.counters t))
 
 (* push a string through a real channel pair so read_frame sees exactly
    what write_frame produced *)
@@ -182,6 +191,29 @@ let handler_survives_malformed () =
   Alcotest.(check bool) "hello works after garbage" true (ok_resp json);
   Alcotest.(check int) "errors counted" (List.length garbage)
     (Server.errors st)
+
+(* a long-lived collection keeps per-name totals, not request trees:
+   every request is folded once its serve span closes *)
+let handler_folds_requests () =
+  with_obs @@ fun () ->
+  let st = state () in
+  let hello = req ~id:1 "hello" ~extra:(",\"proto\":\"" ^ Wire.proto ^ "\"") in
+  let (), t =
+    Obs.collect (fun () ->
+        for _ = 1 to 5 do
+          ignore (send st hello)
+        done)
+  in
+  let b = Buffer.create 64 in
+  Obs.Export.jsonl b [ t ];
+  Alcotest.(check bool) "no span tree kept" false
+    (List.exists
+       (String.starts_with ~prefix:"{\"type\":\"span\"")
+       (String.split_on_char '\n' (Buffer.contents b)));
+  Alcotest.(check (list (pair string int)))
+    "per-name totals kept" [ ("serve:hello", 5) ]
+    (List.map (fun (p : Obs.phase) -> (p.Obs.name, p.Obs.calls)) (Obs.phases t));
+  Alcotest.(check int) "requests counted" 5 (counter t "service.requests")
 
 let load_extra n edges =
   let b = Buffer.create 64 in
@@ -395,6 +427,49 @@ let churn_star_fallback () =
       Alcotest.(check bool) "fallback answers a color" true
         (Option.is_some c.Session.ch_color)
   | Error e -> Alcotest.fail e
+
+(* every fallback is counted once in total and once by its cause *)
+let churn_fallback_causes () =
+  with_obs @@ fun () ->
+  let (), t =
+    Obs.collect (fun () ->
+        (* a star session keeps no live coloring: both inserts fall back,
+           and the parallel edge fails the simple-only re-decomposition *)
+        let s =
+          Session.create ~name:"st" ~n:5 ~edges:[ (0, 1); (1, 2); (2, 3) ]
+        in
+        ignore
+          (Session.decompose s ~entry:(entry "star") ~epsilon:0.5 ~seed:1
+             ~alpha:None);
+        Alcotest.(check bool) "parallel star insert fails" true
+          (Result.is_error (Session.insert_edge s ~u:0 ~v:1));
+        Alcotest.(check bool) "star insert answers" true
+          (Result.is_ok (Session.insert_edge s ~u:3 ~v:4));
+        (* three parallel edges take one forest each: a fourth fills the
+           augment palette *)
+        let s =
+          Session.create ~name:"aug" ~n:2 ~edges:[ (0, 1); (0, 1); (0, 1) ]
+        in
+        (match
+           Session.decompose s ~entry:(entry "augment") ~epsilon:0.5 ~seed:3
+             ~alpha:None
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        match Session.insert_edge s ~u:0 ~v:1 with
+        | Ok c ->
+            Alcotest.(check string) "full palette falls back" "fallback"
+              (Session.mode_label c.Session.ch_mode)
+        | Error e -> Alcotest.fail e)
+  in
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (counter t name))
+    [
+      ("service.fallbacks", 3);
+      ("service.fallbacks.no_live_coloring", 2);
+      ("service.fallbacks.palette_full", 1);
+      ("service.fallbacks.redecompose_failed", 1);
+    ]
 
 (* --- Coloring.add_edge / connected differential --------------------- *)
 
@@ -648,6 +723,7 @@ let () =
             ("survives malformed payloads", handler_survives_malformed);
             ("epoch monotonicity", handler_epoch_monotone);
             ("error codes", handler_error_codes);
+            ("folds each request", handler_folds_requests);
           ] );
       ( "golden",
         List.map tc
@@ -661,6 +737,7 @@ let () =
             ("incremental vs fallback", churn_incremental_then_fallback);
             ("extend/connected differential", extend_connected_differential);
             ("star inserts fall back", churn_star_fallback);
+            ("fallbacks counted by cause", churn_fallback_causes);
           ]
         @ List.map QCheck_alcotest.to_alcotest
             [
