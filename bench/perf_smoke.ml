@@ -1,13 +1,13 @@
-(* Perf smoke test: the incremental per-color union-find connectivity
-   cache vs the bidirectional-BFS oracle it replaced, on the two families
-   the paper leans on (forest-union multigraphs, Prop C.1 line
+(* Perf smoke test: the per-color root-labelled forests' connectivity
+   answers vs the bidirectional-BFS oracle they replaced, on the two
+   families the paper leans on (forest-union multigraphs, Prop C.1 line
    multigraphs).
 
    Two workloads per family and size:
    - static:  connectivity queries against a fixed greedy forest
      decomposition — the Augmenting.search / would_close_cycle hot path;
-   - churn:   unset + query + recolor per step — exercises the generation
-     counter and the lazy per-color rebuild that deletions trigger.
+   - churn:   unset + query + recolor per step — exercises the subtree
+     repair each deletion runs and the re-hang each insertion runs.
 
    Run:        dune exec bench/perf_smoke.exe
    Fast gate:  dune exec bench/perf_smoke.exe -- --fast
@@ -18,7 +18,9 @@
    The allocation leg runs Algorithm 2's augmenting phase
    (Forest_algo.partial_color) and bounds the minor-heap words per
    augment call. The churn leg serves edge inserts and deletes on a
-   20000-vertex Session and bounds the bytes allocated per update. The
+   20000-vertex Session, bounds the bytes allocated and the forest
+   vertices repaired per update, requires no per-color forest rebuild,
+   and prints the time per update. The
    alpha leg counts the matroid partitions a served decompose with alpha
    omitted runs on the same session shape. The heap leg serves 200
    decompose batches through Server.handle with Obs on and bounds the
@@ -96,7 +98,7 @@ let churn_bfs c = churn Coloring.oracle_would_close_cycle c
 (* ------------------------------------------------------------------ *)
 
 let time_ns reps f =
-  f () (* warm up: faults in pages, triggers lazy rebuilds *);
+  f () (* warm up: faults in pages, allocates each color's forest *);
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
     f ()
@@ -107,7 +109,7 @@ let time_ns reps f =
 let wall_table ~fast cs =
   let reps = if fast then 3 else 10 in
   Printf.printf
-    "\n== connectivity: cached union-find vs BFS oracle (ns per query, %d \
+    "\n== connectivity: root labels vs BFS oracle (ns per query, %d \
      reps of 1024 queries) ==\n"
     reps;
   Printf.printf "%-24s %12s %12s %9s %12s %12s %9s\n" "instance" "static-uf"
@@ -313,7 +315,7 @@ let augment_alloc_check () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
-(* churn leg: bytes allocated per served edge update                   *)
+(* churn leg: bytes, rebuilds and repairs per served edge update      *)
 (* ------------------------------------------------------------------ *)
 
 module Session = Nw_service.Session
@@ -322,21 +324,27 @@ module Session = Nw_service.Session
    alpha=3, m = 59997) decomposed by the exact entry, one insert that
    falls back and widens the palette (as the first serve-churn insert
    does), then 1000 rounds of a delete of a random live slot followed by
-   an insert of a random pair. An update must cost O(change): an insert
+   an insert of a random pair. An update must cost O(touched): an insert
    appends the edge to the live coloring in place (amortized doubling),
-   and a delete only unsets; the lazy union-find rebuild of a dirtied
-   color reuses its arrays. Measured on a 2-core Xeon, the code before
-   in-place churn (slot-graph rebuild plus a copy of the whole coloring
-   per insert, an eager rebuild per delete) allocated 6,109,642 bytes
-   per update at 7.0 ms/update; in-place churn allocates 10,505 bytes
-   per update (mostly the amortized doublings) at 0.93 ms/update. Above
-   [limit] (under 1% of the old figure) some per-update path went back
-   to whole-graph work. Allocation is deterministic for a fixed input,
-   so the gate cannot flake; a fallback inside the measured loop would
-   re-run the decomposition and measure that instead, so the leg
-   requires none. *)
+   probes the palette by root labels and re-hangs the smaller tree it
+   joins; a delete re-roots the subtree that lost the edge. Measured on
+   a 2-core Xeon, the code before in-place churn (slot-graph rebuild
+   plus a copy of the whole coloring per insert) allocated 6,109,642
+   bytes per update at 7.0 ms/update; in-place churn with a lazily
+   rebuilt per-color union-find allocated 10,505 bytes per update at
+   0.93 ms/update and ran 971 whole-color rebuilds (all n vertices
+   each) over the 1000 rounds; the rooted forests repaired in place
+   allocate about 3,800 bytes and repair about 185 vertices per update
+   at about 29 us/update. Three gates, each deterministic for a fixed
+   input, so none can flake: bytes per update above [limit] (under 1%
+   of the first figure), any per-color forest rebuild in the loop
+   (allocation happens at a color's first touch, before it), or more
+   than [repair_limit] vertices repaired per update (5% of n) mean some
+   per-update path went back to whole-graph work. A fallback inside the
+   measured loop would re-run the decomposition and measure that
+   instead, so the leg requires none. *)
 let churn_alloc_check () =
-  let limit = 40_000.0 in
+  let limit = 40_000.0 and repair_limit = 1_000.0 in
   let n = 20_000 and alpha = 3 and ops = 1000 in
   let st = rng n in
   let g = Gen.forest_union st n alpha in
@@ -367,6 +375,7 @@ let churn_alloc_check () =
      one fallback, which widens the palette, as in nwbench serve-churn *)
   insert ();
   let fallbacks0 = Session.fallbacks s in
+  let k0 = Coloring.Counters.snapshot () in
   let b0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to ops do
@@ -378,13 +387,21 @@ let churn_alloc_check () =
   done;
   let wall = Unix.gettimeofday () -. t0 in
   let per_op = (Gc.allocated_bytes () -. b0) /. float_of_int (2 * ops) in
+  let k1 = Coloring.Counters.snapshot () in
+  let rebuilds = k1.uf_rebuilds - k0.uf_rebuilds in
+  let repaired =
+    float_of_int (k1.repair_vertices - k0.repair_vertices)
+    /. float_of_int (2 * ops)
+  in
   Printf.printf
     "\n== churn: served edge updates, n=%d m=%d alpha=%d ==\n\
      %d inserts + %d deletes, %.0f bytes/update (limit %.0f), %.1f us/update, \
-     %d fallbacks\n"
+     %d fallbacks\n\
+     %d forest rebuilds (limit 0), %.1f vertices repaired/update (limit %.0f)\n"
     n m0 alpha ops ops per_op limit
     (wall *. 1e6 /. float_of_int (2 * ops))
-    (Session.fallbacks s - fallbacks0);
+    (Session.fallbacks s - fallbacks0)
+    rebuilds repaired repair_limit;
   if Session.fallbacks s > fallbacks0 then begin
     Printf.eprintf "perf smoke: churn leg fell back %d times\n"
       (Session.fallbacks s - fallbacks0);
@@ -393,6 +410,16 @@ let churn_alloc_check () =
   if per_op > limit then begin
     Printf.eprintf "perf smoke: %.0f bytes allocated per churn update \
                     exceeds %.0f\n" per_op limit;
+    exit 1
+  end;
+  if rebuilds > 0 then begin
+    Printf.eprintf "perf smoke: %d per-color forest rebuilds in the churn \
+                    loop (limit 0)\n" rebuilds;
+    exit 1
+  end;
+  if repaired > repair_limit then begin
+    Printf.eprintf "perf smoke: %.1f vertices repaired per churn update \
+                    exceeds %.0f\n" repaired repair_limit;
     exit 1
   end;
   flush stdout

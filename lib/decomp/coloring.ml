@@ -1,5 +1,3 @@
-(* nwlint:disable PERF001 -- the per-color union-find rebuild is already lazily gated by generation counters (uf_gen/uf_built); when it does run it is Theta(n + m_c) by design, so the fills are not the cost *)
-
 module Obs = Nw_obs.Obs
 
 (* Process-wide instrumentation of the connectivity layer. Atomic so that
@@ -9,14 +7,21 @@ module Counters = struct
   let uf_queries = Atomic.make 0
   let bfs_runs = Atomic.make 0
   let uf_rebuilds = Atomic.make 0
+  let repair_vertices = Atomic.make 0
 
-  type snapshot = { uf_queries : int; bfs_runs : int; uf_rebuilds : int }
+  type snapshot = {
+    uf_queries : int;
+    bfs_runs : int;
+    uf_rebuilds : int;
+    repair_vertices : int;
+  }
 
   let snapshot () =
     {
       uf_queries = Atomic.get uf_queries;
       bfs_runs = Atomic.get bfs_runs;
       uf_rebuilds = Atomic.get uf_rebuilds;
+      repair_vertices = Atomic.get repair_vertices;
     }
 end
 
@@ -30,10 +35,6 @@ module G = Nw_graphs.Multigraph
    iteration order of the previous [(nbr, edge) list] representation
    (prepend + order-preserving filter) while making deletion O(1)
    instead of O(deg).
-
-   Each color additionally threads its edges through [enxt]/[eprv]
-   (head [ehead.(c)]) so the lazy union-find rebuild below touches only
-   that color's edges, never all m.
 
    Endpoints are read from the coloring's own [src]/[dst] rows (shared
    with the graph at [create], one array load per edge). [add_edge]
@@ -55,33 +56,22 @@ type t = {
   head : int array array; (* color -> vertex -> node id *)
   mutable nxt : int array; (* 2m *)
   mutable prv : int array; (* 2m *)
-  (* per-color edge DLLs; -1 = nil *)
-  ehead : int array;
-  mutable enxt : int array; (* m *)
-  mutable eprv : int array; (* m *)
-  ecount : int array; (* edges currently in each color *)
-  (* incremental per-color connectivity: union-find with path
-     compression and union by size, carrying per-component vertex and
-     edge counts. Lazily allocated ([||]) and lazily rebuilt: [uf_gen]
-     is bumped on any deletion from the color, [uf_built] records the
-     generation of the last rebuild; the class is clean iff they
-     agree. *)
-  uf_parent : int array array; (* color -> n *)
-  uf_size : int array array; (* root -> component vertex count *)
-  uf_edges : int array array; (* root -> component edge count *)
-  uf_gen : int array;
-  uf_built : int array;
-  (* rooted spanning forest per color, maintained together with the
-     union-find (same laziness): parent vertex / parent edge / depth,
-     so path extraction is an O(path) LCA climb instead of a BFS over
-     the component. Insertions re-root the smaller side
-     (small-to-large); deletions fall back on the lazy rebuild. *)
+  (* rooted spanning forest per color, allocated ([||] before) at the
+     color's first touch and repaired only in the trees an update
+     touches: parent vertex / parent edge / depth, so path extraction
+     is an O(path) LCA climb, and the root of every vertex's tree, so
+     connectivity is one label compare. Per root, the tree's vertex
+     count and its pending mark (see [settle]). *)
+  fp_root : int array array; (* color -> vertex -> root of its tree *)
+  fp_size : int array array; (* color -> root -> tree vertex count *)
+  fp_pend : int array array; (* color -> root -> pending mark, 0 none *)
   fp_vertex : int array array; (* color -> vertex -> parent, -1 root *)
   fp_edge : int array array; (* color -> vertex -> edge to parent *)
   fp_depth : int array array; (* color -> vertex -> depth from root *)
+  fp_unsets : int array; (* color -> colored edges unset so far *)
   (* timestamped BFS/walk scratch, shared across queries *)
   mark : int array;
-  qbuf : int array; (* BFS queue buffer for rebuild / reroot *)
+  qbuf : int array; (* BFS queue buffer for hanging / repairing trees *)
   pbuf : int array; (* v-side half of the path being walked *)
   mutable stamp : int;
 }
@@ -103,18 +93,13 @@ let create g ~colors =
     head = Array.init colors (fun _ -> Array.make n (-1));
     nxt = Array.make (2 * m) (-1);
     prv = Array.make (2 * m) (-1);
-    ehead = Array.make colors (-1);
-    enxt = Array.make m (-1);
-    eprv = Array.make m (-1);
-    ecount = Array.make colors 0;
-    uf_parent = Array.make colors [||];
-    uf_size = Array.make colors [||];
-    uf_edges = Array.make colors [||];
-    uf_gen = Array.make colors 0;
-    uf_built = Array.make colors (-1);
+    fp_root = Array.make colors [||];
+    fp_size = Array.make colors [||];
+    fp_pend = Array.make colors [||];
     fp_vertex = Array.make colors [||];
     fp_edge = Array.make colors [||];
     fp_depth = Array.make colors [||];
+    fp_unsets = Array.make colors 0;
     mark = Array.make n 0;
     qbuf = Array.make n 0;
     pbuf = Array.make n 0;
@@ -196,155 +181,118 @@ let unlink_node t c x nd =
   t.nxt.(nd) <- -1;
   t.prv.(nd) <- -1
 
-let link_edge t c e =
-  let h = t.ehead.(c) in
-  t.enxt.(e) <- h;
-  t.eprv.(e) <- -1;
-  if h >= 0 then t.eprv.(h) <- e;
-  t.ehead.(c) <- e;
-  t.ecount.(c) <- t.ecount.(c) + 1
-
-let unlink_edge t c e =
-  let p = t.eprv.(e) and n = t.enxt.(e) in
-  if p >= 0 then t.enxt.(p) <- n else t.ehead.(c) <- n;
-  if n >= 0 then t.eprv.(n) <- p;
-  t.enxt.(e) <- -1;
-  t.eprv.(e) <- -1;
-  t.ecount.(c) <- t.ecount.(c) - 1
-
 (* ---------------------------------------------------------------- *)
-(* per-color union-find                                              *)
+(* per-color rooted forest                                           *)
 (* ---------------------------------------------------------------- *)
 
-let rec uf_find p x =
-  let px = p.(x) in
-  if px = x then x
-  else begin
-    let root = uf_find p px in
-    p.(x) <- root;
-    root
-  end
-
-(* union endpoints of one more edge; caller guarantees acyclicity
-   except during rebuild, where a same-root union would indicate a
-   broken forest invariant and is counted on the root anyway *)
-let uf_union t c u v =
-  let p = t.uf_parent.(c) in
-  let ru = uf_find p u and rv = uf_find p v in
-  let sz = t.uf_size.(c) and ed = t.uf_edges.(c) in
-  if ru = rv then ed.(ru) <- ed.(ru) + 1
-  else begin
-    let big, small = if sz.(ru) >= sz.(rv) then (ru, rv) else (rv, ru) in
-    p.(small) <- big;
-    sz.(big) <- sz.(big) + sz.(small);
-    ed.(big) <- ed.(big) + ed.(small) + 1
-  end
-
-let uf_rebuild t c =
-  let n = t.n in
-  if Array.length t.uf_parent.(c) = 0 then begin
-    t.uf_parent.(c) <- Array.init n (fun i -> i);
-    t.uf_size.(c) <- Array.make n 1;
-    t.uf_edges.(c) <- Array.make n 0;
+(* Allocate color [c]'s forest at its first touch: n singleton trees,
+   each rooted at its only (so its lowest) vertex. *)
+let ensure_forest t c =
+  if Array.length t.fp_root.(c) = 0 then begin
+    let n = t.n in
+    t.fp_root.(c) <- Array.init n Fun.id;
+    t.fp_size.(c) <- Array.make n 1;
+    t.fp_pend.(c) <- Array.make n 0;
     t.fp_vertex.(c) <- Array.make n (-1);
     t.fp_edge.(c) <- Array.make n (-1);
-    t.fp_depth.(c) <- Array.make n (-1)
+    t.fp_depth.(c) <- Array.make n 0;
+    Atomic.incr Counters.uf_rebuilds;
+    Obs.count "coloring.uf_rebuilds"
   end
-  else begin
-    let p = t.uf_parent.(c) in
-    for i = 0 to n - 1 do
-      p.(i) <- i
-    done;
-    Array.fill t.uf_size.(c) 0 n 1;
-    Array.fill t.uf_edges.(c) 0 n 0;
-    Array.fill t.fp_vertex.(c) 0 n (-1);
-    Array.fill t.fp_edge.(c) 0 n (-1);
-    Array.fill t.fp_depth.(c) 0 n (-1)
-  end;
-  let e = ref t.ehead.(c) in
-  while !e >= 0 do
-    uf_union t c t.src.(!e) t.dst.(!e);
-    e := t.enxt.(!e)
-  done;
-  (* rebuild the rooted spanning forest: BFS each component, parents
-     pointing toward the component's lowest-id unvisited vertex. The
-     adjacency walk is [iter_adj] written out, so a rebuild allocates no
-     closure per vertex. *)
+
+(* Hang the tree of vertex [top] in color [c] below [parent] through
+   [edge] ([parent] = -1: make [top] the root) and label all of it with
+   [root]: every vertex is re-parented toward [top] by a BFS over the
+   color's adjacency. A tree's rooting is fixed by its root alone, so
+   the BFS order does not matter. The caller has not linked [edge] yet,
+   so the BFS cannot escape into [parent]'s tree. Returns the number k
+   of vertices hung, which the BFS leaves in [qbuf.(0..k-1)]. The
+   adjacency walk is [iter_adj] written out, so a hang allocates no
+   closure per vertex. *)
+let hang t c ~top ~parent ~edge ~root =
   let pv = t.fp_vertex.(c)
   and pe = t.fp_edge.(c)
   and dep = t.fp_depth.(c)
+  and lab = t.fp_root.(c)
   and head = t.head.(c) in
-  for r = 0 to n - 1 do
-    if dep.(r) < 0 then begin
-      dep.(r) <- 0;
-      t.qbuf.(0) <- r;
-      let tail = ref 1 in
-      let h = ref 0 in
-      while !h < !tail do
-        let x = t.qbuf.(!h) in
-        incr h;
-        let nd = ref head.(x) in
-        while !nd >= 0 do
-          let cur = !nd in
-          nd := t.nxt.(cur);
-          let w = node_neighbor t cur in
-          if dep.(w) < 0 then begin
-            dep.(w) <- dep.(x) + 1;
-            pv.(w) <- x;
-            pe.(w) <- cur lsr 1;
-            t.qbuf.(!tail) <- w;
-            incr tail
-          end
-        done
-      done
-    end
-  done;
-  t.uf_built.(c) <- t.uf_gen.(c);
-  Atomic.incr Counters.uf_rebuilds;
-  Obs.count "coloring.uf_rebuilds"
-
-let ensure_uf t c = if t.uf_built.(c) <> t.uf_gen.(c) then uf_rebuild t c
-
-(* Re-hang vertex [v]'s tree in color [c] below [u] through edge [e]:
-   v becomes the subtree root attached to u, and every vertex of v's
-   old tree is re-parented toward v by a BFS over the color's adjacency
-   (e is not linked yet, so the BFS cannot escape into u's tree). The
-   caller always re-roots the smaller side, so each vertex is re-rooted
-   at most O(log n) times across a build (small-to-large). *)
-let reroot_under t c ~u ~v ~e =
-  let pv = t.fp_vertex.(c)
-  and pe = t.fp_edge.(c)
-  and dep = t.fp_depth.(c) in
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
-  t.mark.(v) <- stamp;
-  dep.(v) <- dep.(u) + 1;
-  pv.(v) <- u;
-  pe.(v) <- e;
-  t.qbuf.(0) <- v;
+  t.mark.(top) <- stamp;
+  dep.(top) <- (if parent < 0 then 0 else dep.(parent) + 1);
+  pv.(top) <- parent;
+  pe.(top) <- edge;
+  lab.(top) <- root;
+  t.qbuf.(0) <- top;
   let tail = ref 1 in
   let h = ref 0 in
   while !h < !tail do
     let x = t.qbuf.(!h) in
     incr h;
-    iter_adj t c x (fun w e' ->
-        if t.mark.(w) <> stamp then begin
-          t.mark.(w) <- stamp;
-          dep.(w) <- dep.(x) + 1;
-          pv.(w) <- x;
-          pe.(w) <- e';
-          t.qbuf.(!tail) <- w;
-          incr tail
-        end)
-  done
+    let nd = ref head.(x) in
+    while !nd >= 0 do
+      let cur = !nd in
+      nd := t.nxt.(cur);
+      let w = node_neighbor t cur in
+      if t.mark.(w) <> stamp then begin
+        t.mark.(w) <- stamp;
+        dep.(w) <- dep.(x) + 1;
+        pv.(w) <- x;
+        pe.(w) <- cur lsr 1;
+        lab.(w) <- root;
+        t.qbuf.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  !tail
 
-(* connectivity of u and v inside color c, O(alpha(n)) amortized *)
-let uf_connected t c u v =
-  ensure_uf t c;
+(* Re-root the tree of [x] in color [c] at its lowest vertex m and
+   return [(m, k)] for a tree of k vertices: the hang from [x] leaves
+   the tree in [qbuf], a second hang re-roots it at m when m <> x. *)
+let reroot_at_min t c x =
+  let k = hang t c ~top:x ~parent:(-1) ~edge:(-1) ~root:x in
+  let m = ref x in
+  for i = 1 to k - 1 do
+    if t.qbuf.(i) < !m then m := t.qbuf.(i)
+  done;
+  let m = !m in
+  if m <> x then ignore (hang t c ~top:m ~parent:(-1) ~edge:(-1) ~root:m);
+  t.fp_pend.(c).(m) <- 0;
+  (m, k)
+
+let count_repaired k =
+  ignore (Atomic.fetch_and_add Counters.repair_vertices k);
+  Obs.count ~by:k "coloring.repair_vertices"
+
+(* A query that follows an [unset] from color [c] must see every tree
+   of [c] rooted at its lowest vertex: that is the rooting a BFS of the
+   whole color from vertex 0 up produces, and [iter_path]'s edge order
+   depends on it. [unset] re-roots the subtree it detaches. [set] keeps
+   the larger side's root, which is the merged tree's lowest vertex
+   unless the absorbed side's root was lower or either side was already
+   pending; the merged root is then marked pending with 1 + the color's
+   unset count. A pending mark an [unset] has overtaken is stale, and
+   [settle] re-roots that tree at its lowest vertex before anything
+   reads its rooting: [set] for both sides, [unset] for the tree that
+   loses the edge, [iter_path] for the tree it climbs. Every read thus
+   sees the rooting a repair of all pending trees at each [unset] would
+   give, but only touched trees pay, and no list of them is kept. *)
+let settle t c r =
+  let p = t.fp_pend.(c).(r) in
+  if p > 0 && p <= t.fp_unsets.(c) then begin
+    let size = t.fp_size.(c) in
+    let m, k = reroot_at_min t c r in
+    size.(m) <- size.(r);
+    count_repaired k
+  end
+
+(* connectivity of u and v inside color c: one root-label compare *)
+let same_tree t c u v =
+  ensure_forest t c;
   Atomic.incr Counters.uf_queries;
   Obs.count "coloring.uf_queries";
-  let p = t.uf_parent.(c) in
-  uf_find p u = uf_find p v
+  let lab = t.fp_root.(c) in
+  lab.(u) = lab.(v)
 
 (* ---------------------------------------------------------------- *)
 (* BFS connectivity (the test oracle)                                *)
@@ -402,7 +350,7 @@ let would_close_cycle t e c =
     false
   else begin
     let u = t.src.(e) and v = t.dst.(e) in
-    u = v || uf_connected t c u v
+    u = v || same_tree t c u v
   end
 
 let oracle_would_close_cycle t e c =
@@ -417,20 +365,28 @@ let connected t c u v =
   let n = t.n in
   if u < 0 || u >= n || v < 0 || v >= n then
     invalid_arg "Coloring.connected: vertex out of range";
-  u = v || uf_connected t c u v
+  u = v || same_tree t c u v
 
 let unset t e =
   check_edge t e "unset";
   let c = t.assign.(e) in
   if c >= 0 then begin
     let u = t.src.(e) and v = t.dst.(e) in
+    let lab = t.fp_root.(c) and size = t.fp_size.(c) in
+    t.fp_unsets.(c) <- t.fp_unsets.(c) + 1;
+    settle t c lab.(u);
     unlink_node t c u (2 * e);
     unlink_node t c v ((2 * e) + 1);
-    unlink_edge t c e;
     t.assign.(e) <- -1;
     t.colored <- t.colored - 1;
-    (* deletions invalidate only this color; rebuilt lazily on query *)
-    t.uf_gen.(c) <- t.uf_gen.(c) + 1
+    (* the endpoint below e roots the detached subtree; the other side
+       keeps the old root, its lowest vertex *)
+    let x = if t.fp_edge.(c).(u) = e then u else v in
+    let r = lab.(x) in
+    let m, k = reroot_at_min t c x in
+    size.(r) <- size.(r) - k;
+    size.(m) <- k;
+    count_repaired k
   end
 
 let set t e c =
@@ -442,20 +398,34 @@ let set t e c =
       invalid_arg "Coloring.set: would close a cycle";
     unset t e;
     let u = t.src.(e) and v = t.dst.(e) in
-    (* the cycle check above just ensured color c's union-find is clean
-       (and allocated), so insertion maintains it incrementally — no
-       invalidation. The rooted forest re-hangs the smaller side before
-       the edge enters the adjacency lists. *)
-    let p = t.uf_parent.(c) in
-    if t.uf_size.(c).(uf_find p u) >= t.uf_size.(c).(uf_find p v) then
-      reroot_under t c ~u ~v ~e
-    else reroot_under t c ~u:v ~v:u ~e;
+    (* the cycle check above allocated color c's forest. The smaller
+       side is re-hung below the larger (u's side on a tie), whose root
+       the merged tree keeps, before the edge enters the adjacency
+       lists: small-to-large, so each vertex is re-hung O(log n) times
+       between deletes. *)
+    let lab = t.fp_root.(c)
+    and size = t.fp_size.(c)
+    and pend = t.fp_pend.(c) in
+    settle t c lab.(u);
+    settle t c lab.(v);
+    let ru = lab.(u) and rv = lab.(v) in
+    let keep, moved =
+      if size.(ru) >= size.(rv) then begin
+        ignore (hang t c ~top:v ~parent:u ~edge:e ~root:ru);
+        (ru, rv)
+      end
+      else begin
+        ignore (hang t c ~top:u ~parent:v ~edge:e ~root:rv);
+        (rv, ru)
+      end
+    in
+    size.(keep) <- size.(keep) + size.(moved);
+    if moved < keep || pend.(keep) > 0 || pend.(moved) > 0 then
+      pend.(keep) <- t.fp_unsets.(c) + 1;
     link_node t c u (2 * e);
     link_node t c v ((2 * e) + 1);
-    link_edge t c e;
     t.assign.(e) <- c;
-    t.colored <- t.colored + 1;
-    uf_union t c u v
+    t.colored <- t.colored + 1
   end
 
 let check_color t c name =
@@ -484,9 +454,7 @@ let add_edge t u v =
     t.dst <- grow t.dst cap 0;
     t.assign <- grow t.assign cap (-1);
     t.nxt <- grow t.nxt (2 * cap) (-1);
-    t.prv <- grow t.prv (2 * cap) (-1);
-    t.enxt <- grow t.enxt cap (-1);
-    t.eprv <- grow t.eprv cap (-1)
+    t.prv <- grow t.prv (2 * cap) (-1)
   end;
   t.src.(e) <- u;
   t.dst.(e) <- v;
@@ -494,9 +462,9 @@ let add_edge t u v =
   e
 
 (* the one counted test behind C(e, c): free when e has color c, one
-   union-find query otherwise (graphs have no self-loops) *)
+   root-label compare otherwise (graphs have no self-loops) *)
 let path_exists_unchecked t e c =
-  t.assign.(e) = c || uf_connected t c t.src.(e) t.dst.(e)
+  t.assign.(e) = c || same_tree t c t.src.(e) t.dst.(e)
 
 let path_exists t e c =
   check_color t c "path_exists";
@@ -509,7 +477,8 @@ let path_exists t e c =
 let iter_path_unchecked t e c f =
   if t.assign.(e) = c then f e
   else begin
-    ensure_uf t c;
+    ensure_forest t c;
+    settle t c t.fp_root.(c).(t.src.(e));
     let pv = t.fp_vertex.(c)
     and pe = t.fp_edge.(c)
     and dep = t.fp_depth.(c)
@@ -575,14 +544,14 @@ let component_edges t v c =
 let component_size t v c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.component_size: color out of range";
-  ensure_uf t c;
-  t.uf_size.(c).(uf_find t.uf_parent.(c) v)
+  ensure_forest t c;
+  t.fp_size.(c).(t.fp_root.(c).(v))
 
 let component_edge_count t v c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.component_edge_count: color out of range";
-  ensure_uf t c;
-  t.uf_edges.(c).(uf_find t.uf_parent.(c) v)
+  ensure_forest t c;
+  t.fp_size.(c).(t.fp_root.(c).(v)) - 1
 
 let colored_incident t v c =
   let acc = ref [] in

@@ -7,15 +7,18 @@
     color-[c] forest — which drives the augmenting-sequence machinery of
     Section 3 of the paper.
 
+    Each color keeps a rooted spanning forest, allocated at the color's
+    first touch, with every vertex labelled by the root of its tree.
     Connectivity questions ("would coloring [e] with [c] close a cycle?",
-    "is [C(e, c)] empty?") are answered by an incremental per-color
-    union-find in O(α(n)) amortized: insertions ({!set}) update it in
-    place, deletions ({!unset}, recoloring) invalidate only the affected
-    color via a generation counter, and the next query on that color
-    lazily rebuilds it from the color's own edge list, in O(n + m_c) for
-    a color of m_c edges. Paths are read off a rooted spanning forest per
-    color by an LCA climb ({!iter_path}); breadth-first search survives
-    solely as the differential-testing oracle ({!oracle_would_close_cycle}).
+    "is [C(e, c)] empty?") are one label compare, in O(1). Paths are read
+    off the rooted forest by an LCA climb ({!iter_path}). Every update
+    is repaired eagerly, and only in the trees it touches: {!set}
+    re-hangs and relabels the smaller of the two trees it joins, and
+    {!unset} re-roots the subtree that loses the edge, in O(size of that
+    subtree). After an {!unset} from color [c], every tree of [c] is
+    seen rooted at its lowest vertex, so path orders do not depend on
+    when the forest was repaired. Breadth-first search survives solely as the
+    differential-testing oracle ({!oracle_would_close_cycle}).
 
     The edge set may grow: {!add_edge} appends an uncolored edge in
     place, in amortized O(1), without touching any color's state.
@@ -51,25 +54,30 @@ val iter_uncolored : (int -> unit) -> t -> unit
 
 (** [would_close_cycle t e c] holds when the endpoints of [e] are already
     connected inside the color-[c] forest by edges other than [e].
-    O(α(n)) amortized via the per-color union-find; never runs a BFS. *)
+    O(1) by the root labels; never runs a BFS. *)
 val would_close_cycle : t -> int -> int -> bool
 
-(** Same question answered by bidirectional BFS, bypassing the union-find
-    cache entirely. Only for differential tests and benchmarks comparing
-    the cached and uncached predicates. *)
+(** Same question answered by bidirectional BFS, bypassing the root
+    labels entirely. Only for differential tests and benchmarks comparing
+    the labelled and unlabelled predicates. *)
 val oracle_would_close_cycle : t -> int -> int -> bool
 
 (** [set t e c] colors edge [e] with [c], first removing any previous color.
     @raise Invalid_argument if this closes a cycle in color [c]. *)
 val set : t -> int -> int -> unit
 
-(** [unset t e] removes the color of [e] (no-op when uncolored). *)
+(** [unset t e] removes the color of [e] (no-op when uncolored) and
+    re-roots the subtree that loses [e] at its lowest vertex, in
+    O(size of that subtree). A tree of that color that a {!set} since
+    the color's previous [unset] may have left rooted elsewhere is
+    re-rooted at its lowest vertex when an update or a path walk next
+    touches it. *)
 val unset : t -> int -> unit
 
 (** [path t e c] is [C(e, c)]: the edge-id path joining the endpoints
     [u]–[v] of [e] inside the color-[c] forest, or [None] when they are
     disconnected. If [e] itself is colored [c] the result is [Some [e]].
-    The disconnected case is decided in O(α(n)) without BFS; the
+    The disconnected case is decided in O(1) without BFS; the
     connected case is extracted from the maintained rooted forest in
     O(path length), listed as the [u]-side half (from [u] towards the
     meeting point) followed by the [v]-side half (from [v] towards it) —
@@ -79,8 +87,8 @@ val unset : t -> int -> unit
 val path : t -> int -> int -> int list option
 
 (** [path_exists t e c] is [path t e c <> None], at the cost of the
-    counted test alone: free when [e] has color [c], one union-find query
-    otherwise. *)
+    counted test alone: free when [e] has color [c], one root-label
+    compare otherwise. *)
 val path_exists : t -> int -> int -> bool
 
 (** [iter_path t e c f] calls [f] on each edge of [C(e, c)] in {!path}'s
@@ -96,7 +104,7 @@ val iter_path : t -> int -> int -> (int -> unit) -> unit
 val component_edges : t -> int -> int -> int list
 
 (** [component_size t v c] is the number of vertices of the color-[c] tree
-    containing [v] (1 when isolated), from the union-find, in O(α(n)). *)
+    containing [v] (1 when isolated), from the root labels, in O(1). *)
 val component_size : t -> int -> int -> int
 
 (** [component_edge_count t v c] is the number of edges of that tree
@@ -124,7 +132,7 @@ val copy : t -> t
 (** [add_edge t u v] appends a fresh uncolored [u]–[v] edge and returns
     its id, which is the previous edge count: ids stay dense and are
     never reused. Amortized O(1): the per-edge arrays grow by doubling
-    capacity, and no per-color union-find, rooted forest or adjacency
+    capacity, and no per-color rooted forest or adjacency
     list is touched, since an uncolored edge belongs to no forest. This
     is the dynamic-graph entry point of the service layer: an edge
     insertion appends here, then probes colors with {!connected} and
@@ -134,7 +142,7 @@ val copy : t -> t
 val add_edge : t -> int -> int -> int
 
 (** [connected t c u v]: are [u] and [v] connected inside the color-[c]
-    forest? O(α(n)) amortized via the per-color union-find. Coloring a
+    forest? O(1) by the root labels. Coloring a
     fresh [u]–[v] edge with [c] is safe iff [not (connected t c u v)].
     @raise Invalid_argument on an out-of-range color or vertex. *)
 val connected : t -> int -> int -> int -> bool
@@ -143,12 +151,21 @@ val connected : t -> int -> int -> int -> bool
     vertices, with the map from new edge ids to original ids. *)
 val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
 
-(** Process-wide query counters (atomic, shared across bench domains):
-    union-find connectivity queries, BFS
-    executions, lazy union-find rebuilds. The bench harness reports
-    deltas per experiment. *)
+(** Process-wide counters (atomic, shared across bench domains):
+    connectivity queries ([uf_queries]), BFS executions ([bfs_runs]),
+    per-color forest allocations at a color's first touch
+    ([uf_rebuilds]; nothing else rebuilds a forest), and vertices
+    re-rooted by {!unset} repairs ([repair_vertices]). Obs counts the
+    same events as [coloring.uf_queries], [coloring.bfs_runs],
+    [coloring.uf_rebuilds] and [coloring.repair_vertices]. The bench
+    harness reports deltas per experiment. *)
 module Counters : sig
-  type snapshot = { uf_queries : int; bfs_runs : int; uf_rebuilds : int }
+  type snapshot = {
+    uf_queries : int;
+    bfs_runs : int;
+    uf_rebuilds : int;
+    repair_vertices : int;
+  }
 
   val snapshot : unit -> snapshot
 end

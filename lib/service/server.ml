@@ -321,7 +321,9 @@ let serve_payload st payload =
 
 (* the request's [serve:<op>] span has closed: keep its per-name totals
    and drop the tree, so a long-lived collection holds memory bounded by
-   the span names seen, not by the requests served *)
+   the span names seen, not by the requests served. [serve_connection]
+   folds only after the answer is written, so the fold stays off the
+   client's path. *)
 let handle st payload =
   let answer = serve_payload st payload in
   Obs.fold_roots ();
@@ -342,8 +344,9 @@ let serve_connection st client ~publish ~stop =
     match Wire.read_frame ic with
     | None -> ()
     | Some payload ->
-        let resp, k = handle st payload in
+        let resp, k = serve_payload st payload in
         Wire.write_frame oc resp;
+        Obs.fold_roots ();
         publish ();
         (match k with
         | `Continue -> loop ()

@@ -9,10 +9,11 @@
 
     Per request: an [Obs] span [serve:<op>] tagged with the request id
     (and session), a [service.latency_ms.<op>] histogram observation and
-    a [service.requests] counter bump. Once the span closes, {!handle}
-    folds the request's spans into per-name totals
-    ({!Nw_obs.Obs.fold_roots}), so the daemon's trace memory is bounded
-    by the distinct span names, not by the requests served. With
+    a [service.requests] counter bump. Once the answer is written, the
+    request's spans are folded into per-name totals
+    ({!Nw_obs.Obs.fold_roots}, as {!handle} does), so the daemon's trace
+    memory is bounded by the distinct span names, not by the requests
+    served, and the fold is off the client's path. With
     [metrics_socket] set, a {!Nw_obs.Metrics_server} endpoint serves the
     Prometheus rendering of the live snapshot, republished after every
     request.

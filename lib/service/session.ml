@@ -396,9 +396,9 @@ let insert_edge t ~u ~v =
       | Some col -> (
           (* append the edge to the cache in place, then probe the
              palette: color c admits the edge iff u and v are not
-             already connected in forest c — O(palette · α(n)) against
-             the union-find, plus the lazy O(n + m_c) rebuild of a color
-             a delete dirtied; no BFS, no pipeline *)
+             already connected in forest c — one root-label compare per
+             color, then [set] re-hangs the smaller of the two trees it
+             joins; no BFS, no pipeline *)
           ignore (Coloring.add_edge col u v);
           let rec probe c =
             if c >= t.s_palette then None
@@ -420,8 +420,8 @@ let delete_edge t ~edge =
     t.s_live.(edge) <- false;
     t.s_live_count <- t.s_live_count - 1;
     t.s_epoch <- t.s_epoch + 1;
-    (* deletion only shrinks a forest: unset dirties the edge's color,
-       whose union-find is rebuilt by the next probe that reaches it *)
+    (* deletion only shrinks a forest: unset re-roots the subtree that
+       loses the edge, in O(size of that subtree) *)
     let color =
       match t.s_col with
       | None -> None

@@ -20,13 +20,13 @@
     slot id); no slot graph is built per update. An insert appends the
     edge to the coloring ({!Nw_decomp.Coloring.add_edge}, amortized
     O(1)), probes the palette in color order with
-    {!Nw_decomp.Coloring.connected} (O(α(n)) amortized per color) and
-    colors the edge with the first admissible color; {!Nw_decomp.Coloring.set}
-    itself refuses a cycle, so no re-check follows. A delete is a bare
-    {!Nw_decomp.Coloring.unset}: it dirties the edge's color, and the
-    next probe that reaches that color rebuilds its union-find from the
-    color's own edges, O(n + m_c) with m_c ≤ n − 1 — the one per-update
-    term left, proportional to n, never to m.
+    {!Nw_decomp.Coloring.connected} (one root-label compare per color)
+    and colors the edge with the first admissible color;
+    {!Nw_decomp.Coloring.set} itself refuses a cycle, so no re-check
+    follows, and re-hangs the smaller of the two trees it joins. A
+    delete is a bare {!Nw_decomp.Coloring.unset}, which re-roots the
+    subtree that loses the edge. No per-update term is proportional to
+    n or m: each update touches only the trees it changes.
 
     If no palette color admits the edge, or the last batch entry has no
     live coloring (star-forest and list entries: the forest-only probe
@@ -141,7 +141,7 @@ type churn = {
 val insert_edge : t -> u:int -> v:int -> (churn, string) result
 
 (** Tombstone a slot. With a live coloring this is a bare unset of the
-    slot's edge, O(1): its color's union-find is rebuilt lazily by the
-    next probe that reaches it. Deletion only shrinks a forest, so it
-    never needs the fallback. *)
+    slot's edge, which re-roots the subtree that loses the edge, in
+    O(size of that subtree). Deletion only shrinks a forest, so it never
+    needs the fallback. *)
 val delete_edge : t -> edge:int -> (churn, string) result

@@ -1,9 +1,12 @@
-(* Differential tests of the incremental per-color connectivity cache
-   against the BFS oracle it replaced: random interleavings of
-   set / unset / recolor must leave the cached [would_close_cycle] (and
-   [path]'s disconnection short-cut) agreeing with
-   [oracle_would_close_cycle] on every query, plus units for the lazy
-   rebuild after [unset] and for [copy] preserving cache coherence. *)
+(* Differential tests of the per-color root-labelled forests against
+   the BFS oracle they replaced: random interleavings of
+   set / unset / recolor must leave the labelled [would_close_cycle]
+   (and [path]'s disconnection short-cut) agreeing with
+   [oracle_would_close_cycle] on every query, the component counts and
+   [connected] agreeing with a BFS after every operation, and the path
+   orders right after every [unset] equal to those of a BFS forest
+   rooted at each tree's lowest vertex; plus units for the repair after
+   [unset] and for [copy] preserving coherence. *)
 
 module G = Nw_graphs.Multigraph
 module Gen = Nw_graphs.Generators
@@ -138,7 +141,7 @@ let prop_component_counts =
 (* the path walk against [path]: over random partial colorings of simple
    graphs and of multigraphs dense in parallel edges (graphs have no
    self-loops), [path_exists] is [path <> None] and agrees with the BFS
-   oracle, it costs one union-find query unless e has color c (then
+   oracle, it costs one counted connectivity query unless e has color c (then
    none), and [iter_path] emits [path]'s edges in [path]'s order without
    touching the counters — or refuses an empty C(e, c) *)
 let prop_path_walk =
@@ -193,9 +196,145 @@ let prop_path_walk =
       done;
       true)
 
+(* The BFS oracle of one color: every tree rooted at its lowest vertex
+   (trees found from vertex 0 up), with parent vertex, parent edge,
+   depth, tree id, tree vertex count and tree edge count per vertex. *)
+type oracle_forest = {
+  o_parent : int array;
+  o_edge : int array;
+  o_depth : int array;
+  o_tree : int array;
+  o_size : int array;
+  o_edges : int array;
+}
+
+let oracle_forest c col =
+  let n = G.n (Coloring.graph c) in
+  let o_parent = Array.make n (-1) and o_edge = Array.make n (-1) in
+  let o_depth = Array.make n (-1) and o_tree = Array.make n (-1) in
+  let o_size = Array.make n 0 and o_edges = Array.make n 0 in
+  for r = 0 to n - 1 do
+    if o_depth.(r) < 0 then begin
+      let members = ref [ r ] and edges = ref 0 in
+      o_depth.(r) <- 0;
+      let q = Queue.create () in
+      Queue.add r q;
+      while not (Queue.is_empty q) do
+        let x = Queue.take q in
+        List.iter
+          (fun (w, e) ->
+            incr edges;
+            if o_depth.(w) < 0 then begin
+              o_depth.(w) <- o_depth.(x) + 1;
+              o_parent.(w) <- x;
+              o_edge.(w) <- e;
+              members := w :: !members;
+              Queue.add w q
+            end)
+          (Coloring.colored_incident c x col)
+      done;
+      List.iter
+        (fun x ->
+          o_tree.(x) <- r;
+          o_size.(x) <- List.length !members;
+          o_edges.(x) <- !edges / 2)
+        !members
+    end
+  done;
+  { o_parent; o_edge; o_depth; o_tree; o_size; o_edges }
+
+(* [C(e, c)] on the oracle forest in [iter_path]'s order: the u-side
+   edges from u up to the lowest common ancestor, then the v-side ones
+   from v up to it *)
+let oracle_path o u v =
+  let rec up x d acc =
+    if o.o_depth.(x) > d then up o.o_parent.(x) d (o.o_edge.(x) :: acc)
+    else (x, acc)
+  in
+  let x, us = up u o.o_depth.(v) [] and y, vs = up v o.o_depth.(u) [] in
+  let rec meet x y us vs =
+    if x = y then List.rev us @ List.rev vs
+    else
+      meet o.o_parent.(x) o.o_parent.(y) (o.o_edge.(x) :: us)
+        (o.o_edge.(y) :: vs)
+  in
+  meet x y us vs
+
+(* Random set/unset/recolor scripts over small forest_union multigraphs
+   and simple graphs: after every operation, [connected],
+   [component_size] and [component_edge_count] equal the BFS oracle's in
+   every color; right after every colored edge leaves color c, the path
+   of every edge whose endpoints c connects equals the oracle's order on
+   a BFS forest rooted at each tree's lowest vertex. *)
+let prop_repair_oracle =
+  QCheck.Test.make
+    ~name:"repair after unset == min-rooted BFS forest oracle"
+    ~count:40 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let g =
+        if seed mod 2 = 0 then
+          Gen.forest_union st (4 + Random.State.int st 20)
+            (1 + Random.State.int st 3)
+        else Gen.erdos_renyi st (4 + Random.State.int st 16) 0.4
+      in
+      QCheck.assume (G.m g > 0);
+      let n = G.n g and colors = 1 + Random.State.int st 3 in
+      let c = Coloring.create g ~colors in
+      let check_counts step =
+        for col = 0 to colors - 1 do
+          let o = oracle_forest c col in
+          for u = 0 to n - 1 do
+            if Coloring.component_size c u col <> o.o_size.(u) then
+              Alcotest.failf "step %d: v=%d c=%d size %d, BFS %d" step u col
+                (Coloring.component_size c u col) o.o_size.(u);
+            if Coloring.component_edge_count c u col <> o.o_edges.(u) then
+              Alcotest.failf "step %d: v=%d c=%d edge count %d, BFS %d" step
+                u col
+                (Coloring.component_edge_count c u col)
+                o.o_edges.(u);
+            for v = 0 to n - 1 do
+              if Coloring.connected c col u v <> (o.o_tree.(u) = o.o_tree.(v))
+              then
+                Alcotest.failf "step %d: c=%d connected %d %d disagrees" step
+                  col u v
+            done
+          done
+        done
+      in
+      let check_paths step col =
+        let o = oracle_forest c col in
+        for e = 0 to G.m g - 1 do
+          let u, v = G.endpoints g e in
+          if Coloring.color c e <> Some col && o.o_tree.(u) = o.o_tree.(v)
+          then begin
+            let walked = ref [] in
+            Coloring.iter_path c e col (fun x -> walked := x :: !walked);
+            if List.rev !walked <> oracle_path o u v then
+              Alcotest.failf "step %d: e=%d c=%d path order differs" step e
+                col
+          end
+        done
+      in
+      for step = 1 to 6 * G.m g do
+        let e = Random.State.int st (G.m g) in
+        let before = Coloring.color c e in
+        (match Random.State.int st 3 with
+        | 0 -> Coloring.unset c e
+        | _ ->
+            let col = Random.State.int st colors in
+            if not (Coloring.would_close_cycle c e col) then
+              Coloring.set c e col);
+        check_counts step;
+        match (before, Coloring.color c e) with
+        | Some c0, after when after <> before -> check_paths step c0
+        | _ -> ()
+      done;
+      true)
+
 (* unit: a disconnection created by unset is visible on the very next
-   query — the generation counter must force the lazy rebuild *)
-let test_lazy_rebuild_after_unset () =
+   query — the repair must relabel the detached subtree *)
+let test_repair_after_unset () =
   let g = Gen.path 4 in
   (* path edges 0-1-2; color them all 0 *)
   let c = Coloring.create g ~colors:2 in
@@ -236,7 +375,7 @@ let test_rejects_cycle_after_cross_color_churn () =
   Alcotest.check_raises "cycle rejected"
     (Invalid_argument "Coloring.set: would close a cycle") (fun () ->
       Coloring.set c 3 0);
-  Alcotest.(check bool) "color 1 rebuilt lazily" false
+  Alcotest.(check bool) "color 1 repaired" false
     (Coloring.would_close_cycle c 3 1)
 
 (* unit: copy preserves cache coherence — the copy answers like its own
@@ -408,15 +547,20 @@ let () =
     [
       ( "units",
         [
-          Alcotest.test_case "lazy rebuild after unset" `Quick
-            test_lazy_rebuild_after_unset;
+          Alcotest.test_case "repair after unset" `Quick
+            test_repair_after_unset;
           Alcotest.test_case "cross-color churn" `Quick
             test_rejects_cycle_after_cross_color_churn;
           Alcotest.test_case "copy coherence" `Quick
             test_copy_preserves_cache_coherence;
         ] );
       qsuite "differential"
-        [ prop_differential; prop_component_counts; prop_path_walk ];
+        [
+          prop_differential;
+          prop_component_counts;
+          prop_path_walk;
+          prop_repair_oracle;
+        ];
       qsuite "dynamic"
         [ prop_add_edge_connected_differential ];
     ]

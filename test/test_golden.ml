@@ -194,11 +194,100 @@ let search_stats_string () =
 
 let expected_search_stats = "20836a458265bff8b7e881af911c4d3a"
 
+(* Forest paths read right after deletions, which none of the runs
+   above make: seeded set/unset/recolor scripts, then edge-by-edge
+   augmentation with exactly alpha colors (where [Augmenting.apply]
+   recolors), over forest_union multigraphs. After every colored edge
+   leaves a color, the [iter_path] order of a few random probe edges in
+   that color is recorded; each run ends with its coloring. Returns the
+   rendering and the number of colored edges unset. *)
+let recolor_string () =
+  let module Aug = Nw_core.Augmenting in
+  let module Palette = Nw_decomp.Palette in
+  let b = Buffer.create 4096 in
+  let unsets = ref 0 in
+  let after_unset coloring c rng =
+    incr unsets;
+    let m = G.m (Coloring.graph coloring) in
+    for _ = 1 to 6 do
+      let e = Random.State.int rng m in
+      if Coloring.path_exists coloring e c then begin
+        Coloring.iter_path coloring e c (fun x -> Printf.bprintf b "%d," x);
+        Buffer.add_char b ';'
+      end
+    done
+  in
+  let render coloring =
+    Array.iter
+      (fun c ->
+        Buffer.add_string b
+          (match c with Some c -> string_of_int c ^ "," | None -> "-,"))
+      (Coloring.to_array coloring);
+    Buffer.add_char b '|'
+  in
+  List.iter
+    (fun (seed, n, a) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Gen.forest_union rng n a in
+      let k = a + 1 in
+      let coloring = Coloring.create g ~colors:k in
+      for _ = 1 to 30 * n do
+        let e = Random.State.int rng (G.m g) in
+        let c = Random.State.int rng k in
+        match Coloring.color coloring e with
+        | Some c0 when Random.State.int rng 3 = 0 ->
+            Coloring.unset coloring e;
+            after_unset coloring c0 rng
+        | prev ->
+            if not (Coloring.would_close_cycle coloring e c) then begin
+              Coloring.set coloring e c;
+              match prev with
+              | Some c0 when c0 <> c -> after_unset coloring c0 rng
+              | _ -> ()
+            end
+      done;
+      render coloring)
+    [ (11, 40, 2); (12, 60, 3); (13, 90, 4) ];
+  List.iter
+    (fun (seed, n, a) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Gen.forest_union rng n a in
+      let alpha = fst (Nw_baseline.Gabow_westermann.arboricity g) in
+      let palette = Palette.full g alpha in
+      let coloring = Coloring.create g ~colors:alpha in
+      let scratch = Aug.scratch coloring in
+      let order = Array.init (G.m g) Fun.id in
+      for i = Array.length order - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      Array.iter
+        (fun e ->
+        let before = Coloring.to_array coloring in
+        (match Aug.augment_edge coloring palette ~edge:e ~scratch () with
+        | Ok _ -> ()
+        | Error _ -> Buffer.add_string b "stall;");
+        Array.iteri
+          (fun e' old ->
+            match (old, Coloring.color coloring e') with
+            | Some c0, Some c1 when c0 <> c1 -> after_unset coloring c0 rng
+            | _ -> ())
+          before)
+        order;
+      render coloring)
+    [ (21, 40, 3); (22, 80, 4); (23, 120, 5) ];
+  (Buffer.contents b, !unsets)
+
+let expected_recolor = "33d5e658cbb99d55e0c02214869e119f"
+
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then begin
     print_actual ();
     Printf.printf "chaos: %S\n" (chaos_fingerprint ());
     Printf.printf "search stats: %S\n" (md5 (search_stats_string ()));
+    Printf.printf "recolor: %S\n" (md5 (fst (recolor_string ())));
     exit 0
   end
 
@@ -215,6 +304,11 @@ let test_entry gname g (entry : Registry.entry) () =
 let test_search_stats () =
   Alcotest.(check string) "augment_edge stats" expected_search_stats
     (md5 (search_stats_string ()))
+
+let test_recolor () =
+  let s, unsets = recolor_string () in
+  Alcotest.(check bool) "colored edges unset" true (unsets > 0);
+  Alcotest.(check string) "paths after unsets" expected_recolor (md5 s)
 
 let test_chaos () =
   Alcotest.(check string) "lsfd under chaos" expected_chaos
@@ -236,4 +330,6 @@ let () =
         ("pinned-chaos", [ Alcotest.test_case "fault digest" `Quick test_chaos ]);
         ( "pinned-search",
           [ Alcotest.test_case "augment stats" `Quick test_search_stats ] );
+        ( "pinned-recolor",
+          [ Alcotest.test_case "paths after unsets" `Quick test_recolor ] );
       ])
