@@ -14,18 +14,6 @@ module Verify = Nw_decomp.Verify
 let rng seed = Random.State.make [| seed; 0xbead |]
 
 (* ------------------------------------------------------------------ *)
-(* round attribution                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Experiments are attributed rounds per *domain*, not via the process-wide
-   grand total: under `--domains K` every experiment runs wholly on one
-   domain, so the delta of [Rounds.domain_total] around it counts exactly
-   the charges of that experiment, while grand-total deltas would also
-   absorb whatever the other workers charged meanwhile. *)
-let domain_rounds_baseline () = Rounds.domain_total ()
-let domain_rounds_since r0 = Rounds.domain_total () - r0
-
-(* ------------------------------------------------------------------ *)
 (* core counts for the env stamp                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -51,29 +39,11 @@ let core_counts_json () =
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
-(* output sink                                                         *)
+(* output                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every printing helper below writes through a domain-local sink. In the
-   default (sequential) mode the sink is stdout; when `--domains K` fans
-   experiments across Domain.spawn workers, each worker redirects its sink
-   to a per-experiment buffer so tables never interleave — the harness
-   prints the buffers in experiment order after joining. *)
-let sink : Buffer.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let with_sink buf f =
-  Domain.DLS.set sink (Some buf);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set sink None) f
-
-let emit s =
-  match Domain.DLS.get sink with
-  | Some b -> Buffer.add_string b s
-  | None -> print_string s
-
-let out fmt = Printf.ksprintf emit fmt
-
-let flush_out () =
-  match Domain.DLS.get sink with None -> flush stdout | Some _ -> ()
+let out = Printf.printf
+let flush_out () = flush stdout
 
 (* ------------------------------------------------------------------ *)
 (* table rendering                                                     *)
@@ -98,9 +68,7 @@ let write_csv ~title ~header ~rows =
   match !csv_dir with
   | None -> ()
   | Some dir ->
-      (* tolerate the mkdir race between parallel bench domains *)
-      (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-       with Sys_error _ -> ());
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let path = Filename.concat dir (csv_slug title ^ ".csv") in
       let oc = open_out path in
       let quote cell =
@@ -142,7 +110,7 @@ let table ~title ~header ~rows =
   write_csv ~title ~header ~rows;
   flush_out ()
 
-let note fmt = Printf.ksprintf (fun s -> emit ("   " ^ s ^ "\n")) fmt
+let note fmt = Printf.ksprintf (fun s -> print_string ("   " ^ s ^ "\n")) fmt
 
 let section title =
   out "\n######## %s ########\n" title;

@@ -13,16 +13,11 @@
                            connectivity-query counts)
    Chrome trace:          dune exec bench/main.exe -- --exp e5 --trace e5.json
                           (phase spans of every selected experiment, one
-                           trace_event lane per experiment; open in
+                           trace per experiment; open in
                            chrome://tracing or ui.perfetto.dev; a .jsonl
                            suffix selects the JSONL event stream instead)
    Phase summaries:       dune exec bench/main.exe -- --metrics
                           (per-experiment span tree + counters on stdout)
-   Parallel sweep:        dune exec bench/main.exe -- --domains 4
-                          (independent experiments fan out across domains;
-                           per-experiment output is buffered and printed in
-                           order; spans and round attribution stay exact
-                           because both are domain-local)
    Regression gate:       dune exec bench/main.exe -- --json --quick
                           (skips the slowest experiments and the micro
                            pass; completes in well under a minute)
@@ -234,15 +229,15 @@ module Micro = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* perf-trajectory records and parallel driver                          *)
+(* perf-trajectory records                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* experiments skipped under --quick: the two that dominate a full run *)
 let slow_experiments = [ "e9"; "e15" ]
 
-(* per-experiment resource attribution: Gc.quick_stat deltas on the
-   running domain (every LOCAL round runs on it). top_heap is the
-   process high-water mark at the end of the experiment, not a delta. *)
+(* per-experiment resource attribution: Gc.quick_stat deltas around the
+   experiment. top_heap is the process high-water mark at the end of
+   the experiment, not a delta. *)
 type resources = {
   minor_words : float;
   major_words : float;
@@ -255,7 +250,6 @@ type resources = {
 type record = {
   name : string;
   desc : string;
-  output : string; (* buffered tables ("" when streamed live) *)
   wall_s : float;
   charged_rounds : int;
   uf_queries : int;
@@ -267,16 +261,12 @@ type record = {
 }
 
 (* Run one experiment inside its own Obs collection and a root span, with
-   the round delta taken from the per-domain ledger accumulator: each
-   experiment runs wholly on one domain, so both the span tree and the
-   charged-round count are exact even when `--domains K` runs other
-   experiments concurrently (the old grand-total snapshots counted their
-   charges too). Exceptions are captured so one broken experiment cannot
-   take down a parallel sweep. *)
+   the round delta taken from the process-wide round counter. Exceptions
+   are captured so one broken experiment cannot take down the sweep. *)
 let run_one (name, desc, run) =
   let module C = Nw_decomp.Coloring.Counters in
   let c0 = C.snapshot () in
-  let r0 = Exp_common.domain_rounds_baseline () in
+  let r0 = Nw_localsim.Rounds.grand_total () in
   let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let run_guarded () =
@@ -312,9 +302,8 @@ let run_one (name, desc, run) =
   {
     name;
     desc;
-    output = "";
     wall_s = t1 -. t0;
-    charged_rounds = Exp_common.domain_rounds_since r0;
+    charged_rounds = Nw_localsim.Rounds.grand_total () - r0;
     uf_queries = c1.C.uf_queries - c0.C.uf_queries;
     bfs_runs = c1.C.bfs_runs - c0.C.bfs_runs;
     uf_rebuilds = c1.C.uf_rebuilds - c0.C.uf_rebuilds;
@@ -330,37 +319,6 @@ let run_one (name, desc, run) =
     failed;
     trace;
   }
-
-(* fan the job list across [k] domains (the calling domain works too).
-   Each worker claims jobs off a shared atomic index and buffers its
-   experiment output through the Exp_common domain-local sink; results
-   land in distinct array slots, published by Domain.join. *)
-let run_parallel k jobs =
-  let jobs = Array.of_list jobs in
-  let results = Array.make (Array.length jobs) None in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < Array.length jobs then begin
-        let buf = Buffer.create 4096 in
-        let r = Exp_common.with_sink buf (fun () -> run_one jobs.(i)) in
-        results.(i) <- Some { r with output = Buffer.contents buf };
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let helpers =
-    List.init (max 0 (min k (Array.length jobs) - 1)) (fun _ ->
-        Domain.spawn worker)
-  in
-  worker ();
-  List.iter Domain.join helpers;
-  Array.to_list
-    (Array.map
-       (function Some r -> r | None -> assert false)
-       results)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -450,8 +408,11 @@ let phases_json trace =
   end
 
 (* one BENCH_<exp>.json per experiment — the persistent perf trajectory;
-   schema documented in docs/benchmarking.md *)
-let write_json ~quick ~domains ~env r =
+   schema documented in docs/benchmarking.md. "domains",
+   "rounds_attribution" and "counter_attribution" are historical
+   constants: the harness runs its experiments one after another in one
+   process *)
+let write_json ~quick ~env r =
   let oc = open_out (Printf.sprintf "BENCH_%s.json" r.name) in
   Printf.fprintf oc
     "{\n\
@@ -459,7 +420,7 @@ let write_json ~quick ~domains ~env r =
     \  \"exp\": \"%s\",\n\
     \  \"desc\": \"%s\",\n\
     \  \"quick\": %b,\n\
-    \  \"domains\": %d,\n\
+    \  \"domains\": 1,\n\
     \  \"env\": {\n\
      %s\
     \    %s,\n\
@@ -469,7 +430,7 @@ let write_json ~quick ~domains ~env r =
     \    \"stamped_at\": %.0f\n\
     \  },\n\
     \  \"rounds_attribution\": \"per-domain\",\n\
-    \  \"counter_attribution\": \"%s\",\n\
+    \  \"counter_attribution\": \"exact\",\n\
     \  \"wall_s\": %.6f,\n\
     \  \"charged_rounds\": %d,\n\
     \  \"connectivity\": {\n\
@@ -488,7 +449,7 @@ let write_json ~quick ~domains ~env r =
     \  \"phases\": %s,\n\
     \  \"failed\": %s\n\
      }\n"
-    (json_escape r.name) (json_escape r.desc) quick domains
+    (json_escape r.name) (json_escape r.desc) quick
     ((match env.fault_plan with
      | None -> ""
      | Some (hash, summary) ->
@@ -507,7 +468,6 @@ let write_json ~quick ~domains ~env r =
     (json_escape env.hostname)
     (json_escape env.ocaml_version)
     env.stamped_at
-    (if domains > 1 then "process-wide" else "exact")
     r.wall_s r.charged_rounds r.uf_queries r.bfs_runs r.uf_rebuilds
     r.resources.minor_words r.resources.major_words
     r.resources.promoted_words r.resources.minor_collections
@@ -524,20 +484,13 @@ let () =
   let json = List.mem "--json" args in
   let quick = List.mem "--quick" args in
   let metrics = List.mem "--metrics" args in
-  (* --csv DIR / --domains K / --trace FILE / --exp NAME consume their
-     argument *)
-  let domains = ref 1 in
+  (* --csv DIR / --trace FILE / --exp NAME consume their argument *)
   let trace_file = ref None in
   let chaos_plan = ref None in
   let chaos_seed = ref 1 in
   let rec strip acc = function
     | "--csv" :: dir :: rest ->
         Exp_common.csv_dir := Some dir;
-        strip acc rest
-    | "--domains" :: k :: rest ->
-        (match int_of_string_opt k with
-        | Some k when k >= 1 -> domains := k
-        | _ -> failwith "bench: --domains expects a positive integer");
         strip acc rest
     | "--trace" :: file :: rest ->
         trace_file := Some file;
@@ -554,8 +507,8 @@ let () =
         | Some n -> chaos_seed := n
         | None -> failwith "bench: --chaos-seed expects an integer");
         strip acc rest
-    | [ (("--csv" | "--domains" | "--trace" | "--exp" | "--chaos"
-        | "--chaos-seed") as flag) ] ->
+    | [ (("--csv" | "--trace" | "--exp" | "--chaos" | "--chaos-seed") as flag)
+      ] ->
         Printf.eprintf "bench: %s expects an argument\n" flag;
         exit 2
     | "--exp" :: name :: rest -> strip (name :: acc) rest
@@ -594,23 +547,12 @@ let () =
   if quick && selected = [] then
     Printf.printf "(--quick: skipping %s)\n"
       (String.concat ", " slow_experiments);
-  let rec_domains = Domain.recommended_domain_count () in
-  if !domains > rec_domains then
-    Printf.printf
-      "(warning: --domains %d exceeds the %d hardware thread%s; domains \
-       will contend and the sweep may run slower than sequential)\n"
-      !domains rec_domains
-      (if rec_domains = 1 then "" else "s");
   let jobs =
     List.filter (fun (name, _, _) -> wanted name) experiments
   in
-  let results =
-    if !domains > 1 then run_parallel !domains jobs
-    else List.map run_one jobs
-  in
+  let results = List.map run_one jobs in
   List.iter
     (fun r ->
-      print_string r.output;
       match r.failed with
       | None -> ()
       | Some msg -> Printf.printf "\n!! %s FAILED: %s\n" r.name msg)
@@ -642,7 +584,7 @@ let () =
         file);
   if json then begin
     let env = capture_env () in
-    List.iter (fun r -> write_json ~quick ~domains:!domains ~env r) results;
+    List.iter (fun r -> write_json ~quick ~env r) results;
     Printf.printf "\nwrote %s\n"
       (String.concat ", "
          (List.map (fun r -> Printf.sprintf "BENCH_%s.json" r.name) results))

@@ -139,8 +139,16 @@ let generate_cmd =
 (* info                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* a bad edge list is an input error: one line on stderr and exit 2,
+   never an uncaught exception *)
+let read_graph path =
+  try Io.read_edge_list path
+  with Failure msg | Sys_error msg ->
+    prerr_endline ("forestd: " ^ msg);
+    exit 2
+
 let info_run path exact =
-  let g = Io.read_edge_list path in
+  let g = read_graph path in
   Format.printf "%a@." G.pp g;
   Format.printf "simple: %b@." (G.is_simple g);
   Format.printf "degeneracy: %d@." (Nw_graphs.Degeneracy.degeneracy g);
@@ -209,7 +217,7 @@ let check_input path g (algorithm : Registry.entry) =
 
 let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
     chaos chaos_seed flight serve_metrics =
-  let g = Io.read_edge_list path in
+  let g = read_graph path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
   let alpha =
@@ -523,7 +531,7 @@ let decompose_cmd =
    exposition of the finished trace — the one-shot, pipeable face of the
    same rendering --serve-metrics serves over a socket *)
 let stats_run path algorithm epsilon seed alpha_opt =
-  let g = Io.read_edge_list path in
+  let g = read_graph path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
   let alpha =
@@ -611,7 +619,7 @@ let list_cmd =
 (* ------------------------------------------------------------------ *)
 
 let verify_run graph_path coloring_path star lists =
-  let g = Io.read_edge_list graph_path in
+  let g = read_graph graph_path in
   let coloring = Nw_decomp.Coloring_io.read coloring_path g in
   let checks =
     [

@@ -23,6 +23,12 @@ let parse_edge_list s =
                 failwith (Printf.sprintf "line %d: malformed n header" lineno))
         | [ a; b ] -> (
             match (int_of_string_opt a, int_of_string_opt b) with
+            | Some u, Some v when u < 0 || v < 0 ->
+                failwith
+                  (Printf.sprintf "line %d: negative vertex id in %S" lineno
+                     line)
+            | Some u, Some v when u = v ->
+                failwith (Printf.sprintf "line %d: self-loop %S" lineno line)
             | Some u, Some v -> edges := (u, v) :: !edges
             | _ ->
                 failwith

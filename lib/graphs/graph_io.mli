@@ -6,10 +6,13 @@
     visualizing small decompositions. *)
 
 (** [parse_edge_list s] parses the text of an edge-list file.
-    @raise Failure with a line-numbered message on malformed input. *)
+    @raise Failure with a line-numbered message on a malformed line, a
+    self-loop or a negative vertex id, and when a vertex id is not below
+    the [n] header. *)
 val parse_edge_list : string -> Multigraph.t
 
-(** [read_edge_list path] reads and parses a file. *)
+(** [read_edge_list path] reads and parses a file; a [Failure] from
+    {!parse_edge_list} carries [path] as a prefix. *)
 val read_edge_list : string -> Multigraph.t
 
 (** [to_edge_list g] renders the graph back to the edge-list format. *)

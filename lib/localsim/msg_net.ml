@@ -60,20 +60,18 @@ let note st ~code ~round ~who =
   let ev = Int64.of_int ((code * 0x1000003) + (round * 8191) + who) in
   st.digest <- mix64 (Int64.logxor st.digest (mix64 ev))
 
-(* The ambient fault context is domain-local (like the Obs trace stack):
-   nets created while [with_faults] is active pick it up, so the genuine
-   message-passing algorithms run under injected faults without their
-   signatures changing. Empty by default: a net created outside
-   [with_faults] takes the exact fault-free code path. *)
-let ambient : (faults * fault_stats) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The ambient fault context: nets created while [with_faults] is active
+   pick it up, so the genuine message-passing algorithms run under
+   injected faults without their signatures changing. Empty by default:
+   a net created outside [with_faults] takes the exact fault-free code
+   path. *)
+let ambient : (faults * fault_stats) option ref = ref None
 
 let with_faults f thunk =
-  let cell = Domain.DLS.get ambient in
-  let saved = !cell in
+  let saved = !ambient in
   let stats = fresh_stats () in
-  cell := Some (f, stats);
-  let x = Fun.protect ~finally:(fun () -> cell := saved) thunk in
+  ambient := Some (f, stats);
+  let x = Fun.protect ~finally:(fun () -> ambient := saved) thunk in
   (x, stats)
 
 (* ------------------------------------------------------------------ *)
@@ -100,7 +98,7 @@ let create g ~rounds ~init =
     rounds;
     states = Array.init (G.n g) init;
     init;
-    chaos = !(Domain.DLS.get ambient);
+    chaos = !ambient;
     delayed = Hashtbl.create 4;
     round_num = 0;
     delivered = 0;

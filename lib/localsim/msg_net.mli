@@ -64,7 +64,7 @@ type fault_stats = {
   mutable digest : int64;  (** order-sensitive timeline fingerprint *)
 }
 
-(** [with_faults f thunk] installs [f] as the ambient (domain-local) fault
+(** [with_faults f thunk] installs [f] as the ambient (process-wide) fault
     context, runs [thunk], restores the previous context (also on
     exception), and returns the thunk's result with the stats accumulated
     by every net created inside. Nests; the inner context wins. *)

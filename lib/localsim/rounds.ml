@@ -8,27 +8,18 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 16; order = []; total = 0 }
 
-(* process-wide sum over every ledger ever charged (atomic: bench domains
-   share it); kept for cross-domain sanity checks *)
-let grand = Atomic.make 0
+(* process-wide sum over every ledger ever charged: the bench harness
+   reads its delta around each experiment *)
+let grand = ref 0
 
-let grand_total () = Atomic.get grand
-
-(* per-domain sum over every ledger charged on this domain: an experiment
-   confined to one domain sees exactly its own charges in the
-   before/after delta, even while other domains charge concurrently *)
-let domain_acc : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-let domain_total () = !(Domain.DLS.get domain_acc)
+let grand_total () = !grand
 
 let charge t ~label r =
   if r < 0 then invalid_arg "Rounds.charge: negative rounds";
   if not (Hashtbl.mem t.tbl label) then t.order <- label :: t.order;
   Hashtbl.replace t.tbl label (r + Option.value ~default:0 (Hashtbl.find_opt t.tbl label));
   t.total <- t.total + r;
-  ignore (Atomic.fetch_and_add grand r);
-  let acc = Domain.DLS.get domain_acc in
-  acc := !acc + r;
+  grand := !grand + r;
   (* attribute the charge to the active tracing span, if any *)
   Obs.record_rounds ~label r
 

@@ -13,26 +13,18 @@ type t
 val create : unit -> t
 
 (** [charge t ~label r] adds [r >= 0] rounds attributed to [label].
-    Every charge also feeds the per-domain counter ({!domain_total}) and,
-    when tracing is enabled, the active [Nw_obs.Obs] span. *)
+    Every charge also feeds the process-wide counter ({!grand_total})
+    and, when tracing is enabled, the active [Nw_obs.Obs] span. *)
 val charge : t -> label:string -> int -> unit
 
 (** Total rounds charged so far. *)
 val total : t -> int
 
-(** Process-wide total across {e all} ledgers since program start
-    (atomic, so bench domains can share it). Before/after snapshots of
-    this counter are {e racy} under concurrent domains — concurrently
-    running experiments steal each other's charges; use {!domain_total}
-    for per-experiment attribution instead. *)
+(** Total across {e all} ledgers charged since program start. The
+    bench harness attributes an experiment the delta of this counter
+    around it; the LOCAL kernel is sequential, so that delta holds
+    exactly the experiment's own charges. *)
 val grand_total : unit -> int
-
-(** Total across all ledgers charged {e on the calling domain} since it
-    started. An experiment that runs entirely on one domain is exactly
-    the delta of this counter around it, regardless of what other
-    domains charge concurrently — the race-free replacement for
-    {!grand_total} snapshots in the bench harness. *)
-val domain_total : unit -> int
 
 (** Per-label breakdown in first-charge order. *)
 val ledger : t -> (string * int) list

@@ -1,4 +1,4 @@
-(* Bounded flight recorder: a per-domain ring buffer of the most recent
+(* Bounded flight recorder: a ring buffer of the most recent
    instrumentation events (span open/close, counter deltas, round
    charges, free-form marks), dumped as a self-contained JSON
    post-mortem when something dies mid-pipeline.
@@ -11,16 +11,9 @@
    interesting boundaries (checkpoints, pass failures, epoch verdicts)
    and [trigger] when a run must be explained after the fact.
 
-   State layout mirrors Obs: the ring itself is domain-local (appends
-   are lock-free), while a mutex guards the registry of live rings and
-   the latest-mark table. A dump snapshots rings owned by other
-   domains without stopping them; every mutated field is a single word,
-   so a concurrent append can at worst leave one stale slot in the
-   snapshot — acceptable for a post-mortem, and the dumping domain
-   (the one that failed) is always exact. Short-lived domains (the
-   bench harness's per-experiment workers) would grow the registry
-   without end, so it is bounded: beyond [max_rings] the oldest ring is
-   dropped and the dump says so. *)
+   The process holds one ring, like Obs holds one trace. The dump
+   format predates that and keeps its per-domain shape: a "domains"
+   array holding zero or one ring, and "rings_dropped" always 0. *)
 
 let now () = Monotonic_clock.now ()
 
@@ -46,65 +39,40 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 let default_capacity = 512
-let capacity = Atomic.make default_capacity
+let capacity = ref default_capacity
 
 let configure ?capacity:(c = default_capacity) () =
   if c < 1 then invalid_arg "Flight.configure: capacity must be >= 1";
-  Atomic.set capacity c
+  capacity := c
 
 (* ------------------------------------------------------------------ *)
-(* per-domain rings and the global registry                            *)
+(* the ring                                                            *)
 
 type ring = {
   ring_tid : int;
   events : event option array; (* fixed capacity, circular *)
   mutable written : int; (* total appends; head slot = written mod cap *)
-  ring_gen : int; (* registry generation at creation, see [reset] *)
 }
 
-let max_rings = 32
-let mu = Mutex.create ()
-let rings : ring list ref = ref [] (* newest first, length <= max_rings *)
-let rings_dropped = ref 0 (* rings evicted from the registry *)
+(* created at the configured capacity by the first append after start
+   or [reset] *)
+let ring : ring option ref = ref None
+
 let last_marks : (string, int64 * (string * string) list) Hashtbl.t =
   Hashtbl.create 8
 
-let generation = Atomic.make 0
-
-let locked f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-let slot : ring option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let rec take n = function
-  | [] -> []
-  | _ :: _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
 let my_ring () =
-  let s = Domain.DLS.get slot in
-  let gen = Atomic.get generation in
-  match !s with
-  | Some r when r.ring_gen = gen -> r
-  | _ ->
+  match !ring with
+  | Some r -> r
+  | None ->
       let r =
         {
           ring_tid = (Domain.self () :> int);
-          events = Array.make (Atomic.get capacity) None;
+          events = Array.make !capacity None;
           written = 0;
-          ring_gen = gen;
         }
       in
-      s := Some r;
-      locked (fun () ->
-          rings := r :: !rings;
-          let extra = List.length !rings - max_rings in
-          if extra > 0 then begin
-            rings_dropped := !rings_dropped + extra;
-            rings := take max_rings !rings
-          end);
+      ring := Some r;
       r
 
 let append ev =
@@ -135,12 +103,11 @@ let mark name fields =
   if Atomic.get enabled_flag then begin
     let t_ns = now () in
     append (Mark { t_ns; name; fields });
-    locked (fun () -> Hashtbl.replace last_marks name (t_ns, fields))
+    Hashtbl.replace last_marks name (t_ns, fields)
   end
 
 let last_mark name =
-  locked (fun () ->
-      Option.map (fun (_, fields) -> fields) (Hashtbl.find_opt last_marks name))
+  Option.map (fun (_, fields) -> fields) (Hashtbl.find_opt last_marks name)
 
 (* ------------------------------------------------------------------ *)
 (* dump rendering (schema nw-flight/1)                                 *)
@@ -160,21 +127,18 @@ let events_dropped r =
 type snapshot = {
   snap_rings : (int * int * event list) list; (* tid, dropped, events *)
   snap_marks : (string * (int64 * (string * string) list)) list;
-  snap_rings_dropped : int;
 }
 
 let snapshot () =
-  locked (fun () ->
-      {
-        snap_rings =
-          List.rev_map
-            (fun r -> (r.ring_tid, events_dropped r, ring_events r))
-            !rings;
-        snap_marks =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) last_marks []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-        snap_rings_dropped = !rings_dropped;
-      })
+  {
+    snap_rings =
+      (match !ring with
+      | None -> []
+      | Some r -> [ (r.ring_tid, events_dropped r, ring_events r) ]);
+    snap_marks =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) last_marks []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+  }
 
 let dump_seq = Atomic.make 0
 
@@ -276,9 +240,7 @@ let render ?(env = []) ~reason b =
       fields_obj fields;
       Buffer.add_char b '}')
     snap.snap_marks;
-  Buffer.add_string b
-    (Printf.sprintf "},\"rings_dropped\":%d,\"domains\":["
-       snap.snap_rings_dropped);
+  Buffer.add_string b "},\"rings_dropped\":0,\"domains\":[";
   List.iteri
     (fun i (tid, dropped, evs) ->
       if i > 0 then Buffer.add_char b ',';
@@ -328,12 +290,7 @@ let trigger ~reason () =
 (* test support                                                        *)
 
 let reset () =
-  locked (fun () ->
-      rings := [];
-      rings_dropped := 0;
-      Hashtbl.reset last_marks);
-  (* existing domain-local rings carry a stale generation and are
-     re-created (and re-registered) on their next append *)
-  Atomic.incr generation;
+  ring := None;
+  Hashtbl.reset last_marks;
   Atomic.set dump_seq 0;
   Atomic.set dumps 0

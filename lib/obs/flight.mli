@@ -1,4 +1,4 @@
-(** Bounded flight recorder: per-domain ring buffers of the most recent
+(** Bounded flight recorder: one ring buffer of the most recent
     instrumentation events, dumped as a self-contained JSON post-mortem
     ([nw-flight/1]) when a pipeline pass fails, a chaos epoch is
     detectably invalid, or a crash is being explained after the fact.
@@ -8,9 +8,8 @@
     hook functions below from inside their enabled paths. Recording
     therefore requires {e both} [Obs.set_enabled true] and
     {!set_enabled}[ true]; with either switch off every entry point is
-    one atomic load and no allocation. Ring appends are domain-local
-    and lock-free; only the registry of live rings and the latest-mark
-    table take a mutex. See [docs/observability.md] for the dump
+    one atomic load and no allocation. The process holds one ring, the
+    way [Obs] holds one trace. See [docs/observability.md] for the dump
     format. *)
 
 (** {1 Switches} *)
@@ -18,8 +17,9 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-(** [configure ~capacity ()] sets the per-domain ring capacity (events
-    retained per domain) for rings created afterwards. Default 512.
+(** [configure ~capacity ()] sets the ring capacity (events retained)
+    for a ring created afterwards, i.e. after start or {!reset}. Default
+    512.
     @raise Invalid_argument if [capacity < 1]. *)
 val configure : ?capacity:int -> unit -> unit
 
@@ -73,7 +73,7 @@ val on_charge : label:string -> rounds:int -> unit
 
 (** {1 Test support} *)
 
-(** Drop all rings, marks, and dump counters (the enabled switch and
-    sink are untouched). Existing domains lazily re-register on their
-    next event. *)
+(** Drop the ring, marks, and dump counters (the enabled switch and
+    sink are untouched). The next event recreates the ring at the
+    configured capacity. *)
 val reset : unit -> unit

@@ -17,7 +17,7 @@ let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
 (* ------------------------------------------------------------------ *)
-(* spans and domain-local context                                      *)
+(* spans and the process's trace context                               *)
 (* ------------------------------------------------------------------ *)
 
 type span = {
@@ -56,9 +56,9 @@ type totals = {
   mutable wall_ns : int64; (* summed over the roots added *)
 }
 
-(* Everything a domain records between the start and end of a [collect].
-   One context is live per domain at a time; [collect] swaps in a fresh
-   one, so parallel bench domains never share mutable state. *)
+(* Everything recorded between the start and end of a [collect]. One
+   context is live per process at a time; [collect] swaps in a fresh one
+   and restores the previous one when it returns. *)
 type ctx = {
   ctx_tid : int;
   mutable stack : span list; (* innermost first *)
@@ -85,8 +85,8 @@ let fresh_ctx () =
     ctx_hists = Hashtbl.create 16;
   }
 
-let key : ctx Domain.DLS.key = Domain.DLS.new_key fresh_ctx
-let ctx () = Domain.DLS.get key
+let current = ref (fresh_ctx ())
+let ctx () = !current
 
 let assoc_add alist label r =
   let rec bump = function
@@ -207,11 +207,10 @@ let observe name v =
   end
 
 let collect f =
-  let c = ctx () in
+  let c = !current in
   let fresh = fresh_ctx () in
-  Domain.DLS.set key fresh;
-  let restore () = Domain.DLS.set key c in
-  let x = Fun.protect ~finally:restore f in
+  current := fresh;
+  let x = Fun.protect ~finally:(fun () -> current := c) f in
   (x, fresh)
 
 let is_empty t =
@@ -400,11 +399,11 @@ let percentile (h : histogram) q =
     Some (go 0 h.buckets)
   end
 
-(* a read-only copy of this domain's in-flight trace: completed root
-   spans are immutable once closed, so sharing them is safe; folded
-   totals, counters and histogram accumulators are still live and get
-   copied. Open spans are not included. The metrics exposition path
-   renders this between passes without waiting for [collect]. *)
+(* a read-only copy of the in-flight trace: completed root spans are
+   immutable once closed, so sharing them is safe; folded totals,
+   counters and histogram accumulators are still live and get copied.
+   Open spans are not included. The metrics exposition path renders
+   this between passes without waiting for [collect]. *)
 let live_snapshot () =
   let c = ctx () in
   let snap = { (fresh_ctx ()) with folded = copy_totals c.folded } in

@@ -13,10 +13,10 @@
 
     The subsystem is disabled by default and then costs one atomic load
     per call and allocates nothing: instrumented hot paths stay hot.
-    When enabled, all state is {e domain-local} (per [Domain.DLS]), so
-    the bench harness fanning experiments across domains
-    ([bench/main.exe --domains K]) never mixes two experiments' spans or
-    rounds.
+    When enabled, the process records into one trace at a time: a
+    {!collect} swaps a fresh trace in and restores the previous one when
+    it returns, so two experiments (or two served requests) never mix
+    their spans or rounds.
 
     Three exporters: Chrome [trace_event] JSON (open in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}), a JSONL
@@ -42,7 +42,7 @@ val set_enabled : bool -> unit
 (** {1 Recording} *)
 
 (** [span name f] runs [f ()] inside a span called [name], nested under
-    the current domain's innermost open span. Timing uses the monotonic
+    the current trace's innermost open span. Timing uses the monotonic
     clock; an exception escaping [f] still closes the span. [?attrs]
     seeds the span's attributes. Disabled: exactly [f ()]. *)
 val span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
@@ -66,13 +66,13 @@ val observe : string -> float -> unit
 
 (** {1 Collection}
 
-    A {!trace} is everything one domain recorded between the start and
-    end of a {!collect}: the forest of closed spans plus counters,
+    A {!trace} is everything recorded between the start and end of a
+    {!collect}: the forest of closed spans plus counters,
     histograms, and unattributed rounds. *)
 
 type trace
 
-(** [collect f] runs [f] against a fresh domain-local trace and returns
+(** [collect f] runs [f] against a fresh trace and returns
     it alongside [f]'s result. Collections nest; the outer trace does
     not see the inner one's events. With recording disabled the trace
     comes back empty. *)
@@ -80,7 +80,7 @@ val collect : (unit -> 'a) -> 'a * trace
 
 val is_empty : trace -> bool
 
-(** [fold_roots ()] folds the current domain's completed root spans
+(** [fold_roots ()] folds the current trace's completed root spans
     into per-name totals (calls, inclusive and self time, self-rounds
     and their per-label split, in first-seen pre-order) kept in the
     in-flight trace, and drops the span trees. Cost: O(spans folded).
@@ -145,7 +145,7 @@ val histograms : trace -> (string * histogram) list
     [None] on an empty histogram. *)
 val percentile : histogram -> float -> float option
 
-(** Read-only copy of the current domain's in-flight trace: completed
+(** Read-only copy of the current in-flight trace: completed
     root spans (open spans excluded), folded totals, counters,
     histograms, and unattributed rounds as of now. Later spans and
     folds do not change it. Safe to render while recording
@@ -164,7 +164,7 @@ val pp_summary : Format.formatter -> trace -> unit
     {!fold_roots} survives in {!phases}, not as an event. *)
 module Export : sig
   (** Chrome [trace_event] JSON ([{"traceEvents": [...]}], complete
-      "X" events, microsecond timestamps, one [tid] lane per domain).
+      "X" events, microsecond timestamps, one [tid] lane per recording domain).
       Span attributes, self-rounds, and per-label rounds appear under
       each event's ["args"]. *)
   val chrome : Buffer.t -> trace list -> unit

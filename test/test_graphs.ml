@@ -7,6 +7,7 @@ module Gen = Nw_graphs.Generators
 module Arb = Nw_graphs.Arboricity
 module Deg = Nw_graphs.Degeneracy
 module O = Nw_graphs.Orientation
+module Io = Nw_graphs.Graph_io
 
 let rng seed = Random.State.make [| seed; 0x5eed |]
 
@@ -75,6 +76,18 @@ let test_graph_rejects_self_loop () =
   Alcotest.check_raises "self loop"
     (Invalid_argument "Multigraph.add_edge: self-loop") (fun () ->
       ignore (G.of_edges 3 [ (1, 1) ]))
+
+(* bad edge-list lines are rejected with a line-numbered Failure (the
+   CLI turns it into an input error), never an Invalid_argument from
+   Multigraph *)
+let test_io_rejects_bad_lines () =
+  let rejects msg text =
+    Alcotest.check_raises msg (Failure msg) (fun () ->
+        ignore (Io.parse_edge_list text))
+  in
+  rejects "line 3: malformed line \"foo\"" "0 1\n1 2\nfoo\n";
+  rejects "line 2: self-loop \"1 1\"" "0 1\n1 1\n";
+  rejects "line 1: negative vertex id in \"-1 2\"" "-1 2\n"
 
 let test_graph_power () =
   let g = Gen.path 5 in
@@ -540,6 +553,8 @@ let () =
           Alcotest.test_case "induced" `Quick test_graph_induced;
           Alcotest.test_case "subgraph" `Quick test_subgraph_of_edges;
         ] );
+      ( "graph_io",
+        [ Alcotest.test_case "bad lines" `Quick test_io_rejects_bad_lines ] );
       ( "traversal",
         [
           Alcotest.test_case "components" `Quick test_components;

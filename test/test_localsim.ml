@@ -61,27 +61,22 @@ let test_rounds_charge_max_label_order () =
     [ ("b", 2); ("a", 9); ("c", 1) ]
     (Rounds.ledger main)
 
-(* domain_total is a per-domain accumulator: a charge on a spawned
-   domain must show up in that domain's total only. This is the basis
-   of the bench harness's per-experiment round attribution under
-   --domains K (exp_common.domain_rounds_baseline/since). *)
-let test_rounds_domain_total () =
-  let before = Rounds.domain_total () in
-  let r = Rounds.create () in
-  Rounds.charge r ~label:"here" 3;
-  let worker =
-    Domain.spawn (fun () ->
-        let t0 = Rounds.domain_total () in
-        let r' = Rounds.create () in
-        Rounds.charge r' ~label:"there" 11;
-        Rounds.charge r' ~label:"there" 4;
-        Rounds.domain_total () - t0)
-  in
-  let worker_delta = Domain.join worker in
-  Alcotest.(check int) "spawned domain counts only its own charges" 15
-    worker_delta;
-  Alcotest.(check int) "this domain is unaffected by the worker" 3
-    (Rounds.domain_total () - before)
+(* grand_total counts every charge to every ledger once: the bench
+   harness attributes an experiment the delta of this counter around it,
+   so the delta must equal the charges made in between, including the
+   re-charges of a merge_into and a charge_max *)
+let test_rounds_grand_total () =
+  let before = Rounds.grand_total () in
+  let a = Rounds.create () and b = Rounds.create () in
+  Rounds.charge a ~label:"x" 3;
+  Rounds.charge b ~label:"y" 11;
+  Rounds.charge b ~label:"x" 4;
+  Rounds.merge_into ~into:a b;
+  let c = Rounds.create () in
+  Rounds.charge c ~label:"y" 2;
+  Rounds.charge_max a [ b; c ];
+  Alcotest.(check int) "delta = sum of the charges" (3 + 11 + 4 + 15 + 2 + 15)
+    (Rounds.grand_total () - before)
 
 (* one round of neighbor color exchange on a path *)
 let test_msg_net_exchange () =
@@ -169,8 +164,7 @@ let () =
           Alcotest.test_case "charge_max" `Quick test_rounds_charge_max;
           Alcotest.test_case "charge_max label order" `Quick
             test_rounds_charge_max_label_order;
-          Alcotest.test_case "per-domain total" `Quick
-            test_rounds_domain_total;
+          Alcotest.test_case "grand total" `Quick test_rounds_grand_total;
         ] );
       ( "ball_view",
         [

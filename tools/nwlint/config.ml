@@ -61,8 +61,9 @@ let default =
       ];
     det2_value_deny = [ "adj"; "adjacency" ];
     (* Scratch: per-call workspaces threaded explicitly; Counters:
-       process-wide atomic instrumentation snapshotted/deltaed by the
-       bench harness (safe under --domains K by construction) *)
+       process-wide instrumentation that is only ever snapshotted and
+       deltaed, so sessions and repeated runs in one process read it
+       without depending on it *)
     scratch_modules = [ "Scratch"; "Counters" ];
     det1_rng_allow = [ "Nw_chaos.Rng"; "Chaos.Rng" ];
     det1_clock_allow = [ "Nw_obs.Obs.now_ns" ];

@@ -516,7 +516,8 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
                 if mutable_toplevel_rhs vb.pvb_expr then
                   add ~loc:vb.pvb_loc "PURE001" Error
                     "top-level mutable state in lib/core or lib/decomp \
-                     breaks --domains K isolation"
+                     is hidden state shared by every session and run in \
+                     the process"
                     (Some
                        "allocate inside the algorithm entry point, or \
                         move it into a sanctioned Scratch module"))
