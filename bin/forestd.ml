@@ -182,26 +182,15 @@ let info_cmd =
 let algorithm_conv =
   Arg.enum (List.map (fun e -> (e.Registry.name, e)) Registry.all)
 
-(* set when report_coloring sees an invalid decomposition; under --chaos
+(* set when an entry's own checker rejects its output; under --chaos
    this becomes a machine-readable diagnostic and a distinct exit code *)
 let verify_failure : string option ref = ref None
 
-let report_coloring ?(star = false) g coloring rounds =
-  (match
-     if star then Verify.star_forest_decomposition coloring
-     else Verify.forest_decomposition coloring
-   with
+let report_verified = function
   | Ok () -> Format.printf "verified: valid decomposition@."
   | Error msg ->
       verify_failure := Some msg;
-      Format.printf "INVALID: %s@." msg);
-  Format.printf "colors used: %d@." (Verify.colors_used coloring);
-  Format.printf "max forest diameter: %d@."
-    (Verify.max_forest_diameter coloring);
-  ignore g;
-  match rounds with
-  | None -> ()
-  | Some r -> Format.printf "%a@." Rounds.pp r
+      Format.printf "INVALID: %s@." msg
 
 (* an algorithm that needs a simple graph, handed a multigraph, is an
    input error: one line on stderr and exit 2, never an uncaught
@@ -242,9 +231,8 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
           (Nw_chaos.Inject.compile plan ~seed:chaos_seed ())
   in
   let algo_name = algorithm.Registry.name in
-  let pipeline =
-    algorithm.Registry.build { Registry.graph = g; epsilon; alpha }
-  in
+  let spec = { Registry.graph = g; epsilon; alpha } in
+  let pipeline = algorithm.Registry.build spec in
   (match flight with
   | None -> ()
   | Some file ->
@@ -324,9 +312,7 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
       else None
     in
     let store = Engine.run ?checkpoint ctx pipeline ~init in
-    let rounds_opt =
-      if algorithm.Registry.reports_rounds then Some rounds else None
-    in
+    let verified () = report_verified (Registry.verify algorithm spec store) in
     match algorithm.Registry.yields with
     | Registry.Coloring_out ->
         let c = EStore.coloring store "coloring" in
@@ -343,10 +329,16 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
             stats.Nw_core.Star_forest.max_deficiency
             stats.Nw_core.Star_forest.leftover_edges
         end;
-        report_coloring ~star:algorithm.Registry.star g c rounds_opt;
+        verified ();
+        Format.printf "colors used: %d@." (Verify.colors_used c);
+        Format.printf "max forest diameter: %d@."
+          (Verify.max_forest_diameter c);
+        if algorithm.Registry.reports_rounds then
+          Format.printf "%a@." Rounds.pp rounds;
         Some c
     | Registry.Orientation_out ->
         let o = EStore.orientation store "orientation" in
+        verified ();
         Format.printf "max out-degree: %d (alpha = %d)@."
           (Nw_graphs.Orientation.max_out_degree o)
           alpha;
@@ -354,6 +346,7 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
         None
     | Registry.Pseudo_out ->
         let _assignment, k = EStore.assignment store "assignment" in
+        verified ();
         Format.printf "pseudo-forests: %d (alpha = %d)@." k alpha;
         Format.printf "%a@." Rounds.pp rounds;
         None
@@ -618,9 +611,24 @@ let list_cmd =
 (* verify                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* a malformed coloring file is an input error (one stderr line, exit 2);
+   a class with a cycle cannot be loaded, so it fails the forest check *)
 let verify_run graph_path coloring_path star lists =
   let g = read_graph graph_path in
-  let coloring = Nw_decomp.Coloring_io.read coloring_path g in
+  let report name = function
+    | Ok () -> Format.printf "%-24s ok@." name
+    | Error msg -> Format.printf "%-24s FAILED: %s@." name msg
+  in
+  let coloring =
+    match Nw_decomp.Coloring_io.read coloring_path g with
+    | c -> c
+    | exception Failure msg ->
+        prerr_endline ("forestd: " ^ msg);
+        exit 2
+    | exception Invalid_argument msg ->
+        report "forest decomposition" (Error msg);
+        exit 1
+  in
   let checks =
     [
       ( "forest decomposition",
@@ -634,22 +642,12 @@ let verify_run graph_path coloring_path star lists =
         [ ("palette (full 0..k-1)",
            Verify.respects_palette coloring (Nw_decomp.Palette.full g k)) ]
   in
-  let failed =
-    List.fold_left
-      (fun acc (name, r) ->
-        match r with
-        | Ok () ->
-            Format.printf "%-24s ok@." name;
-            acc
-        | Error msg ->
-            Format.printf "%-24s FAILED: %s@." name msg;
-            acc + 1)
-      0 checks
-  in
+  List.iter (fun (name, r) -> report name r) checks;
+  let failed = List.exists (fun (_, r) -> Result.is_error r) checks in
   Format.printf "colors used: %d, max diameter: %d@."
     (Verify.colors_used coloring)
     (Verify.max_forest_diameter coloring);
-  if failed > 0 then exit 1
+  if failed then exit 1
 
 let verify_cmd =
   let coloring_pos =

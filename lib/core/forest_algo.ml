@@ -137,17 +137,8 @@ let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
   in
   (coloring, removed, stats)
 
-let decompose_with_leftover g palette ~epsilon ~alpha ~cut ~radii ~rng ~rounds
-    =
-  check_epsilon epsilon;
-  let r, r' = radii in
-  let d = r + r' in
-  let nd = Net_decomp.compute g ~rng ~rounds ~distance:(2 * d) in
-  partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds
-
-(* Theorem 4.6 parameter choices, shared between the direct entry point
-   and the engine's `augment` pipeline so both derive identical palettes
-   and radii *)
+(* Theorem 4.6 parameter choices, read by the engine's `augment`,
+   `orientation` and `pseudo` pipelines *)
 let fd_plan g ~epsilon ~alpha ~cut ~radii =
   let eps' = epsilon /. 10.0 in
   let k0 =
@@ -163,30 +154,7 @@ let fd_plan g ~epsilon ~alpha ~cut ~radii =
   in
   (eps', palette, radii)
 
-let forest_decomposition g ~epsilon ~alpha ?(cut = Cut.Depth_mod) ?radii
-    ?(diameter = `Unbounded) ~rng ~rounds () =
-  Obs.span "forest_decomposition" @@ fun () ->
-  let eps', palette, radii = fd_plan g ~epsilon ~alpha ~cut ~radii in
-  let coloring, removed, stats =
-    decompose_with_leftover g palette ~epsilon:eps' ~alpha ~cut ~radii ~rng
-      ~rounds
-  in
-  let combined, _fresh = Recolor.append_forests coloring removed ~rounds in
-  let final =
-    match diameter with
-    | `Unbounded -> combined
-    | (`Log_over_eps | `Inv_eps) as target ->
-        let ids = Array.init (G.n g) (fun v -> v) in
-        let reduced, _extra =
-          Diameter_reduction.reduce combined ~target ~epsilon:eps' ~alpha ~ids
-            ~rng ~rounds
-        in
-        reduced
-  in
-  (final, stats)
-
-(* Theorem 4.10 parameter choices, shared with the engine's `lfd`
-   pipeline *)
+(* Theorem 4.10 parameter choices, read by the engine's `lfd` pipeline *)
 let lfd_plan g ~epsilon ~alpha ~radii =
   let eps' = epsilon /. 10.0 in
   let radii =
@@ -231,8 +199,8 @@ let[@obs.in_span] lfd_leftover g ~colors ~phi0 ~q1 ~removed ~rng ~rounds =
               | Ok _ -> ()
               | Error _ ->
                   failwith
-                    "Forest_algo.list_forest_decomposition: leftover \
-                     palettes below the leftover arboricity")
+                    "Forest_algo.lfd_leftover: leftover palettes \
+                     below the leftover arboricity")
             c1;
           Rounds.charge rounds ~label:"forest-algo/leftover-augment"
             (2 * int_of_float (log_ceil (G.n g)));
@@ -256,32 +224,3 @@ let[@obs.in_span] lfd_leftover g ~colors ~phi0 ~q1 ~removed ~rng ~rounds =
         emap;
       out
   end
-
-let list_forest_decomposition g palette ~epsilon ~alpha ?(split = `Mpx)
-    ?radii ~rng ~rounds () =
-  Obs.span "list_forest_decomposition" @@ fun () ->
-  let colors = Palette.color_space palette in
-  let split_t =
-    match split with
-    | `Mpx -> Color_split.mpx_split g ~colors ~epsilon ~rng ~rounds
-    | `Lll -> Color_split.lll_split g ~colors ~epsilon ~alpha ~rng ~rounds
-  in
-  let q0, q1 = Color_split.induced_palettes g split_t palette in
-  let eps', radii = lfd_plan g ~epsilon ~alpha ~radii in
-  (* main pass on the side-0 palettes *)
-  let phi0, removed, stats =
-    decompose_with_leftover g q0 ~epsilon:eps' ~alpha ~cut:Cut.Diam_reduce
-      ~radii ~rng ~rounds
-  in
-  (* shrink phi0's diameter; the deleted edges join the leftover *)
-  let eligible = Array.make (G.m g) true in
-  let deleted =
-    Diameter_reduction.delete_long_paths phi0 ~eligible ~epsilon:eps' ~alpha
-      ~rng ~rounds
-  in
-  List.iter (fun e -> removed.(e) <- true) deleted;
-  let final = lfd_leftover g ~colors ~phi0 ~q1 ~removed ~rng ~rounds in
-  let leftover =
-    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 removed
-  in
-  (final, { stats with leftover_edges = leftover })

@@ -15,7 +15,10 @@
 
     Round charges follow the Theorem 4.1 accounting: the network
     decomposition pays its own way, and each class costs
-    [O((R + R') log n)] rounds of [G]. *)
+    [O((R + R') log n)] rounds of [G].
+
+    This module holds the plans and phases; the engine's [partial],
+    [augment] and [lfd] pipelines run them in sequence ([Nw_engine.Run]). *)
 
 type stats = {
   classes : int;
@@ -58,8 +61,8 @@ val check_epsilon : float -> unit
 (** [fd_plan g ~epsilon ~alpha ~cut ~radii] derives the Theorem 4.6
     parameters: returns [(eps', palette, radii)] with [eps' = epsilon/10],
     a full palette of [ceil((1+eps') alpha)] colors, and the default radii
-    when [radii] is [None]. Pure; shared by {!forest_decomposition} and the
-    engine's [augment] pipeline so both pick identical parameters. *)
+    when [radii] is [None]. Pure; the engine's [augment], [orientation] and
+    [pseudo] pipelines derive their parameters here. *)
 val fd_plan :
   Nw_graphs.Multigraph.t ->
   epsilon:float ->
@@ -108,50 +111,3 @@ val lfd_leftover :
   rng:Random.State.t ->
   rounds:Nw_localsim.Rounds.t ->
   Nw_decomp.Coloring.t
-
-(** [decompose_with_leftover g palette ~epsilon ~alpha ~cut ~radii ~rng
-    ~rounds] is Theorem 4.5: a partial LFD covering everything except a
-    leftover edge set of low pseudo-arboricity ({!partial_color} on a fresh
-    network decomposition). Returns [(coloring, removed, stats)]. *)
-val decompose_with_leftover :
-  Nw_graphs.Multigraph.t ->
-  Nw_decomp.Palette.t ->
-  epsilon:float ->
-  alpha:int ->
-  cut:Cut.rule ->
-  radii:int * int ->
-  rng:Random.State.t ->
-  rounds:Nw_localsim.Rounds.t ->
-  Nw_decomp.Coloring.t * bool array * stats
-
-(** [forest_decomposition g ~epsilon ~alpha ...] is Theorem 4.6: a complete
-    [(1+eps)·alpha]-forest decomposition (color count reported via the
-    returned coloring; the harness checks it against the bound).
-    [diameter] selects the final Corollary 2.5 diameter-reduction pass. *)
-val forest_decomposition :
-  Nw_graphs.Multigraph.t ->
-  epsilon:float ->
-  alpha:int ->
-  ?cut:Cut.rule ->
-  ?radii:int * int ->
-  ?diameter:[ `Unbounded | `Log_over_eps | `Inv_eps ] ->
-  rng:Random.State.t ->
-  rounds:Nw_localsim.Rounds.t ->
-  unit ->
-  Nw_decomp.Coloring.t * stats
-
-(** [list_forest_decomposition g palette ~epsilon ~alpha ~split ...] is
-    Theorem 4.10: a complete LFD from palettes of size [(1+eps)·alpha].
-    [split] picks the Theorem 4.9 construction ([`Mpx] needs
-    [eps*alpha >= Ω(log n)]; [`Lll] needs [eps^2*alpha >= Ω(log Δ)]). *)
-val list_forest_decomposition :
-  Nw_graphs.Multigraph.t ->
-  Nw_decomp.Palette.t ->
-  epsilon:float ->
-  alpha:int ->
-  ?split:[ `Mpx | `Lll ] ->
-  ?radii:int * int ->
-  rng:Random.State.t ->
-  rounds:Nw_localsim.Rounds.t ->
-  unit ->
-  Nw_decomp.Coloring.t * stats

@@ -39,11 +39,3 @@ let of_forest_decomposition coloring ~rounds =
   done;
   Rounds.charge rounds ~label:"orient/rooting" (!max_depth + 1);
   O.make g head
-
-let orientation g ~epsilon ~alpha ?cut ?radii ~rng ~rounds () =
-  Obs.span "orient.orientation" @@ fun () ->
-  let coloring, stats =
-    Forest_algo.forest_decomposition g ~epsilon ~alpha ?cut ?radii ~rng
-      ~rounds ()
-  in
-  (of_forest_decomposition coloring ~rounds, stats)

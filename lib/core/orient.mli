@@ -5,7 +5,8 @@
     parent. Each vertex owns at most one parent edge per color, so the
     out-degree is at most the number of colors — a [(1+eps)·alpha]-FD gives
     a [(1+eps)·alpha]-orientation, the first with linear dependence on
-    [1/eps]. *)
+    [1/eps]. The engine's [orientation] pipeline runs Theorem 4.6 and then
+    this ([Nw_engine.Run.orientation]). *)
 
 (** [of_forest_decomposition coloring ~rounds] orients every colored edge
     toward its tree root; uncolored edges (there should be none in a
@@ -15,17 +16,3 @@ val of_forest_decomposition :
   Nw_decomp.Coloring.t ->
   rounds:Nw_localsim.Rounds.t ->
   Nw_graphs.Orientation.t
-
-(** [orientation g ~epsilon ~alpha ...]: Corollary 1.1 end to end — run
-    Theorem 4.6's forest decomposition, then orient. The result has max
-    out-degree at most the number of colors the decomposition used. *)
-val orientation :
-  Nw_graphs.Multigraph.t ->
-  epsilon:float ->
-  alpha:int ->
-  ?cut:Cut.rule ->
-  ?radii:int * int ->
-  rng:Random.State.t ->
-  rounds:Nw_localsim.Rounds.t ->
-  unit ->
-  Nw_graphs.Orientation.t * Forest_algo.stats

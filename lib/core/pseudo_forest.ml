@@ -9,12 +9,3 @@ let of_orientation o =
     List.iteri (fun i e -> assignment.(e) <- i) (O.out_edges o v)
   done;
   (assignment, k)
-
-let decompose g ~epsilon ~alpha ~rng ~rounds () =
-  Nw_obs.Obs.span "pseudo_forest" @@ fun () ->
-  let o, _stats = Orient.orientation g ~epsilon ~alpha ~rng ~rounds () in
-  let assignment, k = of_orientation o in
-  (match Nw_decomp.Verify.pseudo_forest_assignment g assignment ~k with
-  | Ok () -> ()
-  | Error msg -> failwith ("Pseudo_forest.decompose: " ^ msg));
-  (assignment, k)

@@ -4,20 +4,9 @@
     (Section 1 of the paper): give each vertex's out-edges distinct labels
     [0..k-1]; each label class has per-vertex out-degree at most one, so
     every component carries at most one cycle. Combined with Corollary 1.1
-    this yields [(1+eps)·alpha]-pseudo-forest decompositions. *)
+    this yields [(1+eps)·alpha]-pseudo-forest decompositions (the engine's
+    [pseudo] pipeline, [Nw_engine.Run.pseudo]). *)
 
 (** [of_orientation o] labels out-edges per vertex; returns the per-edge
     class assignment and the class count [k = max out-degree]. *)
 val of_orientation : Nw_graphs.Orientation.t -> int array * int
-
-(** [decompose g ~epsilon ~alpha ...]: Corollary 1.1's orientation followed
-    by out-edge labeling; the assignment is verified to be a pseudo-forest
-    decomposition before returning. *)
-val decompose :
-  Nw_graphs.Multigraph.t ->
-  epsilon:float ->
-  alpha:int ->
-  rng:Random.State.t ->
-  rounds:Nw_localsim.Rounds.t ->
-  unit ->
-  int array * int

@@ -91,7 +91,7 @@ let sfd_params ~epsilon ~alpha ~orientation =
   (t, a, delta)
 
 let sfd_select g ~epsilon ~alpha ~orientation ~rng ~rounds =
-  require_simple g "Star_forest.sfd";
+  require_simple g "Star_forest.sfd_select";
   let t, a, delta = sfd_params ~epsilon ~alpha ~orientation in
   (* the matching can never exceed |C(v)| = a, so the achievable deficiency
      target is (out-degree - a) + the Lemma 5.2 slack *)
@@ -149,20 +149,8 @@ let sfd_finish coloring leftover ~max_def ~converged ~ids ~rounds =
       lll_converged = converged;
     } )
 
-let sfd g ~epsilon ~alpha ~orientation ~ids ~rng ~rounds =
-  require_simple g "Star_forest.sfd";
-  Obs.span "star_forest.sfd" ~attrs:[ ("alpha", Obs.Int alpha) ]
-  @@ fun () ->
-  let sides, converged =
-    sfd_select g ~epsilon ~alpha ~orientation ~rng ~rounds
-  in
-  let coloring, leftover, max_def =
-    sfd_realize g ~epsilon ~alpha ~orientation ~sides ~rounds
-  in
-  sfd_finish coloring leftover ~max_def ~converged ~ids ~rounds
-
 let lsfd_select g palette ~epsilon ~orientation ~rng ~rounds =
-  require_simple g "Star_forest.lsfd";
+  require_simple g "Star_forest.lsfd_select";
   let colors = Palette.color_space palette in
   let admits e i = Palette.mem palette e i in
   let sample st _ =
@@ -197,8 +185,8 @@ let lsfd_select g palette ~epsilon ~orientation ~rng ~rounds =
     else if k > 1 then attempt (k - 1)
     else
       failwith
-        "Star_forest.lsfd: no perfect matchings found; parameters are \
-         outside Lemma 5.3's regime (need alpha >> log Δ and palettes of \
+        "Star_forest.lsfd_select: no perfect matchings found; parameters \
+         are outside Lemma 5.3's regime (need alpha >> log Δ and palettes of \
          size (1+200 eps) alpha)"
   in
   attempt 5
@@ -223,9 +211,3 @@ let[@obs.in_span] lsfd_realize g palette ~orientation ~sides ~rounds =
       fresh_colors = 0;
       lll_converged = true;
     } )
-
-let lsfd g palette ~epsilon ~orientation ~rng ~rounds =
-  require_simple g "Star_forest.lsfd";
-  Obs.span "star_forest.lsfd" @@ fun () ->
-  let sides = lsfd_select g palette ~epsilon ~orientation ~rng ~rounds in
-  lsfd_realize g palette ~orientation ~sides ~rounds

@@ -15,7 +15,10 @@
       recolored with fresh star colors.
     - List SFD (Lemma 5.3): each color joins [C(v)] independently with
       probability [1 - eps]; with palettes of size [(1+200eps)·alpha] every
-      [H_v] has a perfect matching w.h.p., so nothing is left over. *)
+      [H_v] has a perfect matching w.h.p., so nothing is left over.
+
+    This module holds the phases; the engine's [sfd], [star] and
+    [star-list] pipelines run them in sequence ([Nw_engine.Run]). *)
 
 type stats = {
   max_deficiency : int; (** worst [|A(v)| - matching size] over vertices *)
@@ -87,34 +90,5 @@ val lsfd_realize :
   Nw_decomp.Palette.t ->
   orientation:Nw_graphs.Orientation.t ->
   sides:bool array array ->
-  rounds:Nw_localsim.Rounds.t ->
-  Nw_decomp.Coloring.t * stats
-
-(** [sfd g ~epsilon ~alpha ~orientation ~ids ~rng ~rounds]: Theorem 5.4(1) —
-    {!sfd_select}, {!sfd_realize}, {!sfd_finish} in sequence.
-    [orientation] must have max out-degree at most [ceil((1+eps)·alpha)].
-    @raise Invalid_argument on multigraphs. *)
-val sfd :
-  Nw_graphs.Multigraph.t ->
-  epsilon:float ->
-  alpha:int ->
-  orientation:Nw_graphs.Orientation.t ->
-  ids:int array ->
-  rng:Random.State.t ->
-  rounds:Nw_localsim.Rounds.t ->
-  Nw_decomp.Coloring.t * stats
-
-(** [lsfd g palette ~epsilon ~orientation ~rng ~rounds]: Theorem 5.4(2) via
-    Lemma 5.3. Palettes should have size at least
-    [(1 + 200*eps) * alpha]. Retries the whole selection a few times if the
-    LLL leaves deficient vertices; raises [Failure] if perfect matchings
-    never materialize (parameters outside the lemma's regime).
-    @raise Invalid_argument on multigraphs. *)
-val lsfd :
-  Nw_graphs.Multigraph.t ->
-  Nw_decomp.Palette.t ->
-  epsilon:float ->
-  orientation:Nw_graphs.Orientation.t ->
-  rng:Random.State.t ->
   rounds:Nw_localsim.Rounds.t ->
   Nw_decomp.Coloring.t * stats

@@ -35,7 +35,7 @@ let of_string g s =
                      lineno))
         | [ e; c ] -> (
             match (int_of_string_opt e, int_of_string_opt c) with
-            | Some e, Some c -> assignments := (e, c) :: !assignments
+            | Some e, Some c -> assignments := (lineno, e, c) :: !assignments
             | _ ->
                 failwith (Printf.sprintf "line %d: malformed entry" lineno))
         | _ -> failwith (Printf.sprintf "line %d: malformed line" lineno))
@@ -43,9 +43,19 @@ let of_string g s =
   if !colors < 0 then failwith "missing 'colors <k>' header";
   let coloring = Coloring.create g ~colors:!colors in
   List.iter
-    (fun (e, c) ->
+    (fun (lineno, e, c) ->
       if e < 0 || e >= G.m g then
-        failwith (Printf.sprintf "edge id %d out of range" e);
+        failwith
+          (Printf.sprintf "line %d: edge id %d out of range (%d edges)" lineno
+             e (G.m g));
+      if c < 0 || c >= !colors then
+        failwith
+          (Printf.sprintf "line %d: color %d out of range (%d colors)" lineno
+             c !colors);
+      if Coloring.would_close_cycle coloring e c then
+        invalid_arg
+          (Printf.sprintf "line %d: edge %d closes a cycle in color %d" lineno
+             e c);
       Coloring.set coloring e c)
     (List.rev !assignments);
   coloring

@@ -3,7 +3,7 @@
     A {!pipeline} is an ordered list of {!pass}es; each pass declares the
     artifact keys (and kinds) it reads and writes and transforms a
     {!Store.t}. {!run} executes the passes in order and owns the
-    cross-cutting concerns the composite algorithms used to hand-roll:
+    cross-cutting concerns every composite shares:
 
     - an [Obs] span ["pass:<name>"] per pass, tagged with the pipeline
       name, the pass index, and the rounds charged by the pass
@@ -14,9 +14,9 @@
       crash-recovery hook used by the chaos harness.
 
     Checkpointing is strictly opt-in: when no [~checkpoint] callback is
-    given, {!run} never copies an artifact, so fault-free executions are
-    byte-identical to the hand-written composites (including the
-    [Coloring] allocation counters). *)
+    given, {!run} never copies an artifact, so a fault-free execution
+    allocates only what its passes do (the [Coloring] allocation counters
+    included). *)
 
 exception Engine_error of string
 

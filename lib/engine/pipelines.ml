@@ -1,10 +1,8 @@
-(* Declarative pipelines for every composite algorithm in lib/core (and
-   the baselines the CLI exposes). Each builder derives its parameters with
-   the same plan functions as the hand-written composite and issues the
-   same sequence of rng draws and round charges, so a fault-free engine run
-   is byte-identical to the direct call — colorings, ledgers, and counters
-   alike. Builders are deterministic: no randomness is consumed until
-   [Engine.run], which is what makes resuming from a checkpoint sound. *)
+(* Declarative pipelines for every composite algorithm of the paper (and
+   the baselines the CLI exposes): the one place the plan and phase
+   functions of lib/core are sequenced. Builders are deterministic: no
+   randomness is consumed until [Engine.run], which is what makes resuming
+   from a checkpoint sound. *)
 
 module G = Nw_graphs.Multigraph
 module Arb = Nw_graphs.Arboricity
@@ -43,9 +41,9 @@ let const_pass name key artifact =
     run = (fun _ctx store -> Store.put store key artifact);
   }
 
-(* The Theorem 4.5 core (Forest_algo.decompose_with_leftover) as two
-   passes: network decomposition of G^(2(R+R')), then the class-by-class
-   CUT + augmentation. [palette_key] names the palette to color from. *)
+(* The Theorem 4.5 core as two passes: network decomposition of
+   G^(2(R+R')), then the class-by-class CUT + augmentation. [palette_key]
+   names the palette to color from. *)
 let partial_passes ~prefix ~palette_key ~epsilon ~alpha ~cut ~radii =
   let r, r' = radii in
   let d = r + r' in
@@ -93,8 +91,8 @@ let partial g palette ~epsilon ~alpha ~cut ~radii =
            ~cut ~radii;
   }
 
-(* Theorem 4.6 (Forest_algo.forest_decomposition): plan, partial coloring,
-   leftover recoloring, optional Corollary 2.5 diameter reduction. *)
+(* Theorem 4.6: plan, partial coloring, leftover recoloring, optional
+   Corollary 2.5 diameter reduction. *)
 let fd_passes g ~epsilon ~alpha ~cut ~radii ~diameter =
   let eps', palette, radii = FA.fd_plan g ~epsilon ~alpha ~cut ~radii in
   let recolor =
@@ -144,9 +142,8 @@ let augment g ~epsilon ~alpha ?(cut = Cut.Depth_mod) ?radii
   FA.check_epsilon epsilon;
   { pl_name = "augment"; passes = fd_passes g ~epsilon ~alpha ~cut ~radii ~diameter }
 
-(* Theorem 4.10 (Forest_algo.list_forest_decomposition): vertex-color
-   splitting, partial LFD on the side-0 palettes, diameter shrinking, and
-   the side-1 leftover pass. *)
+(* Theorem 4.10: vertex-color splitting, partial LFD on the side-0
+   palettes, diameter shrinking, and the side-1 leftover pass. *)
 let lfd g palette ~epsilon ~alpha ?(split = `Mpx) ?radii () =
   FA.check_epsilon epsilon;
   let colors = Palette.color_space palette in
@@ -312,8 +309,8 @@ let lsfd g palette ~epsilon ~alpha_star =
       ];
   }
 
-(* Theorem 5.4(1) (Star_forest.sfd) given an orientation in the store:
-   LLL color-set selection, matching realization, leftover star mop-up. *)
+(* Theorem 5.4(1) given an orientation in the store: LLL color-set
+   selection, matching realization, leftover star mop-up. *)
 let sfd_passes ~epsilon ~alpha ~ids =
   [
     {
@@ -407,7 +404,7 @@ let star g ~epsilon ~alpha =
       :: sfd_passes ~epsilon ~alpha ~ids;
   }
 
-(* Theorem 5.4(2) (Star_forest.lsfd) given an orientation in the store *)
+(* Theorem 5.4(2) given an orientation in the store *)
 let star_list palette ~epsilon =
   {
     pl_name = "star-list";
@@ -451,7 +448,7 @@ let star_list palette ~epsilon =
       ];
   }
 
-(* Corollary 1.1 (Orient.orientation): Theorem 4.6 plus tree rooting *)
+(* Corollary 1.1: Theorem 4.6 plus tree rooting *)
 let orientation g ~epsilon ~alpha ?(cut = Cut.Depth_mod) ?radii () =
   FA.check_epsilon epsilon;
   let root =
@@ -473,7 +470,7 @@ let orientation g ~epsilon ~alpha ?(cut = Cut.Depth_mod) ?radii () =
       fd_passes g ~epsilon ~alpha ~cut ~radii ~diameter:`Unbounded @ [ root ];
   }
 
-(* Corollary 1.1 pseudo-forests (Pseudo_forest.decompose) *)
+(* Corollary 1.1 pseudo-forests *)
 let pseudo g ~epsilon ~alpha =
   let o = orientation g ~epsilon ~alpha () in
   let assign =
@@ -488,7 +485,7 @@ let pseudo g ~epsilon ~alpha =
           let assignment, k = Pseudo_forest.of_orientation o in
           (match Verify.pseudo_forest_assignment g assignment ~k with
           | Ok () -> ()
-          | Error msg -> failwith ("Pseudo_forest.decompose: " ^ msg));
+          | Error msg -> failwith ("pseudo.assign: " ^ msg));
           Store.put store "assignment" (Artifact.Assignment (assignment, k)));
     }
   in

@@ -1,18 +1,17 @@
-(** Declarative pipelines for the composite algorithms of [lib/core] and
-    the CLI-facing baselines.
+(** Declarative pipelines for the composite algorithms, built from the
+    phases of [lib/core], and for the CLI-facing baselines.
 
-    Every builder mirrors its hand-written composite exactly — the same
-    plan functions, the same order of rng draws and round charges — so a
-    fault-free {!Engine.run} is byte-identical to the direct call. Builders
-    consume no randomness themselves; all nondeterminism happens inside
-    passes, which is what makes checkpoint/resume sound.
+    These pipelines are the only sequencing of the plan and phase
+    functions of [lib/core]; {!Run} wraps each as a plain function.
+    Builders consume no randomness themselves; all nondeterminism happens
+    inside passes, which is what makes checkpoint/resume sound.
 
     Store conventions: the initial store must bind ["graph"]; results land
     under ["coloring"] (plus ["removed"]/["fd_stats"] for the forest
     algorithms, ["sfd_stats"] for the star-forest ones, ["orientation"]
     and ["assignment"] for the orientation pipelines). *)
 
-(** Theorem 4.5 ([Forest_algo.decompose_with_leftover]): partial LFD from
+(** Theorem 4.5 ({!Run.decompose_with_leftover}): partial LFD from
     an explicit palette; leaves ["coloring"], ["removed"], ["fd_stats"]. *)
 val partial :
   Nw_graphs.Multigraph.t ->
@@ -23,7 +22,7 @@ val partial :
   radii:int * int ->
   Engine.pipeline
 
-(** Theorem 4.6 ([Forest_algo.forest_decomposition]). *)
+(** Theorem 4.6 ({!Run.forest_decomposition}). *)
 val augment :
   Nw_graphs.Multigraph.t ->
   epsilon:float ->
@@ -34,7 +33,7 @@ val augment :
   unit ->
   Engine.pipeline
 
-(** Theorem 4.10 ([Forest_algo.list_forest_decomposition]). *)
+(** Theorem 4.10 ({!Run.list_forest_decomposition}). *)
 val lfd :
   Nw_graphs.Multigraph.t ->
   Nw_decomp.Palette.t ->
@@ -54,7 +53,7 @@ val lsfd :
   alpha_star:int ->
   Engine.pipeline
 
-(** Theorem 5.4(1) ([Star_forest.sfd]); the initial store must also bind
+(** Theorem 5.4(1) ({!Run.sfd}); the initial store must also bind
     ["orientation"]. *)
 val sfd : epsilon:float -> alpha:int -> ids:int array -> Engine.pipeline
 
@@ -63,11 +62,11 @@ val sfd : epsilon:float -> alpha:int -> ids:int array -> Engine.pipeline
 val star :
   Nw_graphs.Multigraph.t -> epsilon:float -> alpha:int -> Engine.pipeline
 
-(** Theorem 5.4(2) ([Star_forest.lsfd]); the initial store must also bind
+(** Theorem 5.4(2) ({!Run.star_lsfd}); the initial store must also bind
     ["orientation"]. *)
 val star_list : Nw_decomp.Palette.t -> epsilon:float -> Engine.pipeline
 
-(** Corollary 1.1 ([Orient.orientation]); leaves ["orientation"] (and the
+(** Corollary 1.1 ({!Run.orientation}); leaves ["orientation"] (and the
     intermediate ["coloring"]/["fd_stats"]). *)
 val orientation :
   Nw_graphs.Multigraph.t ->
@@ -78,7 +77,7 @@ val orientation :
   unit ->
   Engine.pipeline
 
-(** Corollary 1.1 pseudo-forests ([Pseudo_forest.decompose]); leaves
+(** Corollary 1.1 pseudo-forests ({!Run.pseudo}); leaves
     ["assignment"]. *)
 val pseudo :
   Nw_graphs.Multigraph.t -> epsilon:float -> alpha:int -> Engine.pipeline

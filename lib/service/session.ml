@@ -231,12 +231,12 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
     (* the exact one-shot sequence of [forestd decompose]: a fresh seeded
        RNG, a fresh rounds ledger, the graph under "graph" — so the
        served output is byte-identical to the CLI on the same graph *)
-    let run_attempt ~resume ~save =
+    let run_attempt ?resume ?save () =
       let rng = Random.State.make [| seed |] in
       let rounds = Rounds.create () in
       let ctx = Engine.ctx ~rng ~rounds in
       let init = EStore.put EStore.empty "graph" (Artifact.Graph gl) in
-      Engine.run ?resume ~checkpoint:save ctx pipeline ~init
+      Engine.run ?resume ?checkpoint:save ctx pipeline ~init
     in
     let verify = Registry.verify entry spec in
     let finish store chaos_summary =
@@ -266,7 +266,7 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
           Harness.run_epochs_resumable ~plan ~seed:chaos_seed ~epochs:1
             ~verify
             ~run:(fun ~resume ~save ->
-              let store = run_attempt ~resume ~save in
+              let store = run_attempt ?resume ~save () in
               last_store := Some store;
               store)
             ()
@@ -288,20 +288,13 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
                   (valid=%d detected=%d corrupt=%d)"
                  summary.cs_valid summary.cs_detected summary.cs_corrupt))
     | None -> (
-        (* fault-free path, still checkpointed: a survivable failure
-           resumes once from the newest pass boundary before giving up *)
-        let saved = ref None in
-        let save ck = saved := Some ck in
-        match run_attempt ~resume:None ~save with
+        (* fault-free path: one run, no checkpoints. Every pass is
+           deterministic in the store and RNG a checkpoint restores, so a
+           resumed retry would only raise the same exception again *)
+        match run_attempt () with
         | store -> finish store None
-        | exception exn when survivable exn -> (
-            match run_attempt ~resume:!saved ~save with
-            | store -> finish store None
-            | exception exn' when survivable exn' ->
-                Error
-                  (Printf.sprintf "decomposition failed: %s (resumed \
-                                   retry: %s)"
-                     (Printexc.to_string exn) (Printexc.to_string exn'))))
+        | exception exn when survivable exn ->
+            Error ("decomposition failed: " ^ Printexc.to_string exn))
   end
 
 (* ------------------------------------------------------------------ *)

@@ -32,8 +32,10 @@
     live coloring (star-forest and list entries: the forest-only probe
     cannot enforce their predicate), the session falls back to a full
     re-decomposition with the remembered batch parameters, checked with
-    the entry's own checker — the fallback saves engine checkpoints as
-    it goes and resumes from the last pass boundary if an attempt dies.
+    the entry's own checker. A fault-free decomposition runs the
+    pipeline once, with no checkpoints: its passes are deterministic, so
+    a retry could only fail the same way, and a failure answers
+    [Error "decomposition failed: <exn>"].
     Chaos plans armed on the session run batch work under
     {!Nw_chaos.Harness.run_epochs_resumable}, so every served response
     carries the harness's valid/detected/corrupt classification. *)
@@ -99,8 +101,9 @@ type decomposed = {
     resolves the exact arboricity like the CLI does. A verified
     [Colored] result of a non-star entry becomes the session's live
     incremental coloring (palette = max color id + 1); any other result
-    clears it. [Error] covers an empty-session decompose and a
-    chaos-killed run (the detail carries the harness classification). *)
+    clears it. [Error] covers an empty-session decompose, a failed
+    fault-free run (["decomposition failed: <exn>"]) and a chaos-killed
+    run (the detail carries the harness classification). *)
 val decompose :
   t ->
   entry:Nw_engine.Registry.entry ->

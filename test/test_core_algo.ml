@@ -19,6 +19,7 @@ module CS = Nw_core.Color_split
 module SF = Nw_core.Star_forest
 module Lsfd = Nw_core.Lsfd
 module Orient = Nw_core.Orient
+module Run = Nw_engine.Run
 
 let rng seed = Random.State.make [| seed; 99 |]
 let ids n = Array.init n (fun v -> v)
@@ -319,7 +320,7 @@ let test_forest_decomposition_families () =
       let st = rng (Hashtbl.hash name) in
       let rounds = Rounds.create () in
       let coloring, stats =
-        FA.forest_decomposition g ~epsilon:1.0 ~alpha ~rng:st ~rounds ()
+        Run.forest_decomposition g ~epsilon:1.0 ~alpha ~rng:st ~rounds ()
       in
       ignore stats;
       (* (1+eps)*alpha with eps=1: at most 2*alpha colors *)
@@ -331,7 +332,7 @@ let test_forest_decomposition_diameter () =
   let g = Gen.forest_union st 100 4 in
   let rounds = Rounds.create () in
   let coloring, _ =
-    FA.forest_decomposition g ~epsilon:1.0 ~alpha:4 ~diameter:`Inv_eps
+    Run.forest_decomposition g ~epsilon:1.0 ~alpha:4 ~diameter:`Inv_eps
       ~rng:st ~rounds ()
   in
   Verify.exn (Verify.forest_decomposition coloring);
@@ -348,7 +349,7 @@ let test_decompose_with_leftover_stats () =
       ~max_degree:(G.max_degree g) ~cut:Cut.Depth_mod
   in
   let coloring, removed, stats =
-    FA.decompose_with_leftover g palette ~epsilon:0.4 ~alpha:3
+    Run.decompose_with_leftover g palette ~epsilon:0.4 ~alpha:3
       ~cut:Cut.Depth_mod ~radii ~rng:st ~rounds
   in
   Verify.exn (Verify.partial_forest_decomposition coloring);
@@ -369,7 +370,7 @@ let test_sampled_cut_small_alpha () =
   let g = Gen.grid 9 9 in
   let rounds = Rounds.create () in
   let coloring, _ =
-    FA.forest_decomposition g ~epsilon:1.0 ~alpha:2 ~cut:(Cut.Sampled 0.5)
+    Run.forest_decomposition g ~epsilon:1.0 ~alpha:2 ~cut:(Cut.Sampled 0.5)
       ~radii:(12, 8) ~rng:st ~rounds ()
   in
   check_fd_complete "grid sampled" coloring 4
@@ -409,7 +410,7 @@ let test_list_forest_decomposition () =
   let palette = Palette.full g colors in
   let rounds = Rounds.create () in
   let coloring, _stats =
-    FA.list_forest_decomposition g palette ~epsilon:1.0 ~alpha:50 ~rng:st
+    Run.list_forest_decomposition g palette ~epsilon:1.0 ~alpha:50 ~rng:st
       ~rounds ()
   in
   Verify.exn (Verify.forest_decomposition coloring);
@@ -466,7 +467,7 @@ let test_sfd_simple_graph () =
   let _, fd = Nw_baseline.Gabow_westermann.arboricity g in
   let orientation = Orient.of_forest_decomposition fd ~rounds in
   let coloring, stats =
-    SF.sfd g ~epsilon ~alpha ~orientation ~ids:(ids (G.n g)) ~rng:st ~rounds
+    Run.sfd g ~epsilon ~alpha ~orientation ~ids:(ids (G.n g)) ~rng:st ~rounds
   in
   Verify.exn (Verify.star_forest_decomposition coloring);
   Alcotest.(check bool) "deficiency accounted" true
@@ -479,7 +480,7 @@ let test_sfd_rejects_multigraph () =
   Alcotest.(check bool) "rejects" true
     (try
        ignore
-         (SF.sfd g ~epsilon:0.5 ~alpha:2 ~orientation:o ~ids:(ids 2)
+         (Run.sfd g ~epsilon:0.5 ~alpha:2 ~orientation:o ~ids:(ids 2)
             ~rng:(rng 0) ~rounds);
        false
      with Invalid_argument _ -> true)
@@ -496,7 +497,7 @@ let test_lsfd_section5 () =
   let lists = Gen.list_palettes st g ~colors ~size:20 in
   let palette = Palette.of_lists ~colors lists in
   let coloring, stats =
-    SF.lsfd g palette ~epsilon:0.5 ~orientation ~rng:st ~rounds
+    Run.star_lsfd g palette ~epsilon:0.5 ~orientation ~rng:st ~rounds
   in
   Verify.exn (Verify.star_forest_decomposition coloring);
   Verify.exn (Verify.respects_palette coloring palette);
@@ -520,7 +521,7 @@ let test_orientation_end_to_end () =
   let g = Gen.forest_union st 70 3 in
   let rounds = Rounds.create () in
   let o, _stats =
-    Orient.orientation g ~epsilon:1.0 ~alpha:3 ~rng:st ~rounds ()
+    Run.orientation g ~epsilon:1.0 ~alpha:3 ~rng:st ~rounds ()
   in
   (* (1+eps)alpha with slack for the leftover recoloring *)
   Alcotest.(check bool) "out-degree bound" true (O.max_out_degree o <= 6)
@@ -548,7 +549,7 @@ let test_auto_cut_end_to_end () =
   in
   let rounds = Rounds.create () in
   let coloring, _ =
-    FA.forest_decomposition g ~epsilon:1.0 ~alpha:5 ~cut ~rng:st ~rounds ()
+    Run.forest_decomposition g ~epsilon:1.0 ~alpha:5 ~cut ~rng:st ~rounds ()
   in
   check_fd_complete "auto cut" coloring 10
 
@@ -558,7 +559,7 @@ let test_diam_reduce_cut_fd () =
   let g = Gen.forest_union st 70 6 in
   let rounds = Rounds.create () in
   let coloring, _ =
-    FA.forest_decomposition g ~epsilon:1.0 ~alpha:6 ~cut:Cut.Diam_reduce
+    Run.forest_decomposition g ~epsilon:1.0 ~alpha:6 ~cut:Cut.Diam_reduce
       ~rng:st ~rounds ()
   in
   check_fd_complete "diam-reduce cut" coloring 12
@@ -573,7 +574,7 @@ let prop_fd_random_instances =
       let g = Gen.forest_union st n alpha in
       let rounds = Rounds.create () in
       let coloring, _ =
-        FA.forest_decomposition g ~epsilon:1.0 ~alpha ~rng:st ~rounds ()
+        Run.forest_decomposition g ~epsilon:1.0 ~alpha ~rng:st ~rounds ()
       in
       Verify.forest_decomposition coloring = Ok ()
       && Verify.colors_used coloring <= 2 * alpha)

@@ -75,13 +75,13 @@ let test_h_partition_degenerate () =
 let test_forest_algo_degenerate () =
   let rounds = Rounds.create () in
   let coloring, stats =
-    Nw_core.Forest_algo.forest_decomposition isolated ~epsilon:0.5 ~alpha:1
+    Nw_engine.Run.forest_decomposition isolated ~epsilon:0.5 ~alpha:1
       ~rng:(rng ()) ~rounds ()
   in
   Alcotest.(check int) "no leftover" 0 stats.Nw_core.Forest_algo.leftover_edges;
   Verify.exn (Verify.forest_decomposition coloring);
   let c1, _ =
-    Nw_core.Forest_algo.forest_decomposition single_edge ~epsilon:0.5
+    Nw_engine.Run.forest_decomposition single_edge ~epsilon:0.5
       ~alpha:1 ~rng:(rng ()) ~rounds ()
   in
   Verify.exn (Verify.forest_decomposition c1);
@@ -90,7 +90,7 @@ let test_forest_algo_degenerate () =
 let test_forest_algo_disconnected () =
   let rounds = Rounds.create () in
   let coloring, _ =
-    Nw_core.Forest_algo.forest_decomposition disconnected ~epsilon:1.0
+    Nw_engine.Run.forest_decomposition disconnected ~epsilon:1.0
       ~alpha:2 ~rng:(rng ()) ~rounds ()
   in
   Verify.exn (Verify.forest_decomposition coloring);
@@ -125,7 +125,7 @@ let test_star_forest_degenerate () =
   let rounds = Rounds.create () in
   let o = Nw_graphs.Orientation.make single_edge [| 1 |] in
   let sfd, stats =
-    Nw_core.Star_forest.sfd single_edge ~epsilon:0.5 ~alpha:1 ~orientation:o
+    Nw_engine.Run.sfd single_edge ~epsilon:0.5 ~alpha:1 ~orientation:o
       ~ids:[| 0; 1 |] ~rng:(rng ()) ~rounds
   in
   Verify.exn (Verify.star_forest_decomposition sfd);

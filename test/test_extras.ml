@@ -84,7 +84,7 @@ let test_pseudo_forest_end_to_end () =
   let g = Gen.forest_union st 60 4 in
   let rounds = Rounds.create () in
   let assignment, k =
-    Nw_core.Pseudo_forest.decompose g ~epsilon:1.0 ~alpha:4 ~rng:st ~rounds ()
+    Nw_engine.Run.pseudo g ~epsilon:1.0 ~alpha:4 ~rng:st ~rounds ()
   in
   ignore assignment;
   (* (1+eps)*alpha plus leftover slack *)

@@ -1,9 +1,11 @@
-(* Pinned spec: literal outputs of every registry entry.
+(* Pinned spec: literal outputs of every registry entry, and of the
+   pipelines no entry builds.
 
    Each registry entry runs through the engine on one simple graph and
-   one multigraph (entries that reject multigraphs are pinned to do so).
-   For every run the test pins three digests computed once and written
-   here as literals:
+   one multigraph (entries that reject multigraphs are pinned to do so);
+   the [partial], [lfd] and [star-list] pipelines run through their
+   [Nw_engine.Run] wrappers on one fixture each. For every run the test
+   pins three digests computed once and written here as literals:
 
    - the output: the coloring, orientation or pseudo-forest assignment
      the pipeline left in the store;
@@ -32,17 +34,18 @@ let md5 s = Digest.to_hex (Digest.string s)
 let simple = Gen.forest_union_simple (Random.State.make [| 2021 |]) 48 3
 let multi = Gen.forest_union (Random.State.make [| 2021; 7 |]) 40 3
 
+let add_coloring b c =
+  for e = 0 to G.m (Coloring.graph c) - 1 do
+    Buffer.add_string b
+      (match Coloring.color c e with
+      | Some k -> string_of_int k ^ ","
+      | None -> "-,")
+  done
+
 let output_string_of store (entry : Registry.entry) g =
   let b = Buffer.create 256 in
   (match entry.Registry.yields with
-  | Registry.Coloring_out ->
-      let c = EStore.coloring store "coloring" in
-      for e = 0 to G.m g - 1 do
-        Buffer.add_string b
-          (match Coloring.color c e with
-          | Some k -> string_of_int k ^ ","
-          | None -> "-,")
-      done
+  | Registry.Coloring_out -> add_coloring b (EStore.coloring store "coloring")
   | Registry.Orientation_out ->
       let o = EStore.orientation store "orientation" in
       for e = 0 to G.m g - 1 do
@@ -66,6 +69,12 @@ let counters_string trace =
 
 (* one engine run, rendered as
    "<output md5> rounds=<total> ledger=<md5> obs=<md5>" *)
+let render output rounds trace =
+  Printf.sprintf "%s rounds=%d ledger=%s obs=%s" (md5 output)
+    (Rounds.total rounds)
+    (md5 (ledger_string rounds))
+    (md5 (counters_string trace))
+
 let fingerprint (entry : Registry.entry) g =
   let rounds = Rounds.create () in
   let rng = Random.State.make [| 7 |] in
@@ -76,11 +85,7 @@ let fingerprint (entry : Registry.entry) g =
   let ctx = Engine.ctx ~rng ~rounds in
   let init = EStore.put EStore.empty "graph" (Artifact.Graph g) in
   let store, trace = Obs.collect (fun () -> Engine.run ctx pipeline ~init) in
-  Printf.sprintf "%s rounds=%d ledger=%s obs=%s"
-    (md5 (output_string_of store entry g))
-    (Rounds.total rounds)
-    (md5 (ledger_string rounds))
-    (md5 (counters_string trace))
+  render (output_string_of store entry g) rounds trace
 
 let rejected = "rejects multigraphs"
 
@@ -123,6 +128,62 @@ let print_actual () =
             (run_case entry g))
         Registry.all)
     graphs
+
+(* The pipelines no registry entry builds, each run through its [Run]
+   wrapper under Obs and rendered like [fingerprint]: Theorem 4.5's
+   partial LFD, Theorem 4.10's LFD and Theorem 5.4(2)'s list SFD. *)
+let fd_graph = Gen.forest_union (Random.State.make [| 31 |]) 90 3
+
+let star_list =
+  let g = Gen.forest_union_simple (Random.State.make [| 33 |]) 100 16 in
+  let _, fd = Nw_baseline.Gabow_westermann.arboricity g in
+  let orientation =
+    Nw_core.Orient.of_forest_decomposition fd ~rounds:(Rounds.create ())
+  in
+  let colors = 56 in
+  let lists =
+    Gen.list_palettes (Random.State.make [| 55 |]) g ~colors ~size:48
+  in
+  (g, orientation, Nw_decomp.Palette.of_lists ~colors lists)
+
+let runs =
+  let module Run = Nw_engine.Run in
+  let module Palette = Nw_decomp.Palette in
+  [
+    ( "partial",
+      fun ~rng ~rounds ->
+        let c, _, _ =
+          Run.decompose_with_leftover fd_graph (Palette.full fd_graph 5)
+            ~epsilon:0.5 ~alpha:3 ~cut:Nw_core.Cut.Depth_mod ~radii:(6, 3)
+            ~rng ~rounds
+        in
+        c );
+    ( "lfd",
+      fun ~rng ~rounds ->
+        fst
+          (Run.list_forest_decomposition fd_graph (Palette.full fd_graph 8)
+             ~epsilon:1.0 ~alpha:3 ~rng ~rounds ()) );
+    ( "star-lsfd",
+      fun ~rng ~rounds ->
+        let g, orientation, palette = star_list in
+        fst (Run.star_lsfd g palette ~epsilon:0.5 ~orientation ~rng ~rounds)
+    );
+  ]
+
+let run_fingerprint run =
+  let rounds = Rounds.create () in
+  let rng = Random.State.make [| 97 |] in
+  let coloring, trace = Obs.collect (fun () -> run ~rng ~rounds) in
+  let b = Buffer.create 256 in
+  add_coloring b coloring;
+  render (Buffer.contents b) rounds trace
+
+let expected_run =
+  [
+    ("partial", "8eb24958a3dcef9107fd350c4f5e51d3 rounds=200 ledger=f424ac345b567832937a018df0a53eed obs=4c45432f14b1b0c66a95d5a86fb52158");
+    ("lfd", "6258d29a494af1a5c852cb178babf91c rounds=1529137 ledger=01ab13d86a404a96242cf400346fffe6 obs=99099999bd77735dcd08031f708e2c59");
+    ("star-lsfd", "907ce5f15f8d21c0fc78d854415bba75 rounds=5 ledger=5abc51a44175c4a0ee7886113352da05 obs=45b76ae348b3bdfb23a96838feafbd4b");
+  ]
 
 (* fault-timeline digest of one fixed plan over the lsfd pipeline *)
 let chaos_fingerprint () =
@@ -288,6 +349,10 @@ let () =
     Printf.printf "chaos: %S\n" (chaos_fingerprint ());
     Printf.printf "search stats: %S\n" (md5 (search_stats_string ()));
     Printf.printf "recolor: %S\n" (md5 (fst (recolor_string ())));
+    List.iter
+      (fun (name, run) ->
+        Printf.printf "    (%S, %S);\n" name (run_fingerprint run))
+      runs;
     exit 0
   end
 
@@ -309,6 +374,10 @@ let test_recolor () =
   let s, unsets = recolor_string () in
   Alcotest.(check bool) "colored edges unset" true (unsets > 0);
   Alcotest.(check string) "paths after unsets" expected_recolor (md5 s)
+
+let test_run name run () =
+  Alcotest.(check string) name (List.assoc name expected_run)
+    (run_fingerprint run)
 
 let test_chaos () =
   Alcotest.(check string) "lsfd under chaos" expected_chaos
@@ -332,4 +401,9 @@ let () =
           [ Alcotest.test_case "augment stats" `Quick test_search_stats ] );
         ( "pinned-recolor",
           [ Alcotest.test_case "paths after unsets" `Quick test_recolor ] );
+        ( "pinned-run",
+          List.map
+            (fun (name, run) ->
+              Alcotest.test_case name `Quick (test_run name run))
+            runs );
       ])

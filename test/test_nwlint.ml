@@ -278,9 +278,9 @@ let eng =
   [
     ( "positive: direct composite in bench",
       check_fires "ENG001" ~path:"bench/fixture.ml"
-        "let run g rng rounds =\n\
-        \  Nw_core.Forest_algo.forest_decomposition g ~epsilon:0.5 ~alpha:3\n\
-        \    ~rng ~rounds ()" );
+        "let run g palette nd rng rounds =\n\
+        \  Nw_core.Forest_algo.partial_color g palette ~epsilon:0.5 ~alpha:3\n\
+        \    ~cut:Nw_core.Cut.Depth_mod ~radii:(6, 3) ~nd ~rng ~rounds" );
     ( "positive: composite through an alias",
       check_fires "ENG001" ~path:"bin/fixture.ml"
         "module FA = Nw_core.Forest_algo\n\

@@ -108,7 +108,7 @@ let prop_sfd_random_simple =
       let orientation = Nw_core.Orient.of_forest_decomposition fd ~rounds in
       let ids = Array.init n (fun v -> v) in
       let sfd, _ =
-        Nw_core.Star_forest.sfd g ~epsilon:0.4 ~alpha ~orientation ~ids
+        Nw_engine.Run.sfd g ~epsilon:0.4 ~alpha ~orientation ~ids
           ~rng:st ~rounds
       in
       Verify.star_forest_decomposition sfd = Ok ())

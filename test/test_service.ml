@@ -350,6 +350,31 @@ let served_deterministic () =
   in
   Alcotest.(check (array int)) "same seed, same served bytes" (mk ()) (mk ())
 
+(* a fault-free served decompose runs once, with no checkpoints: the
+   star pipeline rejects a parallel edge in its sfd.select pass, and a
+   retry resumed from a checkpoint would only reject it again *)
+let served_failure_runs_once () =
+  with_obs @@ fun () ->
+  let s =
+    Session.create ~name:"par" ~n:3 ~edges:[ (0, 1); (0, 1); (1, 2) ]
+  in
+  let result, t =
+    Obs.collect (fun () ->
+        Session.decompose s ~entry:(entry "star") ~epsilon:0.5 ~seed:1
+          ~alpha:None)
+  in
+  (match result with
+  | Error e ->
+      Alcotest.(check bool) "answers decomposition failed" true
+        (String.starts_with ~prefix:"decomposition failed: " e)
+  | Ok _ -> Alcotest.fail "a parallel edge must fail the star pipeline");
+  Alcotest.(check int) "pass:sfd.select runs once" 1
+    (List.fold_left
+       (fun acc (p : Obs.phase) ->
+         if String.equal p.Obs.name "pass:sfd.select" then acc + p.Obs.calls
+         else acc)
+       0 (Obs.phases t))
+
 (* --- churn: incremental vs fallback -------------------------------- *)
 
 let churn_incremental_then_fallback () =
@@ -730,6 +755,7 @@ let () =
           [
             ("served = one-shot", served_equals_one_shot);
             ("served deterministic", served_deterministic);
+            ("failed decompose runs once", served_failure_runs_once);
           ] );
       ( "churn",
         List.map tc

@@ -30,7 +30,7 @@ type t = {
          stay clock-free and deterministic; the flight recorder's
          timestamps flow through the same source inside lib/obs. *)
   eng1_composites : (string * string list) list;
-      (* composite-phase entry points of lib/core, as
+      (* composite-phase functions of lib/core, as
          (module, functions): outside lib/core and lib/engine these are
          ENG001 — callers go through the engine (Nw_engine.Run or a
          Pipelines builder) so every run gets per-pass spans, rounds
@@ -69,27 +69,16 @@ let default =
     det1_clock_allow = [ "Nw_obs.Obs.now_ns" ];
     eng1_composites =
       [
-        ( "Forest_algo",
-          [
-            "forest_decomposition";
-            "list_forest_decomposition";
-            "decompose_with_leftover";
-            "partial_color";
-            "lfd_leftover";
-          ] );
+        ("Forest_algo", [ "partial_color"; "lfd_leftover" ]);
         ("Lsfd", [ "distributed"; "layered_color" ]);
         ( "Star_forest",
           [
-            "sfd";
-            "lsfd";
             "sfd_select";
             "sfd_realize";
             "sfd_finish";
             "lsfd_select";
             "lsfd_realize";
           ] );
-        ("Orient", [ "orientation" ]);
-        ("Pseudo_forest", [ "decompose" ]);
       ];
     eng1_allow = [];
   }
@@ -128,10 +117,9 @@ let rules =
        sanctioned scratch modules" );
     ( "ENG001",
       Diagnostic.Error,
-      "composite-phase entry points of lib/core (Forest_algo, Lsfd, \
-       Star_forest, Orient, Pseudo_forest composites) are only invokable \
-       via the engine (Nw_engine.Run / Pipelines) outside lib/core and \
-       lib/engine" );
+      "composite-phase functions of lib/core (Forest_algo, Lsfd, \
+       Star_forest phases) are only invokable via the engine \
+       (Nw_engine.Run / Pipelines) outside lib/core and lib/engine" );
     ( "SVC001",
       Diagnostic.Error,
       "lib/service request handlers never touch Nw_engine.Store directly \

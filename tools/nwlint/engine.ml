@@ -319,10 +319,10 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
                    "direct call of composite `%s` outside the engine"
                    (dotted segs))
                 (Some
-                   "go through Nw_engine.Run (drop-in signatures) or \
-                    build the pipeline with Nw_engine.Pipelines and \
-                    Engine.run — direct calls lose per-pass spans, \
-                    rounds attribution, and checkpoints")
+                   "go through Nw_engine.Run or build the pipeline \
+                    with Nw_engine.Pipelines and Engine.run — direct \
+                    calls lose per-pass spans, rounds attribution, and \
+                    checkpoints")
           | _ -> ())
       | _ -> ()
   in
