@@ -22,7 +22,9 @@
    vertices repaired per update, requires no per-color forest rebuild,
    and prints the time per update. The
    alpha leg counts the matroid partitions a served decompose with alpha
-   omitted runs on the same session shape. The heap leg serves 200
+   omitted runs on the same session shape. The Cole-Vishkin leg bounds
+   the minor words of one fault-free three_color_forests run on the
+   star-forest stage's input. The heap leg serves 200
    decompose batches through Server.handle with Obs on and bounds the
    growth of the live heap.
 
@@ -483,6 +485,59 @@ let alpha_resolution_check () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
+(* Cole-Vishkin leg: minor words of one fault-free multi-forest run     *)
+(* ------------------------------------------------------------------ *)
+
+module CV = Nw_core.Cole_vishkin
+
+(* The star-forest stage's input on forest_union n=4000 alpha=8: the
+   H-partition orientation split into its t rooted forests (edge forest
+   index = position in the tail's out-list), as
+   H_partition.star_forest_decomposition builds it. Fault-free, the
+   rounds are sweeps over flat parent planes: the planes are allocated
+   once and large enough to go straight to the major heap, so the minor
+   words are a few closures whatever n is. More than [limit] means some
+   per-vertex or per-message allocation came back into the rounds: run
+   on a message net, with inbox closures per vertex per round, the same
+   call allocated 900,492 minor words; the sweeps allocate 128.
+   Deterministic for a fixed input. *)
+let cole_vishkin_alloc_check () =
+  let limit = 1_000.0 in
+  let n = 4000 and alpha = 8 in
+  let g = Gen.forest_union (rng n) n alpha in
+  let ids = Array.init n Fun.id in
+  let rounds = Nw_localsim.Rounds.create () in
+  let hp =
+    Nw_core.H_partition.compute g ~epsilon:0.5 ~alpha_star:alpha ~rounds
+  in
+  let o = Nw_core.H_partition.orientation g hp ~ids in
+  let t = max 1 (Nw_graphs.Orientation.max_out_degree o) in
+  let edge_forest = Array.make (G.m g) (-1) in
+  let parent_edge = Array.make (n * t) (-1) in
+  for v = 0 to n - 1 do
+    List.iteri
+      (fun j e ->
+        edge_forest.(e) <- j;
+        parent_edge.((v * t) + j) <- e)
+      (Nw_graphs.Orientation.out_edges o v)
+  done;
+  let w0 = Gc.minor_words () in
+  ignore (CV.three_color_forests g ~edge_forest ~parent_edge ~t ~ids ~rounds);
+  let words = Gc.minor_words () -. w0 in
+  Printf.printf
+    "\n== allocation: Cole-Vishkin on %d forests, n=%d m=%d ==\n\
+     %.0f minor words (limit %.0f)\n"
+    t n (G.m g) words limit;
+  if words > limit then begin
+    Printf.eprintf
+      "perf smoke: fault-free Cole-Vishkin allocated %.0f minor words, \
+       limit %.0f\n"
+      words limit;
+    exit 1
+  end;
+  flush stdout
+
+(* ------------------------------------------------------------------ *)
 (* heap leg: daemon memory across served batches                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -567,6 +622,7 @@ let () =
   augment_alloc_check ();
   churn_alloc_check ();
   alpha_resolution_check ();
+  cole_vishkin_alloc_check ();
   heap_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -14,6 +14,7 @@ let star_forest_decomposition g ~epsilon ~alpha_star ~rounds =
   let ids = Array.init (G.n g) (fun v -> v) in
   let orientation = H_partition.orientation g hp ~ids in
   Rounds.charge rounds ~label:"distributed/layer-exchange" 1;
-  (* stage 3: Cole-Vishkin per forest, executed on the kernel (all forests
-     in parallel; the shared charge is the per-forest maximum) *)
+  (* stage 3: Cole-Vishkin per forest, executed round by round on parent
+     planes, or on the kernel under faults (all forests in parallel; the
+     shared charge is the per-forest maximum) *)
   H_partition.star_forest_decomposition g orientation ~ids ~rounds

@@ -10,66 +10,129 @@ let all reports =
 
 let exn = function Ok () -> () | Error msg -> failwith msg
 
-let classes_are_forests t ~allow_uncolored =
-  let g = Coloring.graph t in
-  let k = Coloring.colors t in
-  let ufs = Array.init k (fun _ -> UF.create (G.n g)) in
-  G.fold_edges
-    (fun e u v acc ->
-      match acc with
-      | Error _ -> acc
-      | Ok () -> (
-          match Coloring.color t e with
-          | None ->
-              if allow_uncolored then Ok ()
-              else Error (Printf.sprintf "edge %d is uncolored" e)
-          | Some c ->
-              if c < 0 || c >= k then
-                Error (Printf.sprintf "edge %d has out-of-range color %d" e c)
-              else if UF.union ufs.(c) u v then Ok ()
-              else
-                Error
-                  (Printf.sprintf "color %d contains a cycle through edge %d"
-                     c e)))
-    g (Ok ())
+(* The first error in edge order wins, as if every color kept its own
+   union-find and the edges were added in one scan. A color's first
+   cycle edge does not depend on the other colors, so the edges are
+   grouped by color (a counting sort, ascending edge ids in each group:
+   group [c] is [edges.(start.(c)) .. edges.(start.(c + 1) - 1)]) and
+   the colors checked one after another on one union-find, isolating the
+   touched vertices after each; a color stops at the earliest error
+   found so far. Only edges before the first uncolored (unless allowed)
+   or out-of-range one are grouped. O(n + m + k) memory, where one
+   union-find per color would take O(k n). On success, returns the
+   groups of all edges. *)
+let check_forests g ~k ~allow_uncolored color =
+  let m = G.m g in
+  let start = Array.make (k + 1) 0 in
+  let rec count e =
+    if e = m then None
+    else
+      match color e with
+      | None when not allow_uncolored ->
+          Some (e, Printf.sprintf "edge %d is uncolored" e)
+      | None -> count (e + 1)
+      | Some c when c < 0 || c >= k ->
+          Some (e, Printf.sprintf "edge %d has out-of-range color %d" e c)
+      | Some c ->
+          start.(c + 1) <- start.(c + 1) + 1;
+          count (e + 1)
+  in
+  let bad = count 0 in
+  let stop = match bad with Some (e, _) -> e | None -> m in
+  for c = 1 to k do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let edges = Array.make start.(k) 0 and next = Array.sub start 0 k in
+  for e = 0 to stop - 1 do
+    match color e with
+    | Some c ->
+        edges.(next.(c)) <- e;
+        next.(c) <- next.(c) + 1
+    | None -> ()
+  done;
+  let uf = UF.create (G.n g) in
+  let first = ref stop and first_color = ref (-1) in
+  for c = 0 to k - 1 do
+    let i = ref start.(c) in
+    while !i < start.(c + 1) && edges.(!i) < !first do
+      let e = edges.(!i) in
+      let u, v = G.endpoints g e in
+      if not (UF.union uf u v) then begin
+        first := e;
+        first_color := c
+      end;
+      incr i
+    done;
+    for j = start.(c) to !i - 1 do
+      let u, v = G.endpoints g edges.(j) in
+      UF.isolate uf u;
+      UF.isolate uf v
+    done
+  done;
+  if !first_color >= 0 then
+    Error
+      (Printf.sprintf "color %d contains a cycle through edge %d" !first_color
+         !first)
+  else match bad with Some (_, msg) -> Error msg | None -> Ok (start, edges)
 
-let forest_decomposition t = classes_are_forests t ~allow_uncolored:false
-let partial_forest_decomposition t = classes_are_forests t ~allow_uncolored:true
+(* every colored component must be a star: no edge may join two
+   vertices that both have degree >= 2 in its color. One degree array
+   serves every color: a color's degrees are added, checked and then
+   subtracted again. *)
+let check_stars g ~k (start, edges) =
+  let deg = Array.make (G.n g) 0 in
+  let first = ref (G.m g) and first_color = ref (-1) in
+  let add c d =
+    for i = start.(c) to start.(c + 1) - 1 do
+      let u, v = G.endpoints g edges.(i) in
+      deg.(u) <- deg.(u) + d;
+      deg.(v) <- deg.(v) + d
+    done
+  in
+  for c = 0 to k - 1 do
+    add c 1;
+    let i = ref start.(c) in
+    while !i < start.(c + 1) && edges.(!i) < !first do
+      let e = edges.(!i) in
+      let u, v = G.endpoints g e in
+      if deg.(u) >= 2 && deg.(v) >= 2 then begin
+        first := e;
+        first_color := c
+      end;
+      incr i
+    done;
+    add c (-1)
+  done;
+  if !first_color >= 0 then
+    Error
+      (Printf.sprintf "color %d has a path of length 3 through edge %d"
+         !first_color !first)
+  else Ok ()
 
-let star_forest_decomposition t =
-  match forest_decomposition t with
-  | Error _ as e -> e
-  | Ok () ->
-      (* every colored component must be a star: for each vertex v and color
-         c, if v has >= 2 incident c-edges then every c-neighbor of v must
-         have exactly 1 incident c-edge; and no edge may join two vertices
-         that both have degree >= 2 in color c. *)
-      let g = Coloring.graph t in
-      let k = Coloring.colors t in
-      let deg = Array.make_matrix k (G.n g) 0 in
-      G.fold_edges
-        (fun e u v () ->
-          ignore e;
-          match Coloring.color t e with
-          | None -> ()
-          | Some c ->
-              deg.(c).(u) <- deg.(c).(u) + 1;
-              deg.(c).(v) <- deg.(c).(v) + 1)
-        g ();
-      G.fold_edges
-        (fun e u v acc ->
-          match acc with
-          | Error _ -> acc
-          | Ok () -> (
-              match Coloring.color t e with
-              | None -> Ok ()
-              | Some c ->
-                  if deg.(c).(u) >= 2 && deg.(c).(v) >= 2 then
-                    Error
-                      (Printf.sprintf
-                         "color %d has a path of length 3 through edge %d" c e)
-                  else Ok ()))
-        g (Ok ())
+let forests g ~k ~allow_uncolored color =
+  Result.map ignore (check_forests g ~k ~allow_uncolored color)
+
+let stars g ~k color =
+  Result.bind
+    (check_forests g ~k ~allow_uncolored:false color)
+    (check_stars g ~k)
+
+let of_coloring check t =
+  check (Coloring.graph t) ~k:(Coloring.colors t) (Coloring.color t)
+
+let forest_decomposition = of_coloring (forests ~allow_uncolored:false)
+let partial_forest_decomposition = of_coloring (forests ~allow_uncolored:true)
+let star_forest_decomposition = of_coloring stars
+
+let of_assignment check g colors ~k =
+  if Array.length colors <> G.m g then
+    Error "assignment length does not match edge count"
+  else check g ~k (Array.get colors)
+
+let forest_assignment g colors ~k ~allow_uncolored =
+  of_assignment (forests ~allow_uncolored) g colors ~k
+
+let star_forest_assignment = of_assignment stars
 
 let pseudo_forest_assignment g colors ~k =
   if Array.length colors <> G.m g then

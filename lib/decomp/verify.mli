@@ -16,6 +16,23 @@ val partial_forest_decomposition : Coloring.t -> report
     of diameter at most 2 with one center (edges all share a vertex). *)
 val star_forest_decomposition : Coloring.t -> report
 
+(** {!forest_decomposition} ([allow_uncolored:false]) or
+    {!partial_forest_decomposition} ([allow_uncolored:true]) on a raw
+    per-edge assignment [colors.(e)] over colors [0..k-1], with the same
+    reports. Unlike a {!Coloring.t}, an assignment can hold a cycle or an
+    out-of-range color. *)
+val forest_assignment :
+  Nw_graphs.Multigraph.t ->
+  int option array ->
+  k:int ->
+  allow_uncolored:bool ->
+  report
+
+(** {!star_forest_decomposition} on a raw per-edge assignment, as
+    {!forest_assignment}. *)
+val star_forest_assignment :
+  Nw_graphs.Multigraph.t -> int option array -> k:int -> report
+
 (** Pseudo-forest decompositions cannot live in {!Coloring} (it enforces
     acyclicity), so they are checked on a raw per-edge color assignment:
     every edge gets a color in [0..k-1] and each color class is a

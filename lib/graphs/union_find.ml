@@ -45,5 +45,14 @@ let reset t =
   Array.fill t.rank 0 (Array.length t.rank) 0;
   t.classes <- Array.length t.parent
 
+(* each merge turned exactly one root into a non-root, so isolating
+   every non-root of the touched classes gives the merges back *)
+let isolate t x =
+  if t.parent.(x) <> x then begin
+    t.parent.(x) <- x;
+    t.classes <- t.classes + 1
+  end;
+  t.rank.(x) <- 0
+
 let copy t =
   { parent = Array.copy t.parent; rank = Array.copy t.rank; classes = t.classes }

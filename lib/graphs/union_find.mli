@@ -29,5 +29,13 @@ val count : t -> int
 (** [reset t] returns every element to its own singleton class. *)
 val reset : t -> unit
 
+(** [isolate t x] makes [x] a singleton class of rank 0 again without
+    touching any other element. Isolating every element of the classes
+    that unions touched since [t] was all singletons returns [t] to all
+    singletons ([count] included) in time proportional to those elements,
+    where {!reset} takes O(n); the structure is only consistent again once
+    all of them are isolated. *)
+val isolate : t -> int -> unit
+
 (** [copy t] is an independent copy sharing no mutable state. *)
 val copy : t -> t

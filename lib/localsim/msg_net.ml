@@ -67,6 +67,8 @@ let note st ~code ~round ~who =
    path. *)
 let ambient : (faults * fault_stats) option ref = ref None
 
+let faults_armed () = Option.is_some !ambient
+
 let with_faults f thunk =
   let saved = !ambient in
   let stats = fresh_stats () in
@@ -147,28 +149,6 @@ let count_step t ~decide ~recv =
   for v = 0 to n - 1 do
     t.states.(v) <- recv v t.states.(v) cnt.(v)
   done
-
-(* Exchange round (every vertex broadcasts one int on every incident
-   edge, and the value may depend on the edge it crosses: [value v st
-   e]) — the shape of the concurrent multi-forest Cole–Vishkin round,
-   where a vertex's message on edge [e] is its color in [e]'s forest.
-   The inbox of [w] is then exactly one value per incident edge, so the
-   kernel gathers it by streaming [w]'s own adjacency instead of
-   materializing per-message list cells; [recv] sees the messages in
-   the receiver's incidence order (ascending edge id). The contract
-   requires [value] to be pure over the round (it must not observe
-   anything [recv] changes), so the gather evaluates it on the fly at
-   each receiver: one random access per delivery, no per-round
-   edge-sized scratch. Accounting matches the generic path: one
-   delivery per incidence, 2m per round. *)
-let exchange_edges_step t ~value ~recv =
-  let n = G.n t.g in
-  for v = 0 to n - 1 do
-    t.states.(v) <-
-      recv v t.states.(v) (fun f ->
-          G.iter_incident t.g v (fun u e -> f e (value u t.states.(u) e)))
-  done;
-  t.delivered <- t.delivered + (2 * G.m t.g)
 
 (* the faulty path: crashed nodes neither send, receive, nor update
    state; a restart resets the node to its initial state (state loss);
@@ -278,21 +258,25 @@ let synth_send t ~decide v st =
       (G.fold_incident t.g v ~init:[] (fun acc _ e -> (e, ()) :: acc))
   else []
 
-(* the kernel charges one round per call on behalf of whatever phase
-   span is open in the caller (or the trace's unattributed bucket) *)
-let[@obs.in_span] charge_round t ~label ~before =
-  t.round_num <- t.round_num + 1;
-  Rounds.charge t.rounds ~label 1;
+(* one round charged on behalf of whatever phase span is open in the
+   caller (or the trace's unattributed bucket): the ledger entry and the
+   two kernel counters, for a net's round and for a round computed
+   outside a net alike *)
+let[@obs.in_span] charge_round ~rounds ~label ~messages =
+  Rounds.charge rounds ~label 1;
   Nw_obs.Obs.count "msg_net.rounds";
-  if t.delivered > before then
-    Nw_obs.Obs.count "msg_net.messages" ~by:(t.delivered - before)
+  if messages > 0 then Nw_obs.Obs.count "msg_net.messages" ~by:messages
+
+let end_round t ~label ~before =
+  t.round_num <- t.round_num + 1;
+  charge_round ~rounds:t.rounds ~label ~messages:(t.delivered - before)
 
 let[@obs.in_span] round t ~label ~send ~recv =
   let before = t.delivered in
   (match t.chaos with
   | None -> plain_step t ~send ~recv
   | Some c -> faulty_step t c ~send ~recv);
-  charge_round t ~label ~before
+  end_round t ~label ~before
 
 let[@obs.in_span] round_count t ~label ~decide ~recv =
   let before = t.delivered in
@@ -304,23 +288,7 @@ let[@obs.in_span] round_count t ~label ~decide ~recv =
       let send v st = synth_send t ~decide v st in
       let recv v st msgs = recv v st (List.length msgs) in
       faulty_step t c ~send ~recv);
-  charge_round t ~label ~before
-
-let[@obs.in_span] round_exchange_edges t ~label ~value ~recv =
-  let before = t.delivered in
-  (match t.chaos with
-  | None -> exchange_edges_step t ~value ~recv
-  | Some c ->
-      let send v st =
-        List.rev
-          (G.fold_incident t.g v ~init:[] (fun acc _ e ->
-               (e, value v st e) :: acc))
-      in
-      let recv v st msgs =
-        recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
-      in
-      faulty_step t c ~send ~recv);
-  charge_round t ~label ~before
+  end_round t ~label ~before
 
 let messages_delivered t = t.delivered
 let rounds_executed t = t.round_num

@@ -8,6 +8,8 @@
     The simpler algorithms (H-partition peeling, Cole–Vishkin coloring) are
     implemented directly on this kernel, demonstrating that they are honest
     distributed algorithms; the round counts it reports are exact.
+    Cole–Vishkin's fault-free rounds are computed on its own parent planes
+    and charged through {!charge_round}; under faults it runs on a net.
 
     {2 Fault injection}
 
@@ -70,15 +72,19 @@ type fault_stats = {
     by every net created inside. Nests; the inner context wins. *)
 val with_faults : faults -> (unit -> 'a) -> 'a * fault_stats
 
+(** Whether a fault context is installed: a net created now would run
+    under it. An algorithm with a fault-free shortcut that needs no net
+    takes it only when this is [false]. *)
+val faults_armed : unit -> bool
+
 (** {2 The kernel}
 
     One sequential kernel: every round runs on the calling domain, in
-    one canonical event order. Three round entry points, each with one
-    message shape: {!round} (arbitrary per-edge messages),
-    {!round_count} (payload-free broadcast) and {!round_exchange_edges}
-    (one int per incident edge). The last two stream the adjacency rows
-    fault-free and fall back to the per-message path under an ambient
-    fault context. See [docs/data-plane.md]. *)
+    one canonical event order. Two round entry points, each with one
+    message shape: {!round} (arbitrary per-edge messages) and
+    {!round_count} (payload-free broadcast). The second streams the
+    adjacency rows fault-free and falls back to the per-message path
+    under an ambient fault context. See [docs/data-plane.md]. *)
 
 type ('state, 'msg) t
 
@@ -126,26 +132,14 @@ val round_count :
   recv:(int -> 'state -> int -> 'state) ->
   unit
 
-(** All-incident int broadcast whose value may depend on the edge it
-    crosses ([value v st e]) — the concurrent multi-forest Cole–Vishkin
-    shape. [recv v st iter] consumes the inbox through [iter f], which
-    calls [f edge msg] once per incident edge of [v], in [v]'s own
-    incidence order, without materializing message lists. Accounting
-    matches {!round}: 2m deliveries, one round charged. Contract:
-    [value] must be {e pure over the round} — it must not observe
-    anything [recv] changes (state or shared mutable data), so the
-    kernel is free to evaluate it before or during delivery. The
-    streamed path exploits this by computing each message at its
-    receiver with no per-round edge-sized scratch. Under a fault
-    context the canonical per-message path runs instead and [iter]
-    follows the (fault-scheduled) inbox order, so [recv] must not
-    depend on message order beyond edge identity. *)
-val round_exchange_edges :
-  ('state, int) t ->
-  label:string ->
-  value:(int -> 'state -> int -> int) ->
-  recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
-  unit
+(** [charge_round ~rounds ~label ~messages] charges one round exactly as
+    a net's round is charged: one ledger round under [label], plus the
+    [msg_net.rounds] and [msg_net.messages] (by [messages], when
+    positive) Obs counters. Every round entry point ends with it; an
+    algorithm that computes a fault-free round's outcome without a net
+    (Cole–Vishkin on its parent planes) calls it with the message count
+    the net would have delivered. *)
+val charge_round : rounds:Rounds.t -> label:string -> messages:int -> unit
 
 (** Total messages delivered since creation. *)
 val messages_delivered : ('state, 'msg) t -> int

@@ -8,9 +8,10 @@
    iteration order included, since the determinism contract of the whole
    repo is phrased over adjacency order.
 
-   Part 2 — streaming rounds: [round_count] and [round_exchange_edges]
-   give the same states and delivered-message counts as [round] driven
-   with the equivalent per-message send/recv.
+   Part 2 — streaming rounds: [round_count] gives the same states and
+   delivered-message counts as [round] driven with the equivalent
+   per-message send/recv, and Cole–Vishkin's fault-free rounds on parent
+   planes match its rounds on a net.
 
    Part 3 — pipeline determinism: one engine-registry pipeline run
    twice in one process, with an unrelated run in between, yields the
@@ -25,6 +26,8 @@ module Registry = Nw_engine.Registry
 module Engine = Nw_engine.Engine
 module EStore = Nw_engine.Store
 module Artifact = Nw_engine.Artifact
+module CV = Nw_core.Cole_vishkin
+module Obs = Nw_obs.Obs
 
 let rng seed = Random.State.make [| seed; 0xc5a |]
 
@@ -284,34 +287,94 @@ let prop_stream_count =
                  if decide v s then incident_msgs g v (fun _ -> ()) else [])
                ~recv:(fun v s msgs -> recv v s (List.length msgs)))))
 
-(* an order-insensitive inbox digest: sum over messages of a mix of
-   edge id and payload *)
-let fold_inbox v s iter =
-  let acc = ref ((s * 31) + v) in
-  iter (fun e x -> acc := !acc + (((e + 1) * 1009) lxor x));
-  !acc land 0xffffff
+(* Cole–Vishkin computes its fault-free rounds on parent planes and
+   runs them on a net only under an armed fault context; arming the
+   never-firing [no_faults] policy forces the net. Both must give the
+   same colors, round ledger and msg_net.* counters on t random rooted
+   forests over one vertex set. Each forest is random (a vertex hangs
+   off an earlier one in a random order, or is a root), roots only, or
+   a path; edge ids interleave the forests; ids are distinct and up to
+   2^40. *)
+let random_forests st =
+  let n =
+    if Random.State.int st 8 = 0 then 1 else 1 + Random.State.int st 300
+  in
+  let t = 1 + Random.State.int st 6 in
+  let parents =
+    Array.init t (fun _ ->
+        let order = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let k = Random.State.int st (i + 1) in
+          let x = order.(i) in
+          order.(i) <- order.(k);
+          order.(k) <- x
+        done;
+        let parent = Array.make n (-1) in
+        (match Random.State.int st 4 with
+        | 0 -> ()
+        | 1 -> for i = 1 to n - 1 do parent.(order.(i)) <- order.(i - 1) done
+        | _ ->
+            for i = 1 to n - 1 do
+              if Random.State.int st 5 > 0 then
+                parent.(order.(i)) <- order.(Random.State.int st i)
+            done);
+        parent)
+  in
+  let edges =
+    Array.of_list
+      (List.concat
+         (List.init t (fun j ->
+              List.filter_map
+                (fun v ->
+                  let p = parents.(j).(v) in
+                  if p < 0 then None else Some (j, v, p))
+                (List.init n Fun.id))))
+  in
+  for i = Array.length edges - 1 downto 1 do
+    let k = Random.State.int st (i + 1) in
+    let x = edges.(i) in
+    edges.(i) <- edges.(k);
+    edges.(k) <- x
+  done;
+  let g =
+    G.of_edges n (Array.to_list (Array.map (fun (_, v, p) -> (v, p)) edges))
+  in
+  let edge_forest = Array.map (fun (j, _, _) -> j) edges in
+  let parent_edge = Array.make (n * t) (-1) in
+  Array.iteri (fun e (j, v, _) -> parent_edge.((v * t) + j) <- e) edges;
+  let ids = Hashtbl.create n in
+  while Hashtbl.length ids < n do
+    Hashtbl.replace ids (Random.State.full_int st (1 lsl 40)) ()
+  done;
+  let ids = Array.of_seq (Hashtbl.to_seq_keys ids) in
+  (g, edge_forest, parent_edge, t, ids)
 
-(* [value] must be pure over the round: it reads a per-vertex table
-   and the round number, never the state [recv] rewrites *)
-let prop_stream_exchange_edges =
-  QCheck.Test.make ~name:"round_exchange_edges == per-message round"
-    ~count:60 (QCheck.int_bound 1_000_000)
+let run_cv (g, edge_forest, parent_edge, t, ids) =
+  let rounds = Rounds.create () in
+  Obs.set_enabled true;
+  let colors, trace =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        Obs.collect (fun () ->
+            CV.three_color_forests g ~edge_forest ~parent_edge ~t ~ids ~rounds))
+  in
+  let kernel =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"msg_net." name)
+      (Obs.counters trace)
+  in
+  (Array.to_list colors, Rounds.ledger rounds, List.sort compare kernel)
+
+let prop_cv_flat_equals_net =
+  QCheck.Test.make ~name:"flat Cole-Vishkin == net" ~count:80
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
-      let g, st = stream_graph seed in
-      let base = Array.init (G.n g) (fun _ -> Random.State.int st 1000) in
-      let value r v _ e = (base.(v) * 13) + (e * 3) + r in
-      same_outcome
-        (run_both g
-           ~init:(fun v -> v)
-           ~stream:(fun net r ->
-             Net.round_exchange_edges net ~label:"t" ~value:(value r)
-               ~recv:fold_inbox)
-           ~reference:(fun net r ->
-             Net.round net ~label:"t"
-               ~send:(fun v s -> incident_msgs g v (value r v s))
-               ~recv:(fun v s msgs ->
-                 fold_inbox v s (fun f ->
-                     List.iter (fun (e, x) -> f e x) msgs)))))
+      let input = random_forests (rng seed) in
+      let flat = run_cv input in
+      let net, _ = Net.with_faults Net.no_faults (fun () -> run_cv input) in
+      let _, ledger, kernel = flat in
+      ledger <> [] && kernel <> [] && flat = net)
 
 (* ------------------------------------------------------------------ *)
 (* pipeline determinism: repeat runs in one process                    *)
@@ -352,7 +415,7 @@ let () =
     [
       qsuite "differential"
         [ prop_of_edges; prop_builder; prop_subgraph; prop_generated_families ];
-      qsuite "streaming" [ prop_stream_count; prop_stream_exchange_edges ];
+      qsuite "streaming" [ prop_stream_count; prop_cv_flat_equals_net ];
       ( "pipeline-determinism",
         [
           Alcotest.test_case "lsfd repeat run identical" `Quick

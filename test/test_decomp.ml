@@ -266,6 +266,118 @@ let test_verify_all_combines () =
   Alcotest.(check bool) "all ok" true (Verify.all [ Ok (); Ok () ] = Ok ())
 
 
+(* The forest and star checks group the edges by color and reuse one
+   union-find and one degree array. The oracle here is the direct
+   reading of the predicate: per color its own component labels and
+   degree row, edges scanned once in id order, first error wins. The
+   assignments are t random forests (or star forests) on one vertex set,
+   edge ids interleaved, then up to three perturbations: an edge
+   uncolored, given an out-of-range color, or moved to another color
+   (which often closes a cycle or a length-3 path). *)
+let oracle_forests g colors ~k ~allow_uncolored =
+  let n = G.n g in
+  let label = Array.init k (fun _ -> Array.init n Fun.id) in
+  G.fold_edges
+    (fun e u v acc ->
+      match (acc, colors.(e)) with
+      | Error _, _ -> acc
+      | Ok (), None ->
+          if allow_uncolored then Ok ()
+          else Error (Printf.sprintf "edge %d is uncolored" e)
+      | Ok (), Some c when c < 0 || c >= k ->
+          Error (Printf.sprintf "edge %d has out-of-range color %d" e c)
+      | Ok (), Some c ->
+          let l = label.(c) in
+          let lu = l.(u) and lv = l.(v) in
+          if lu = lv then
+            Error
+              (Printf.sprintf "color %d contains a cycle through edge %d" c e)
+          else begin
+            Array.iteri (fun w x -> if x = lv then l.(w) <- lu) l;
+            Ok ()
+          end)
+    g (Ok ())
+
+let oracle_stars g colors ~k =
+  match oracle_forests g colors ~k ~allow_uncolored:false with
+  | Error _ as e -> e
+  | Ok () ->
+      let deg = Array.make_matrix k (G.n g) 0 in
+      let color e = Option.get colors.(e) in
+      G.fold_edges
+        (fun e u v () ->
+          let c = color e in
+          deg.(c).(u) <- deg.(c).(u) + 1;
+          deg.(c).(v) <- deg.(c).(v) + 1)
+        g ();
+      G.fold_edges
+        (fun e u v acc ->
+          let c = color e in
+          if acc = Ok () && deg.(c).(u) >= 2 && deg.(c).(v) >= 2 then
+            Error
+              (Printf.sprintf "color %d has a path of length 3 through edge %d"
+                 c e)
+          else acc)
+        g (Ok ())
+
+let random_assignment st =
+  let n = 1 + Random.State.int st 40 and k = 1 + Random.State.int st 4 in
+  let stars = Random.State.bool st in
+  let edges = ref [] in
+  for c = 0 to k - 1 do
+    for v = 1 to n - 1 do
+      if Random.State.int st 4 > 0 then
+        let p =
+          if stars then Random.State.int st (min v 3) else Random.State.int st v
+        in
+        edges := ((v, p), c) :: !edges
+    done
+  done;
+  let edges = Array.of_list !edges in
+  for i = Array.length edges - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = edges.(i) in
+    edges.(i) <- edges.(j);
+    edges.(j) <- x
+  done;
+  let g = G.of_edges n (Array.to_list (Array.map fst edges)) in
+  let colors = Array.map (fun (_, c) -> Some c) edges in
+  let m = Array.length colors in
+  if m > 0 then
+    for _ = 1 to Random.State.int st 4 do
+      let e = Random.State.int st m in
+      colors.(e) <-
+        (match Random.State.int st 4 with
+        | 0 -> None
+        | 1 -> Some (if Random.State.bool st then k else -1)
+        | _ -> Some (Random.State.int st k))
+    done;
+  (g, colors, k)
+
+let prop_verify_oracle =
+  QCheck.Test.make ~name:"forest and star checks = per-color oracle"
+    ~count:300 (QCheck.int_bound 1_000_000) (fun seed ->
+      let g, colors, k = random_assignment (rng seed) in
+      let forests allow_uncolored =
+        Verify.forest_assignment g colors ~k ~allow_uncolored
+        = oracle_forests g colors ~k ~allow_uncolored
+      in
+      let stars = Verify.star_forest_assignment g colors ~k in
+      (* a loadable assignment must get the same reports as a Coloring *)
+      let same_as_coloring =
+        match Coloring.of_array g ~colors:k colors with
+        | exception Invalid_argument _ -> true
+        | c ->
+            Verify.forest_decomposition c
+            = Verify.forest_assignment g colors ~k ~allow_uncolored:false
+            && Verify.partial_forest_decomposition c
+               = Verify.forest_assignment g colors ~k ~allow_uncolored:true
+            && Verify.star_forest_decomposition c = stars
+      in
+      forests false && forests true
+      && stars = oracle_stars g colors ~k
+      && same_as_coloring)
+
 (* ------------------------------------------------------------------ *)
 (* Coloring I/O                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -346,4 +458,5 @@ let () =
           Alcotest.test_case "orientation" `Quick test_verify_orientation;
           Alcotest.test_case "all" `Quick test_verify_all_combines;
         ] );
+      qsuite "verify_props" [ prop_verify_oracle ];
     ]
