@@ -1,6 +1,6 @@
-(* E16 — kernel fidelity: the two primitives that run on the genuine
-   message-passing kernel (H-partition peeling and Cole–Vishkin coloring)
-   report *executed* rounds, not charged formulas. This experiment sweeps n
+(* E16 — kernel fidelity: H-partition peeling (on the message-passing
+   kernel) and Cole–Vishkin coloring (on flat parent planes when no fault
+   is armed) report *executed* rounds, not charged formulas. This experiment sweeps n
    and compares those real round counts against the paper shapes
    (O(log n / eps) peeling; log* n + O(1) coloring), and reports message
    counts — the only experiment whose LOCAL costs are measured rather than
@@ -65,5 +65,8 @@ let run () =
   note
     "peeling tracks the tree depth exactly; Cole-Vishkin's executed rounds \
      barely move across four orders of magnitude of n — the log* shape. \
-     These two numbers are real synchronous rounds on the message kernel, \
+     Peeling runs its synchronous rounds on the message kernel; fault-free \
+     Cole-Vishkin computes each round on flat parent planes and charges it \
+     as one kernel round (under faults it runs on the kernel, with the same \
+     colors and ledger). Both count rounds executed, not a formula, \
      anchoring the charge model used everywhere else."

@@ -17,7 +17,6 @@ module Verify = Nw_decomp.Verify
 module Obs = Nw_obs.Obs
 module Flight = Nw_obs.Flight
 module Prometheus = Nw_obs.Prometheus
-module Metrics_server = Nw_obs.Metrics_server
 module Jmit = Nw_obs.Json_lite.Emit
 module Plan = Nw_chaos.Plan
 module Registry = Nw_engine.Registry
@@ -192,6 +191,23 @@ let report_verified = function
       verify_failure := Some msg;
       Format.printf "INVALID: %s@." msg
 
+(* a pipeline that cannot meet its theorem on this input raises; like a
+   served decompose-failed answer, that is one line on stderr and a
+   documented exit code (4), never an uncaught exception (exit 125) *)
+let survivable = function Out_of_memory | Stack_overflow -> false | _ -> true
+
+let run_or_fail f =
+  try f ()
+  with exn when survivable exn ->
+    prerr_endline ("forestd: decomposition failed: " ^ Printexc.to_string exn);
+    exit 4
+
+let failed_exit =
+  Cmd.Exit.info 4
+    ~doc:
+      "when the algorithm's pipeline raises on this input (one line on \
+       stderr), as a served decompose answers decompose-failed."
+
 (* an algorithm that needs a simple graph, handed a multigraph, is an
    input error: one line on stderr and exit 2, never an uncaught
    exception *)
@@ -205,7 +221,7 @@ let check_input path g (algorithm : Registry.entry) =
   end
 
 let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
-    chaos chaos_seed flight serve_metrics =
+    chaos chaos_seed flight =
   let g = read_graph path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
@@ -215,11 +231,10 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
     | None -> Nw_baseline.Gabow_westermann.arboricity_value g
   in
   Format.printf "graph: %a, alpha = %d, eps = %g@." G.pp g alpha epsilon;
-  (* the flight recorder and metrics server piggyback on the Obs stream;
-     neither changes what goes to stdout, so fault-free output stays
-     byte-identical to a plain invocation *)
-  if trace <> None || metrics || flight <> None || serve_metrics <> None then
-    Obs.set_enabled true;
+  (* the flight recorder piggybacks on the Obs stream; it changes nothing
+     that goes to stdout, so fault-free output stays byte-identical to a
+     plain invocation *)
+  if trace <> None || metrics || flight <> None then Obs.set_enabled true;
   (* an empty --chaos plan compiles to None: no hooks, output identical
      to a chaos-free invocation *)
   let faults =
@@ -260,26 +275,6 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
         | None -> []
       in
       Flight.set_sink ~env file);
-  (* --serve-metrics: a Unix-socket endpoint on its own domain serving
-     whatever snapshot was last published; snapshots are published at
-     every pass boundary and once more when the run completes *)
-  let published = Atomic.make "" in
-  (match serve_metrics with
-  | None -> ()
-  | Some sock ->
-      (* start refuses to reclaim a non-socket path (it would unlink
-         someone else's file); surface that as a CLI error, not a crash *)
-      let srv =
-        try Metrics_server.start ~path:sock (fun () -> Atomic.get published)
-        with Invalid_argument msg ->
-          prerr_endline ("forestd: " ^ msg);
-          exit 2
-      in
-      at_exit (fun () -> Metrics_server.stop srv));
-  let publish_live () =
-    if serve_metrics <> None then
-      Atomic.set published (Prometheus.to_string [ Obs.live_snapshot () ])
-  in
   (* under fault injection a failing run is an expected, machine-consumable
      outcome: one JSON line on stderr, exit code 3 (distinct from
      cmdliner's 1/2/124/125 and from the fault-free paths). NB %S is
@@ -304,11 +299,10 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
     let ctx = Engine.ctx ~rng ~rounds in
     let init = EStore.put EStore.empty "graph" (Artifact.Graph g) in
     (* pass-boundary checkpoints feed the flight recorder's
-       "last checkpoint" mark and the metrics publisher; without either
-       consumer the engine takes no snapshots at all *)
+       "last checkpoint" mark; without it the engine takes no snapshots
+       at all *)
     let checkpoint =
-      if flight <> None || serve_metrics <> None then
-        Some (fun (_ : Engine.checkpoint) -> publish_live ())
+      if flight <> None then Some (fun (_ : Engine.checkpoint) -> ())
       else None
     in
     let store = Engine.run ?checkpoint ctx pipeline ~init in
@@ -353,7 +347,7 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   in
   let coloring, obs_trace =
     match faults with
-    | None -> run_collected ()
+    | None -> run_or_fail run_collected
     | Some (plan, f) ->
         let r, stats =
           (* a fault-killed run becomes the documented JSON diagnostic *)
@@ -371,8 +365,6 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
           stats.Nw_localsim.Msg_net.reorders stats.Nw_localsim.Msg_net.digest;
         r
   in
-  if serve_metrics <> None then
-    Atomic.set published (Prometheus.to_string [ obs_trace ]);
   if metrics && not (Obs.is_empty obs_trace) then
     Format.printf "%a@?" Obs.pp_summary obs_trace;
   (match trace with
@@ -489,32 +481,19 @@ let decompose_cmd =
              fault-plan digest, last checkpoint) to FILE. Fault-free \
              stdout is byte-identical to running without the flag.")
   in
-  let serve_metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "serve-metrics" ] ~docv:"SOCK"
-          ~doc:
-            "Serve the live Obs counter/histogram registry in Prometheus \
-             text format over a Unix socket at SOCK for the duration of \
-             the run (scrape with curl --unix-socket SOCK \
-             http://localhost/). Snapshots refresh at every pass \
-             boundary.")
-  in
   let exits =
     Cmd.Exit.info 2
       ~doc:
         "on an input error: the algorithm requires a simple graph and the \
          input has parallel edges (one line on stderr)."
-    :: Cmd.Exit.defaults
+    :: failed_exit :: Cmd.Exit.defaults
   in
   Cmd.v
     (Cmd.info "decompose" ~exits
        ~doc:"Run a decomposition algorithm on a graph.")
     Term.(
       const decompose $ graph_pos $ algorithm $ epsilon_arg $ seed_arg $ alpha
-      $ dot $ save $ trace $ metrics $ chaos $ chaos_seed $ flight
-      $ serve_metrics)
+      $ dot $ save $ trace $ metrics $ chaos $ chaos_seed $ flight)
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)
@@ -522,7 +501,7 @@ let decompose_cmd =
 
 (* run a decomposition with Obs on and print the Prometheus text
    exposition of the finished trace — the one-shot, pipeable face of the
-   same rendering --serve-metrics serves over a socket *)
+   same rendering a `forestd serve --serve-metrics` scrape answers *)
 let stats_run path algorithm epsilon seed alpha_opt =
   let g = read_graph path in
   check_input path g algorithm;
@@ -534,6 +513,7 @@ let stats_run path algorithm epsilon seed alpha_opt =
   in
   Obs.set_enabled true;
   let (), t =
+    run_or_fail @@ fun () ->
     Obs.collect @@ fun () ->
     Obs.span "decompose" @@ fun () ->
     let rounds = Rounds.create () in
@@ -564,7 +544,7 @@ let stats_cmd =
           ~doc:"Arboricity bound (computed exactly when omitted).")
   in
   Cmd.v
-    (Cmd.info "stats"
+    (Cmd.info "stats" ~exits:(failed_exit :: Cmd.Exit.defaults)
        ~doc:
          "Run a decomposition and print its Obs registry (counters, \
           histograms, per-pass aggregates) in Prometheus text format.")

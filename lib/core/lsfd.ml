@@ -59,10 +59,14 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
   let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
   let member_cluster = nd.Net_decomp.cluster_of in
   (* color edge e from its residual palette: avoid colors of already-colored
-     out-edges at both endpoints and of already-colored edges of the same
-     layer sharing an endpoint *)
+     out-edges at both endpoints and of already-colored edges with both
+     endpoints in e's layer sharing an endpoint (Theorem 2.3's forbidden
+     sets). In-edges from e's layer at a higher-layer endpoint stay
+     allowed: two same-colored in-edges there form a star centred at
+     it. *)
   let color_edge e =
     let u, v = G.endpoints g e in
+    let j = min_layer e in
     let forbidden = Hashtbl.create 16 in
     let forbid e' =
       if e' <> e then
@@ -70,10 +74,14 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
         | Some c -> Hashtbl.replace forbidden c ()
         | None -> ()
     in
+    let forbid_in_layer _ e' =
+      let a, b = G.endpoints g e' in
+      if layer a = j && layer b = j then forbid e'
+    in
     List.iter forbid (O.out_edges orientation u);
     List.iter forbid (O.out_edges orientation v);
-    G.iter_incident g u (fun _ e' -> if min_layer e' = min_layer e then forbid e');
-    G.iter_incident g v (fun _ e' -> if min_layer e' = min_layer e then forbid e');
+    G.iter_incident g u forbid_in_layer;
+    G.iter_incident g v forbid_in_layer;
     let rec pick = function
       | [] -> invalid_arg "Lsfd.distributed: residual palette exhausted"
       | c :: rest -> if Hashtbl.mem forbidden c then pick rest else c

@@ -1,13 +1,13 @@
 module Obs = Nw_obs.Obs
 
-(* Process-wide instrumentation of the connectivity layer. Atomic so that
-   parallel bench domains can share them; the bench harness snapshots
-   before/after each experiment and reports deltas in BENCH_*.json. *)
+(* Process-wide instrumentation of the connectivity layer; the bench
+   harness snapshots before/after each experiment and reports deltas in
+   BENCH_*.json. *)
 module Counters = struct
-  let uf_queries = Atomic.make 0
-  let bfs_runs = Atomic.make 0
-  let uf_rebuilds = Atomic.make 0
-  let repair_vertices = Atomic.make 0
+  let uf_queries = ref 0
+  let bfs_runs = ref 0
+  let uf_rebuilds = ref 0
+  let repair_vertices = ref 0
 
   type snapshot = {
     uf_queries : int;
@@ -18,10 +18,10 @@ module Counters = struct
 
   let snapshot () =
     {
-      uf_queries = Atomic.get uf_queries;
-      bfs_runs = Atomic.get bfs_runs;
-      uf_rebuilds = Atomic.get uf_rebuilds;
-      repair_vertices = Atomic.get repair_vertices;
+      uf_queries = !uf_queries;
+      bfs_runs = !bfs_runs;
+      uf_rebuilds = !uf_rebuilds;
+      repair_vertices = !repair_vertices;
     }
 end
 
@@ -196,7 +196,7 @@ let ensure_forest t c =
     t.fp_vertex.(c) <- Array.make n (-1);
     t.fp_edge.(c) <- Array.make n (-1);
     t.fp_depth.(c) <- Array.make n 0;
-    Atomic.incr Counters.uf_rebuilds;
+    incr Counters.uf_rebuilds;
     Obs.count "coloring.uf_rebuilds"
   end
 
@@ -261,7 +261,7 @@ let reroot_at_min t c x =
   (m, k)
 
 let count_repaired k =
-  ignore (Atomic.fetch_and_add Counters.repair_vertices k);
+  Counters.repair_vertices := !Counters.repair_vertices + k;
   Obs.count ~by:k "coloring.repair_vertices"
 
 (* A query that follows an [unset] from color [c] must see every tree
@@ -289,7 +289,7 @@ let settle t c r =
 (* connectivity of u and v inside color c: one root-label compare *)
 let same_tree t c u v =
   ensure_forest t c;
-  Atomic.incr Counters.uf_queries;
+  incr Counters.uf_queries;
   Obs.count "coloring.uf_queries";
   let lab = t.fp_root.(c) in
   lab.(u) = lab.(v)
@@ -304,7 +304,7 @@ let same_tree t c u v =
    exhausted, so deciding "disconnected" costs only the smaller
    component. *)
 let bfs_connected t c src dst skip =
-  Atomic.incr Counters.bfs_runs;
+  incr Counters.bfs_runs;
   Obs.count "coloring.bfs_runs";
   (* two stamps: src side = stamp - 1, dst side = stamp *)
   t.stamp <- t.stamp + 2;

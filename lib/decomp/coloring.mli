@@ -151,7 +151,7 @@ val connected : t -> int -> int -> int -> bool
     vertices, with the map from new edge ids to original ids. *)
 val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
 
-(** Process-wide counters (atomic, shared across bench domains):
+(** Process-wide counters (plain ints; the process is one domain):
     connectivity queries ([uf_queries]), BFS executions ([bfs_runs]),
     per-color forest allocations at a color's first touch
     ([uf_rebuilds]; nothing else rebuilds a forest), and vertices

@@ -21,10 +21,7 @@ type entry = {
    edgeless graph (α* = 0) gets an empty palette, not a negative one *)
 let build_lsfd { graph = g; epsilon; alpha = _ } =
   let alpha_star, _ = Arb.pseudo_arboricity g in
-  let k =
-    max 0
-      (int_of_float (floor ((4.0 +. epsilon) *. float_of_int alpha_star)) - 1)
-  in
+  let k = max 0 (Nw_core.Lsfd.required_palette ~epsilon ~alpha_star) in
   let palette = Palette.full g k in
   Pipelines.lsfd g palette ~epsilon ~alpha_star
 

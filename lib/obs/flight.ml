@@ -6,7 +6,7 @@
    The recorder sits *under* Obs: [Obs.span]/[Obs.count]/
    [Obs.record_rounds] forward into the [on_*] hooks below from inside
    their enabled paths, so recording requires [Obs.set_enabled true]
-   and costs nothing when either switch is off (one atomic load).
+   and costs nothing when either switch is off (one load).
    [Engine.run], the chaos [Harness], and [forestd] call [mark] at
    interesting boundaries (checkpoints, pass failures, epoch verdicts)
    and [trigger] when a run must be explained after the fact.
@@ -35,9 +35,9 @@ let event_t_ns = function
 (* ------------------------------------------------------------------ *)
 (* switches and configuration                                          *)
 
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let enabled_flag = ref false
+let enabled () = !enabled_flag
+let set_enabled b = enabled_flag := b
 let default_capacity = 512
 let capacity = ref default_capacity
 
@@ -85,22 +85,22 @@ let append ev =
 (* recording entry points                                              *)
 
 let on_span_open ~t_ns name =
-  if Atomic.get enabled_flag then append (Span_open { t_ns; name })
+  if !enabled_flag then append (Span_open { t_ns; name })
 
 let on_span_close ~t_ns ~dur_ns ~rounds name =
-  if Atomic.get enabled_flag then
+  if !enabled_flag then
     append (Span_close { t_ns; name; dur_ns; rounds })
 
 let on_counter ~name ~delta =
-  if Atomic.get enabled_flag then
+  if !enabled_flag then
     append (Counter { t_ns = now (); name; delta })
 
 let on_charge ~label ~rounds =
-  if rounds > 0 && Atomic.get enabled_flag then
+  if rounds > 0 && !enabled_flag then
     append (Charge { t_ns = now (); label; rounds })
 
 let mark name fields =
-  if Atomic.get enabled_flag then begin
+  if !enabled_flag then begin
     let t_ns = now () in
     append (Mark { t_ns; name; fields });
     Hashtbl.replace last_marks name (t_ns, fields)
@@ -140,7 +140,7 @@ let snapshot () =
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
 
-let dump_seq = Atomic.make 0
+let dump_seq = ref 0
 
 (* relative microseconds keep timestamps small enough for exact float
    JSON round-trips (raw monotonic ns exceed 2^53) *)
@@ -148,7 +148,8 @@ let us ~epoch t_ns = Int64.to_float (Int64.sub t_ns epoch) /. 1e3
 
 let render ?(env = []) ~reason b =
   let snap = snapshot () in
-  let seq = 1 + Atomic.fetch_and_add dump_seq 1 in
+  incr dump_seq;
+  let seq = !dump_seq in
   let epoch =
     List.fold_left
       (fun acc (_, _, evs) ->
@@ -260,18 +261,18 @@ let render ?(env = []) ~reason b =
 
 type sink = { sink_path : string; sink_env : (string * string) list }
 
-let sink : sink option Atomic.t = Atomic.make None
+let sink : sink option ref = ref None
 
 let set_sink ?(env = []) path =
-  Atomic.set sink (Some { sink_path = path; sink_env = env })
+  sink := Some { sink_path = path; sink_env = env }
 
-let clear_sink () = Atomic.set sink None
-let sink_path () = Option.map (fun s -> s.sink_path) (Atomic.get sink)
-let dumps = Atomic.make 0
-let dumps_written () = Atomic.get dumps
+let clear_sink () = sink := None
+let sink_path () = Option.map (fun s -> s.sink_path) !sink
+let dumps = ref 0
+let dumps_written () = !dumps
 
 let trigger ~reason () =
-  match Atomic.get sink with
+  match !sink with
   | None -> ()
   | Some s -> (
       let b = Buffer.create 8192 in
@@ -283,7 +284,7 @@ let trigger ~reason () =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () -> Buffer.output_buffer oc b);
-        Atomic.incr dumps
+        incr dumps
       with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -292,5 +293,5 @@ let trigger ~reason () =
 let reset () =
   ring := None;
   Hashtbl.reset last_marks;
-  Atomic.set dump_seq 0;
-  Atomic.set dumps 0
+  dump_seq := 0;
+  dumps := 0

@@ -8,7 +8,7 @@
     hook functions below from inside their enabled paths. Recording
     therefore requires {e both} [Obs.set_enabled true] and
     {!set_enabled}[ true]; with either switch off every entry point is
-    one atomic load and no allocation. The process holds one ring, the
+    one load and no allocation. The process holds one ring, the
     way [Obs] holds one trace. See [docs/observability.md] for the dump
     format. *)
 

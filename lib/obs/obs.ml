@@ -10,11 +10,11 @@ let now_ns = now
 (* global switch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* a single atomic load guards every entry point; the disabled path
-   allocates nothing (spans tail-call their thunk) *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+(* a single load guards every entry point; the disabled path allocates
+   nothing (spans tail-call their thunk) *)
+let enabled_flag = ref false
+let enabled () = !enabled_flag
+let set_enabled b = enabled_flag := b
 
 (* ------------------------------------------------------------------ *)
 (* spans and the process's trace context                               *)
@@ -120,7 +120,7 @@ let close_span c sp =
   | [] -> c.roots <- sp :: c.roots
 
 let span ?attrs name f =
-  if not (Atomic.get enabled_flag) then f ()
+  if not (!enabled_flag) then f ()
   else begin
     let c = ctx () in
     let sp =
@@ -141,13 +141,13 @@ let span ?attrs name f =
   end
 
 let set_attr k v =
-  if Atomic.get enabled_flag then
+  if !enabled_flag then
     match (ctx ()).stack with
     | sp :: _ -> sp.attrs <- (k, v) :: sp.attrs
     | [] -> ()
 
 let record_rounds ~label r =
-  if r > 0 && Atomic.get enabled_flag then begin
+  if r > 0 && !enabled_flag then begin
     if Flight.enabled () then Flight.on_charge ~label ~rounds:r;
     let c = ctx () in
     match c.stack with
@@ -158,7 +158,7 @@ let record_rounds ~label r =
   end
 
 let count ?(by = 1) name =
-  if Atomic.get enabled_flag then begin
+  if !enabled_flag then begin
     if Flight.enabled () then Flight.on_counter ~name ~delta:by;
     let c = ctx () in
     match Hashtbl.find_opt c.ctx_counters name with
@@ -180,7 +180,7 @@ let bucket_of v =
 let bucket_upper i = Float.ldexp 1.0 (i - 64)
 
 let observe name v =
-  if Atomic.get enabled_flag then begin
+  if !enabled_flag then begin
     let c = ctx () in
     let h =
       match Hashtbl.find_opt c.ctx_hists name with

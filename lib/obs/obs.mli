@@ -11,7 +11,7 @@
     connectivity-cache hits and rebuilds, messages crossing the
     [Msg_net] kernel.
 
-    The subsystem is disabled by default and then costs one atomic load
+    The subsystem is disabled by default and then costs one load
     per call and allocates nothing: instrumented hot paths stay hot.
     When enabled, the process records into one trace at a time: a
     {!collect} swaps a fresh trace in and restores the previous one when

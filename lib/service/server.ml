@@ -1,6 +1,5 @@
 module Obs = Nw_obs.Obs
 module Prometheus = Nw_obs.Prometheus
-module Metrics_server = Nw_obs.Metrics_server
 module Plan = Nw_chaos.Plan
 module Registry = Nw_engine.Registry
 module J = Nw_obs.Json_lite
@@ -321,9 +320,9 @@ let serve_payload st payload =
 
 (* the request's [serve:<op>] span has closed: keep its per-name totals
    and drop the tree, so a long-lived collection holds memory bounded by
-   the span names seen, not by the requests served. [serve_connection]
-   folds only after the answer is written, so the fold stays off the
-   client's path. *)
+   the span names seen, not by the requests served. The daemon folds
+   only after the answer is written, so the fold stays off the client's
+   path. *)
 let handle st payload =
   let answer = serve_payload st payload in
   Obs.fold_roots ();
@@ -333,96 +332,218 @@ let handle st payload =
 (* the daemon                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let serve_connection st client ~publish ~stop =
-  let ic = Unix.in_channel_of_descr client in
-  let oc = Unix.out_channel_of_descr client in
-  let close_conn () =
-    (* closing the out channel flushes and closes the shared fd *)
-    try close_out oc with Sys_error _ -> ()
+(* a frame that has started must finish within this bound, and a
+   response write that makes no progress for as long (SO_SNDTIMEO)
+   closes its connection too *)
+let frame_deadline_s = 2.0
+
+(* open connections, clients and scrapers together; one more evicts the
+   longest-idle *)
+let max_connections = 64
+
+(* a scraper whose request head outgrows this is answered anyway *)
+let max_scrape_request = 8192
+
+type kind = Client of Wire.decoder | Scrape of Buffer.t
+
+type conn = {
+  fd : Unix.file_descr;
+  kind : kind;
+  mutable started : float;  (* when the pending frame or scrape began *)
+  mutable last_active : float;
+}
+
+let now () = Int64.to_float (Obs.now_ns ()) *. 1e-9
+
+(* a connection is on the clock while a frame or a scrape is pending;
+   between frames a client blocks nobody and has no timer *)
+let pending c =
+  match c.kind with Client d -> Wire.mid_frame d | Scrape _ -> true
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
   in
-  let rec loop () =
-    match Wire.read_frame ic with
-    | None -> ()
-    | Some payload ->
-        let resp, k = serve_payload st payload in
-        Wire.write_frame oc resp;
-        Obs.fold_roots ();
-        publish ();
-        (match k with
-        | `Continue -> loop ()
-        | `Shutdown -> stop := true)
-    | exception Wire.Protocol_error detail ->
-        (* the stream is out of sync: answer what we can, drop only
-           this connection — the daemon survives *)
-        st.st_errors <- st.st_errors + 1;
-        Obs.count "service.errors";
-        (try
-           Wire.write_frame oc
-             (Wire.response_error ~id:None ~code:"protocol-error" ~detail)
-         with Sys_error _ -> ())
-  in
-  Fun.protect ~finally:close_conn (fun () ->
-      try loop () with Sys_error _ -> ())
+  go 0
 
 let serve config =
-  (* shared reclaim policy with the metrics endpoint: stale socket files
-     are swept, anything else at the path is refused (Invalid_argument) *)
-  Metrics_server.reclaim_socket_path ~whom:"forestd serve"
-    config.socket_path;
-  (* a dropped client mid-write must be a Sys_error on the channel, not
-     a process-killing SIGPIPE *)
+  let paths = config.socket_path :: Option.to_list config.metrics_socket in
+  (* stale socket files are swept, anything else at a path is refused
+     (Invalid_argument) before either socket is bound *)
+  List.iter (Metrics.reclaim_socket_path ~whom:"forestd serve") paths;
+  (* a dropped client mid-write must be an EPIPE on the write, not a
+     process-killing SIGPIPE *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
    with Invalid_argument _ -> ());
-  let fd =
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | fd -> fd
-    | exception Unix.Unix_error (e, _, _) ->
-        raise (Server_error ("socket: " ^ Unix.error_message e))
-  in
-  (match Unix.bind fd (Unix.ADDR_UNIX config.socket_path) with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise
-        (Server_error
-           (Printf.sprintf "bind %s: %s" config.socket_path
-              (Unix.error_message e))));
-  (match Unix.listen fd 16 with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise (Server_error ("listen: " ^ Unix.error_message e)));
-  (* the request spans/histograms always run ([handle] folds each
-     request's spans into per-name totals); the exposition endpoint is
-     opt-in. Obs-on changes no served bytes. *)
-  Obs.set_enabled true;
-  let published = Atomic.make "" in
-  let msrv =
-    Option.map
-      (fun path ->
-        Metrics_server.start ~path (fun () -> Atomic.get published))
-      config.metrics_socket
-  in
-  let publish () =
-    if Option.is_some msrv then
-      Atomic.set published (Prometheus.to_string [ Obs.live_snapshot () ])
-  in
+  let bound = ref [] and conns = ref [] in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
   let finish () =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-    Option.iter Metrics_server.stop msrv
+    List.iter (fun c -> close c.fd) !conns;
+    List.iter
+      (fun (fd, path) ->
+        close fd;
+        try Unix.unlink path with Unix.Unix_error _ -> ())
+      !bound
   in
   Fun.protect ~finally:finish @@ fun () ->
+  let listen path =
+    match Metrics.listen path with
+    | Ok fd ->
+        bound := (fd, path) :: !bound;
+        fd
+    | Error detail -> raise (Server_error detail)
+  in
+  let lfd = listen config.socket_path in
+  let mfd = Option.map listen config.metrics_socket in
+  (* the request spans/histograms always run ([handle] folds each
+     request's spans into per-name totals); scrapes render them live.
+     Obs-on changes no served bytes. *)
+  Obs.set_enabled true;
   fst
   @@ Obs.collect
   @@ fun () ->
   let st = create_state () in
   let stop = ref false in
-  while not !stop do
-    match Unix.accept fd with
-    | client, _ -> serve_connection st client ~publish ~stop
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+  let buf = Bytes.create 65536 in
+  let drop ?reason c =
+    conns := List.filter (fun c' -> c'.fd <> c.fd) !conns;
+    Option.iter (fun r -> Obs.count ("service.connections_closed." ^ r)) reason;
+    close c.fd
+  in
+  (* false when the write failed and the connection is gone *)
+  let send c s =
+    match write_all c.fd s with
+    | () -> true
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        drop ~reason:"deadline" c;
+        false
+    | exception Unix.Unix_error _ ->
+        drop c;
+        false
+  in
+  (* the stream is out of sync: answer what we can, drop only this
+     connection — the daemon survives *)
+  let protocol_error c detail =
+    st.st_errors <- st.st_errors + 1;
+    Obs.count "service.errors";
+    let resp = Wire.response_error ~id:None ~code:"protocol-error" ~detail in
+    if send c (Wire.encode resp) then drop c
+  in
+  let answer c payload =
+    let resp, k = serve_payload st payload in
+    let open_ = send c (Wire.encode resp) in
+    Obs.fold_roots ();
+    if k = `Shutdown then stop := true;
+    open_
+  in
+  let read_client c d t =
+    match Unix.read c.fd buf 0 (Bytes.length buf) with
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
+    | exception Unix.Unix_error _ -> drop c
+    | 0 -> (
+        match Wire.finish d with
+        | () -> drop c
+        | exception Wire.Protocol_error detail -> protocol_error c detail)
+    | n ->
+        c.last_active <- t;
+        if not (Wire.mid_frame d) then c.started <- t;
+        let rec consume off =
+          if off < n && not !stop then
+            match Wire.feed d buf off (n - off) with
+            | exception Wire.Protocol_error detail -> protocol_error c detail
+            | k -> (
+                match Wire.take d with
+                | None -> ()
+                | Some payload ->
+                    c.started <- t;
+                    if answer c payload then consume (off + k))
+        in
+        consume 0
+  in
+  let read_scrape c b =
+    match Unix.read c.fd buf 0 (Bytes.length buf) with
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
+    | exception Unix.Unix_error _ -> drop c
+    | n ->
+        Buffer.add_subbytes b buf 0 n;
+        if
+          n = 0
+          || Buffer.length b > max_scrape_request
+          || Metrics.request_ended (Buffer.contents b)
+        then begin
+          let body = Prometheus.to_string [ Obs.live_snapshot () ] in
+          if send c (Metrics.http_response body) then drop c
+        end
+  in
+  let accept lfd kind =
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+        if List.length !conns >= max_connections then
+          drop ~reason:"evicted"
+            (List.fold_left
+               (fun a c -> if c.last_active < a.last_active then c else a)
+               (List.hd !conns) !conns);
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO frame_deadline_s;
+        let t = now () in
+        conns := { fd; kind = kind (); started = t; last_active = t } :: !conns
+    | exception
+        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.ECONNABORTED), _, _)
+      ->
         ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        (* out of descriptors: the client waits in the backlog; pause
+           rather than spin on a listener that stays readable *)
+        Unix.sleepf 0.01
     | exception Unix.Unix_error (e, _, _) ->
         raise (Server_error ("accept: " ^ Unix.error_message e))
+  in
+  let listeners = lfd :: Option.to_list mfd in
+  while not !stop do
+    let t = now () in
+    let timeout =
+      List.fold_left
+        (fun acc c ->
+          if pending c then Float.min acc (c.started +. frame_deadline_s -. t)
+          else acc)
+        Float.infinity !conns
+    in
+    let timeout =
+      if timeout = Float.infinity then -1.0 else Float.max 0.0 timeout
+    in
+    match
+      Unix.select (listeners @ List.map (fun c -> c.fd) !conns) [] [] timeout
+    with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | ready, _, _ ->
+        let t = now () in
+        (* connections first: an accept may evict one and hand its
+           descriptor number to a client that has sent nothing yet *)
+        List.iter
+          (fun fd ->
+            if not !stop then
+              match List.find_opt (fun c -> c.fd = fd) !conns with
+              | Some ({ kind = Client d; _ } as c) -> read_client c d t
+              | Some ({ kind = Scrape b; _ } as c) -> read_scrape c b
+              | None -> ())
+          ready;
+        if not !stop then begin
+          if List.mem lfd ready then
+            accept lfd (fun () -> Client (Wire.decoder ()));
+          Option.iter
+            (fun m ->
+              if List.mem m ready then
+                accept m (fun () -> Scrape (Buffer.create 128)))
+            mfd;
+          (* a pending frame that sent nothing this round and has run
+             out its deadline *)
+          List.iter
+            (fun c ->
+              if
+                pending c
+                && t -. c.started >= frame_deadline_s
+                && not (List.mem c.fd ready)
+              then drop ~reason:"deadline" c)
+            !conns
+        end
   done

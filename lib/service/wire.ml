@@ -20,27 +20,121 @@ let encode payload =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+(* The one frame parser. A decoder holds the state of at most one
+   partial frame: the length line as it accumulates, then the payload,
+   allocated once at the length the header announced and filled in
+   place, then the terminator byte. The daemon feeds it whatever each
+   read(2) returned; [read_frame] drives it from a channel. *)
+
+type phase = Header | Payload | Terminator
+
+type decoder = {
+  header : Buffer.t;
+  mutable phase : phase;
+  mutable payload : Bytes.t;
+  mutable filled : int;
+  mutable ready : string option;
+}
+
+(* a valid length line is at most 8 digits; anything this long without
+   a newline is garbage, refused before it can grow without bound *)
+let max_header_bytes = 64
+
+let decoder () =
+  {
+    header = Buffer.create 16;
+    phase = Header;
+    payload = Bytes.empty;
+    filled = 0;
+    ready = None;
+  }
+
+let mid_frame d = d.phase <> Header || Buffer.length d.header > 0
+
+let malformed line =
+  protocol_error "malformed frame length %S"
+    (if String.length line > 32 then String.sub line 0 32 else line)
+
+let parse_length line =
+  match int_of_string_opt (String.trim line) with
+  | Some l when l >= 0 && l <= max_frame_bytes -> l
+  | Some l -> protocol_error "frame length %d out of range" l
+  | None -> malformed line
+
+let start_payload d len =
+  Buffer.clear d.header;
+  d.payload <- Bytes.create len;
+  d.filled <- 0;
+  d.phase <- (if len = 0 then Terminator else Payload)
+
+(* one byte of a length line or of a terminator *)
+let byte d c =
+  match d.phase with
+  | Header ->
+      if c = '\n' then start_payload d (parse_length (Buffer.contents d.header))
+      else if Buffer.length d.header >= max_header_bytes then
+        malformed (Buffer.contents d.header)
+      else Buffer.add_char d.header c
+  | Terminator ->
+      if c <> '\n' then protocol_error "frame payload not newline-terminated";
+      d.ready <- Some (Bytes.unsafe_to_string d.payload);
+      d.payload <- Bytes.empty;
+      d.phase <- Header
+  | Payload -> assert false
+
+let feed d buf off len =
+  let pos = ref off and stop = off + len in
+  while !pos < stop && Option.is_none d.ready do
+    match d.phase with
+    | Payload ->
+        let k = min (stop - !pos) (Bytes.length d.payload - d.filled) in
+        Bytes.blit buf !pos d.payload d.filled k;
+        d.filled <- d.filled + k;
+        pos := !pos + k;
+        if d.filled = Bytes.length d.payload then d.phase <- Terminator
+    | Header | Terminator ->
+        byte d (Bytes.get buf !pos);
+        incr pos
+  done;
+  !pos - off
+
+let take d =
+  let r = d.ready in
+  d.ready <- None;
+  r
+
+(* end of input: clean only at a frame boundary. A length line cut
+   short by EOF still counts as a line, as [input_line] reads it. *)
+let finish d =
+  match d.phase with
+  | Header when Buffer.length d.header = 0 -> ()
+  | Header ->
+      if parse_length (Buffer.contents d.header) = 0 then
+        protocol_error "truncated frame terminator"
+      else protocol_error "truncated frame payload"
+  | Payload -> protocol_error "truncated frame payload"
+  | Terminator -> protocol_error "truncated frame terminator"
+
 let read_frame ic =
-  match input_line ic with
-  | exception End_of_file -> None
-  | line -> (
-      let len =
-        match int_of_string_opt (String.trim line) with
-        | Some l when l >= 0 && l <= max_frame_bytes -> l
-        | Some l -> protocol_error "frame length %d out of range" l
-        | None ->
-            protocol_error "malformed frame length %S"
-              (if String.length line > 32 then String.sub line 0 32 else line)
-      in
-      let payload =
-        match really_input_string ic len with
-        | s -> s
-        | exception End_of_file -> protocol_error "truncated frame payload"
-      in
-      match input_char ic with
-      | '\n' -> Some payload
-      | _ -> protocol_error "frame payload not newline-terminated"
-      | exception End_of_file -> protocol_error "truncated frame terminator")
+  let d = decoder () in
+  let rec go () =
+    match d.phase with
+    | Payload ->
+        let len = Bytes.length d.payload - d.filled in
+        (match really_input ic d.payload d.filled len with
+        | () -> d.phase <- Terminator
+        | exception End_of_file -> finish d);
+        go ()
+    | Header | Terminator -> (
+        match input_char ic with
+        | exception End_of_file ->
+            finish d;
+            None
+        | c -> (
+            byte d c;
+            match take d with Some _ as frame -> frame | None -> go ()))
+  in
+  go ()
 
 let write_frame oc payload =
   output_string oc (encode payload);

@@ -22,12 +22,40 @@ val proto : string
 val max_frame_bytes : int
 
 (** Framing violation: unparsable length prefix, oversized or truncated
-    payload, missing frame terminator. Raised by {!read_frame}; the
-    connection is no longer in sync and must be closed. *)
+    payload, missing frame terminator. Raised by {!feed}, {!finish} and
+    {!read_frame}; the connection is no longer in sync and must be
+    closed. *)
 exception Protocol_error of string
 
 (** [encode payload] is the framed bytes for one payload. *)
 val encode : string -> string
+
+(** {1 Incremental decoding}
+
+    The one frame parser, fed whatever bytes arrive: the daemon feeds
+    each connection's decoder from [read(2)], {!read_frame} drives one
+    from a channel. A payload is allocated once, at the length its
+    header announces, and filled in place. *)
+
+type decoder
+
+val decoder : unit -> decoder
+
+(** [feed d buf off len] consumes bytes of [buf] up to the end of the
+    first frame they complete and returns how many it consumed; collect
+    that frame with {!take}, then feed the rest.
+    @raise Protocol_error when the stream desynchronizes. *)
+val feed : decoder -> Bytes.t -> int -> int -> int
+
+(** The frame the last {!feed} completed, once. *)
+val take : decoder -> string option
+
+(** Some bytes of a frame have arrived, but not all of them. *)
+val mid_frame : decoder -> bool
+
+(** End of input: returns at a frame boundary.
+    @raise Protocol_error on a truncated frame. *)
+val finish : decoder -> unit
 
 (** Read one frame; [None] on clean EOF at a frame boundary.
     @raise Protocol_error when the stream desynchronizes. *)

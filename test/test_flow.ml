@@ -1,10 +1,7 @@
 (* nwlint-flow tests: each interprocedural rule fires on its fixture
    under test/fixtures/flow; the shipped lib/ tree is flow-clean; the
-   contract verifier covers every registry pipeline; a shared-ref write
-   from a Domain.spawn thunk deliberately injected into a real lib/
-   function is caught (the "would @lint-deep fail?" drill);
-   suppressions, the summary cache, and the baseline ratchet
-   round-trip. *)
+   contract verifier covers every registry pipeline; suppressions, the
+   summary cache, and the baseline ratchet round-trip. *)
 
 module D = Nwlint_core.Diagnostic
 module Engine = Nwlint_core.Engine
@@ -54,10 +51,8 @@ let fixture_findings () =
            let p = Filename.concat dir f in
            (p, read_file p))
   in
-  Alcotest.(check bool) "fixtures present" true (List.length sources >= 4);
+  Alcotest.(check bool) "fixtures present" true (List.length sources >= 2);
   (Flow.analyze_sources sources).Flow.findings
-
-let with_rule rule ds = List.filter (fun d -> d.D.rule = rule) ds
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -73,21 +68,6 @@ let assert_finding ds rule fragment =
        ds)
 
 (* --- fixtures: every rule fires ----------------------------------- *)
-
-let race001_fixture () =
-  let ds = fixture_findings () in
-  assert_finding ds "RACE001" "Race001.total";
-  assert_finding ds "RACE001" "Race001.seen";
-  (* the three-calls-deep write names its whole chain *)
-  assert_finding ds "RACE001" "Race001.work -> Race001.bump"
-
-let race002_fixture () =
-  let ds = fixture_findings () in
-  assert_finding ds "RACE002" "Race002.make_key";
-  assert_finding ds "RACE002" "Race002.merge_results";
-  (* the top-level key itself is sanctioned *)
-  Alcotest.(check int) "exactly two RACE002 findings" 2
-    (List.length (with_rule "RACE002" ds))
 
 let contract001_fixture () =
   let ds = fixture_findings () in
@@ -130,52 +110,6 @@ let contract_coverage () =
     registry_names;
   Alcotest.(check bool) "all pass bodies analyzed" true (r.Flow.pass_count >= 20)
 
-(* --- injected race: a spawned write to a shared ref inside lib/ ---- *)
-
-let replace ~first ~needle ~by s =
-  let nl = String.length needle in
-  let rec at i =
-    if i + nl > String.length s then None
-    else if String.sub s i nl = needle then Some i
-    else at (i + 1)
-  in
-  match at 0 with
-  | None -> Alcotest.fail (Printf.sprintf "anchor %S not found" needle)
-  | Some i ->
-      ignore first;
-      String.sub s 0 i ^ by ^ String.sub s (i + nl) (String.length s - i - nl)
-
-let injected_race () =
-  let sources = lib_sources () in
-  let mutated =
-    List.map
-      (fun (path, content) ->
-        if Filename.basename path <> "msg_net.ml" then (path, content)
-        else
-          (* a kernel round that hands work to a helper domain, which
-             bumps a module-level counter *)
-          let content =
-            replace ~first:true ~needle:"let count_step "
-              ~by:"let leaked_total = ref 0\n\nlet count_step " content
-          in
-          let content =
-            replace ~first:true ~needle:"let sent = ref 0 in"
-              ~by:
-                "let sent = ref 0 in\n\
-                \  Domain.join (Domain.spawn (fun () -> incr leaked_total));"
-              content
-          in
-          (path, content))
-      sources
-  in
-  let r = Flow.analyze_sources mutated in
-  Alcotest.(check bool)
-    "injected spawned write to a shared ref is caught" true
-    (List.exists
-       (fun d ->
-         d.D.rule = "RACE001" && contains ~needle:"leaked_total" d.D.message)
-       r.Flow.findings)
-
 (* --- EFF001 pure roots -------------------------------------------- *)
 
 let pure_root_eff001 () =
@@ -197,21 +131,28 @@ let pure_root_eff001 () =
 
 (* --- suppressions -------------------------------------------------- *)
 
-let race_src =
-  "(* nwlint:disable RACE001 -- fixture: demonstrating suppression *)\n\
-   let total = ref 0\n\
-   let spawn xs = Domain.spawn (fun () -> total := List.length xs)\n"
+let noisy_pass =
+  "let noisy_pass = { name = \"fixture.supp\"; reads = []; writes = [];\n\
+  \  run = (fun _ctx _store -> print_endline \"noise\") }\n"
+
+let supp_src =
+  "(* nwlint:disable EFF001 -- fixture: demonstrating suppression *)\n"
+  ^ noisy_pass
 
 let flow_suppression () =
-  let r = Flow.analyze_sources [ ("supp.ml", race_src) ] in
+  let texts src =
+    List.map D.to_text (Flow.analyze_sources [ ("supp.ml", src) ]).Flow.findings
+  in
+  Alcotest.(check bool)
+    "without the directive EFF001 fires" true
+    (List.exists (fun t -> contains ~needle:"EFF001" t) (texts noisy_pass));
   Alcotest.(check (list string))
-    "file-scoped disable silences the flow finding" []
-    (List.map D.to_text r.Flow.findings)
+    "file-scoped disable silences the flow finding" [] (texts supp_src)
 
 let no_supp002_for_flow_rules () =
   (* the per-file engine cannot see flow findings, so it must not flag
      a flow-rule suppression as unused *)
-  let ds = Engine.lint_string ~path:"lib/core/fixture.ml" race_src in
+  let ds = Engine.lint_string ~path:"lib/core/fixture.ml" supp_src in
   Alcotest.(check (list string))
     "no SUPP002 for a flow-rule directive" []
     (List.map D.to_text (List.filter (fun d -> d.D.rule = "SUPP002") ds))
@@ -243,23 +184,23 @@ let baseline_ratchet () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Flow.write_baseline path ~diags:[ mk "RACE001" ] ~suppressions:2;
+      Flow.write_baseline path ~diags:[ mk "EFF001" ] ~suppressions:2;
       match Flow.load_baseline path with
       | Error msg -> Alcotest.fail msg
       | Ok b ->
           let reg, imp =
-            Flow.compare_baseline b ~diags:[ mk "RACE001" ] ~suppressions:2
+            Flow.compare_baseline b ~diags:[ mk "EFF001" ] ~suppressions:2
           in
           Alcotest.(check (list string)) "steady state is quiet" [] reg;
           Alcotest.(check (list string)) "no improvements either" [] imp;
           let reg, _ =
             Flow.compare_baseline b
-              ~diags:[ mk "RACE001"; mk "RACE001" ]
+              ~diags:[ mk "EFF001"; mk "EFF001" ]
               ~suppressions:2
           in
           Alcotest.(check bool) "finding growth regresses" true (reg <> []);
           let reg, _ =
-            Flow.compare_baseline b ~diags:[ mk "RACE001" ] ~suppressions:3
+            Flow.compare_baseline b ~diags:[ mk "EFF001" ] ~suppressions:3
           in
           Alcotest.(check bool) "suppression growth regresses" true (reg <> []);
           let reg, imp =
@@ -274,8 +215,6 @@ let () =
     [
       ( "fixtures",
         [
-          tc "RACE001 fires" race001_fixture;
-          tc "RACE002 fires" race002_fixture;
           tc "CONTRACT001 fires" contract001_fixture;
           tc "EFF001 fires" eff001_fixture;
         ] );
@@ -283,7 +222,6 @@ let () =
         [
           tc "repo lib/ is flow-clean" lib_clean;
           tc "registry contract coverage" contract_coverage;
-          tc "injected shard race is caught" injected_race;
         ] );
       ( "config",
         [

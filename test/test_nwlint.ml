@@ -340,6 +340,37 @@ let svc =
          let peek st = Nw_engine.Store.find st \"coloring\"" );
   ]
 
+(* --- DOM001 -------------------------------------------------------- *)
+
+let dom =
+  [
+    ( "positive: Domain.spawn",
+      check_fires "DOM001" ~path:"lib/service/fixture.ml"
+        "let start f = Domain.join (Domain.spawn f)" );
+    ( "positive: Domain.DLS key",
+      check_fires "DOM001" ~path:"lib/localsim/fixture.ml"
+        "let key = Domain.DLS.new_key (fun () -> 0)" );
+    ( "positive: Atomic",
+      check_fires "DOM001" ~path:"lib/obs/fixture.ml"
+        "let flag = Atomic.make false" );
+    ( "positive: Atomic through an alias",
+      check_fires "DOM001" ~path:"lib/decomp/fixture.ml"
+        "module A = Stdlib.Atomic\nlet bump c = A.incr c" );
+    ( "negative: plain refs",
+      check_silent "DOM001" ~path:"lib/obs/fixture.ml"
+        "let flag = ref false\nlet set b = flag := b" );
+    ( "negative: Domain.self",
+      check_silent "DOM001" ~path:"lib/obs/fixture.ml"
+        "let tid () = (Domain.self () :> int)" );
+    ( "negative: outside lib/",
+      check_silent "DOM001" ~path:"bench/fixture.ml"
+        "let poll f = Domain.join (Domain.spawn f)" );
+    ( "suppressed",
+      check_silent "DOM001" ~path:"lib/obs/fixture.ml"
+        "(* nwlint:disable DOM001 -- fixture justification *)\n\
+         let flag = Atomic.make false" );
+  ]
+
 (* --- PERF001 / PERF002 -------------------------------------------- *)
 
 let perf =
@@ -464,6 +495,7 @@ let () =
       ("pure001", List.map tc pure);
       ("eng001", List.map tc eng);
       ("svc001", List.map tc svc);
+      ("dom001", List.map tc dom);
       ("perf", List.map tc perf);
       ("hygiene", List.map tc hygiene);
       ("self-check", [ Alcotest.test_case "repo lib/ is clean" `Quick self_check ]);

@@ -2,14 +2,13 @@
    aggregation, round attribution through the Rounds hook, the
    disabled-mode cost contract, well-formedness of the Chrome / JSONL
    exports (parsed back with Json_lite), histogram percentiles, the
-   flight recorder, the Prometheus renderer, and the Unix-socket
-   metrics endpoint. *)
+   flight recorder and the Prometheus renderer. The metrics socket
+   that serves the renderer lives with the daemon (test_service.ml). *)
 
 module Obs = Nw_obs.Obs
 module J = Nw_obs.Json_lite
 module Flight = Nw_obs.Flight
 module Prom = Nw_obs.Prometheus
-module Mserver = Nw_obs.Metrics_server
 module Rounds = Nw_localsim.Rounds
 
 (* recording is a process-wide switch: every test restores it so the
@@ -645,99 +644,6 @@ let test_fold_roots () =
   Alcotest.(check bool) "exports show no folded span" false
     (contains (Buffer.contents b) "\"type\":\"span\"")
 
-(* ------------------------------------------------------------------ *)
-(* metrics endpoint                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let http_get path =
-  let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close c with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect c (Unix.ADDR_UNIX path);
-  let req = "GET / HTTP/1.0\r\n\r\n" in
-  ignore (Unix.write_substring c req 0 (String.length req));
-  let b = Buffer.create 512 in
-  let bytes = Bytes.create 1024 in
-  let rec drain () =
-    match Unix.read c bytes 0 (Bytes.length bytes) with
-    | 0 -> ()
-    | k ->
-        Buffer.add_subbytes b bytes 0 k;
-        drain ()
-  in
-  drain ();
-  Buffer.contents b
-
-let test_metrics_server () =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ()) "nw_obs_test_metrics.sock"
-  in
-  let srv = Mserver.start ~path (fun () -> "nw_rounds_total 0\n") in
-  let stopped = ref false in
-  Fun.protect ~finally:(fun () -> if not !stopped then Mserver.stop srv)
-  @@ fun () ->
-  (* two scrapes: the accept loop must survive a served connection *)
-  List.iter
-    (fun _ ->
-      let resp = http_get path in
-      Alcotest.(check bool) "HTTP 200" true (contains resp "200 OK");
-      Alcotest.(check bool) "prometheus content type" true
-        (contains resp "text/plain; version=0.0.4");
-      Alcotest.(check bool) "body served" true
-        (contains resp "nw_rounds_total 0\n"))
-    [ 1; 2 ];
-  Mserver.stop srv;
-  stopped := true;
-  Alcotest.(check bool) "socket file unlinked on stop" false
-    (Sys.file_exists path)
-
-(* restart discipline: a second start on the same path must never see
-   EADDRINUSE — whether the first server stopped cleanly or died
-   leaving a stale socket file behind *)
-let test_metrics_server_restart () =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      "nw_obs_test_metrics_restart.sock"
-  in
-  let srv1 = Mserver.start ~path (fun () -> "gen 1\n") in
-  Mserver.stop srv1;
-  let srv2 = Mserver.start ~path (fun () -> "gen 2\n") in
-  Fun.protect ~finally:(fun () -> Mserver.stop srv2)
-  @@ fun () ->
-  Alcotest.(check bool) "second server serves" true
-    (contains (http_get path) "gen 2")
-
-let test_metrics_server_stale_socket () =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      "nw_obs_test_metrics_stale.sock"
-  in
-  (* simulate a crashed server: bind a socket at [path] and close the
-     fd without unlinking, leaving the socket file on disk *)
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind dead (Unix.ADDR_UNIX path);
-  Unix.close dead;
-  Alcotest.(check bool) "stale socket file left behind" true
-    (Sys.file_exists path);
-  let srv = Mserver.start ~path (fun () -> "revived\n") in
-  Fun.protect ~finally:(fun () -> Mserver.stop srv)
-  @@ fun () ->
-  Alcotest.(check bool) "server reclaimed the stale socket" true
-    (contains (http_get path) "revived")
-
-let test_metrics_server_refuses_non_socket () =
-  let path = Filename.temp_file "nw_obs_metrics" ".not_a_sock" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  (match Mserver.start ~path (fun () -> "") with
-  | srv ->
-      Mserver.stop srv;
-      Alcotest.fail "start must refuse a non-socket path"
-  | exception Invalid_argument _ -> ());
-  Alcotest.(check bool) "the existing file was not unlinked" true
-    (Sys.file_exists path)
-
 let () =
   Alcotest.run "nw_obs"
     [
@@ -794,15 +700,5 @@ let () =
             test_prometheus_label_escaping;
           Alcotest.test_case "live snapshot" `Quick test_live_snapshot;
           Alcotest.test_case "fold roots" `Quick test_fold_roots;
-        ] );
-      ( "metrics-server",
-        [
-          Alcotest.test_case "scrape and stop" `Quick test_metrics_server;
-          Alcotest.test_case "restart on same path" `Quick
-            test_metrics_server_restart;
-          Alcotest.test_case "stale socket reclaimed" `Quick
-            test_metrics_server_stale_socket;
-          Alcotest.test_case "non-socket path refused" `Quick
-            test_metrics_server_refuses_non_socket;
         ] );
     ]

@@ -131,6 +131,31 @@ let prop_lsfd_greedy_random =
         && Verify.respects_palette coloring palette = Ok ()
       end)
 
+(* Theorem 2.3 with random lists: the residual palette never runs out
+   for alpha* in 2..4, and the output is a star forest decomposition
+   inside the lists *)
+let prop_lsfd_distributed_random =
+  QCheck.Test.make ~name:"theorem 2.3 LSFD on random simple graphs" ~count:12
+    (QCheck.int_bound 100000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 60 + Random.State.int st 441 in
+      let g = Gen.forest_union_simple st n (2 + Random.State.int st 3) in
+      let alpha_star, _ = Arb.pseudo_arboricity g in
+      QCheck.assume (alpha_star >= 2 && alpha_star <= 4);
+      let epsilon = 0.5 in
+      let size = Nw_core.Lsfd.required_palette ~epsilon ~alpha_star in
+      let colors = size + 1 + Random.State.int st size in
+      let palette =
+        Palette.of_lists ~colors (Gen.list_palettes st g ~colors ~size)
+      in
+      let coloring =
+        Nw_engine.Run.lsfd_distributed g palette ~epsilon ~alpha_star ~rng:st
+          ~rounds:(Rounds.create ())
+      in
+      Verify.star_forest_decomposition coloring = Ok ()
+      && Verify.respects_palette coloring palette = Ok ())
+
 let prop_orientation_bound =
   QCheck.Test.make
     ~name:"orientation out-degree never exceeds the color count" ~count:25
@@ -195,7 +220,12 @@ let () =
       qsuite "io" [ prop_io_roundtrip ];
       qsuite "net_decomp" [ prop_net_decomp_valid; prop_mpx_covers_and_connects ];
       qsuite "diameter" [ prop_diameter_reduction ];
-      qsuite "star" [ prop_sfd_random_simple; prop_lsfd_greedy_random ];
+      qsuite "star"
+        [
+          prop_sfd_random_simple;
+          prop_lsfd_greedy_random;
+          prop_lsfd_distributed_random;
+        ];
       qsuite "orientation" [ prop_orientation_bound; prop_pseudo_forest_valid ];
       qsuite "h_partition" [ prop_h_partition_random ];
     ]

@@ -43,6 +43,11 @@ let with_obs f =
 let counter t name =
   Option.value ~default:0 (List.assoc_opt name (Obs.counters t))
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
 (* push a string through a real channel pair so read_frame sees exactly
    what write_frame produced *)
 let channel_round_trip payloads =
@@ -730,6 +735,329 @@ let churn_matches_rebuild_oracle name =
       done;
       true)
 
+(* --- the incremental decoder --------------------------------------- *)
+
+(* every frame and every Protocol_error message read_frame gives a byte
+   stream, the decoder gives too, however read(2) splits the stream *)
+let decode_chunked chunk bytes =
+  let d = Wire.decoder () in
+  let buf = Bytes.of_string bytes in
+  let n = Bytes.length buf in
+  let rec go off acc =
+    if off >= n then (
+      Wire.finish d;
+      List.rev acc)
+    else
+      let len = min chunk (n - off) in
+      let rec eat o acc =
+        if o >= off + len then acc
+        else
+          let k = Wire.feed d buf o (off + len - o) in
+          match Wire.take d with
+          | Some p -> eat (o + k) (p :: acc)
+          | None -> eat (o + k) acc
+      in
+      go (off + len) (eat off acc)
+  in
+  match go 0 [] with
+  | frames -> Ok frames
+  | exception Wire.Protocol_error m -> Error m
+
+let read_all bytes =
+  let fname = Filename.temp_file "nw_wire_test" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove fname with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin fname (fun oc -> output_string oc bytes);
+      In_channel.with_open_bin fname (fun ic ->
+          let rec drain acc =
+            match Wire.read_frame ic with
+            | Some p -> drain (p :: acc)
+            | None -> Ok (List.rev acc)
+            | exception Wire.Protocol_error m -> Error m
+          in
+          drain []))
+
+let decoder_matches_read_frame () =
+  let streams =
+    [
+      "";
+      Wire.encode "" ^ Wire.encode "{\"id\":1}" ^ Wire.encode "a\nb";
+      "xyz\n{}\n"; "-4\n{}\n"; "999999999999\n{}\n"; "10\n{}\n"; "2\n{}X";
+      "2\n{}"; "0\n"; "12"; "garbage"; String.make 100 '7';
+      Wire.encode "{}" ^ "3\n{}";
+    ]
+  in
+  List.iter
+    (fun bytes ->
+      let expected = read_all bytes in
+      List.iter
+        (fun chunk ->
+          let show = function
+            | Ok l -> "frames " ^ String.concat "|" l
+            | Error m -> "error " ^ m
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%S in %d-byte reads" bytes chunk)
+            (show expected)
+            (show (decode_chunked chunk bytes)))
+        [ 1; 2; 3; 7; 4096 ])
+    streams
+
+(* --- the daemon over real sockets ---------------------------------- *)
+
+let now = Unix.gettimeofday
+
+let sock_path tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "nw_svc_%d_%s.sock" (Unix.getpid ()) tag)
+
+(* connect, retrying while the daemon has not bound the path yet; reads
+   time out after 5 s so a daemon that never answers fails the test
+   instead of hanging it *)
+let dial path =
+  let deadline = now () +. 10.0 in
+  let rec go () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when now () < deadline ->
+        Unix.close fd;
+        Unix.sleepf 0.005;
+        go ()
+  in
+  go ()
+
+type client = { fd : Unix.file_descr; ic : in_channel }
+
+let connect path =
+  let fd = dial path in
+  { fd; ic = Unix.in_channel_of_descr fd }
+
+let send c s = ignore (Unix.write_substring c.fd s 0 (String.length s))
+
+let call c payload =
+  send c (Wire.encode payload);
+  Wire.read_frame c.ic
+
+let hello id =
+  Printf.sprintf "{\"id\":%d,\"op\":\"hello\",\"proto\":%S}" id Wire.proto
+
+let answered id = function
+  | Some reply ->
+      contains reply (Printf.sprintf "\"id\":%d,\"ok\":true" id)
+  | None -> false
+
+(* the daemon has closed this connection: EOF, not a reply or a
+   receive timeout *)
+let closed_by_daemon c =
+  match Wire.read_frame c.ic with
+  | None -> true
+  | Some _ -> false
+  | exception Sys_error _ -> false
+
+let http_get path =
+  let fd = dial path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let req = "GET / HTTP/1.0\r\nHost: localhost\r\n\r\n" in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let b = Buffer.create 512 and bytes = Bytes.create 1024 in
+  let rec drain () =
+    match Unix.read fd bytes 0 (Bytes.length bytes) with
+    | 0 -> ()
+    | k ->
+        Buffer.add_subbytes b bytes 0 k;
+        drain ()
+  in
+  drain ();
+  Buffer.contents b
+
+let await_exit pid ~within =
+  let deadline = now () +. within in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when now () < deadline ->
+        Unix.sleepf 0.01;
+        go ()
+    | 0, _ -> false
+    | _, status -> status = Unix.WEXITED 0
+  in
+  go ()
+
+(* [Server.serve] in a forked child (this test process runs one domain,
+   so it may fork); the child is killed if the test leaves it running *)
+let with_daemon ?(metrics = true) tag f =
+  let sock = sock_path tag in
+  let msock = if metrics then Some (sock_path (tag ^ "_m")) else None in
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+   with Invalid_argument _ -> ());
+  match Unix.fork () with
+  | 0 ->
+      Unix._exit
+        (match
+           Server.serve { Server.socket_path = sock; metrics_socket = msock }
+         with
+        | () -> 0
+        | exception _ -> 1)
+  | pid ->
+      Fun.protect
+        ~finally:(fun () ->
+          (match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid)
+          | _ -> ()
+          | exception Unix.Unix_error _ -> ());
+          List.iter
+            (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+            (sock :: Option.to_list msock))
+        (fun () -> f ~pid ~sock ~msock:(Option.value msock ~default:""))
+
+(* half a frame: the length line promises more than ever comes *)
+let stall path =
+  let c = connect path in
+  send c "60\n{\"id\":1,\"op\":";
+  c
+
+let counter_line name v =
+  Printf.sprintf "nw_counter_total{name=\"%s\"} %d\n" name v
+
+let stalled_client_blocks_nobody () =
+  with_daemon "stall" @@ fun ~pid:_ ~sock ~msock:_ ->
+  let a = stall sock in
+  let b = connect sock in
+  let t0 = now () in
+  let reply = call b (hello 2) in
+  Alcotest.(check bool) "second client answered" true (answered 2 reply);
+  Alcotest.(check bool) "within 1 s" true (now () -. t0 < 1.0);
+  Alcotest.(check bool) "the stalled client is still open" true
+    (Unix.select [ a.fd ] [] [] 0.0 = ([], [], []))
+
+let stalled_client_closed_at_deadline () =
+  with_daemon "deadline" @@ fun ~pid:_ ~sock ~msock ->
+  let a = stall sock in
+  let t0 = now () in
+  Alcotest.(check bool) "closed by the daemon" true (closed_by_daemon a);
+  let dt = now () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "closed at the 2 s frame deadline (after %.2f s)" dt)
+    true
+    (dt > 1.5 && dt < 4.0);
+  Alcotest.(check bool) "deadline counter reads 1" true
+    (contains (http_get msock)
+       (counter_line "service.connections_closed.deadline" 1))
+
+let scrape_while_stalled () =
+  with_daemon "scrape" @@ fun ~pid:_ ~sock ~msock ->
+  let _a = stall sock in
+  let b = connect sock in
+  Alcotest.(check bool) "hello answered" true (answered 1 (call b (hello 1)));
+  let resp = http_get msock in
+  Alcotest.(check bool) "HTTP 200" true (contains resp "200 OK");
+  Alcotest.(check bool) "live counters" true
+    (contains resp (counter_line "service.requests" 1))
+
+let shutdown_with_open_connection () =
+  with_daemon "shutdown" @@ fun ~pid ~sock ~msock:_ ->
+  let a = connect sock in
+  Alcotest.(check bool) "hello answered" true (answered 1 (call a (hello 1)));
+  let b = connect sock in
+  let reply = call b "{\"id\":2,\"op\":\"shutdown\"}" in
+  Alcotest.(check bool) "shutdown answered" true (answered 2 reply);
+  Alcotest.(check bool) "daemon exits while a is open" true
+    (await_exit pid ~within:3.0);
+  Alcotest.(check bool) "a sees EOF" true (closed_by_daemon a);
+  Alcotest.(check bool) "socket file unlinked" false (Sys.file_exists sock)
+
+let evicts_longest_idle () =
+  with_daemon ~metrics:false "cap" @@ fun ~pid:_ ~sock ~msock:_ ->
+  let clients =
+    List.init Server.max_connections (fun i ->
+        let c = connect sock in
+        Alcotest.(check bool) "hello answered" true
+          (answered i (call c (hello i)));
+        c)
+  in
+  let extra = connect sock in
+  Alcotest.(check bool) "one past the cap is served" true
+    (answered 99 (call extra (hello 99)));
+  (match clients with
+  | first :: second :: _ ->
+      Alcotest.(check bool) "the longest-idle connection is evicted" true
+        (closed_by_daemon first);
+      Alcotest.(check bool) "the next one is kept" true
+        (answered 7 (call second (hello 7)))
+  | _ -> Alcotest.fail "cap below two");
+  List.iter (fun c -> close_in_noerr c.ic) (extra :: clients)
+
+(* --- the metrics socket --------------------------------------------- *)
+
+let scrape_and_stop () =
+  with_daemon "mscrape" @@ fun ~pid ~sock ~msock ->
+  (* two scrapes: the loop must survive a served scrape *)
+  List.iter
+    (fun _ ->
+      let resp = http_get msock in
+      Alcotest.(check bool) "HTTP 200" true (contains resp "200 OK");
+      Alcotest.(check bool) "prometheus content type" true
+        (contains resp "text/plain; version=0.0.4"))
+    [ 1; 2 ];
+  let c = connect sock in
+  ignore (call c "{\"id\":1,\"op\":\"shutdown\"}");
+  Alcotest.(check bool) "daemon exits" true (await_exit pid ~within:3.0);
+  Alcotest.(check bool) "metrics socket file unlinked" false
+    (Sys.file_exists msock)
+
+(* a second daemon on the same paths never sees EADDRINUSE *)
+let restart_same_path () =
+  let run () =
+    with_daemon "restart" @@ fun ~pid ~sock ~msock ->
+    Alcotest.(check bool) "serves scrapes" true
+      (contains (http_get msock) "200 OK");
+    let c = connect sock in
+    ignore (call c "{\"id\":1,\"op\":\"shutdown\"}");
+    Alcotest.(check bool) "daemon exits" true (await_exit pid ~within:3.0)
+  in
+  run ();
+  run ()
+
+(* a crashed daemon's socket files, bound and never unlinked, are
+   reclaimed at both paths *)
+let stale_sockets_reclaimed () =
+  List.iter
+    (fun p ->
+      (try Unix.unlink p with Unix.Unix_error _ -> ());
+      let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind dead (Unix.ADDR_UNIX p);
+      Unix.close dead)
+    [ sock_path "stale"; sock_path "stale_m" ];
+  with_daemon "stale" @@ fun ~pid:_ ~sock ~msock ->
+  let c = connect sock in
+  Alcotest.(check bool) "request socket reclaimed" true
+    (answered 1 (call c (hello 1)));
+  Alcotest.(check bool) "metrics socket reclaimed" true
+    (contains (http_get msock) "200 OK")
+
+(* anything else at either path is someone else's file: refused before
+   either socket is bound, and left in place *)
+let non_socket_refused () =
+  let file = Filename.temp_file "nw_svc" ".not_a_sock" in
+  let sock = sock_path "refused" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () ->
+  List.iter
+    (fun (socket_path, metrics_socket) ->
+      (match Server.serve { Server.socket_path; metrics_socket } with
+      | () -> Alcotest.fail "serve must refuse a non-socket path"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "the existing file was not unlinked" true
+        (Sys.file_exists file);
+      Alcotest.(check bool) "nothing was bound" false (Sys.file_exists sock))
+    [ (file, None); (sock, Some file) ]
+
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "service"
@@ -741,6 +1069,25 @@ let () =
             ("hostile strings", frame_hostile_parse);
             ("malformed frames", frame_malformed);
             ("response builders", response_builders);
+            ("decoder = read_frame", decoder_matches_read_frame);
+          ] );
+      ( "daemon",
+        List.map tc
+          [
+            ("stalled client blocks nobody", stalled_client_blocks_nobody);
+            ("stalled client closed at deadline",
+             stalled_client_closed_at_deadline);
+            ("scrape while stalled", scrape_while_stalled);
+            ("shutdown with another open", shutdown_with_open_connection);
+            ("evicts longest-idle past the cap", evicts_longest_idle);
+          ] );
+      ( "metrics-server",
+        List.map tc
+          [
+            ("scrape and stop", scrape_and_stop);
+            ("restart on same path", restart_same_path);
+            ("stale socket reclaimed", stale_sockets_reclaimed);
+            ("non-socket path refused", non_socket_refused);
           ] );
       ( "handler",
         List.map tc

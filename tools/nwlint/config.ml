@@ -136,15 +136,11 @@ let rules =
       "no new boxed-tuple adjacency planes ((int * int) rows nested in \
        any two array/list containers) in lib/ — adjacency lives in \
        Multigraph's flat int rows" );
-    ( "RACE001",
+    ( "DOM001",
       Diagnostic.Error,
-      "no writes to global refs or the Store reachable from a \
-       Domain.spawn thunk (route through Domain.DLS or domain-local \
-       state) [--flow]" );
-    ( "RACE002",
-      Diagnostic.Error,
-      "Domain.DLS keys are created at module top level only, and the \
-       deterministic merge phase never reads DLS [--flow]" );
+      "no Domain.spawn, Domain.DLS or Atomic in lib/: the library and the \
+       daemon run on one domain, so shared state needs no atomics and no \
+       race rules" );
     ( "CONTRACT001",
       Diagnostic.Error,
       "every registered pass touches exactly the Store keys its \
@@ -168,7 +164,7 @@ let known_rule id = List.exists (fun (r, _, _) -> String.equal r id) rules
 
 (* interprocedural rules run by the --flow layer (tools/nwlint/flow);
    the per-file engine must not flag their suppressions as unused *)
-let flow_rules = [ "RACE001"; "RACE002"; "CONTRACT001"; "EFF001" ]
+let flow_rules = [ "CONTRACT001"; "EFF001" ]
 let flow_rule id = List.mem id flow_rules
 
 (* rule ids a file-level suppression may target (the analysis rules;

@@ -13,7 +13,7 @@
    - the module-name stack, so PURE001 can exempt sanctioned scratch
      modules.
 
-   Rules fire by path scope: DET/IO/EXN/PURE apply under lib/ (PURE001
+   Rules fire by path scope: DET/IO/EXN/PURE/DOM apply under lib/ (PURE001
    only under lib/core and lib/decomp; DET001 allowlists lib/obs);
    LEDGER001 applies everywhere the driver looks. *)
 
@@ -354,6 +354,24 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
       | _ -> ()
   in
 
+  (* --- DOM001 -------------------------------------------------- *)
+  (* lib/ runs on one domain: the LOCAL kernel, the engine and the
+     daemon's select loop are all sequential. A second domain, a
+     domain-local key or an atomic would bring back the races that
+     nothing here is built to guard against. *)
+  let check_dom1 ~loc segs =
+    if scope.in_lib then
+      match segs with
+      | "Domain" :: ("spawn" | "DLS") :: _ | "Atomic" :: _ :: _ ->
+          add ~loc "DOM001" Error
+            (Printf.sprintf "`%s` in lib/, which runs on one domain"
+               (dotted segs))
+            (Some
+               "keep lib/ sequential: plain refs and mutable fields for \
+                shared state, the daemon's select loop for concurrency")
+      | _ -> ()
+  in
+
   (* --- PERF001 ------------------------------------------------- *)
   (* O(n) scratch resets in lib/ hot paths: the data-plane discipline is
      generation-stamped scratch (Nw_graphs.Scratch), where reset is a
@@ -594,6 +612,7 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
             check_io ~loc segs;
             check_eng1 ~loc segs;
             check_svc1 ~loc segs;
+            check_dom1 ~loc segs;
             check_perf1 ~loc segs
         | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
             let segs = expand_lid txt in

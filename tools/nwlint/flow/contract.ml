@@ -363,11 +363,10 @@ let extract cfg proj =
                                   env
                               in
                               let node_name = "pass:" ^ id in
-                              let nodes =
+                              extra_nodes :=
                                 E.analyze_expr ~key_env cfg proj run.cfile
                                   ~modpath:run.cmod ~name:node_name run.ce
-                              in
-                              extra_nodes := nodes @ !extra_nodes;
+                                :: !extra_nodes;
                               passes :=
                                 {
                                   pi_name = name;

@@ -1,23 +1,21 @@
 (* Intrinsic effect extraction.
 
-   Each project definition (and each synthetic node for a lambda handed
-   to a spawn point) gets a node with:
+   Each project definition (and each synthetic node for a pass body)
+   gets a node with:
 
    - its intrinsic *events*: writes/reads of top-level mutable state
      classified by region, Store accesses with resolved literal keys,
-     Domain.DLS traffic, and the effectful primitives (IO, wall clock,
-     unseeded Random);
+     and the effectful primitives (IO, wall clock, unseeded Random);
    - its *call edges*: every reference that resolves to a project
      definition (bare references count — a function passed to
-     List.iter may be called);
-   - its *spawn edges*: the thunks handed to Domain.spawn.
+     List.iter may be called).
 
    Writes whose target root is a local, a parameter, or a captured
-   binding are the spawned domain's own state and are not events;
-   only targets that resolve to a top-level project definition count.
-   The region model (docs/static-analysis.md): Scratch and Obs/Rounds
-   are sanctioned state, Chaos.Rng is the seed-threaded draw source,
-   everything else that is written is a global-ref. *)
+   binding are not events; only targets that resolve to a top-level
+   project definition count. The region model
+   (docs/static-analysis.md): Scratch and Obs/Rounds are sanctioned
+   state, Chaos.Rng is the seed-threaded draw source, everything else
+   that is written is a global-ref. *)
 
 open Ppxlib
 module P = Project
@@ -36,9 +34,6 @@ type event =
   | Read_mutable of string * region
   | Store_write of string option  (* resolved literal key *)
   | Store_read of string option
-  | Dls_write
-  | Dls_read
-  | Dls_new_key  (* only recorded when created under a lambda *)
   | Io of string
   | Wall_clock of string
   | Rng_unseeded of string
@@ -49,7 +44,6 @@ type node = {
   n_synthetic : bool;
   mutable n_events : (event * Location.t) list;
   mutable n_calls : (string * Location.t) list;
-  mutable n_spawns : (string * Location.t) list;  (* spawned root, site *)
 }
 
 type config = {
@@ -58,7 +52,6 @@ type config = {
   rng_prefixes : string list;
   store_prefixes : string list;  (* canonical Store module prefixes *)
   pure_roots : string list;  (* canonical prefixes EFF001 treats as pure *)
-  merge_markers : string list;  (* substrings naming merge-phase functions *)
 }
 
 let default_config =
@@ -68,7 +61,6 @@ let default_config =
     rng_prefixes = [ "Nw_chaos.Rng." ];
     store_prefixes = [ "Nw_engine.Store." ];
     pure_roots = [ "Nw_chaos.Rng."; "Nw_chaos.Plan."; "Nw_decomp.Verify." ];
-    merge_markers = [ "merge" ];
   }
 
 let has_prefix ~prefix s =
@@ -107,12 +99,6 @@ let mutators =
     ([ "Hashtbl"; "reset" ], 0);
     ([ "Hashtbl"; "clear" ], 0);
     ([ "Hashtbl"; "filter_map_inplace" ], 1);
-    ([ "Atomic"; "set" ], 0);
-    ([ "Atomic"; "exchange" ], 0);
-    ([ "Atomic"; "compare_and_set" ], 0);
-    ([ "Atomic"; "fetch_and_add" ], 0);
-    ([ "Atomic"; "incr" ], 0);
-    ([ "Atomic"; "decr" ], 0);
     ([ "Buffer"; "add_char" ], 0);
     ([ "Buffer"; "add_string" ], 0);
     ([ "Buffer"; "add_substring" ], 0);
@@ -131,7 +117,7 @@ let mutators =
   ]
 
 let mutable_readers =
-  [ [ "Atomic"; "get" ]; [ "Hashtbl"; "find" ]; [ "Hashtbl"; "find_opt" ];
+  [ [ "Hashtbl"; "find" ]; [ "Hashtbl"; "find_opt" ];
     [ "Hashtbl"; "mem" ]; [ "Hashtbl"; "length" ]; [ "Queue"; "peek" ];
     [ "Buffer"; "contents" ] ]
 
@@ -167,13 +153,8 @@ type ctx = {
   file : P.file;
   modpath : string list;
   locals : (string, int) Hashtbl.t;
-  mutable local_funs : (string * expression) list;
-  mutable inlining : string list;  (* recursion guard for local inlines *)
-  mutable lambda_depth : int;
-  mutable node : node;
-  mutable in_synth : bool;
+  node : node;
   key_env : (string, string) Hashtbl.t;  (* param -> literal Store key *)
-  out : node list ref;  (* synthetic nodes created during the walk *)
 }
 
 let push_local ctx name =
@@ -222,7 +203,7 @@ let rec target_root e =
       | [ "!" ]
       | [ "Array"; "get" ] | [ "Array"; "unsafe_get" ]
       | [ "Bytes"; "get" ] | [ "String"; "get" ]
-      | [ "Atomic"; "get" ] | [ "Hashtbl"; "find" ] ->
+      | [ "Hashtbl"; "find" ] ->
           target_root a
       | _ -> None)
   | _ -> None
@@ -284,12 +265,6 @@ let nth_positional args n =
   in
   go n args
 
-let fresh_synth ctx loc =
-  let line = loc.loc_start.pos_lnum in
-  let name = Printf.sprintf "%s#Domain.spawn:%d" ctx.node.n_name line in
-  { n_name = name; n_loc = loc; n_synthetic = true; n_events = [];
-    n_calls = []; n_spawns = [] }
-
 let rec walk ctx e =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> note_ident ctx (P.flatten_lid txt) e.pexp_loc
@@ -300,19 +275,7 @@ let rec walk ctx e =
       let vars =
         List.fold_left (fun acc vb -> pattern_vars acc vb.pvb_pat) [] vbs
       in
-      let funs =
-        List.filter_map
-          (fun vb ->
-            match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
-            | Ppat_var { txt; _ }, (Pexp_function _ | Pexp_ident _) ->
-                Some (txt, vb.pvb_expr)
-            | _ -> None)
-          vbs
-      in
-      let saved = ctx.local_funs in
-      ctx.local_funs <- funs @ ctx.local_funs;
-      with_vars ctx vars (fun () -> walk ctx body);
-      ctx.local_funs <- saved
+      with_vars ctx vars (fun () -> walk ctx body)
   | Pexp_function (params, _, body) ->
       let vars =
         List.fold_left
@@ -324,12 +287,10 @@ let rec walk ctx e =
             | Pparam_newtype _ -> acc)
           [] params
       in
-      ctx.lambda_depth <- ctx.lambda_depth + 1;
       with_vars ctx vars (fun () ->
           match body with
           | Pfunction_body b -> walk ctx b
-          | Pfunction_cases (cases, _, _) -> walk_cases ctx cases);
-      ctx.lambda_depth <- ctx.lambda_depth - 1
+          | Pfunction_cases (cases, _, _) -> walk_cases ctx cases)
   | Pexp_match (s, cases) | Pexp_try (s, cases) ->
       walk ctx s;
       walk_cases ctx cases
@@ -402,18 +363,7 @@ and walk_cases ctx cases =
 and note_ident ctx segs loc =
   match segs with
   | [] -> ()
-  | [ v ] when Hashtbl.mem ctx.locals v ->
-      (* a local function referenced from a synthetic (spawned) node was
-         attributed to the enclosing node at its definition; re-walk it
-         here so the spawn root owns its effects too *)
-      if ctx.in_synth && not (List.mem v ctx.inlining) then (
-        match List.assoc_opt v ctx.local_funs with
-        | Some body ->
-            ctx.inlining <- v :: ctx.inlining;
-            Fun.protect
-              ~finally:(fun () -> ctx.inlining <- List.tl ctx.inlining)
-              (fun () -> walk ctx body)
-        | None -> ())
+  | [ v ] when Hashtbl.mem ctx.locals v -> ()
   | _ -> (
       let raw = P.strip_stdlib segs in
       if List.mem raw io_idents then event ctx (Io (P.dotted raw)) loc;
@@ -435,10 +385,6 @@ and classify_external ctx raw args loc =
         event ctx (Rng_unseeded ("Random." ^ f)) loc
     | [ "Random"; "State"; "make_self_init" ] ->
         event ctx (Rng_unseeded "Random.State.make_self_init") loc
-    | [ "Domain"; "DLS"; "new_key" ] ->
-        if ctx.lambda_depth > 0 then event ctx Dls_new_key loc
-    | [ "Domain"; "DLS"; "get" ] -> event ctx Dls_read loc
-    | [ "Domain"; "DLS"; "set" ] -> event ctx Dls_write loc
     | _ -> (
         match args with
         | None -> ()
@@ -497,16 +443,14 @@ and apply_ident ctx segs args loc =
           if d.d_mutable then
             event ctx (Read_mutable (d.d_name, region_of ctx.cfg d.d_name))
               loc;
-          (* Store and the spawn entry points resolve to project defs
-             when their files are among the sources — classify anyway *)
+          (* Store resolves to project defs when its file is among the
+             sources — classify anyway *)
           store_access ctx d.d_name args loc;
-          spawn_sites ctx d.d_name args loc;
           walk_args ()
       | None ->
           let canonical = P.dotted (P.canon ctx.proj ctx.file segs) in
           store_access ctx canonical args loc;
           classify_external ctx raw (Some args) loc;
-          spawn_sites ctx canonical args loc;
           walk_args ())
 
 and store_access ctx canonical args loc =
@@ -544,91 +488,32 @@ and store_access ctx canonical args loc =
           ]
       then event ctx (Store_read (key ())) loc
 
-(* spawn-point detection: Domain.spawn's thunk *)
-and spawn_sites ctx canonical args loc =
-  if canonical = "Domain.spawn" then
-    match nth_positional args 0 with
-    | None -> ()
-    | Some e -> (
-        let rec strip e =
-          match e.pexp_desc with Pexp_constraint (e, _) -> strip e | _ -> e
-        in
-        let e = strip e in
-        match e.pexp_desc with
-        | Pexp_function _ -> synth ctx e loc
-        | Pexp_ident { txt = Lident v; _ }
-          when List.mem_assoc v ctx.local_funs ->
-            synth ctx (List.assoc v ctx.local_funs) loc
-        | Pexp_ident { txt; _ } -> (
-            match
-              P.resolve_def ctx.proj ctx.file ~modpath:ctx.modpath
-                (P.flatten_lid txt)
-            with
-            | Some d ->
-                ctx.node.n_spawns <- (d.d_name, loc) :: ctx.node.n_spawns
-            | None -> ())
-        | _ -> ())
-
-and synth ctx e loc =
-  let node = fresh_synth ctx loc in
-  ctx.out := node :: !(ctx.out);
-  ctx.node.n_spawns <- (node.n_name, loc) :: ctx.node.n_spawns;
-  let saved_node = ctx.node and saved_synth = ctx.in_synth in
-  let saved_depth = ctx.lambda_depth in
-  ctx.node <- node;
-  ctx.in_synth <- true;
-  ctx.lambda_depth <- 0;
-  Fun.protect
-    ~finally:(fun () ->
-      ctx.node <- saved_node;
-      ctx.in_synth <- saved_synth;
-      ctx.lambda_depth <- saved_depth)
-    (fun () -> walk ctx e)
-
 (* ------------------------------------------------------------------ *)
 (* node construction                                                   *)
 
-let make_ctx ?(key_env = []) cfg proj (file : P.file) ~modpath node out =
+let make_ctx ?(key_env = []) cfg proj (file : P.file) ~modpath node =
   let ke = Hashtbl.create 4 in
   List.iter (fun (k, v) -> Hashtbl.replace ke k v) key_env;
-  {
-    cfg;
-    proj;
-    file;
-    modpath;
-    locals = Hashtbl.create 32;
-    local_funs = [];
-    inlining = [];
-    lambda_depth = 0;
-    node;
-    in_synth = false;
-    key_env = ke;
-    out;
-  }
+  { cfg; proj; file; modpath; locals = Hashtbl.create 32; node; key_env = ke }
 
-(* analyze one definition; returns its node plus any synthetic spawn
-   nodes discovered inside it *)
+(* analyze one definition; [None] when its file is not among the sources *)
 let analyze_def cfg proj (d : P.def) =
-  match P.file_by_path proj d.d_file with
-  | None -> []
-  | Some file ->
+  Option.map
+    (fun file ->
       let node =
         { n_name = d.d_name; n_loc = d.d_loc; n_synthetic = false;
-          n_events = []; n_calls = []; n_spawns = [] }
+          n_events = []; n_calls = [] }
       in
-      let out = ref [] in
-      let ctx = make_ctx cfg proj file ~modpath:d.d_modpath node out in
-      walk ctx d.d_expr;
-      node :: !out
+      walk (make_ctx cfg proj file ~modpath:d.d_modpath node) d.d_expr;
+      node)
+    (P.file_by_path proj d.d_file)
 
 (* analyze an arbitrary expression (a pass body, a fixture snippet) as
    a synthetic root named [name] *)
 let analyze_expr ?key_env cfg proj (file : P.file) ~modpath ~name e =
   let node =
     { n_name = name; n_loc = e.pexp_loc; n_synthetic = true; n_events = [];
-      n_calls = []; n_spawns = [] }
+      n_calls = [] }
   in
-  let out = ref [] in
-  let ctx = make_ctx ?key_env cfg proj file ~modpath node out in
-  walk ctx e;
-  node :: !out
+  walk (make_ctx ?key_env cfg proj file ~modpath node) e;
+  node

@@ -1,12 +1,5 @@
 (* Orchestration for the interprocedural rules.
 
-   RACE001  writes(global-ref | Store) reachable from a Domain.spawn
-            thunk. Writes to locals and captured state are fine, and
-            Domain.DLS-routed state is fine.
-   RACE002  Domain.DLS key creation outside module top level, or a
-            non-sanctioned DLS read reachable from a merge-phase
-            function (name contains "merge"); the Obs/Rounds
-            accounting layer is the audited exception.
    CONTRACT001  per-pass Store access vs. declared reads/writes:
             undeclared accesses, dead contract entries (declared but
             never touched; a declared write with no Store.put is
@@ -29,7 +22,6 @@ module J = Nw_obs.Json_lite
 
 let schema = "nwlint-flow/1"
 let baseline_schema = "nwlint-baseline/1"
-let flow_rules = [ "RACE001"; "RACE002"; "CONTRACT001"; "EFF001" ]
 
 type result = {
   findings : D.t list;  (* suppression-filtered, sorted *)
@@ -52,109 +44,6 @@ let site_text (loc : Ppxlib.Location.t) =
 
 (* ------------------------------------------------------------------ *)
 (* rules                                                               *)
-
-let race001 cfg summary =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun _ (n : E.node) ->
-      List.iter
-        (fun (root, site) ->
-          match
-            S.witness summary ~root ~pred:(fun _ ev ->
-                match ev with
-                | E.Write_global (_, E.Global) | E.Store_write _ -> true
-                | _ -> false)
-          with
-          | None -> ()
-          | Some (chain, ev, loc) ->
-              let what =
-                match ev with
-                | E.Write_global (t, _) -> "global-ref " ^ t
-                | E.Store_write (Some k) ->
-                    Printf.sprintf "Store key %S" k
-                | E.Store_write None -> "the Store"
-                | _ -> "shared state"
-              in
-              out :=
-                diag ~rule:"RACE001" ~severity:D.Error
-                  ~message:
-                    (Printf.sprintf
-                       "write to %s inside a Domain.spawn thunk (spawned \
-                        at %s; chain: %s) races with the spawning domain"
-                       what (site_text site) (chain_text chain))
-                  ~hint:
-                    "route the write through Domain.DLS, or keep it in \
-                     state local to the spawned domain and publish it \
-                     through Domain.join"
-                  loc
-                :: !out)
-        n.E.n_spawns)
-    summary.S.nodes;
-  ignore cfg;
-  !out
-
-let race002 cfg summary =
-  let out = ref [] in
-  (* (a) DLS key creation under a lambda: a per-call key defeats the
-     one-key-per-domain discipline *)
-  Hashtbl.iter
-    (fun _ (n : E.node) ->
-      List.iter
-        (fun (ev, loc) ->
-          match ev with
-          | E.Dls_new_key ->
-              out :=
-                diag ~rule:"RACE002" ~severity:D.Error
-                  ~message:
-                    (Printf.sprintf
-                       "Domain.DLS.new_key inside %s: DLS keys must be \
-                        created at module top level (one key per process, \
-                        not per call)"
-                       n.E.n_name)
-                  loc
-                :: !out
-          | _ -> ())
-        n.E.n_events)
-    summary.S.nodes;
-  (* (b) DLS reads reachable from merge-phase functions *)
-  Hashtbl.iter
-    (fun name (n : E.node) ->
-      let last =
-        match List.rev (String.split_on_char '.' name) with
-        | x :: _ -> String.lowercase_ascii x
-        | [] -> ""
-      in
-      let is_merge =
-        (not n.E.n_synthetic)
-        && (not (E.obs_owned cfg name))
-        && List.exists
-             (fun marker ->
-               let ml = String.length marker and ll = String.length last in
-               let rec at i =
-                 i + ml <= ll && (String.sub last i ml = marker || at (i + 1))
-               in
-               ml > 0 && at 0)
-             cfg.E.merge_markers
-      in
-      if is_merge then
-        match
-          S.witness summary ~root:name ~pred:(fun owner ev ->
-              ev = E.Dls_read && not (E.obs_owned cfg owner.E.n_name))
-        with
-        | None -> ()
-        | Some (chain, _, loc) ->
-            out :=
-              diag ~rule:"RACE002" ~severity:D.Error
-                ~message:
-                  (Printf.sprintf
-                     "Domain.DLS read reachable from merge-phase function \
-                      %s (chain: %s): the deterministic merge must not \
-                      depend on which domain runs it"
-                     name (chain_text chain))
-                loc
-              :: !out)
-    summary.S.nodes;
-  !out
 
 let eff001 cfg summary (contract : Contract.t) =
   let out = ref [] in
@@ -332,16 +221,17 @@ let filter_suppressed sources findings =
 let analyze_project ?(config = E.default_config) proj sources =
   let def_nodes =
     Hashtbl.fold
-      (fun _ d acc -> E.analyze_def config proj d @ acc)
+      (fun _ d acc ->
+        match E.analyze_def config proj d with
+        | Some n -> n :: acc
+        | None -> acc)
       proj.P.defs []
   in
   let contract = Contract.extract config proj in
   let all_nodes = contract.Contract.extra_nodes @ def_nodes in
   let summary = S.compute all_nodes in
   let findings =
-    race001 config summary
-    @ race002 config summary
-    @ contract001 summary contract
+    contract001 summary contract
     @ eff001 config summary contract
   in
   let findings =

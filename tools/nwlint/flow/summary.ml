@@ -1,12 +1,10 @@
 (* Bottom-up effect summaries over the call-graph condensation.
 
-   Nodes come from Effects; edges are call edges plus spawn edges
-   (effects escape through a spawned callback to its spawner, which is
-   what makes a spawner "own" the IO its spawned thunks perform).
-   Tarjan emits SCCs in reverse topological order — every SCC only
-   after all SCCs it reaches — so one linear fold computes each
-   summary as the union of its members' intrinsic events and the
-   already-final summaries of callees.
+   Nodes come from Effects; edges are call edges. Tarjan emits SCCs in
+   reverse topological order — every SCC only after all SCCs it
+   reaches — so one linear fold computes each summary as the union of
+   its members' intrinsic events and the already-final summaries of
+   callees.
 
    Rules use [witness]: a BFS from a root to the nearest node whose
    *intrinsic* events satisfy a predicate, returning the call chain
@@ -33,9 +31,6 @@ let successors g (n : E.node) =
   List.filter_map
     (fun (callee, _) -> if Hashtbl.mem g callee then Some callee else None)
     n.E.n_calls
-  @ List.filter_map
-      (fun (root, _) -> if Hashtbl.mem g root then Some root else None)
-      n.E.n_spawns
 
 (* iterative Tarjan (explicit stack so deep call chains cannot blow the
    OCaml stack) *)
@@ -175,9 +170,6 @@ let signature t name =
       match ev with
       | E.Write_global (_, r) -> add ("writes(" ^ E.region_name r ^ ")")
       | E.Store_write _ -> add "writes(Store)"
-      | E.Dls_write -> add "writes(Domain.DLS)"
-      | E.Dls_read -> add "reads(Domain.DLS)"
-      | E.Dls_new_key -> add "dls-new-key"
       | E.Read_mutable _ -> add "reads-mutable"
       | E.Store_read _ -> add "reads(Store)"
       | E.Io _ -> add "io"

@@ -9,8 +9,8 @@
 
    Paths are files or directories (searched recursively for .ml/.mli,
    skipping dot/underscore directories such as _build). --flow adds the
-   interprocedural layer (call graph + effect summaries: RACE001,
-   RACE002, CONTRACT001, EFF001) over the .ml files; --baseline
+   interprocedural layer (call graph + effect summaries: CONTRACT001,
+   EFF001) over the .ml files; --baseline
    compares finding and suppression counts against a committed
    snapshot and fails on growth (the ratchet); --write-baseline
    refreshes the snapshot. Exit status: 0 clean, 1 findings at or
