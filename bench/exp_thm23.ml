@@ -17,10 +17,7 @@ let run () =
         let n = max 60 (6 * alpha) in
         let g = Gen.forest_union st n alpha in
         let alpha_star, _ = Nw_graphs.Arboricity.pseudo_arboricity g in
-        let k =
-          int_of_float (floor ((4. +. epsilon) *. float_of_int alpha_star))
-          - 1
-        in
+        let k = Nw_core.Lsfd.required_palette ~epsilon ~alpha_star in
         let colors = (2 * k) + 4 in
         let lists = Gen.list_palettes st g ~colors ~size:k in
         let palette = Palette.of_lists ~colors lists in

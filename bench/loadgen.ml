@@ -7,11 +7,10 @@
    churn mode the entry allows and color bounds on incremental answers,
    and a final client-side check of the served coloring, with the
    entry's own checker, against an independently rebuilt live graph.
-   Client-observed latencies are summarised as nearest-rank p50/p95/p99
-   per request class and written — together with throughput and the
-   daemon's incremental/fallback tallies — into the additive `service`
-   object of an nw-bench/2 record (BENCH_service.json, `@load-smoke`).
-   Exit is non-zero if any response was invalid. *)
+   loadgen checks and does not measure: it records no timings, and the
+   service benchmark is bench/nwbench (serve-churn, serve-mixed). Exit
+   is 1 if any response was invalid or the daemon counted a handler
+   error. *)
 
 module G = Nw_graphs.Multigraph
 module Gen = Nw_graphs.Generators
@@ -31,10 +30,8 @@ let usage =
    \  --alpha A          forest-union arboricity of the graph (default 3)\n\
    \  --algorithm NAME   registry entry for batch requests (default augment)\n\
    \  --epsilon E        epsilon for batch requests (default 0.5)\n\
-   \  --json FILE        nw-bench/2 output path (default BENCH_service.json)\n\
    \  --dump-colors FILE write the final served coloring to FILE\n\
-   \  --check-colors FILE require the final served coloring to equal FILE\n\
-   \  --quick            mark the record as a quick run\n"
+   \  --check-colors FILE require the final served coloring to equal FILE\n"
 
 let die fmt =
   Printf.ksprintf
@@ -57,10 +54,8 @@ type cfg = {
   mutable alpha : int;
   mutable algorithm : string;
   mutable epsilon : float;
-  mutable json : string;
   mutable dump_colors : string;
   mutable check_colors : string;
-  mutable quick : bool;
 }
 
 let parse_mix s =
@@ -87,10 +82,8 @@ let parse_args () =
       alpha = 3;
       algorithm = "augment";
       epsilon = 0.5;
-      json = "BENCH_service.json";
       dump_colors = "";
       check_colors = "";
-      quick = false;
     }
   in
   let rec go = function
@@ -122,17 +115,11 @@ let parse_args () =
     | "--epsilon" :: v :: rest ->
         cfg.epsilon <- float_of_string v;
         go rest
-    | "--json" :: v :: rest ->
-        cfg.json <- v;
-        go rest
     | "--dump-colors" :: v :: rest ->
         cfg.dump_colors <- v;
         go rest
     | "--check-colors" :: v :: rest ->
         cfg.check_colors <- v;
-        go rest
-    | "--quick" :: rest ->
-        cfg.quick <- true;
         go rest
     | ("--help" | "-h") :: _ ->
         print_string usage;
@@ -186,25 +173,23 @@ let open_conn fd =
   { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd;
     next_id = 1 }
 
-(* one blocking round trip; returns (parsed response, latency in ms) *)
+(* one blocking round trip; returns (request id, parsed response) *)
 let rpc conn fields =
   let id = conn.next_id in
   conn.next_id <- id + 1;
   let payload = Wire.obj_fields (Wire.int "id" id :: fields) in
-  let t0 = Unix.gettimeofday () in
   Wire.write_frame conn.oc payload;
   let reply =
     match Wire.read_frame conn.ic with
     | Some r -> r
     | None -> die "daemon closed the connection mid-request"
   in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let json =
     match J.parse reply with
     | v -> v
     | exception J.Parse_error msg -> die "unparsable response: %s" msg
   in
-  (id, json, ms)
+  (id, json)
 
 let member_int json f = Option.bind (J.member f json) J.to_int
 let member_bool json f =
@@ -321,93 +306,6 @@ let check_epoch ~what mi json =
   | None -> flag "%s: response without an epoch" what
 
 (* ------------------------------------------------------------------ *)
-(* percentiles                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let summarise cls samples =
-  let a = Array.of_list samples in
-  Array.sort compare a;
-  Printf.sprintf
-    "{\"class\":%s,\"count\":%d,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}"
-    (Nw_obs.Json_lite.Emit.string_value cls)
-    (Array.length a) (percentile a 0.50) (percentile a 0.95)
-    (percentile a 0.99)
-
-(* ------------------------------------------------------------------ *)
-(* nw-bench/2 record                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let git_commit () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> None
-  | ic -> (
-      let line = try Some (input_line ic) with End_of_file -> None in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> line
-      | _ -> None)
-
-let write_record cfg ~wall_s ~service_obj =
-  let oc = open_out cfg.json in
-  let b, p, c = cfg.mix in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"nw-bench/2\",\n\
-    \  \"exp\": \"service\",\n\
-    \  \"desc\": \"forestd serve under a seeded %d:%d:%d \
-     batch:point:churn mix\",\n\
-    \  \"quick\": %b,\n\
-    \  \"domains\": 1,\n\
-    \  \"env\": {\n\
-    \    \"git_commit\": %s,\n\
-    \    \"hostname\": \"%s\",\n\
-    \    \"ocaml_version\": \"%s\",\n\
-    \    \"stamped_at\": %.0f\n\
-    \  },\n\
-    \  \"rounds_attribution\": \"per-domain\",\n\
-    \  \"counter_attribution\": \"exact\",\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"charged_rounds\": 0,\n\
-    \  \"connectivity\": {\n\
-    \    \"uf_queries\": 0,\n\
-    \    \"bfs_runs\": 0,\n\
-    \    \"uf_rebuilds\": 0\n\
-    \  },\n\
-    \  \"service\": %s,\n\
-    \  \"phases\": null,\n\
-    \  \"failed\": null\n\
-     }\n"
-    b p c cfg.quick
-    (match git_commit () with
-    | Some c -> Printf.sprintf "\"%s\"" (json_escape c)
-    | None -> "null")
-    (json_escape (try Unix.gethostname () with _ -> "unknown"))
-    (json_escape Sys.ocaml_version)
-    (Unix.time ())
-    wall_s service_obj;
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 (* workload                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -446,7 +344,7 @@ let () =
   let conn = open_conn (connect cfg) in
 
   (* handshake *)
-  let id, json, _ = rpc conn [ Wire.str "op" "hello"; Wire.str "proto" Wire.proto ] in
+  let id, json = rpc conn [ Wire.str "op" "hello"; Wire.str "proto" Wire.proto ] in
   if expect_ok ~what:"hello" id json then begin
     match member_str json "proto" with
     | Some p when p = Wire.proto -> ()
@@ -467,7 +365,7 @@ let () =
     Buffer.add_char buf ']';
     Buffer.contents buf
   in
-  let id, json, _ =
+  let id, json =
     rpc conn
       [
         Wire.str "op" "load-graph";
@@ -511,28 +409,24 @@ let () =
   in
 
   (* warm-up decompose so churn has a coloring to grow *)
-  let id, json, _ = rpc conn (decompose_fields ()) in
+  let id, json = rpc conn (decompose_fields ()) in
   if expect_ok ~what:"decompose(warmup)" id json then
     check_decompose ~what:"decompose(warmup)" json;
 
   (* seeded mixed workload *)
   let b, p, c = cfg.mix in
-  let batch_ms = ref [] and point_ms = ref [] and churn_ms = ref [] in
   let wrng = Random.State.make [| cfg.seed; 0x10ad |] in
-  let t_start = Unix.gettimeofday () in
   for _ = 1 to cfg.requests do
     let pick = Random.State.int wrng (b + p + c) in
     if pick < b then begin
-      let id, json, ms = rpc conn (decompose_fields ()) in
-      batch_ms := ms :: !batch_ms;
+      let id, json = rpc conn (decompose_fields ()) in
       if expect_ok ~what:"decompose" id json then
         check_decompose ~what:"decompose" json
     end
     else if pick < b + p then begin
-      let id, json, ms =
+      let id, json =
         rpc conn [ Wire.str "op" "stats"; Wire.str "session" "load" ]
       in
-      point_ms := ms :: !point_ms;
       if expect_ok ~what:"stats" id json then begin
         let st = J.member "session_stats" json in
         match Option.bind st (fun s -> member_int s "live_edges") with
@@ -550,7 +444,7 @@ let () =
         else (u, v)
       in
       let u, v = draw () in
-      let id, json, ms =
+      let id, json =
         rpc conn
           [
             Wire.str "op" "insert-edge";
@@ -559,7 +453,6 @@ let () =
             Wire.int "v" v;
           ]
       in
-      churn_ms := ms :: !churn_ms;
       if expect_ok ~what:"insert-edge" id json then begin
         check_epoch ~what:"insert-edge" mi json;
         let slot = mirror_insert mi u v in
@@ -591,7 +484,7 @@ let () =
       (* churn: delete a random live edge *)
       let idx = Random.State.int wrng mi.live_count in
       let slot = mi.live_list.(idx) in
-      let id, json, ms =
+      let id, json =
         rpc conn
           [
             Wire.str "op" "delete-edge";
@@ -599,7 +492,6 @@ let () =
             Wire.int "edge" slot;
           ]
       in
-      churn_ms := ms :: !churn_ms;
       if expect_ok ~what:"delete-edge" id json then begin
         check_epoch ~what:"delete-edge" mi json;
         let dead = mirror_delete mi idx in
@@ -613,12 +505,11 @@ let () =
       end
     end
   done;
-  let wall_s = Unix.gettimeofday () -. t_start in
 
   (* final decompose: re-verify the served coloring client-side on a
      graph rebuilt purely from the mirror (catches silent corruption
      that a daemon-side verified:true could mask) *)
-  let id, json, _ = rpc conn (decompose_fields ()) in
+  let id, json = rpc conn (decompose_fields ()) in
   if expect_ok ~what:"decompose(final)" id json then begin
     check_decompose ~what:"decompose(final)" json;
     let colors = !last_colors in
@@ -676,60 +567,25 @@ let () =
          (Array.length !last_colors)
    end);
 
-  (* daemon-side tallies for the record *)
+  (* daemon-side tallies for the summary line *)
   let incr_updates = ref 0 and fallbacks = ref 0 and srv_errors = ref 0 in
-  let id, json, _ = rpc conn [ Wire.str "op" "stats"; Wire.str "session" "load" ] in
+  let id, json = rpc conn [ Wire.str "op" "stats"; Wire.str "session" "load" ] in
   if expect_ok ~what:"stats(final)" id json then begin
     let st = J.member "session_stats" json in
     let field f = Option.value ~default:0 (Option.bind st (fun s -> member_int s f)) in
     incr_updates := field "incremental_updates";
     fallbacks := field "fallbacks"
   end;
-  let id, json, _ = rpc conn [ Wire.str "op" "stats" ] in
+  let id, json = rpc conn [ Wire.str "op" "stats" ] in
   if expect_ok ~what:"stats(global)" id json then
     srv_errors := Option.value ~default:0 (member_int json "errors");
-  let id, json, _ = rpc conn [ Wire.str "op" "shutdown" ] in
+  if !srv_errors > 0 then
+    Printf.eprintf "loadgen: daemon counted %d handler errors\n" !srv_errors;
+  let id, json = rpc conn [ Wire.str "op" "shutdown" ] in
   ignore (expect_ok ~what:"shutdown" id json);
 
-  let total =
-    List.length !batch_ms + List.length !point_ms + List.length !churn_ms
-  in
-  let mean = function
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
-  let speedup =
-    let mb = mean !batch_ms and mc = mean !churn_ms in
-    if mb > 0.0 && mc > 0.0 then Printf.sprintf "%.4f" (mb /. mc) else "null"
-  in
-  let service_obj =
-    Printf.sprintf
-      "{\n\
-      \    \"proto\": \"%s\",\n\
-      \    \"requests\": %d,\n\
-      \    \"invalid\": %d,\n\
-      \    \"errors\": %d,\n\
-      \    \"requests_per_sec\": %.2f,\n\
-      \    \"incremental_updates\": %d,\n\
-      \    \"fallbacks\": %d,\n\
-      \    \"incremental_speedup\": %s,\n\
-      \    \"mix\": {\"batch\": %d, \"point\": %d, \"churn\": %d},\n\
-      \    \"latency_ms\": [\n\
-      \      %s,\n\
-      \      %s,\n\
-      \      %s\n\
-      \    ]\n\
-      \  }"
-      Wire.proto total !invalid !srv_errors
-      (if wall_s > 0.0 then float_of_int total /. wall_s else 0.0)
-      !incr_updates !fallbacks speedup b p c
-      (summarise "batch" !batch_ms)
-      (summarise "point" !point_ms)
-      (summarise "churn" !churn_ms)
-  in
-  write_record cfg ~wall_s ~service_obj;
   Printf.printf
-    "loadgen: %d requests (%d invalid) in %.2fs; %d incremental, %d \
-     fallbacks -> %s\n"
-    total !invalid wall_s !incr_updates !fallbacks cfg.json;
-  if !invalid > 0 then exit 1
+    "loadgen: %d requests (%d invalid, %d daemon errors); %d incremental, \
+     %d fallbacks\n"
+    cfg.requests !invalid !srv_errors !incr_updates !fallbacks;
+  if !invalid > 0 || !srv_errors > 0 then exit 1

@@ -211,57 +211,6 @@ let check_resources file json =
         legacy_resources_fields
   | Some _ -> fail file "field \"resources\" must be an object when present"
 
-(* additive nw-bench/2 field: the served-traffic record written by
-   bench/loadgen (BENCH_service.json) — request mix, client-observed
-   latency percentiles per request class, throughput, and the
-   incremental-vs-fallback tallies from the daemon's stats response.
-   Absent is fine (every non-service record); when present the shape
-   must be complete so benchdiff can gate on validity counts and p99. *)
-let check_service file json =
-  match J.member "service" json with
-  | None -> ()
-  | Some (J.Obj _ as svc) ->
-      check_field file svc ("proto", shape_string);
-      List.iter
-        (fun f -> check_field file svc (f, shape_number))
-        [
-          "requests";
-          "invalid";
-          "errors";
-          "requests_per_sec";
-          "incremental_updates";
-          "fallbacks";
-        ];
-      (match J.member "incremental_speedup" svc with
-      | None | Some J.Null | Some (J.Number _) -> ()
-      | Some _ ->
-          fail file
-            "service field \"incremental_speedup\" must be a number or null")
-      ;
-      (match J.member "mix" svc with
-      | Some (J.Obj _ as mix) ->
-          List.iter
-            (fun f -> check_field file mix (f, shape_number))
-            [ "batch"; "point"; "churn" ]
-      | _ -> fail file "service field \"mix\" must be an object");
-      (match J.member "latency_ms" svc with
-      | Some (J.List legs) ->
-          if legs = [] then
-            fail file "service field \"latency_ms\" must not be empty";
-          List.iteri
-            (fun i leg ->
-              if not (shape_obj leg) then
-                fail file "latency_ms leg %d is not an object" i
-              else begin
-                check_field file leg ("class", shape_string);
-                List.iter
-                  (fun f -> check_field file leg (f, shape_number))
-                  [ "count"; "p50"; "p95"; "p99" ]
-              end)
-            legs
-      | _ -> fail file "service field \"latency_ms\" must be an array")
-  | Some _ -> fail file "field \"service\" must be an object when present"
-
 (* nw-bench/2 invariant: phase self-rounds (including the trailing
    "(unattributed)" bucket) sum to the flat charged_rounds total *)
 let check_phases file json =
@@ -306,8 +255,7 @@ let check_bench file =
           check_env file json;
           check_phases file json;
           check_throughput file json;
-          check_resources file json;
-          check_service file json
+          check_resources file json
       | Some other -> fail file "unknown schema %S" other
       | None -> fail file "missing schema tag")
 

@@ -116,65 +116,15 @@ let flight_note ~plan ~epoch ~attempt outcome counts =
         ];
       Flight.trigger ~reason:("epoch-" ^ label) ()
 
-let run_epochs ~plan ~seed ~epochs ?(policy = default_policy) ~verify ~run ()
-    =
-  let root = Rng.create ~seed in
-  let run_attempt ~epoch_seed ~attempt =
-    Obs.span "chaos.epoch"
-      ~attrs:[ ("attempt", Obs.Int attempt) ]
-    @@ fun () ->
-    let attenuation = pow policy.decay attempt in
-    match Inject.compile plan ~seed:epoch_seed ~attenuation () with
-    | None ->
-        let outcome, _ = classify ~verify ~run in
-        { attempt; outcome; counts = zero_counts }
-    | Some faults ->
-        let (outcome, _), stats =
-          Msg_net.with_faults faults (fun () -> classify ~verify ~run)
-        in
-        { attempt; outcome; counts = snapshot stats }
-  in
-  let run_epoch e =
-    let epoch_seed = Rng.to_seed (Rng.split root e) in
-    let rec go attempt acc =
-      let a = run_attempt ~epoch_seed ~attempt in
-      flight_note ~plan ~epoch:e ~attempt a.outcome a.counts;
-      let acc = a :: acc in
-      match a.outcome with
-      | Valid -> (List.rev acc, attempt > 0)
-      | Detectably_invalid _ | Silently_corrupt _ ->
-          if attempt >= policy.max_retries then (List.rev acc, false)
-          else go (attempt + 1) acc
-    in
-    let attempts, recovered = go 0 [] in
-    if recovered then Obs.count "chaos.recoveries";
-    { epoch = e; attempts; recovered }
-  in
-  let epochs_l = List.init epochs run_epoch in
-  let final ep =
-    match List.rev ep.attempts with [] -> Valid | a :: _ -> a.outcome
-  in
-  let count pred = List.length (List.filter pred epochs_l) in
-  {
-    epochs = epochs_l;
-    valid = count (fun ep -> match final ep with Valid -> true | _ -> false);
-    detected =
-      count (fun ep ->
-          match final ep with Detectably_invalid _ -> true | _ -> false);
-    corrupt =
-      count (fun ep ->
-          match final ep with Silently_corrupt _ -> true | _ -> false);
-    recoveries = count (fun ep -> ep.recovered);
-  }
-
-(* Checkpoint-aware variant: each epoch owns a mutable slot holding the
-   last checkpoint the algorithm saved (e.g. an Engine.checkpoint at a
-   pass boundary). The slot survives retries within the epoch — a
-   crashed attempt leaves its checkpoints behind and the restart resumes
-   from the newest one instead of recomputing the finished passes — and
-   is cleared between epochs, which stay independent. The checkpoint
-   type is abstract ('ck) so this layer needs no dependency on the
-   engine; callers thread [resume]/[save] into Engine.run. *)
+(* Each epoch owns a mutable slot holding the last checkpoint the
+   algorithm saved (e.g. an Engine.checkpoint at a pass boundary). The
+   slot survives retries within the epoch — a crashed attempt leaves its
+   checkpoints behind and the restart resumes from the newest one instead
+   of recomputing the finished passes — and is cleared between epochs,
+   which stay independent. The checkpoint type is abstract ('ck) so this
+   layer needs no dependency on the engine; callers thread
+   [resume]/[save] into Engine.run. [run_epochs] is the same runner for
+   an algorithm that never saves. *)
 let run_epochs_resumable ~plan ~seed ~epochs ?(policy = default_policy)
     ~verify ~run () =
   let root = Rng.create ~seed in
@@ -232,6 +182,11 @@ let run_epochs_resumable ~plan ~seed ~epochs ?(policy = default_policy)
           match final ep with Silently_corrupt _ -> true | _ -> false);
     recoveries = count (fun ep -> ep.recovered);
   }
+
+let run_epochs ~plan ~seed ~epochs ?policy ~verify ~run () =
+  run_epochs_resumable ~plan ~seed ~epochs ?policy ~verify
+    ~run:(fun ~resume:_ ~save:_ -> run ())
+    ()
 
 (* golden differential: the same computation with no chaos context at
    all, and under an *empty* compiled plan with [seed] threaded the same

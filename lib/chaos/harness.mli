@@ -68,8 +68,10 @@ val classify :
     [epochs] independent epochs (epoch [e] uses a seed split from
     [seed], so the full report is a deterministic function of
     [(plan, seed, epochs, policy)]); each epoch retries per [policy].
-    Every attempt runs inside an [Obs] span ["chaos.epoch"]; recoveries
-    bump the ["chaos.recoveries"] counter. *)
+    Every attempt runs inside an [Obs] span ["chaos.epoch"] (its
+    [resumed] attribute always [false]); recoveries bump the
+    ["chaos.recoveries"] counter. It is {!run_epochs_resumable} with a
+    [run] that never saves. *)
 val run_epochs :
   plan:Plan.t ->
   seed:int ->

@@ -10,14 +10,15 @@ type t = { layer : int array; num_layers : int; threshold : int }
 
 type peel_state = { layer : int; live_deg : int }
 
+let threshold ~epsilon ~alpha_star =
+  int_of_float (floor ((2.0 +. epsilon) *. float_of_int alpha_star))
+
 let compute g ~epsilon ~alpha_star ~rounds =
   if epsilon <= 0.0 then invalid_arg "H_partition.compute: epsilon <= 0";
   if alpha_star < 0 then invalid_arg "H_partition.compute: alpha_star < 0";
   Obs.span "h_partition" @@ fun () ->
   let n = G.n g in
-  let threshold =
-    int_of_float (floor ((2.0 +. epsilon) *. float_of_int alpha_star))
-  in
+  let threshold = threshold ~epsilon ~alpha_star in
   let net =
     Net.create g ~rounds ~init:(fun v ->
         { layer = -1; live_deg = G.degree g v })

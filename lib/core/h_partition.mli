@@ -18,8 +18,12 @@ type t = private {
   threshold : int; (** the degree bound [t] used while peeling *)
 }
 
+(** [threshold ~epsilon ~alpha_star] is the peel threshold
+    [t = floor((2 + epsilon) * alpha_star)]. *)
+val threshold : epsilon:float -> alpha_star:int -> int
+
 (** [compute g ~epsilon ~alpha_star ~rounds] peels [g] with threshold
-    [t = floor((2 + epsilon) * alpha_star)].
+    [t = threshold ~epsilon ~alpha_star].
     @raise Failure if peeling stalls, i.e. [alpha_star] is below the true
     pseudo-arboricity of [g]. *)
 val compute :

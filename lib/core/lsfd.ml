@@ -40,8 +40,17 @@ let greedy_degeneracy g palette =
     edges;
   coloring
 
+(* [distributed] peels with threshold t for epsilon/10. An edge whose
+   head lies in a higher layer sees up to (t-1) + t forbidden colours, so
+   the palette needs 2t. The theorem's count floor((4+eps) alpha_star) - 1
+   falls one short at alpha_star = 1 (t = 2, palette 3) and, below
+   eps = 0.5, at some larger alpha_star too (alpha_star = 2, eps = 0.1:
+   t = 4, palette 7). The max never exceeds floor((4+eps) alpha_star),
+   since 2t <= floor((4+eps/5) alpha_star). *)
 let required_palette ~epsilon ~alpha_star =
-  int_of_float (floor ((4.0 +. epsilon) *. float_of_int alpha_star)) - 1
+  max
+    (int_of_float (floor ((4.0 +. epsilon) *. float_of_int alpha_star)) - 1)
+    (2 * H_partition.threshold ~epsilon:(epsilon /. 10.) ~alpha_star)
 
 let check_palettes g palette ~epsilon ~alpha_star =
   if

@@ -20,7 +20,14 @@ val greedy_degeneracy :
   Nw_graphs.Multigraph.t -> Nw_decomp.Palette.t -> Nw_decomp.Coloring.t
 
 (** [required_palette ~epsilon ~alpha_star] is the Theorem 2.3 minimum
-    palette size [floor((4+eps) alpha_star) - 1]. *)
+    palette size [floor((4+eps) alpha_star) - 1], raised to [2t] where
+    [t = H_partition.threshold ~epsilon:(eps/10) ~alpha_star] is the peel
+    threshold [distributed] uses: an edge can see [2t - 1] colours
+    forbidden. The raise applies at [alpha_star = 1] (3 -> 4 colours)
+    and, below [eps = 0.5], also at larger [alpha_star] (e.g.
+    [alpha_star = 2], [eps = 0.1]: 7 -> 8); at [eps = 0.5] it changes
+    nothing for [alpha_star >= 2]. The result never exceeds
+    [floor((4+eps) alpha_star)]. *)
 val required_palette : epsilon:float -> alpha_star:int -> int
 
 (** [check_palettes g palette ~epsilon ~alpha_star] raises
@@ -49,7 +56,7 @@ val layered_color :
   Nw_decomp.Coloring.t
 
 (** [distributed g palette ~epsilon ~alpha_star ~rng ~rounds]: Theorem 2.3.
-    Requires palettes of size at least [floor((4+eps) alpha_star) - 1].
+    Requires palettes of size at least {!required_palette}.
     Every color class of the result is a star forest and every edge is
     colored from its palette. *)
 val distributed :

@@ -440,9 +440,7 @@ let test_distributed_lsfd () =
   let g = Gen.forest_union st 70 4 in
   let alpha_star, _ = Arb.pseudo_arboricity g in
   let epsilon = 0.5 in
-  let size =
-    int_of_float (floor ((4.0 +. epsilon) *. float_of_int alpha_star)) - 1
-  in
+  let size = Lsfd.required_palette ~epsilon ~alpha_star in
   let colors = (2 * size) + 4 in
   let lists = Gen.list_palettes st g ~colors ~size in
   let palette = Palette.of_lists ~colors lists in

@@ -76,7 +76,7 @@ let check_equiv name ~direct ~engine =
 let test_equiv_lsfd () =
   let g = gs () in
   let alpha_star, _ = Nw_graphs.Arboricity.pseudo_arboricity g in
-  let k = int_of_float (floor ((4. +. 0.5) *. float_of_int alpha_star)) - 1 in
+  let k = Nw_core.Lsfd.required_palette ~epsilon:0.5 ~alpha_star in
   let palette = Palette.full g k in
   check_equiv "lsfd"
     ~direct:(fun ~rng ~rounds ->

@@ -132,7 +132,7 @@ let prop_lsfd_greedy_random =
       end)
 
 (* Theorem 2.3 with random lists: the residual palette never runs out
-   for alpha* in 2..4, and the output is a star forest decomposition
+   for alpha* in 1..4, and the output is a star forest decomposition
    inside the lists *)
 let prop_lsfd_distributed_random =
   QCheck.Test.make ~name:"theorem 2.3 LSFD on random simple graphs" ~count:12
@@ -140,9 +140,9 @@ let prop_lsfd_distributed_random =
     (fun seed ->
       let st = rng seed in
       let n = 60 + Random.State.int st 441 in
-      let g = Gen.forest_union_simple st n (2 + Random.State.int st 3) in
+      let g = Gen.forest_union_simple st n (1 + Random.State.int st 4) in
       let alpha_star, _ = Arb.pseudo_arboricity g in
-      QCheck.assume (alpha_star >= 2 && alpha_star <= 4);
+      QCheck.assume (alpha_star >= 1 && alpha_star <= 4);
       let epsilon = 0.5 in
       let size = Nw_core.Lsfd.required_palette ~epsilon ~alpha_star in
       let colors = size + 1 + Random.State.int st size in

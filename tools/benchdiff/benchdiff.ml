@@ -4,6 +4,7 @@
        [--wall-threshold PCT] [--rounds-tolerance N]
        [--throughput-threshold PCT] [--json]
 
+   A directory given on either side stands for every BENCH_*.json in it.
    Loads two sets of nw-bench records, aligns them by exp, and compares
    the trajectory-bearing metrics:
 
@@ -22,12 +23,6 @@
                      (the two-plane era) by its fastest;
                      regression when edges_per_sec <
                      base * (1 - throughput-threshold%)
-     service         invalid / errors counts must not grow (a served
-                     response that fails client-side validation is a
-                     correctness bug, not noise); per-class p99 latency
-                     is a regression when new > base *
-                     (1 + service-threshold%); incremental_speedup is a
-                     regression when new < base / (1 + speedup-threshold%)
 
    Wall-clock comparisons are skipped (with a note) when the two
    records disagree on quick/domains — the numbers are not comparable.
@@ -55,13 +50,6 @@ let fastest_per_key legs =
       not (List.exists (fun o -> same_leg o l && o.leg_eps > l.leg_eps) legs))
     legs
 
-type service = {
-  sv_invalid : int;
-  sv_errors : int;
-  sv_p99 : (string * float) list; (* per request class *)
-  sv_speedup : float option; (* mean batch / mean churn; null when absent *)
-}
-
 type run = {
   r_file : string;
   r_exp : string;
@@ -72,15 +60,13 @@ type run = {
   r_conn : (string * int) list;
   r_failed : bool;
   r_legs : leg list;
-  r_service : service option;
 }
 
 let usage () =
   prerr_endline
-    "usage: benchdiff --base BENCH.json ... --new BENCH.json ...\n\
+    "usage: benchdiff --base BENCH.json|DIR ... --new BENCH.json|DIR ...\n\
     \       [--wall-threshold PCT] [--rounds-tolerance N]\n\
-    \       [--throughput-threshold PCT] [--service-threshold PCT]\n\
-    \       [--speedup-threshold PCT] [--json]";
+    \       [--throughput-threshold PCT] [--json]";
   exit 2
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("benchdiff: " ^ m); exit 2) fmt
@@ -129,32 +115,6 @@ let load_run file =
               [ "uf_queries"; "bfs_runs"; "uf_rebuilds" ]
         | _ -> []
       in
-      let service =
-        match J.member "service" json with
-        | Some (J.Obj _ as svc) -> (
-            match (jint svc "invalid", jint svc "errors") with
-            | Some inv, Some errs ->
-                let p99 =
-                  match J.member "latency_ms" svc with
-                  | Some (J.List ls) ->
-                      List.filter_map
-                        (fun l ->
-                          match (jstr l "class", jfloat l "p99") with
-                          | Some cls, Some p -> Some (cls, p)
-                          | _ -> None)
-                        ls
-                  | _ -> []
-                in
-                Some
-                  {
-                    sv_invalid = inv;
-                    sv_errors = errs;
-                    sv_p99 = p99;
-                    sv_speedup = jfloat svc "incremental_speedup";
-                  }
-            | _ -> None)
-        | _ -> None
-      in
       let legs =
         match J.member "throughput" json with
         | Some (J.List ls) ->
@@ -199,7 +159,6 @@ let load_run file =
           | None | Some J.Null -> false
           | Some _ -> true);
         r_legs = legs;
-        r_service = service;
       }
 
 let key r = r.r_exp
@@ -218,7 +177,7 @@ let pct_delta base v =
   if base = 0.0 then if v = 0.0 then 0.0 else infinity
   else (v -. base) /. base *. 100.0
 
-let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
+let compare_runs ~wall_pct ~rounds_tol ~tp_pct base neu =
   let rows = ref [] in
   let push r = rows := r :: !rows in
   let k = key base in
@@ -291,58 +250,6 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
               row_note = Printf.sprintf "threshold -%g%%" tp_pct;
             })
     base.r_legs;
-  (match (base.r_service, neu.r_service) with
-  | Some bs, Some ns ->
-      (* validity counts gate exactly: a served response that fails
-         client-side validation (or a daemon-side handler error) is a
-         correctness bug, so growth is a regression at any magnitude *)
-      let counter metric b n =
-        push
-          {
-            row_key = k;
-            row_metric = metric;
-            row_base = float_of_int b;
-            row_new = float_of_int n;
-            row_verdict = (if n > b then "regression" else "ok");
-            row_note = "must not grow";
-          }
-      in
-      counter "service.invalid" bs.sv_invalid ns.sv_invalid;
-      counter "service.errors" bs.sv_errors ns.sv_errors;
-      List.iter
-        (fun (cls, bp) ->
-          match List.assoc_opt cls ns.sv_p99 with
-          | None -> ()
-          | Some np ->
-              let limit = bp *. (1.0 +. (svc_pct /. 100.0)) in
-              push
-                {
-                  row_key = Printf.sprintf "%s[%s]" k cls;
-                  row_metric = "service.p99_ms";
-                  row_base = bp;
-                  row_new = np;
-                  row_verdict = (if np > limit then "regression" else "ok");
-                  row_note = Printf.sprintf "threshold +%g%%" svc_pct;
-                })
-        bs.sv_p99;
-      (* incremental_speedup is higher-is-better: a drop past the
-         threshold means churn answers stopped paying for themselves
-         (e.g. the incremental path silently falling back to full
-         re-decomposition) *)
-      (match (bs.sv_speedup, ns.sv_speedup) with
-      | Some bsp, Some nsp ->
-          let floor = bsp /. (1.0 +. (spd_pct /. 100.0)) in
-          push
-            {
-              row_key = k;
-              row_metric = "service.incremental_speedup";
-              row_base = bsp;
-              row_new = nsp;
-              row_verdict = (if nsp < floor then "regression" else "ok");
-              row_note = Printf.sprintf "threshold -/%g%%" spd_pct;
-            }
-      | _ -> ())
-  | _ -> ());
   List.rev !rows
 
 let print_table rows =
@@ -413,8 +320,6 @@ let main () =
   let wall_pct = ref 30.0
   and rounds_tol = ref 0
   and tp_pct = ref 30.0
-  and svc_pct = ref 75.0
-  and spd_pct = ref 50.0
   and json_out = ref false in
   let float_arg name v rest =
     match (float_of_string_opt v, rest) with
@@ -436,14 +341,6 @@ let main () =
         let f, rest = float_arg "--throughput-threshold" v rest in
         tp_pct := f;
         parse side rest
-    | "--service-threshold" :: v :: rest ->
-        let f, rest = float_arg "--service-threshold" v rest in
-        svc_pct := f;
-        parse side rest
-    | "--speedup-threshold" :: v :: rest ->
-        let f, rest = float_arg "--speedup-threshold" v rest in
-        spd_pct := f;
-        parse side rest
     | "--rounds-tolerance" :: v :: rest -> (
         match int_of_string_opt v with
         | Some n when n >= 0 ->
@@ -464,6 +361,19 @@ let main () =
   in
   parse `None (List.tl (Array.to_list Sys.argv));
   if !base_files = [] || !new_files = [] then usage ();
+  let expand path =
+    if not (Sys.is_directory path) then [ path ]
+    else
+      match
+        Sys.readdir path |> Array.to_list
+        |> List.filter (fun f ->
+               String.starts_with ~prefix:"BENCH_" f
+               && Filename.check_suffix f ".json")
+        |> List.sort String.compare
+      with
+      | [] -> die "%s: no BENCH_*.json in directory" path
+      | fs -> List.map (Filename.concat path) fs
+  in
   (* one record per exp on each side: a second one could only be
      aligned by guessing *)
   let index files =
@@ -476,7 +386,7 @@ let main () =
         | None -> ());
         (key r, r) :: acc)
       []
-      (List.rev files)
+      (List.concat_map expand (List.rev files))
   in
   let base_ix = index !base_files and new_ix = index !new_files in
   let rows = ref [] and unmatched = ref [] in
@@ -487,13 +397,13 @@ let main () =
           rows :=
             !rows
             @ compare_runs ~wall_pct:!wall_pct ~rounds_tol:!rounds_tol
-                ~tp_pct:!tp_pct ~svc_pct:!svc_pct ~spd_pct:!spd_pct b n
-      | None -> unmatched := (k, "base-only") :: !unmatched)
+                ~tp_pct:!tp_pct b n
+      | None -> unmatched := (k, "base") :: !unmatched)
     base_ix;
   List.iter
     (fun (k, _) ->
       if List.assoc_opt k base_ix = None then
-        unmatched := (k, "new-only") :: !unmatched)
+        unmatched := (k, "new") :: !unmatched)
     new_ix;
   let rows = !rows in
   let regressions =
