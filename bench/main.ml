@@ -351,6 +351,9 @@ type env_stamp = {
   cores : string; (* rendered "nproc"/"recommended_domain_count" pair *)
 }
 
+(* HEAD's short hash, with "-dirty" appended when tracked files differ
+   from HEAD, so a record stamped from an uncommitted tree does not name
+   the commit it was made on top of; None outside a git checkout *)
 let capture_env () =
   let git_commit =
     try
@@ -358,8 +361,11 @@ let capture_env () =
         Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null"
       in
       let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> (match line with Some "" -> None | l -> l)
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some h when h <> "" ->
+          if Sys.command "git diff --quiet HEAD -- 2>/dev/null" = 1 then
+            Some (h ^ "-dirty")
+          else Some h
       | _ -> None
     with _ -> None
   in

@@ -24,7 +24,8 @@
    alpha leg counts the matroid partitions a served decompose with alpha
    omitted runs on the same session shape. The Cole-Vishkin leg bounds
    the minor words of one fault-free three_color_forests run on the
-   star-forest stage's input. The heap leg serves 200
+   star-forest stage's input, and the star-forest leg the major words of
+   one whole star_forest_decomposition on it. The heap leg serves 200
    decompose batches through Server.handle with Obs on and bounds the
    growth of the live heap.
 
@@ -501,8 +502,7 @@ module CV = Nw_core.Cole_vishkin
    on a message net, with inbox closures per vertex per round, the same
    call allocated 900,492 minor words; the sweeps allocate 128.
    Deterministic for a fixed input. *)
-let cole_vishkin_alloc_check () =
-  let limit = 1_000.0 in
+let star_stage_input () =
   let n = 4000 and alpha = 8 in
   let g = Gen.forest_union (rng n) n alpha in
   let ids = Array.init n Fun.id in
@@ -510,7 +510,12 @@ let cole_vishkin_alloc_check () =
   let hp =
     Nw_core.H_partition.compute g ~epsilon:0.5 ~alpha_star:alpha ~rounds
   in
-  let o = Nw_core.H_partition.orientation g hp ~ids in
+  (g, ids, rounds, Nw_core.H_partition.orientation g hp ~ids)
+
+let cole_vishkin_alloc_check () =
+  let limit = 1_000.0 in
+  let g, ids, rounds, o = star_stage_input () in
+  let n = G.n g in
   let t = max 1 (Nw_graphs.Orientation.max_out_degree o) in
   let edge_forest = Array.make (G.m g) (-1) in
   let parent_edge = Array.make (n * t) (-1) in
@@ -532,6 +537,39 @@ let cole_vishkin_alloc_check () =
     Printf.eprintf
       "perf smoke: fault-free Cole-Vishkin allocated %.0f minor words, \
        limit %.0f\n"
+      words limit;
+    exit 1
+  end;
+  flush stdout
+
+(* ------------------------------------------------------------------ *)
+(* star-forest leg: major words of one hp.star                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One whole H_partition.star_forest_decomposition on the Cole-Vishkin
+   leg's input: the forest split, Cole-Vishkin, and the emission of the
+   3t star-forest colors. The colors go out as one assignment
+   (Coloring.of_assignment), which allocates no per-color rooted forest:
+   emitted through Coloring.set instead, each color's first touch
+   allocated six n-arrays, and the same call allocated 1,914,336 major
+   words; it now allocates 850,014. More than [limit] means a per-color
+   forest or a per-set structure came back into the emission.
+   Deterministic for a fixed input. *)
+let star_forests_alloc_check () =
+  let limit = 1_000_000 in
+  let g, ids, rounds, o = star_stage_input () in
+  let major () = let _, _, w = Gc.counters () in int_of_float w in
+  let w0 = major () in
+  let out = Nw_core.H_partition.star_forest_decomposition g o ~ids ~rounds in
+  let words = major () - w0 in
+  Printf.printf
+    "\n== allocation: hp.star emission, %d colors, n=%d m=%d ==\n\
+     %d major words (limit %d)\n"
+    (Coloring.colors out) (G.n g) (G.m g) words limit;
+  if words > limit then begin
+    Printf.eprintf
+      "perf smoke: one star_forest_decomposition allocated %d major words, \
+       limit %d\n"
       words limit;
     exit 1
   end;
@@ -623,6 +661,7 @@ let () =
   churn_alloc_check ();
   alpha_resolution_check ();
   cole_vishkin_alloc_check ();
+  star_forests_alloc_check ();
   heap_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -77,6 +77,19 @@ let check_connectivity file json =
         [ "uf_queries"; "bfs_runs"; "uf_rebuilds" ]
   | _ -> ()
 
+let is_commit_stamp s =
+  let hash =
+    match String.index_opt s '-' with
+    | Some i when String.sub s i (String.length s - i) = "-dirty" ->
+        String.sub s 0 i
+    | Some _ -> ""
+    | None -> s
+  in
+  hash <> ""
+  && String.for_all
+       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+       hash
+
 let check_env file json =
   match J.member "env" json with
   | Some (J.Obj _ as env) ->
@@ -87,10 +100,19 @@ let check_env file json =
           ("ocaml_version", shape_string);
           ("stamped_at", shape_number);
         ];
-      (* git_commit may be null (not a git checkout); fault_plan is
-         optional — only stamped by runs under --chaos — but when present
-         it must be an object carrying the plan digest and its canonical
-         summary (docs/fault-model.md) *)
+      (* git_commit may be null (not a git checkout) or absent in old
+         records; a string is a short hex hash, with "-dirty" when
+         tracked files differed from that commit *)
+      (match J.member "git_commit" env with
+      | None | Some J.Null -> ()
+      | Some (J.String h) when is_commit_stamp h -> ()
+      | Some _ ->
+          fail file
+            "env field \"git_commit\" must be null or a hex hash, \
+             optionally followed by -dirty");
+      (* fault_plan is optional — only stamped by runs under --chaos — but
+         when present it must be an object carrying the plan digest and its
+         canonical summary (docs/fault-model.md) *)
       (match J.member "fault_plan" env with
       | None -> ()
       | Some (J.Obj _ as fp) ->

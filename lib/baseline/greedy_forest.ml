@@ -31,9 +31,7 @@ let color_greedily g max_colors =
       try_color 0)
     g ();
   let colors = Array.length !ufs in
-  let coloring = Coloring.create g ~colors:(max colors 1) in
-  Array.iteri (fun e c -> if c >= 0 then Coloring.set coloring e c) assign;
-  (coloring, !uncolored)
+  (Coloring.of_assignment g ~colors:(max colors 1) assign, !uncolored)
 
 let greedy g =
   let coloring, uncolored = color_greedily g max_int in

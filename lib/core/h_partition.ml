@@ -137,38 +137,39 @@ let star_forest_decomposition g o ~ids ~rounds =
   in
   Rounds.charge_max rounds [ sub_rounds ];
   (* edge color = color of the parent endpoint: the child endpoint of the
-     edge is the vertex whose parent edge it is. Emit grouped by forest,
-     ascending edge id within each. *)
-  let out = Coloring.create g ~colors:(3 * t) in
-  let offset = Array.make (t + 1) 0 in
-  for e = 0 to m - 1 do
-    offset.(edge_forest.(e) + 1) <- offset.(edge_forest.(e) + 1) + 1
-  done;
-  for j = 0 to t - 1 do
-    offset.(j + 1) <- offset.(j + 1) + offset.(j)
-  done;
-  let by_forest = Array.make m (-1) in
-  let cursor = Array.copy offset in
-  for e = 0 to m - 1 do
-    let j = edge_forest.(e) in
-    by_forest.(cursor.(j)) <- e;
-    cursor.(j) <- cursor.(j) + 1
-  done;
-  for j = 0 to t - 1 do
-    for i = offset.(j) to offset.(j + 1) - 1 do
-      let e = by_forest.(i) in
-      let u, v = G.endpoints g e in
-      let parent =
-        if parent_edge.((u * t) + j) = e then v
-        else begin
-          assert (parent_edge.((v * t) + j) = e);
-          u
-        end
-      in
-      Coloring.set out e ((3 * j) + vcolors.((parent * t) + j))
-    done
-  done;
-  out
+     edge is the vertex whose parent edge it is. Forest j's edges take
+     colors 3j..3j+2 only, and each class is a star forest by Theorem 2.1,
+     so the colors go out as one assignment, checked in O(n + m). *)
+  let src, dst = G.endpoint_rows g in
+  let three_colored = ref true in
+  let assign =
+    Array.init m (fun e ->
+        let j = edge_forest.(e) and u = src.(e) and v = dst.(e) in
+        let parent =
+          if parent_edge.((u * t) + j) = e then v
+          else begin
+            assert (parent_edge.((v * t) + j) = e);
+            u
+          end
+        in
+        let x = vcolors.((parent * t) + j) in
+        if x < 0 || x > 2 then three_colored := false;
+        (3 * j) + x)
+  in
+  if !three_colored then Coloring.of_assignment g ~colors:(3 * t) assign
+  else begin
+    (* only a faulted Cole-Vishkin run leaves a vertex color outside
+       0..2: its edges then go out through [set] forest by forest, so a
+       color out of range or a class with a cycle raises at the edge and
+       with the message it always did *)
+    let out = Coloring.create g ~colors:(3 * t) in
+    for j = 0 to t - 1 do
+      for e = 0 to m - 1 do
+        if edge_forest.(e) = j then Coloring.set out e assign.(e)
+      done
+    done;
+    out
+  end
 
 (* charges land in the caller's phase span (lsfd/list-coloring drivers) *)
 let[@obs.in_span] list_forest_decomposition g o palette ~rounds =

@@ -6,20 +6,17 @@ let merge base extra emap =
   let g = Coloring.graph base in
   let base_colors = Coloring.colors base in
   let fresh = Coloring.colors extra in
-  let out = Coloring.create g ~colors:(base_colors + fresh) in
-  G.fold_edges
-    (fun e _ _ () ->
-      match Coloring.color base e with
-      | Some c -> Coloring.set out e c
-      | None -> ())
-    g ();
+  let assign =
+    Array.init (G.m g) (fun e ->
+        match Coloring.color base e with Some c -> c | None -> -1)
+  in
   Array.iteri
     (fun se e ->
       match Coloring.color extra se with
-      | Some c -> Coloring.set out e (base_colors + c)
+      | Some c -> assign.(e) <- base_colors + c
       | None -> ())
     emap;
-  (out, fresh)
+  (Coloring.of_assignment g ~colors:(base_colors + fresh) assign, fresh)
 
 let leftover_orientation base removed ~rounds =
   let g = Coloring.graph base in

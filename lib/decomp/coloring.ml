@@ -69,6 +69,9 @@ type t = {
   fp_edge : int array array; (* color -> vertex -> edge to parent *)
   fp_depth : int array array; (* color -> vertex -> depth from root *)
   fp_unsets : int array; (* color -> colored edges unset so far *)
+  bulk : Color_classes.t option;
+      (* the color groups of a bulk construction ([of_assignment]): a
+         color with edges there and no forest yet is owed a replay *)
   (* timestamped BFS/walk scratch, shared across queries *)
   mark : int array;
   qbuf : int array; (* BFS queue buffer for hanging / repairing trees *)
@@ -76,8 +79,9 @@ type t = {
   mutable stamp : int;
 }
 
-let create g ~colors =
-  if colors < 0 then invalid_arg "Coloring.create: negative color count";
+(* the coloring [assign] (-1 = uncolored) with no edge linked yet:
+   [create] has none to link, [build] links [bulk]'s groups *)
+let empty g ~colors ~assign ~bulk =
   let n = G.n g in
   let m = G.m g in
   let src, dst = G.endpoint_rows g in
@@ -88,7 +92,7 @@ let create g ~colors =
     src;
     dst;
     colors;
-    assign = Array.make m (-1);
+    assign;
     colored = 0;
     head = Array.init colors (fun _ -> Array.make n (-1));
     nxt = Array.make (2 * m) (-1);
@@ -100,11 +104,16 @@ let create g ~colors =
     fp_edge = Array.make colors [||];
     fp_depth = Array.make colors [||];
     fp_unsets = Array.make colors 0;
+    bulk;
     mark = Array.make n 0;
     qbuf = Array.make n 0;
     pbuf = Array.make n 0;
     stamp = 0;
   }
+
+let create g ~colors =
+  if colors < 0 then invalid_arg "Coloring.create: negative color count";
+  empty g ~colors ~assign:(Array.make (G.m g) (-1)) ~bulk:None
 
 (* per-edge arrays may hold slack past [m] after [add_edge] *)
 let check_edge t e name =
@@ -184,21 +193,6 @@ let unlink_node t c x nd =
 (* ---------------------------------------------------------------- *)
 (* per-color rooted forest                                           *)
 (* ---------------------------------------------------------------- *)
-
-(* Allocate color [c]'s forest at its first touch: n singleton trees,
-   each rooted at its only (so its lowest) vertex. *)
-let ensure_forest t c =
-  if Array.length t.fp_root.(c) = 0 then begin
-    let n = t.n in
-    t.fp_root.(c) <- Array.init n Fun.id;
-    t.fp_size.(c) <- Array.make n 1;
-    t.fp_pend.(c) <- Array.make n 0;
-    t.fp_vertex.(c) <- Array.make n (-1);
-    t.fp_edge.(c) <- Array.make n (-1);
-    t.fp_depth.(c) <- Array.make n 0;
-    incr Counters.uf_rebuilds;
-    Obs.count "coloring.uf_rebuilds"
-  end
 
 (* Hang the tree of vertex [top] in color [c] below [parent] through
    [edge] ([parent] = -1: make [top] the root) and label all of it with
@@ -286,6 +280,65 @@ let settle t c r =
     count_repaired k
   end
 
+(* Join the trees of e's endpoints in color [c], whose forest is
+   allocated and does not hold [e] yet, and link [e] into the adjacency.
+   The smaller side is re-hung below the larger (u's side on a tie),
+   whose root the merged tree keeps, before the edge enters the
+   adjacency lists: small-to-large, so each vertex is re-hung O(log n)
+   times between deletes. *)
+let join t c e =
+  let u = t.src.(e) and v = t.dst.(e) in
+  let lab = t.fp_root.(c) and size = t.fp_size.(c) and pend = t.fp_pend.(c) in
+  settle t c lab.(u);
+  settle t c lab.(v);
+  let ru = lab.(u) and rv = lab.(v) in
+  let keep, moved =
+    if size.(ru) >= size.(rv) then begin
+      ignore (hang t c ~top:v ~parent:u ~edge:e ~root:ru);
+      (ru, rv)
+    end
+    else begin
+      ignore (hang t c ~top:u ~parent:v ~edge:e ~root:rv);
+      (rv, ru)
+    end
+  in
+  size.(keep) <- size.(keep) + size.(moved);
+  if moved < keep || pend.(keep) > 0 || pend.(moved) > 0 then
+    pend.(keep) <- t.fp_unsets.(c) + 1;
+  link_node t c u (2 * e);
+  link_node t c v ((2 * e) + 1)
+
+(* Allocate color [c]'s forest at its first touch: n singleton trees,
+   each rooted at its only (so its lowest) vertex. A color a bulk
+   construction filled is then owed its edges: they leave the adjacency
+   lists and are joined again in ascending order, which is the state
+   [set]s in that order would have left (the lists included, as each
+   link prepends). Such a replay is no first touch and counts no
+   rebuild: the same [set]s would have counted theirs at construction. *)
+let ensure_forest t c =
+  if Array.length t.fp_root.(c) = 0 then begin
+    let n = t.n in
+    t.fp_root.(c) <- Array.init n Fun.id;
+    t.fp_size.(c) <- Array.make n 1;
+    t.fp_pend.(c) <- Array.make n 0;
+    t.fp_vertex.(c) <- Array.make n (-1);
+    t.fp_edge.(c) <- Array.make n (-1);
+    t.fp_depth.(c) <- Array.make n 0;
+    match t.bulk with
+    | Some { start; edges } when start.(c) < start.(c + 1) ->
+        let head = t.head.(c) in
+        for i = start.(c) to start.(c + 1) - 1 do
+          head.(t.src.(edges.(i))) <- -1;
+          head.(t.dst.(edges.(i))) <- -1
+        done;
+        for i = start.(c) to start.(c + 1) - 1 do
+          join t c edges.(i)
+        done
+    | _ ->
+        incr Counters.uf_rebuilds;
+        Obs.count "coloring.uf_rebuilds"
+  end
+
 (* connectivity of u and v inside color c: one root-label compare *)
 let same_tree t c u v =
   ensure_forest t c;
@@ -371,6 +424,7 @@ let unset t e =
   check_edge t e "unset";
   let c = t.assign.(e) in
   if c >= 0 then begin
+    ensure_forest t c;
     let u = t.src.(e) and v = t.dst.(e) in
     let lab = t.fp_root.(c) and size = t.fp_size.(c) in
     t.fp_unsets.(c) <- t.fp_unsets.(c) + 1;
@@ -397,33 +451,8 @@ let set t e c =
     if would_close_cycle t e c then
       invalid_arg "Coloring.set: would close a cycle";
     unset t e;
-    let u = t.src.(e) and v = t.dst.(e) in
-    (* the cycle check above allocated color c's forest. The smaller
-       side is re-hung below the larger (u's side on a tie), whose root
-       the merged tree keeps, before the edge enters the adjacency
-       lists: small-to-large, so each vertex is re-hung O(log n) times
-       between deletes. *)
-    let lab = t.fp_root.(c)
-    and size = t.fp_size.(c)
-    and pend = t.fp_pend.(c) in
-    settle t c lab.(u);
-    settle t c lab.(v);
-    let ru = lab.(u) and rv = lab.(v) in
-    let keep, moved =
-      if size.(ru) >= size.(rv) then begin
-        ignore (hang t c ~top:v ~parent:u ~edge:e ~root:ru);
-        (ru, rv)
-      end
-      else begin
-        ignore (hang t c ~top:u ~parent:v ~edge:e ~root:rv);
-        (rv, ru)
-      end
-    in
-    size.(keep) <- size.(keep) + size.(moved);
-    if moved < keep || pend.(keep) > 0 || pend.(moved) > 0 then
-      pend.(keep) <- t.fp_unsets.(c) + 1;
-    link_node t c u (2 * e);
-    link_node t c v ((2 * e) + 1);
+    (* the cycle check above allocated color c's forest *)
+    join t c e;
     t.assign.(e) <- c;
     t.colored <- t.colored + 1
   end
@@ -565,14 +594,42 @@ let to_array t =
       let c = t.assign.(e) in
       if c < 0 then None else Some c)
 
+(* [assign] becomes the coloring's own row. Raises what [set]s in
+   ascending edge order would raise at the first edge they reject. *)
+let build g ~colors assign =
+  if colors < 0 then invalid_arg "Coloring.create: negative color count";
+  match
+    Color_classes.forests g ~k:colors ~allow_uncolored:true (Array.get assign)
+  with
+  | Error (Color_classes.Cycle _) ->
+      invalid_arg "Coloring.set: would close a cycle"
+  | Error (Color_classes.Out_of_range _ | Color_classes.Uncolored _) ->
+      invalid_arg "Coloring.set: color out of range"
+  | Ok ({ start; edges } as classes) ->
+      let t = empty g ~colors ~assign ~bulk:(Some classes) in
+      for c = 0 to colors - 1 do
+        for i = start.(c) to start.(c + 1) - 1 do
+          let e = edges.(i) in
+          link_node t c t.src.(e) (2 * e);
+          link_node t c t.dst.(e) ((2 * e) + 1)
+        done
+      done;
+      t.colored <- start.(colors);
+      t
+
+let of_assignment g ~colors assign =
+  if Array.length assign <> G.m g then
+    invalid_arg "Coloring.of_assignment: length mismatch";
+  build g ~colors (Array.copy assign)
+
 let of_array g ~colors a =
   if Array.length a <> G.m g then
     invalid_arg "Coloring.of_array: length mismatch";
-  let t = create g ~colors in
-  Array.iteri (fun e c -> match c with None -> () | Some c -> set t e c) a;
-  t
+  (* a negative color is out of range, as [set] has it *)
+  build g ~colors
+    (Array.map (function None -> -1 | Some c -> if c < 0 then colors else c) a)
 
-let copy t = of_array (graph t) ~colors:t.colors (to_array t)
+let copy t = build (graph t) ~colors:t.colors (Array.sub t.assign 0 t.m)
 
 let subgraph t c =
   let keep = Array.init t.m (fun e -> t.assign.(e) = c) in

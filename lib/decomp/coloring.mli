@@ -20,12 +20,19 @@
     when the forest was repaired. Breadth-first search survives solely as the
     differential-testing oracle ({!oracle_would_close_cycle}).
 
+    A coloring emitted whole, whose forests nothing may ever query, is
+    built by {!of_assignment} (and {!of_array}, {!copy}): one O(n + m)
+    forest check and the adjacency lists, no rooted forest. A color's
+    forest is built the first time a query touches it, by replaying
+    that color's edges in ascending order through the steps {!set}
+    runs; the result is the forest eager {!set}s in that order leave.
+
     The edge set may grow: {!add_edge} appends an uncolored edge in
     place, in amortized O(1), without touching any color's state.
 
-    Invariant (enforced on every {!set}): each color class is a forest.
-    Functions taking an edge id raise [Invalid_argument] when it is not
-    below the current edge count. *)
+    Invariant (enforced on every {!set} and bulk construction): each
+    color class is a forest. Functions taking an edge id raise
+    [Invalid_argument] when it is not below the current edge count. *)
 
 type t
 
@@ -122,11 +129,29 @@ val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
 (** Snapshot of all edge colors ([None] = uncolored). Fresh array. *)
 val to_array : t -> int option array
 
-(** [of_array g ~colors a] rebuilds a coloring from a snapshot.
+(** [of_assignment g ~colors assign] is the coloring giving edge [e]
+    the color [assign.(e)], or none when it is [-1]: the bulk
+    constructor. It groups the edges by color and checks that every
+    class is a forest in O(n + m), links the adjacency lists, and
+    allocates no rooted forest. A color's forest is built the first
+    time a connectivity, path, size or {!unset} query touches it, by
+    replaying that color's edges in ascending order through the steps
+    {!set} runs. So the coloring answers every later call, path orders
+    and {!Counters} included, exactly as [create] followed by {!set} in
+    ascending edge order within each color would; only the counts of
+    that construction itself (one query per edge, one rebuild per
+    color used) are not made. [assign] is copied.
+    @raise Invalid_argument as that first rejected {!set} would: on a
+    color out of range, or on a class that is not a forest. *)
+val of_assignment : Nw_graphs.Multigraph.t -> colors:int -> int array -> t
+
+(** [of_array g ~colors a] rebuilds a coloring from a snapshot, as
+    {!of_assignment} with [None] uncolored.
     @raise Invalid_argument if some class is not a forest. *)
 val of_array : Nw_graphs.Multigraph.t -> colors:int -> int option array -> t
 
-(** Deep copy. *)
+(** Deep copy, as {!of_assignment} of [t]'s colors: its forests are
+    built anew on demand, rooted as ascending {!set}s root them. *)
 val copy : t -> t
 
 (** [add_edge t u v] appends a fresh uncolored [u]–[v] edge and returns
@@ -154,7 +179,9 @@ val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
 (** Process-wide counters (plain ints; the process is one domain):
     connectivity queries ([uf_queries]), BFS executions ([bfs_runs]),
     per-color forest allocations at a color's first touch
-    ([uf_rebuilds]; nothing else rebuilds a forest), and vertices
+    ([uf_rebuilds]; nothing else rebuilds a forest, and the replay that
+    builds the forest of a color {!of_assignment} filled is no first
+    touch), and vertices
     re-rooted by {!unset} repairs ([repair_vertices]). Obs counts the
     same events as [coloring.uf_queries], [coloring.bfs_runs],
     [coloring.uf_rebuilds] and [coloring.repair_vertices]. The bench

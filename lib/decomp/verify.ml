@@ -1,5 +1,4 @@
 module G = Nw_graphs.Multigraph
-module UF = Nw_graphs.Union_find
 
 type report = (unit, string) result
 
@@ -10,76 +9,29 @@ let all reports =
 
 let exn = function Ok () -> () | Error msg -> failwith msg
 
-(* The first error in edge order wins, as if every color kept its own
-   union-find and the edges were added in one scan. A color's first
-   cycle edge does not depend on the other colors, so the edges are
-   grouped by color (a counting sort, ascending edge ids in each group:
-   group [c] is [edges.(start.(c)) .. edges.(start.(c + 1) - 1)]) and
-   the colors checked one after another on one union-find, isolating the
-   touched vertices after each; a color stops at the earliest error
-   found so far. Only edges before the first uncolored (unless allowed)
-   or out-of-range one are grouped. O(n + m + k) memory, where one
-   union-find per color would take O(k n). On success, returns the
-   groups of all edges. *)
+(* The first error in edge order wins (Color_classes.forests); on
+   success, returns the groups of all edges. A negative color is out of
+   range, like any other outside [0..k-1]. *)
 let check_forests g ~k ~allow_uncolored color =
-  let m = G.m g in
-  let start = Array.make (k + 1) 0 in
-  let rec count e =
-    if e = m then None
-    else
-      match color e with
-      | None when not allow_uncolored ->
-          Some (e, Printf.sprintf "edge %d is uncolored" e)
-      | None -> count (e + 1)
-      | Some c when c < 0 || c >= k ->
-          Some (e, Printf.sprintf "edge %d has out-of-range color %d" e c)
-      | Some c ->
-          start.(c + 1) <- start.(c + 1) + 1;
-          count (e + 1)
+  let code e =
+    match color e with None -> -1 | Some c -> if c < 0 then k else c
   in
-  let bad = count 0 in
-  let stop = match bad with Some (e, _) -> e | None -> m in
-  for c = 1 to k do
-    start.(c) <- start.(c) + start.(c - 1)
-  done;
-  let edges = Array.make start.(k) 0 and next = Array.sub start 0 k in
-  for e = 0 to stop - 1 do
-    match color e with
-    | Some c ->
-        edges.(next.(c)) <- e;
-        next.(c) <- next.(c) + 1
-    | None -> ()
-  done;
-  let uf = UF.create (G.n g) in
-  let first = ref stop and first_color = ref (-1) in
-  for c = 0 to k - 1 do
-    let i = ref start.(c) in
-    while !i < start.(c + 1) && edges.(!i) < !first do
-      let e = edges.(!i) in
-      let u, v = G.endpoints g e in
-      if not (UF.union uf u v) then begin
-        first := e;
-        first_color := c
-      end;
-      incr i
-    done;
-    for j = start.(c) to !i - 1 do
-      let u, v = G.endpoints g edges.(j) in
-      UF.isolate uf u;
-      UF.isolate uf v
-    done
-  done;
-  if !first_color >= 0 then
-    Error
-      (Printf.sprintf "color %d contains a cycle through edge %d" !first_color
-         !first)
-  else match bad with Some (_, msg) -> Error msg | None -> Ok (start, edges)
+  match Color_classes.forests g ~k ~allow_uncolored code with
+  | Ok classes -> Ok classes
+  | Error (Color_classes.Uncolored e) ->
+      Error (Printf.sprintf "edge %d is uncolored" e)
+  | Error (Color_classes.Out_of_range e) ->
+      Error
+        (Printf.sprintf "edge %d has out-of-range color %d" e
+           (Option.get (color e)))
+  | Error (Color_classes.Cycle { color = c; edge = e }) ->
+      Error (Printf.sprintf "color %d contains a cycle through edge %d" c e)
 
 (* every colored component must be a star: no edge may join two
    vertices that both have degree >= 2 in its color. One degree array
    serves every color: a color's degrees are added, checked and then
    subtracted again. *)
-let check_stars g ~k (start, edges) =
+let check_stars g ~k { Color_classes.start; edges } =
   let deg = Array.make (G.n g) 0 in
   let first = ref (G.m g) and first_color = ref (-1) in
   let add c d =

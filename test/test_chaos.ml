@@ -327,6 +327,34 @@ let test_replay () =
     "identical outcomes and fault timelines on replay" (fingerprint ())
     (fingerprint ())
 
+(* Message loss can leave Cole-Vishkin vertex colors outside 0..2. The
+   star forests' emission must then raise or color every edge: an edge
+   whose color came out negative is an error, never an uncolored edge. *)
+let test_faulted_star_colors_every_edge () =
+  (* the chaos experiment's star input (bench/exp_chaos.ml) *)
+  let st = Random.State.make [| 0xc4a05; 0xbead |] in
+  ignore (Gen.forest_union st 48 3);
+  let g = Gen.forest_union_simple st 48 3 in
+  let ids = Array.init (G.n g) Fun.id in
+  let run () =
+    let rounds = Rounds.create () in
+    let hp = H.compute g ~epsilon:0.5 ~alpha_star:3 ~rounds in
+    H.star_forest_decomposition g (H.orientation g hp ~ids) ~ids ~rounds
+  in
+  let verify c =
+    if Nw_decomp.Coloring.uncolored c = [||] then Ok ()
+    else Error "edge left uncolored"
+  in
+  List.iter
+    (fun (plan, seed) ->
+      let plan = Result.get_ok (Plan.of_string plan) in
+      let r =
+        Harness.run_epochs ~plan ~seed ~epochs:2 ~verify ~run ()
+      in
+      Alcotest.(check int) "no uncolored output" 0 r.Harness.corrupt)
+    [ ("drop=0.15", 1); ("drop=0.15", 2); ("drop=0.15", 3); ("drop=0.6", 1);
+      ("delay=0.3:2", 1) ]
+
 (* --- property: reorder-obliviousness ------------------------------- *)
 
 (* any adversarial permutation of intra-round delivery order leaves the
@@ -382,6 +410,8 @@ let () =
           Alcotest.test_case "silently corrupt" `Quick test_silently_corrupt;
           Alcotest.test_case "recovery" `Quick test_recovery;
           Alcotest.test_case "deterministic replay" `Quick test_replay;
+          Alcotest.test_case "faulted star colors every edge" `Quick
+            test_faulted_star_colors_every_edge;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_reorder_oblivious ] );

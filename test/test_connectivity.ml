@@ -540,6 +540,137 @@ let prop_add_edge_connected_differential =
       if bs <> os then Alcotest.fail "final snapshot differs from the oracle";
       true)
 
+(* -------------------------------------------------------------------- *)
+(* bulk constructor: of_assignment vs create + ascending set            *)
+(* -------------------------------------------------------------------- *)
+
+(* a random multigraph, dense in parallel edges when [n] is small *)
+let random_multigraph st =
+  let n = 2 + Random.State.int st 9 in
+  let pair () =
+    let u = Random.State.int st n in
+    (u, (u + 1 + Random.State.int st (n - 1)) mod n)
+  in
+  G.of_edges n (List.init (Random.State.int st 30) (fun _ -> pair ()))
+
+(* a random forest coloring over colors [0..k-1] (-1 uncolored): each
+   edge draws a color and keeps it unless it closes a cycle there; one
+   color is never drawn, so empty colors occur at every position *)
+let random_forest_assignment st g k =
+  let ufs = Array.init k (fun _ -> Nw_graphs.Union_find.create (G.n g)) in
+  let skip = Random.State.int st k in
+  Array.init (G.m g) (fun e ->
+      let c = Random.State.int st (k + 1) - 1 in
+      let u, v = G.endpoints g e in
+      if c >= 0 && c <> skip && Nw_graphs.Union_find.union ufs.(c) u v then c
+      else -1)
+
+(* what [create] + [set] in ascending edge order builds, or raises *)
+let eager_assignment g k assign =
+  let c = Coloring.create g ~colors:k in
+  Array.iteri (fun e x -> if x <> -1 then Coloring.set c e x) assign;
+  c
+
+let outcome f =
+  match f () with
+  | x -> Ok x
+  | exception Invalid_argument msg -> Error msg
+
+(* one random call, answered as a string ("!" + message when it raises) *)
+let random_call st c =
+  let g = Coloring.graph c in
+  let n = G.n g and m = G.m g and k = Coloring.colors c in
+  let e () = Random.State.int st m and v () = Random.State.int st n in
+  let col () = Random.State.int st k in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let answer f =
+    match f () with s -> s | exception Invalid_argument msg -> "!" ^ msg
+  in
+  if m = 0 then string_of_bool (Coloring.connected c (col ()) (v ()) (v ()))
+  else
+    match Random.State.int st 9 with
+    | 0 | 1 ->
+        let e = e () and x = col () in
+        answer (fun () -> Coloring.set c e x; "set")
+    | 2 ->
+        let e = e () in
+        Coloring.unset c e;
+        "unset"
+    | 3 ->
+        let x = col () and u = v () and w = v () in
+        string_of_bool (Coloring.connected c x u w)
+    | 4 ->
+        let e = e () and x = col () in
+        answer (fun () ->
+            let acc = ref [] in
+            Coloring.iter_path c e x (fun p -> acc := p :: !acc);
+            ints (List.rev !acc))
+    | 5 ->
+        let e = e () and x = col () in
+        (match Coloring.path c e x with None -> "none" | Some p -> ints p)
+    | 6 ->
+        let u = v () and x = col () in
+        string_of_int (Coloring.component_size c u x)
+    | 7 ->
+        let u = v () and x = col () in
+        let acc = ref [] in
+        Coloring.iter_colored_incident c u x (fun w e -> acc := e :: w :: !acc);
+        ints (List.rev !acc)
+    | _ ->
+        let u = v () in
+        let w = (u + 1 + Random.State.int st (max 1 (n - 1))) mod n in
+        if u = w then "loop" else string_of_int (Coloring.add_edge c u w)
+
+(* Random forest colorings of random multigraphs, empty colors
+   included: [of_assignment] and [create] + ascending [set] then take
+   the same random calls (one random state each, seeded alike) and must
+   give the same answers, path orders and adjacency orders included,
+   with the same Counters deltas call by call, and the same final
+   colors. A cyclic or out-of-range assignment raises in both alike. *)
+let prop_bulk_constructor =
+  QCheck.Test.make ~name:"of_assignment == create + ascending set"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let g = random_multigraph st in
+      let k = 1 + Random.State.int st 4 in
+      let assign = random_forest_assignment st g k in
+      (* one in four: a random coloring, cyclic or out of range *)
+      if Random.State.int st 4 = 0 && G.m g > 0 then begin
+        let bad = Array.map (fun _ -> Random.State.int st (k + 3) - 2) assign in
+        let want = outcome (fun () -> ignore (eager_assignment g k bad)) in
+        let got =
+          outcome (fun () -> ignore (Coloring.of_assignment g ~colors:k bad))
+        in
+        if got <> want then Alcotest.fail "of_assignment raised unlike set"
+      end;
+      let lazy_c = Coloring.of_assignment g ~colors:k assign in
+      let eager_c = eager_assignment g k assign in
+      let seed' = Random.State.bits st in
+      let st_l = rng seed' and st_e = rng seed' in
+      let snap = Coloring.Counters.snapshot in
+      for step = 1 to 60 do
+        let l0 = snap () in
+        let a = random_call st_l lazy_c in
+        let l1 = snap () in
+        let b = random_call st_e eager_c in
+        let e1 = snap () in
+        if a <> b then
+          Alcotest.failf "step %d: of_assignment answered %S, set %S" step a b;
+        let delta (x : Coloring.Counters.snapshot)
+            (y : Coloring.Counters.snapshot) =
+          ( y.uf_queries - x.uf_queries,
+            y.bfs_runs - x.bfs_runs,
+            y.uf_rebuilds - x.uf_rebuilds,
+            y.repair_vertices - x.repair_vertices )
+        in
+        if delta l0 l1 <> delta l1 e1 then
+          Alcotest.failf "step %d: counters moved differently after %S" step a
+      done;
+      if Coloring.to_array lazy_c <> Coloring.to_array eager_c then
+        Alcotest.fail "final colors differ";
+      true)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -562,5 +693,5 @@ let () =
           prop_repair_oracle;
         ];
       qsuite "dynamic"
-        [ prop_add_edge_connected_differential ];
+        [ prop_add_edge_connected_differential; prop_bulk_constructor ];
     ]
