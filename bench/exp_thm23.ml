@@ -37,7 +37,7 @@ let run () =
           verified respects;
           d m.rounds;
         ])
-      [ 3; 5; 8; 12; 20 ]
+      [ 1; 2; 3; 5; 8; 12; 20 ]
   in
   table
     ~title:"Theorem 2.3: LSFD from palettes of size (4.5 a*) - 1 (eps = 0.5)"

@@ -25,7 +25,9 @@
    omitted runs on the same session shape. The Cole-Vishkin leg bounds
    the minor words of one fault-free three_color_forests run on the
    star-forest stage's input, and the star-forest leg the major words of
-   one whole star_forest_decomposition on it. The heap leg serves 200
+   one whole star_forest_decomposition on it. The emission leg requires
+   that four emitters of finished decompositions count no connectivity
+   query and no forest allocation. The heap leg serves 200
    decompose batches through Server.handle with Obs on and bounds the
    growth of the live heap.
 
@@ -552,7 +554,7 @@ let cole_vishkin_alloc_check () =
    (Coloring.of_assignment), which allocates no per-color rooted forest:
    emitted through Coloring.set instead, each color's first touch
    allocated six n-arrays, and the same call allocated 1,914,336 major
-   words; it now allocates 850,014. More than [limit] means a per-color
+   words; it now allocates 850,039. More than [limit] means a per-color
    forest or a per-set structure came back into the emission.
    Deterministic for a fixed input. *)
 let star_forests_alloc_check () =
@@ -571,6 +573,49 @@ let star_forests_alloc_check () =
       "perf smoke: one star_forest_decomposition allocated %d major words, \
        limit %d\n"
       words limit;
+    exit 1
+  end;
+  flush stdout
+
+(* ------------------------------------------------------------------ *)
+(* emission leg: finished decompositions ask no connectivity question   *)
+(* ------------------------------------------------------------------ *)
+
+(* Four emitters of a finished decomposition on forest_union_simple
+   n=2000 alpha=3: Theorem 2.1(3)'s forests of the H-partition
+   orientation, Theorem 2.1(4)'s list forests, Theorem 2.2's greedy
+   star forests and the AMR stars of the first forests. Their classes
+   are forests by construction and each builds its output with
+   Coloring.of_assignment, so together they must count no connectivity
+   query and no per-color forest allocation. Built edge by edge through
+   Coloring.set, the same calls counted 23988 queries and 34 forest
+   allocations. Deterministic for a fixed input. *)
+let emission_check () =
+  let n = 2000 and alpha = 3 in
+  let g = Gen.forest_union_simple (rng n) n alpha in
+  let rounds = Nw_localsim.Rounds.create () in
+  let hp =
+    Nw_core.H_partition.compute g ~epsilon:0.5 ~alpha_star:alpha ~rounds
+  in
+  let o = Nw_core.H_partition.orientation g hp ~ids:(Array.init n Fun.id) in
+  let palette = Nw_decomp.Palette.full g (4 * alpha) in
+  let c0 = Coloring.Counters.snapshot () in
+  let forests = Nw_core.H_partition.forests_of_orientation g o in
+  ignore (Nw_core.H_partition.list_forest_decomposition g o palette ~rounds);
+  ignore (Nw_core.Lsfd.greedy_degeneracy g palette);
+  ignore (Nw_baseline.Amr_star.of_forest_decomposition forests);
+  let c1 = Coloring.Counters.snapshot () in
+  let queries = c1.uf_queries - c0.uf_queries
+  and rebuilds = c1.uf_rebuilds - c0.uf_rebuilds in
+  Printf.printf
+    "\n== emission: 4 emitters, n=%d m=%d ==\n\
+     %d connectivity queries, %d forest allocations (limit 0 each)\n"
+    n (G.m g) queries rebuilds;
+  if queries <> 0 || rebuilds <> 0 then begin
+    Printf.eprintf
+      "perf smoke: emitting finished decompositions counted %d connectivity \
+       queries and %d forest allocations, limit 0\n"
+      queries rebuilds;
     exit 1
   end;
   flush stdout
@@ -662,6 +707,7 @@ let () =
   alpha_resolution_check ();
   cole_vishkin_alloc_check ();
   star_forests_alloc_check ();
+  emission_check ();
   heap_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -8,7 +8,7 @@ let of_forest_decomposition coloring =
   let g = Coloring.graph coloring in
   let n = G.n g in
   let k = Coloring.colors coloring in
-  let out = Coloring.create g ~colors:(2 * k) in
+  let assign = Array.make (G.m g) (-1) in
   let depth = Array.make n (-1) in
   for c = 0 to k - 1 do
     let forest, femap = Coloring.subgraph coloring c in
@@ -25,14 +25,14 @@ let of_forest_decomposition coloring =
                 depth.(w) <- depth.(u) + 1;
                 (* the edge's upper endpoint is u; its parity picks the
                    star class *)
-                Coloring.set out femap.(fe) ((2 * c) + (depth.(u) mod 2));
+                assign.(femap.(fe)) <- (2 * c) + (depth.(u) mod 2);
                 Queue.add w q
               end)
         done
       end
     done
   done;
-  out
+  Coloring.of_assignment g ~colors:(2 * k) assign
 
 let decompose g =
   let alpha, coloring = Gabow_westermann.arboricity g in

@@ -13,4 +13,4 @@ let decompose g ~epsilon ~alpha_star ~rng ~rounds =
   done;
   let hp = H.compute g ~epsilon ~alpha_star ~rounds in
   let orientation = H.orientation g hp ~ids in
-  fst (H.forests_of_orientation g orientation)
+  H.forests_of_orientation g orientation

@@ -208,19 +208,12 @@ let[@obs.in_span] lfd_leftover g ~colors ~phi0 ~q1 ~removed ~rng ~rounds =
         end
       in
       (* combine (Proposition 4.8): sides use disjoint per-vertex colors, so
-         the merged classes stay forests — revalidated by Coloring.set *)
-      let out = Coloring.create g ~colors in
-      G.fold_edges
-        (fun e _ _ () ->
-          match Coloring.color phi0 e with
-          | Some c -> Coloring.set out e c
-          | None -> ())
-        g ();
+         the merged classes stay forests — revalidated by of_assignment *)
+      let assign = Array.init (G.m g) (Coloring.get phi0) in
       Array.iteri
         (fun se e ->
-          match Coloring.color phi1 se with
-          | Some c -> Coloring.set out e c
-          | None -> ())
+          let c = Coloring.get phi1 se in
+          if c >= 0 then assign.(e) <- c)
         emap;
-      out
+      Coloring.of_assignment g ~colors assign
   end

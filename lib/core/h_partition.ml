@@ -93,38 +93,32 @@ let orientation g (t : t) ~ids =
   let rank = Array.init n (fun v -> (t.layer.(v) * n) + rank_of_id.(v)) in
   O.of_total_order g rank
 
-let forests_of_orientation g o =
-  let n = G.n g in
-  let t = O.max_out_degree o in
-  let coloring = Coloring.create g ~colors:(max t 1) in
-  let parent_edges = Array.init (max t 1) (fun _ -> Array.make n (-1)) in
-  for v = 0 to n - 1 do
-    List.iteri
-      (fun j e ->
-        Coloring.set coloring e j;
-        parent_edges.(j).(v) <- e)
-      (O.out_edges o v)
+(* Label every out-edge with its position in its tail's out-list. A
+   vertex has at most one out-edge of each label, so label j is a rooted
+   forest (an edge's child endpoint is its tail), and the labels are
+   both forest colors [0..t-1] and the forest index Cole-Vishkin reads. *)
+let out_edge_labels g o =
+  let label = Array.make (G.m g) (-1) in
+  for v = 0 to G.n g - 1 do
+    List.iteri (fun j e -> label.(e) <- j) (O.out_edges o v)
   done;
-  (coloring, parent_edges)
+  label
+
+let forests_of_orientation g o =
+  Coloring.of_assignment g
+    ~colors:(max (O.max_out_degree o) 1)
+    (out_edge_labels g o)
 
 let star_forest_decomposition g o ~ids ~rounds =
   Obs.span "h_partition.star_forests" @@ fun () ->
-  let n = G.n g and m = G.m g in
-  let t = O.max_out_degree o in
-  let t = max t 1 in
-  (* forest index of each edge (its position in the tail's out-list) and
-     the per-forest parent edges — the same partition
-     [forests_of_orientation] builds, but as flat int planes: the
-     partition is a forest by construction (one out-edge per vertex per
-     index), so no incremental cycle checking is needed here *)
-  let edge_forest = Array.make m (-1) in
-  let parent_edge = Array.make (n * t) (-1) in
-  for v = 0 to n - 1 do
-    List.iteri
-      (fun j e ->
-        edge_forest.(e) <- j;
-        parent_edge.((v * t) + j) <- e)
-      (O.out_edges o v)
+  let m = G.m g in
+  let t = max (O.max_out_degree o) 1 in
+  (* the forests of [forests_of_orientation], as flat planes: the forest
+     of each edge and each (vertex, forest) slot's parent edge *)
+  let edge_forest = out_edge_labels g o in
+  let parent_edge = Array.make (G.n g * t) (-1) in
+  for e = 0 to m - 1 do
+    parent_edge.((O.tail o e * t) + edge_forest.(e)) <- e
   done;
   (* Cole-Vishkin on all forests at once: in LOCAL the [t] runs execute
      concurrently on the same network, so the combined run's ledger is
@@ -136,47 +130,26 @@ let star_forest_decomposition g o ~ids ~rounds =
       ~rounds:sub_rounds
   in
   Rounds.charge_max rounds [ sub_rounds ];
-  (* edge color = color of the parent endpoint: the child endpoint of the
-     edge is the vertex whose parent edge it is. Forest j's edges take
-     colors 3j..3j+2 only, and each class is a star forest by Theorem 2.1,
-     so the colors go out as one assignment, checked in O(n + m). *)
-  let src, dst = G.endpoint_rows g in
-  let three_colored = ref true in
+  (* edge color = color of the parent endpoint, the edge's head. Forest
+     j's edges take colors 3j..3j+2 only, and each class is a star forest
+     by Theorem 2.1, so the colors go out as one assignment, checked in
+     O(n + m). Only a faulted Cole-Vishkin run leaves a vertex color
+     outside 0..2; its edges get the out-of-range color 3t, which
+     [of_assignment] rejects. *)
   let assign =
     Array.init m (fun e ->
-        let j = edge_forest.(e) and u = src.(e) and v = dst.(e) in
-        let parent =
-          if parent_edge.((u * t) + j) = e then v
-          else begin
-            assert (parent_edge.((v * t) + j) = e);
-            u
-          end
-        in
-        let x = vcolors.((parent * t) + j) in
-        if x < 0 || x > 2 then three_colored := false;
-        (3 * j) + x)
+        let j = edge_forest.(e) in
+        let x = vcolors.((O.head o e * t) + j) in
+        if x < 0 || x > 2 then 3 * t else (3 * j) + x)
   in
-  if !three_colored then Coloring.of_assignment g ~colors:(3 * t) assign
-  else begin
-    (* only a faulted Cole-Vishkin run leaves a vertex color outside
-       0..2: its edges then go out through [set] forest by forest, so a
-       color out of range or a class with a cycle raises at the edge and
-       with the message it always did *)
-    let out = Coloring.create g ~colors:(3 * t) in
-    for j = 0 to t - 1 do
-      for e = 0 to m - 1 do
-        if edge_forest.(e) = j then Coloring.set out e assign.(e)
-      done
-    done;
-    out
-  end
+  Coloring.of_assignment g ~colors:(3 * t) assign
 
 (* charges land in the caller's phase span (lsfd/list-coloring drivers) *)
 let[@obs.in_span] list_forest_decomposition g o palette ~rounds =
   let t = O.max_out_degree o in
   if Palette.min_size palette < t && G.m g > 0 then
     invalid_arg "H_partition.list_forest_decomposition: palettes too small";
-  let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
+  let assign = Array.make (G.m g) (-1) in
   for v = 0 to G.n g - 1 do
     let taken = Hashtbl.create 8 in
     List.iter
@@ -189,10 +162,10 @@ let[@obs.in_span] list_forest_decomposition g o palette ~rounds =
         in
         let c = pick (Palette.get palette e) in
         Hashtbl.add taken c ();
-        Coloring.set coloring e c)
+        assign.(e) <- c)
       (O.out_edges o v)
   done;
   (* vertices act only on their own out-edges: a single communication round
      suffices to tell the other endpoints. *)
   Rounds.charge rounds ~label:"h-partition/list-forest" 1;
-  coloring
+  Coloring.of_assignment g ~colors:(Palette.color_space palette) assign

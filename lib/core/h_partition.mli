@@ -39,19 +39,25 @@ val compute :
 val orientation :
   Nw_graphs.Multigraph.t -> t -> ids:int array -> Nw_graphs.Orientation.t
 
-(** [forests_of_orientation g o] labels the out-edges of every vertex with
-    [0 .. t-1] where [t = max out-degree]: each label class is a rooted
-    forest ([parent_edge] arrays returned alongside). This is the first step
-    of Theorem 2.1(3). Returns [(coloring, parent_edges)] where
-    [parent_edges.(j).(v)] is [v]'s parent edge in forest [j] or [-1]. *)
+(** [forests_of_orientation g o] colors every edge with its position
+    [0 .. t-1] in its tail's out-list, where [t = max out-degree] (at
+    least 1 color): a vertex has at most one out-edge of each color, so
+    each class is a rooted forest, each edge's tail its child endpoint.
+    This is the first step of Theorem 2.1(3), and the forests that
+    {!star_forest_decomposition} 3-colors. The forests hold by
+    construction, so the coloring goes out as one assignment
+    ({!Nw_decomp.Coloring.of_assignment}), with no per-edge cycle
+    query. *)
 val forests_of_orientation :
-  Nw_graphs.Multigraph.t ->
-  Nw_graphs.Orientation.t ->
-  Nw_decomp.Coloring.t * int array array
+  Nw_graphs.Multigraph.t -> Nw_graphs.Orientation.t -> Nw_decomp.Coloring.t
 
 (** Theorem 2.1(3): [3t]-star-forest decomposition from an acyclic
     [t]-orientation, via Cole–Vishkin 3-coloring of each rooted forest.
-    The [rounds] ledger is charged [O(log* n)] (forests run in parallel). *)
+    The [rounds] ledger is charged [O(log* n)] (forests run in parallel).
+    The colors go out as one assignment; a faulted Cole–Vishkin run
+    that leaves a vertex color outside [0..2] gives that vertex's child
+    edges the out-of-range color [3t].
+    @raise Invalid_argument ("Coloring.set: color out of range") then. *)
 val star_forest_decomposition :
   Nw_graphs.Multigraph.t ->
   Nw_graphs.Orientation.t ->

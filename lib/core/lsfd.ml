@@ -21,24 +21,21 @@ let greedy_degeneracy g palette =
     (fun e1 e2 ->
       Int.compare rank.(O.tail orientation e2) rank.(O.tail orientation e1))
     edges;
-  let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
-  let color_of e =
-    match Coloring.color coloring e with Some c -> [ c ] | None -> []
-  in
+  let assign = Array.make (G.m g) (-1) in
   Array.iter
     (fun e ->
       let u, v = G.endpoints g e in
-      let forbidden =
-        List.concat_map color_of (O.out_edges orientation u)
-        @ List.concat_map color_of (O.out_edges orientation v)
+      let forbidden c =
+        List.exists (fun e' -> assign.(e') = c) (O.out_edges orientation u)
+        || List.exists (fun e' -> assign.(e') = c) (O.out_edges orientation v)
       in
       let rec pick = function
         | [] -> invalid_arg "Lsfd.greedy_degeneracy: palette exhausted"
-        | c :: rest -> if List.mem c forbidden then pick rest else c
+        | c :: rest -> if forbidden c then pick rest else c
       in
-      Coloring.set coloring e (pick (Palette.get palette e)))
+      assign.(e) <- pick (Palette.get palette e))
     edges;
-  coloring
+  Coloring.of_assignment g ~colors:(Palette.color_space palette) assign
 
 (* [distributed] peels with threshold t for epsilon/10. An edge whose
    head lies in a higher layer sees up to (t-1) + t forbidden colours, so
@@ -65,7 +62,7 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
     let u, v = G.endpoints g e in
     min (layer u) (layer v)
   in
-  let coloring = Coloring.create g ~colors:(Palette.color_space palette) in
+  let assign = Array.make (G.m g) (-1) in
   let member_cluster = nd.Net_decomp.cluster_of in
   (* color edge e from its residual palette: avoid colors of already-colored
      out-edges at both endpoints and of already-colored edges with both
@@ -78,10 +75,8 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
     let j = min_layer e in
     let forbidden = Hashtbl.create 16 in
     let forbid e' =
-      if e' <> e then
-        match Coloring.color coloring e' with
-        | Some c -> Hashtbl.replace forbidden c ()
-        | None -> ()
+      if e' <> e && assign.(e') >= 0 then
+        Hashtbl.replace forbidden assign.(e') ()
     in
     let forbid_in_layer _ e' =
       let a, b = G.endpoints g e' in
@@ -95,7 +90,7 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
       | [] -> invalid_arg "Lsfd.distributed: residual palette exhausted"
       | c :: rest -> if Hashtbl.mem forbidden c then pick rest else c
     in
-    Coloring.set coloring e (pick (Palette.get palette e))
+    assign.(e) <- pick (Palette.get palette e)
   in
   (* process layers top-down; inside a layer, clusters of one ND class go in
      parallel (simulated sequentially; non-interference is guaranteed by the
@@ -107,7 +102,7 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
         (fun e u v () ->
           if
             min_layer e = j
-            && Coloring.color coloring e = None
+            && assign.(e) < 0
             && (* the lower-layer endpoint's cluster owns the edge; ties by
                   smaller cluster id *)
             (let owner =
@@ -122,7 +117,7 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
       Rounds.charge rounds ~label:"lsfd/layer-class" 3
     done
   done;
-  coloring
+  Coloring.of_assignment g ~colors:(Palette.color_space palette) assign
 
 let distributed g palette ~epsilon ~alpha_star ~rng ~rounds =
   check_palettes g palette ~epsilon ~alpha_star;

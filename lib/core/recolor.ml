@@ -6,15 +6,11 @@ let merge base extra emap =
   let g = Coloring.graph base in
   let base_colors = Coloring.colors base in
   let fresh = Coloring.colors extra in
-  let assign =
-    Array.init (G.m g) (fun e ->
-        match Coloring.color base e with Some c -> c | None -> -1)
-  in
+  let assign = Array.init (G.m g) (Coloring.get base) in
   Array.iteri
     (fun se e ->
-      match Coloring.color extra se with
-      | Some c -> assign.(e) <- base_colors + c
-      | None -> ())
+      let c = Coloring.get extra se in
+      if c >= 0 then assign.(e) <- base_colors + c)
     emap;
   (Coloring.of_assignment g ~colors:(base_colors + fresh) assign, fresh)
 
@@ -34,7 +30,7 @@ let append_forests base removed ~rounds =
   else begin
     Obs.span "recolor.append_forests" @@ fun () ->
     let sub, emap, orientation = leftover_orientation base removed ~rounds in
-    let forests, _ = H_partition.forests_of_orientation sub orientation in
+    let forests = H_partition.forests_of_orientation sub orientation in
     let out, fresh = merge base forests emap in
     Obs.set_attr "fresh_colors" (Obs.Int fresh);
     (out, fresh)

@@ -42,21 +42,18 @@ let match_vertex orientation v ~colors ~in_set ~admits =
 (* Color all matched out-edges; returns (coloring over [colors] space,
    leftover mask, max deficiency). *)
 let realize g orientation ~colors ~in_set ~admits =
-  let coloring = Coloring.create g ~colors in
-  let leftover = Array.make (G.m g) true in
+  let assign = Array.make (G.m g) (-1) in
   let max_def = ref 0 in
   for v = 0 to G.n g - 1 do
     let assignments, deficiency =
       match_vertex orientation v ~colors ~in_set ~admits
     in
     if deficiency > !max_def then max_def := deficiency;
-    List.iter
-      (fun (e, i) ->
-        Coloring.set coloring e i;
-        leftover.(e) <- false)
-      assignments
+    List.iter (fun (e, i) -> assign.(e) <- i) assignments
   done;
-  (coloring, leftover, !max_def)
+  ( Coloring.of_assignment g ~colors assign,
+    Array.map (fun c -> c < 0) assign,
+    !max_def )
 
 let require_simple g name =
   if not (G.is_simple g) then

@@ -137,6 +137,10 @@ let color t e =
   let c = t.assign.(e) in
   if c < 0 then None else Some c
 
+let get t e =
+  check_edge t e "get";
+  t.assign.(e)
+
 let colored_count t = t.colored
 
 let uncolored t =

@@ -26,6 +26,11 @@
     forest is built the first time a query touches it, by replaying
     that color's edges in ascending order through the steps {!set}
     runs; the result is the forest eager {!set}s in that order leave.
+    Every emitter of a finished decomposition builds its output this
+    way. {!create} and {!set} serve only the colorings that are searched
+    (the augmenting sequences of Section 3), churned (a served session's
+    live coloring) or read from a file, so the {!Counters} count the
+    work of those three alone.
 
     The edge set may grow: {!add_edge} appends an uncolored edge in
     place, in amortized O(1), without touching any color's state.
@@ -47,6 +52,11 @@ val graph : t -> Nw_graphs.Multigraph.t
 val colors : t -> int
 
 val color : t -> int -> int option
+
+(** [get t e] is the color of [e], or [-1] when it is uncolored:
+    {!color} without the option, so a scan over every edge allocates
+    nothing. *)
+val get : t -> int -> int
 
 (** Number of currently colored edges. *)
 val colored_count : t -> int
@@ -185,7 +195,10 @@ val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
     re-rooted by {!unset} repairs ([repair_vertices]). Obs counts the
     same events as [coloring.uf_queries], [coloring.bfs_runs],
     [coloring.uf_rebuilds] and [coloring.repair_vertices]. The bench
-    harness reports deltas per experiment. *)
+    harness reports deltas per experiment. No emitter of a finished
+    decomposition counts here: they build with {!of_assignment}, so
+    the counts come from colorings that are searched, churned or read
+    from a file, and from queries on an emitted coloring. *)
 module Counters : sig
   type snapshot = {
     uf_queries : int;

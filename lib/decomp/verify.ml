@@ -10,20 +10,16 @@ let all reports =
 let exn = function Ok () -> () | Error msg -> failwith msg
 
 (* The first error in edge order wins (Color_classes.forests); on
-   success, returns the groups of all edges. A negative color is out of
-   range, like any other outside [0..k-1]. *)
-let check_forests g ~k ~allow_uncolored color =
-  let code e =
-    match color e with None -> -1 | Some c -> if c < 0 then k else c
-  in
+   success, returns the groups of all edges. [code e] is e's color, -1
+   when uncolored, and any other value outside [0..k-1] out of range;
+   [shown e] is the color an out-of-range report names. *)
+let check_forests g ~k ~allow_uncolored ~shown code =
   match Color_classes.forests g ~k ~allow_uncolored code with
   | Ok classes -> Ok classes
   | Error (Color_classes.Uncolored e) ->
       Error (Printf.sprintf "edge %d is uncolored" e)
   | Error (Color_classes.Out_of_range e) ->
-      Error
-        (Printf.sprintf "edge %d has out-of-range color %d" e
-           (Option.get (color e)))
+      Error (Printf.sprintf "edge %d has out-of-range color %d" e (shown e))
   | Error (Color_classes.Cycle { color = c; edge = e }) ->
       Error (Printf.sprintf "color %d contains a cycle through edge %d" c e)
 
@@ -61,25 +57,34 @@ let check_stars g ~k { Color_classes.start; edges } =
          !first_color !first)
   else Ok ()
 
-let forests g ~k ~allow_uncolored color =
-  Result.map ignore (check_forests g ~k ~allow_uncolored color)
+let forests g ~k ~allow_uncolored ~shown code =
+  Result.map ignore (check_forests g ~k ~allow_uncolored ~shown code)
 
-let stars g ~k color =
+let stars g ~k ~shown code =
   Result.bind
-    (check_forests g ~k ~allow_uncolored:false color)
+    (check_forests g ~k ~allow_uncolored:false ~shown code)
     (check_stars g ~k)
 
+(* a coloring's colors are in range by construction, so its code is
+   also what an out-of-range report would show *)
 let of_coloring check t =
-  check (Coloring.graph t) ~k:(Coloring.colors t) (Coloring.color t)
+  let code = Coloring.get t in
+  check (Coloring.graph t) ~k:(Coloring.colors t) ~shown:code code
 
 let forest_decomposition = of_coloring (forests ~allow_uncolored:false)
 let partial_forest_decomposition = of_coloring (forests ~allow_uncolored:true)
 let star_forest_decomposition = of_coloring stars
 
+(* a raw assignment may hold any int: a negative color is out of range
+   like any other outside [0..k-1], and is reported as written *)
 let of_assignment check g colors ~k =
   if Array.length colors <> G.m g then
     Error "assignment length does not match edge count"
-  else check g ~k (Array.get colors)
+  else
+    check g ~k
+      ~shown:(fun e -> Option.get colors.(e))
+      (fun e ->
+        match colors.(e) with None -> -1 | Some c -> if c < 0 then k else c)
 
 let forest_assignment g colors ~k ~allow_uncolored =
   of_assignment (forests ~allow_uncolored) g colors ~k
@@ -134,14 +139,11 @@ let respects_palette t palette =
     (fun e _ _ acc ->
       match acc with
       | Error _ -> acc
-      | Ok () -> (
-          match Coloring.color t e with
-          | None -> Ok ()
-          | Some c ->
-              if Palette.mem palette e c then Ok ()
-              else
-                Error
-                  (Printf.sprintf "edge %d colored %d outside its palette" e c)))
+      | Ok () ->
+          let c = Coloring.get t e in
+          if c < 0 || Palette.mem palette e c then Ok ()
+          else
+            Error (Printf.sprintf "edge %d colored %d outside its palette" e c))
     g (Ok ())
 
 let uses_at_most t k =
@@ -150,11 +152,11 @@ let uses_at_most t k =
     (fun e _ _ acc ->
       match acc with
       | Error _ -> acc
-      | Ok () -> (
-          match Coloring.color t e with
-          | Some c when c >= k ->
-              Error (Printf.sprintf "edge %d uses color %d >= %d" e c k)
-          | _ -> Ok ()))
+      | Ok () ->
+          let c = Coloring.get t e in
+          if c >= 0 && c >= k then
+            Error (Printf.sprintf "edge %d uses color %d >= %d" e c k)
+          else Ok ())
     g (Ok ())
 
 let max_forest_diameter t =
@@ -169,9 +171,8 @@ let colors_used t =
   let g = Coloring.graph t in
   G.fold_edges
     (fun e _ _ () ->
-      match Coloring.color t e with
-      | None -> ()
-      | Some c -> used.(c) <- true)
+      let c = Coloring.get t e in
+      if c >= 0 then used.(c) <- true)
     g ();
   Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
 

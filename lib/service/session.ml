@@ -58,8 +58,7 @@ let fallbacks t = t.s_fallbacks
 let slot_colors t =
   Option.map
     (fun col ->
-      Array.init t.s_slots (fun s ->
-          Option.value ~default:(-1) (Coloring.color col s)))
+      Array.init t.s_slots (Coloring.get col))
     t.s_col
 
 let last_algorithm t =

@@ -186,22 +186,18 @@ let test_forests_of_orientation () =
   let rounds = Rounds.create () in
   let hp = H.compute g ~epsilon:0.5 ~alpha_star:3 ~rounds in
   let o = H.orientation g hp ~ids:(ids (G.n g)) in
-  let coloring, parent_edges = H.forests_of_orientation g o in
+  let coloring = H.forests_of_orientation g o in
   Verify.exn (Verify.forest_decomposition coloring);
   Alcotest.(check bool) "at most t forests" true
     (Coloring.colors coloring <= hp.H.threshold);
-  (* parent edges are consistent: edge j-colored and child endpoint *)
-  Array.iteri
-    (fun j per_vertex ->
-      Array.iteri
-        (fun v e ->
-          if e >= 0 then begin
-            Alcotest.(check (option int)) "parent edge color" (Some j)
-              (Coloring.color coloring e);
-            ignore (G.other_endpoint g e v)
-          end)
-        per_vertex)
-    parent_edges
+  (* an edge's forest is its position in its tail's out-list, so every
+     vertex has at most one parent edge per forest *)
+  for v = 0 to G.n g - 1 do
+    List.iteri
+      (fun j e ->
+        Alcotest.(check int) "out-edge label" j (Coloring.get coloring e))
+      (O.out_edges o v)
+  done
 
 let test_star_forest_thm21 () =
   let st = rng 6 in
@@ -280,27 +276,29 @@ let test_h_partition_local_fidelity () =
   done
 
 
+(* Theorem 2.1(3) end to end with only executed rounds: the peel runs
+   on the kernel, the orientation and the out-edge labelling are local
+   per-vertex rules, and Cole-Vishkin's rounds are executed sweeps *)
 let test_distributed_pipeline () =
   let st = rng 901 in
   let g = Gen.forest_union st 120 4 in
   let alpha_star, _ = Nw_graphs.Arboricity.pseudo_arboricity g in
   let rounds = Rounds.create () in
-  let sfd =
-    Nw_core.Distributed.star_forest_decomposition g ~epsilon:0.5 ~alpha_star
-      ~rounds
-  in
+  let hp = H.compute g ~epsilon:0.5 ~alpha_star ~rounds in
+  let ids = ids (G.n g) in
+  let o = H.orientation g hp ~ids in
+  let sfd = H.star_forest_decomposition g o ~ids ~rounds in
   Verify.exn (Verify.star_forest_decomposition sfd);
   let t = int_of_float (floor (2.5 *. float_of_int alpha_star)) in
   Alcotest.(check bool) "3t colors" true (Verify.colors_used sfd <= 3 * t);
-  (* every labeled charge is an executed-kernel or local-rule round *)
+  (* every labeled charge is an executed-kernel or Cole-Vishkin round *)
   List.iter
     (fun (label, _) ->
       Alcotest.(check bool) ("label " ^ label) true
         (List.mem label
            [
-             "h-partition/peel"; "distributed/layer-exchange";
-             "cole-vishkin/bit-reduction"; "cole-vishkin/shift-down";
-             "cole-vishkin/recolor";
+             "h-partition/peel"; "cole-vishkin/bit-reduction";
+             "cole-vishkin/shift-down"; "cole-vishkin/recolor";
            ]))
     (Rounds.ledger rounds)
 

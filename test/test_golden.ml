@@ -98,20 +98,20 @@ let expected =
   [
     (("simple", "exact"), "a4769dacaf41439a821e1e02f94a1233 rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=9b76c5dfe311cc83de61037ade2f456d");
     (("simple", "greedy"), "a4769dacaf41439a821e1e02f94a1233 rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=d41d8cd98f00b204e9800998ecf8427e");
-    (("simple", "be"), "d5aba7b2334133c4ea9756b76651f5cf rounds=2 ledger=369b82cb46f9c474e4a487f86b6568d5 obs=36ed64d3f3a5460665b92722da8ce920");
+    (("simple", "be"), "d5aba7b2334133c4ea9756b76651f5cf rounds=2 ledger=369b82cb46f9c474e4a487f86b6568d5 obs=d621c4a2cb2d4f68c2ab897995d838c7");
     (("simple", "augment"), "a4769dacaf41439a821e1e02f94a1233 rounds=9602 ledger=9fb9325a3566f5daefac97a2493b325b obs=8de3d6b5780bfb39173f22a6e752be1a");
-    (("simple", "star"), "060fa8aa249c71c3c246341a82938095 rounds=27 ledger=63fcd16d9e316f904d1f6e987b4ff396 obs=f349655a8feaed3bbe2a621299cab222");
-    (("simple", "amr-star"), "5a86cc64e806140f1e629f496e59869d rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=4ef56a48cec8b165ae02ff5afc1214c6");
-    (("simple", "lsfd"), "1474bd96b83bd164a1843e220a1a7e71 rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=36ed64d3f3a5460665b92722da8ce920");
+    (("simple", "star"), "060fa8aa249c71c3c246341a82938095 rounds=27 ledger=63fcd16d9e316f904d1f6e987b4ff396 obs=974130f5de7b39527c726275bc2f586a");
+    (("simple", "amr-star"), "5a86cc64e806140f1e629f496e59869d rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=9b76c5dfe311cc83de61037ade2f456d");
+    (("simple", "lsfd"), "1474bd96b83bd164a1843e220a1a7e71 rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=d621c4a2cb2d4f68c2ab897995d838c7");
     (("simple", "orientation"), "13da812a005b843db8b720afb25571d7 rounds=9615 ledger=fe15e21ecb3e51a98a67e847f28f992f obs=8de3d6b5780bfb39173f22a6e752be1a");
     (("simple", "pseudo"), "c093d4fb554c78d2091a05ef818791aa rounds=9615 ledger=fe15e21ecb3e51a98a67e847f28f992f obs=8de3d6b5780bfb39173f22a6e752be1a");
     (("multi", "exact"), "5d978e8fbb1dc50d0bcf7df7b417ab03 rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=3b5992fe6f1f8b9a12ca65ca760e6d95");
     (("multi", "greedy"), "5d978e8fbb1dc50d0bcf7df7b417ab03 rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=d41d8cd98f00b204e9800998ecf8427e");
-    (("multi", "be"), "1c6944c2012f5eaf1754a331f19b35cc rounds=2 ledger=369b82cb46f9c474e4a487f86b6568d5 obs=a92503010fe561ef1a0de154e4765a74");
+    (("multi", "be"), "1c6944c2012f5eaf1754a331f19b35cc rounds=2 ledger=369b82cb46f9c474e4a487f86b6568d5 obs=578361325fb204911ee4503c59ef969f");
     (("multi", "augment"), "5d978e8fbb1dc50d0bcf7df7b417ab03 rounds=9602 ledger=9fb9325a3566f5daefac97a2493b325b obs=42141cfe42de6f46ebc47955f2cba2e9");
     (("multi", "star"), "rejects multigraphs");
-    (("multi", "amr-star"), "f4e33a949a0412116d2b772cb5f43780 rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=21dcb74989ec87b0d376a50a71473c01");
-    (("multi", "lsfd"), "417354dc8171a80bb62a83887efc948f rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=1f3f402833cbca3dba14d48cedf7c32e");
+    (("multi", "amr-star"), "f4e33a949a0412116d2b772cb5f43780 rounds=0 ledger=d41d8cd98f00b204e9800998ecf8427e obs=3b5992fe6f1f8b9a12ca65ca760e6d95");
+    (("multi", "lsfd"), "417354dc8171a80bb62a83887efc948f rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=578361325fb204911ee4503c59ef969f");
     (("multi", "orientation"), "81c5344e692ee7b7eaee4c22e22f9938 rounds=9618 ledger=405956aaf55b68eb04bd44030fc5a2f9 obs=42141cfe42de6f46ebc47955f2cba2e9");
     (("multi", "pseudo"), "8d682331e0db93650f42d3229ffb9270 rounds=9618 ledger=405956aaf55b68eb04bd44030fc5a2f9 obs=42141cfe42de6f46ebc47955f2cba2e9");
   ]
@@ -181,8 +181,8 @@ let run_fingerprint run =
 let expected_run =
   [
     ("partial", "8eb24958a3dcef9107fd350c4f5e51d3 rounds=200 ledger=f424ac345b567832937a018df0a53eed obs=4c45432f14b1b0c66a95d5a86fb52158");
-    ("lfd", "6258d29a494af1a5c852cb178babf91c rounds=1529137 ledger=01ab13d86a404a96242cf400346fffe6 obs=99099999bd77735dcd08031f708e2c59");
-    ("star-lsfd", "907ce5f15f8d21c0fc78d854415bba75 rounds=5 ledger=5abc51a44175c4a0ee7886113352da05 obs=45b76ae348b3bdfb23a96838feafbd4b");
+    ("lfd", "6258d29a494af1a5c852cb178babf91c rounds=1529137 ledger=01ab13d86a404a96242cf400346fffe6 obs=ef97f7ff35c3042a9cf076c9f07abd46");
+    ("star-lsfd", "907ce5f15f8d21c0fc78d854415bba75 rounds=5 ledger=5abc51a44175c4a0ee7886113352da05 obs=237e4549fbe9598e5022f4f6d75fe896");
   ]
 
 (* fault-timeline digest of one fixed plan over the lsfd pipeline *)
@@ -211,7 +211,7 @@ let chaos_fingerprint () =
     stats.Net.reorders outcome
 
 let expected_chaos =
-  "digest=fcd043481214ff7c drops=13 dups=14 delays=9 reorders=75 1474bd96b83bd164a1843e220a1a7e71 rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=df09afb5f367ba2d35ad954ba26b6b6a"
+  "digest=fcd043481214ff7c drops=13 dups=14 delays=9 reorders=75 1474bd96b83bd164a1843e220a1a7e71 rounds=62 ledger=527c4e13c879a3e2eb9be39a15432442 obs=1c8c874072ca2b1b26ece6ed27e17fe6"
 
 (* Algorithm 1's statistics, which E5 publishes: every [augment_edge]
    stats record over both graphs, augmenting edge by edge in id order
