@@ -17,7 +17,9 @@
    requires identical layers and a throughput sanity floor.
    The allocation leg runs Algorithm 2's augmenting phase
    (Forest_algo.partial_color) and bounds the minor-heap words per
-   augment call. The churn leg serves edge inserts and deletes on a
+   augment call; the path-walk leg bounds, in the same run, the C(e, c)
+   edges walked per augment call (Coloring.Counters.path_edges). The
+   churn leg serves edge inserts and deletes on a
    20000-vertex Session, bounds the bytes allocated and the forest
    vertices repaired per update, requires no per-color forest rebuild,
    and prints the time per update. The
@@ -261,7 +263,7 @@ let data_plane_check ~fast =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
-(* allocation leg: minor words per augment call                        *)
+(* allocation and path-walk legs: words and path edges per augment     *)
 (* ------------------------------------------------------------------ *)
 
 module FA = Nw_core.Forest_algo
@@ -276,9 +278,16 @@ module Obs = Nw_obs.Obs
    words per call means something on the per-call path went back to
    building paths or tables. Minor words are deterministic for a fixed
    input, so the gate cannot flake. The call count comes from a second,
-   traced run (tracing allocates, so it is not the measured one). *)
+   traced run (tracing allocates, so it is not the measured one).
+   Every search on this input ends in Algorithm 1's first iteration at a
+   free color, which reads no path edge. A search that walked each
+   C(start, c) before its first free color walked 183 path edges per
+   call here, and one that read only their end edges 7.00, which made
+   nwbench fd-augment's decompose_s 89% slower than reading none.
+   [path_limit] per call is room for a few searches that go further,
+   deterministic like the words. *)
 let augment_alloc_check () =
-  let limit = 300.0 in
+  let limit = 300.0 and path_limit = 2.0 in
   let n = 2000 and alpha = 8 and epsilon = 0.5 in
   let g = Gen.forest_union (rng n) n alpha in
   let cut = Nw_core.Cut.Depth_mod in
@@ -295,11 +304,13 @@ let augment_alloc_check () =
       Nw_engine.Store.put Nw_engine.Store.empty "graph"
         (Nw_engine.Artifact.Graph g)
     in
+    let p0 = (Coloring.Counters.snapshot ()).path_edges in
     let w0 = Gc.minor_words () in
     ignore (Engine.run ctx pipeline ~init);
-    Gc.minor_words () -. w0
+    let words = Gc.minor_words () -. w0 in
+    (words, (Coloring.Counters.snapshot ()).path_edges - p0)
   in
-  let words = run () in
+  let words, path_edges = run () in
   Obs.set_enabled true;
   let _, trace = Obs.collect run in
   Obs.set_enabled false;
@@ -315,6 +326,17 @@ let augment_alloc_check () =
     Printf.eprintf
       "perf smoke: %.1f minor words per augment call exceeds %.0f\n" per_call
       limit;
+    exit 1
+  end;
+  let edges_per_call = float_of_int path_edges /. float_of_int calls in
+  Printf.printf
+    "\n== path walks: partial pipeline, same run ==\n\
+     %d path edges walked, %.2f per augment call (limit %.0f)\n"
+    path_edges edges_per_call path_limit;
+  if edges_per_call > path_limit then begin
+    Printf.eprintf
+      "perf smoke: %.2f path edges walked per augment call exceeds %.0f\n"
+      edges_per_call path_limit;
     exit 1
   end;
   flush stdout

@@ -68,6 +68,21 @@ let stall_witness g sc ~now ~explored =
   done;
   !acc
 
+(* The first color of [colors] whose C(e, c) is empty, asked in palette
+   order, or -1 when there is none. *)
+let rec first_free coloring e = function
+  | [] -> -1
+  | c :: rest ->
+      if Coloring.path_exists coloring e c then first_free coloring e rest
+      else c
+
+(* The end edges of the paths C(e, c) of the colors before [stop]. *)
+let rec ends_before coloring e stop acc = function
+  | c :: rest when c <> stop ->
+      ends_before coloring e stop (acc + Coloring.path_end_count coloring e c)
+        rest
+  | _ -> acc
+
 let search coloring palette ~start ?within ?scratch:sc () =
   let g = Coloring.graph coloring in
   (match Coloring.color coloring start with
@@ -105,8 +120,8 @@ let search coloring palette ~start ?within ?scratch:sc () =
      not, since the first one went on. The coloring is immutable during
      the search, so C(e, c) is fixed and is just walked again. An edge's
      own color needs no skip: its path is [e] itself, already in E_i,
-     and costs no query. *)
-  let rec scan_colors e ~first = function
+     and costs no query. [walk] reads C(e, c) for [visit]. *)
+  let rec scan_colors e ~first ~walk = function
     | [] -> ()
     | c :: rest ->
         if first && not (Coloring.path_exists coloring e c) then begin
@@ -115,8 +130,8 @@ let search coloring palette ~start ?within ?scratch:sc () =
         end
         else begin
           cur := e;
-          Coloring.iter_path coloring e c visit;
-          scan_colors e ~first rest
+          walk coloring e c visit;
+          scan_colors e ~first ~walk rest
         end
   in
   let trace_back e c =
@@ -138,13 +153,31 @@ let search coloring palette ~start ?within ?scratch:sc () =
   in
   (* Iteration i scans E_i newest member first, i.e. slots hi-1 down to
      0; members joining meanwhile wait for iteration i+1. Slots below
-     [scanned] were scanned by iteration i-1. *)
+     [scanned] were scanned by iteration i-1. E_0 = {start} touches only
+     start's endpoints, so iteration 0 reads only the end edges of each
+     C(start, c), the only ones that can join E_1. With no region every
+     end edge joins, so iteration 0 first asks for a free color, in the
+     scan's order: a free color ends the search, the colors before it
+     adding their end-edge counts and no edge read, and otherwise the
+     scan walks the ends without asking again. *)
   let rec iterate i ~scanned growth =
     let hi = !explored in
+    let walk = if i = 0 then Coloring.iter_path_ends else Coloring.iter_path in
+    let asked = i = 0 && Option.is_none within in
+    (if asked then
+       let colors = Palette.get palette start in
+       let c = first_free coloring start colors in
+       if c >= 0 then begin
+         found_e := start;
+         found_c := c;
+         explored := !explored + ends_before coloring start c 0 colors
+       end);
     let s = ref (hi - 1) in
     while !s >= 0 && !found_e < 0 do
       let e = sc.members.(!s) in
-      scan_colors e ~first:(!s >= scanned) (Palette.get palette e);
+      scan_colors e
+        ~first:(!s >= scanned && not asked)
+        ~walk (Palette.get palette e);
       decr s
     done;
     let stats () =

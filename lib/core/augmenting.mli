@@ -54,7 +54,16 @@ val scratch : Nw_decomp.Coloring.t -> scratch
     from the uncolored edge [start]. When [within] is given, only edges
     with both endpoints in that vertex set are explored (the cluster-local
     search of Algorithm 2). The result sequence is almost augmenting:
-    (A1), (A2), (A4), (A5). *)
+    (A1), (A2), (A4), (A5).
+
+    The first iteration reads of each [C(start, c)] only the edges at
+    [start]'s endpoints ({!Nw_decomp.Coloring.iter_path_ends}), the only
+    ones that can join [E_1]; later iterations walk whole paths. Without
+    [within], the colors are first tested for an empty [C(start, c)] in
+    palette order, and a free color ends the search with no path read:
+    the colors before it add their end-edge counts to [explored]
+    ({!Nw_decomp.Coloring.path_end_count}). Sequences, statistics and
+    connectivity counts are those of walking every path in full. *)
 val search :
   Nw_decomp.Coloring.t ->
   Nw_decomp.Palette.t ->

@@ -83,6 +83,11 @@ let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
           Cut.execute cut_state coloring ~core ~region ~removed;
           if Cut.is_good coloring ~core ~region then incr good_cuts
           else incr bad_cuts;
+          (* a region of every vertex restricts nothing: the search
+             runs unrestricted, which skips the walks a region needs *)
+          let within =
+            if Array.for_all Fun.id region then None else Some region
+          in
           let in_cluster = Array.make n false in
           List.iter (fun v -> in_cluster.(v) <- true) members;
           G.fold_edges
@@ -93,7 +98,7 @@ let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
                 && (in_cluster.(u) || in_cluster.(v))
               then begin
                 match
-                  Augmenting.augment_edge coloring palette ~edge:e ~within:region
+                  Augmenting.augment_edge coloring palette ~edge:e ?within
                     ~scratch ()
                 with
                 | Ok st ->
@@ -178,13 +183,14 @@ let[@obs.in_span] lfd_leftover g ~colors ~phi0 ~q1 ~removed ~rng ~rounds =
           (Array.map (fun e -> Palette.get q1 e) emap)
       in
       (* LFD of the leftover on the reserved side-1 palettes. The paper uses
-         the Theorem 2.3 LSFD, which needs palettes of size
-         (4+eps)·alpha*(leftover); when the reserved palettes are below that
+         the Theorem 2.3 LSFD, which needs palettes of
+         Lsfd.required_palette, about (4+eps)·alpha*(leftover); when the
+         reserved palettes are below that
          (small-scale instances outside the w.h.p. regime of Thm 4.9), fall
          back to direct augmentation, which by the Section 3 stall
          certificate succeeds whenever |Q1| >= alpha(leftover). *)
       let lsfd_required =
-        int_of_float (floor (4.5 *. float_of_int (max 1 alpha_left))) - 1
+        Lsfd.required_palette ~epsilon:0.5 ~alpha_star:(max 1 alpha_left)
       in
       let phi1 =
         if Palette.min_size q1_sub >= lsfd_required then

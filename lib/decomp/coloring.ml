@@ -8,12 +8,14 @@ module Counters = struct
   let bfs_runs = ref 0
   let uf_rebuilds = ref 0
   let repair_vertices = ref 0
+  let path_edges = ref 0
 
   type snapshot = {
     uf_queries : int;
     bfs_runs : int;
     uf_rebuilds : int;
     repair_vertices : int;
+    path_edges : int;
   }
 
   let snapshot () =
@@ -22,6 +24,7 @@ module Counters = struct
       bfs_runs = !bfs_runs;
       uf_rebuilds = !uf_rebuilds;
       repair_vertices = !repair_vertices;
+      path_edges = !path_edges;
     }
 end
 
@@ -504,14 +507,24 @@ let path_exists t e c =
   check_edge t e "path_exists";
   path_exists_unchecked t e c
 
+(* A walk of C(e, c) reads color [c]'s forest as a search sees it:
+   allocated, and the tree of e's first endpoint settled. *)
+let prepare_walk t e c =
+  ensure_forest t c;
+  settle t c t.fp_root.(c).(t.src.(e))
+
+let count_path_edges k = Counters.path_edges := !Counters.path_edges + k
+
 (* One climb of the rooted forest to the LCA, O(path length): the u-side
    edges are emitted as they are reached (u->lca order), the v-side ones
    buffered and emitted after them (v->lca order). *)
 let iter_path_unchecked t e c f =
-  if t.assign.(e) = c then f e
+  if t.assign.(e) = c then begin
+    f e;
+    count_path_edges 1
+  end
   else begin
-    ensure_forest t c;
-    settle t c t.fp_root.(c).(t.src.(e));
+    prepare_walk t e c;
     let pv = t.fp_vertex.(c)
     and pe = t.fp_edge.(c)
     and dep = t.fp_depth.(c)
@@ -536,13 +549,69 @@ let iter_path_unchecked t e c f =
     done;
     for i = 0 to !k - 1 do
       f buf.(i)
-    done
+    done;
+    count_path_edges (dep.(t.src.(e)) + dep.(t.dst.(e)) - (2 * dep.(!x)))
+  end
+
+let check_path_ends t e c name =
+  if t.fp_root.(c).(t.src.(e)) <> t.fp_root.(c).(t.dst.(e)) then
+    invalid_arg ("Coloring." ^ name ^ ": C(e, c) is empty")
+
+(* The edges of C(e, c) at e's endpoints, in [iter_path]'s order: a
+   simple path meets each endpoint in one edge, its first or its last.
+   The climb from the deeper endpoint to the shallower one's depth tells
+   whether the shallower one is the LCA; then the path is that climb,
+   and iter_path emits it from the deeper endpoint up, whichever side
+   that is. Otherwise the u-side edge comes first, then the v-side one. *)
+let iter_path_ends t e c f =
+  check_color t c "iter_path_ends";
+  check_edge t e "iter_path_ends";
+  if t.assign.(e) = c then begin
+    f e;
+    count_path_edges 1
+  end
+  else begin
+    prepare_walk t e c;
+    check_path_ends t e c "iter_path_ends";
+    let pv = t.fp_vertex.(c) and pe = t.fp_edge.(c) and dep = t.fp_depth.(c) in
+    let u = t.src.(e) and v = t.dst.(e) in
+    let deep = if dep.(u) > dep.(v) then u else v in
+    let top = if deep = u then v else u in
+    let x = ref deep and last = ref (-1) in
+    while dep.(!x) > dep.(top) do
+      last := pe.(!x);
+      x := pv.(!x)
+    done;
+    if !x = top then begin
+      f pe.(deep);
+      if !last = pe.(deep) then count_path_edges 1
+      else begin
+        f !last;
+        count_path_edges 2
+      end
+    end
+    else begin
+      f pe.(u);
+      f pe.(v);
+      count_path_edges 2
+    end
   end
 
 let iter_path t e c f =
   check_color t c "iter_path";
   check_edge t e "iter_path";
   iter_path_unchecked t e c f
+
+let path_end_count t e c =
+  check_color t c "path_end_count";
+  check_edge t e "path_end_count";
+  if t.assign.(e) = c then 1
+  else begin
+    prepare_walk t e c;
+    check_path_ends t e c "path_end_count";
+    let u = t.src.(e) and v = t.dst.(e) and pv = t.fp_vertex.(c) in
+    if pv.(u) = v || pv.(v) = u then 1 else 2
+  end
 
 let path t e c =
   check_color t c "path";

@@ -11,7 +11,10 @@
     first touch, with every vertex labelled by the root of its tree.
     Connectivity questions ("would coloring [e] with [c] close a cycle?",
     "is [C(e, c)] empty?") are one label compare, in O(1). Paths are read
-    off the rooted forest by an LCA climb ({!iter_path}). Every update
+    off the rooted forest by an LCA climb ({!iter_path}), and a path's
+    end edges by a climb of the endpoints' depth difference
+    ({!iter_path_ends}) or, counted only, in O(1)
+    ({!path_end_count}). Every update
     is repaired eagerly, and only in the trees it touches: {!set}
     re-hangs and relabels the smaller of the two trees it joins, and
     {!unset} re-roots the subtree that loses the edge, in O(size of that
@@ -116,6 +119,25 @@ val path_exists : t -> int -> int -> bool
     the test). *)
 val iter_path : t -> int -> int -> (int -> unit) -> unit
 
+(** [iter_path_ends t e c f] calls [f] on the edges of [C(e, c)] incident
+    to [e]'s endpoints — one edge when the path is a single edge, else
+    its two end edges — in {!iter_path}'s order, which is {!iter_path}
+    filtered to those edges. It climbs only the depth difference of the
+    endpoints, to tell whether the shallower one is the lowest common
+    ancestor, prepares the forest as {!iter_path} does (so
+    [repair_vertices] counts the same), and allocates nothing. This is
+    all of [C(e, c)] that a search set touching only [e]'s endpoints can
+    use (the first iteration of Algorithm 1).
+    @raise Invalid_argument when [C(e, c)] is empty. *)
+val iter_path_ends : t -> int -> int -> (int -> unit) -> unit
+
+(** [path_end_count t e c] is the number of edges {!iter_path_ends}
+    emits: 1 when [C(e, c)] is a single edge, else 2. O(1): it prepares
+    the forest as {!iter_path_ends} does and reads the endpoints' parent
+    pointers, without climbing.
+    @raise Invalid_argument when [C(e, c)] is empty. *)
+val path_end_count : t -> int -> int -> int
+
 (** [component_edges t v c] lists the edges of the color-[c] tree containing
     vertex [v] (empty when [v] is isolated in that color). *)
 val component_edges : t -> int -> int -> int list
@@ -194,7 +216,9 @@ val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
     touch), and vertices
     re-rooted by {!unset} repairs ([repair_vertices]). Obs counts the
     same events as [coloring.uf_queries], [coloring.bfs_runs],
-    [coloring.uf_rebuilds] and [coloring.repair_vertices]. The bench
+    [coloring.uf_rebuilds] and [coloring.repair_vertices]. [path_edges]
+    counts the edges {!iter_path}, {!iter_path_ends} and {!path} emit,
+    added once per walk, and has no Obs twin. The bench
     harness reports deltas per experiment. No emitter of a finished
     decomposition counts here: they build with {!of_assignment}, so
     the counts come from colorings that are searched, churned or read
@@ -205,6 +229,7 @@ module Counters : sig
     bfs_runs : int;
     uf_rebuilds : int;
     repair_vertices : int;
+    path_edges : int;
   }
 
   val snapshot : unit -> snapshot

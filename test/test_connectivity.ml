@@ -143,7 +143,8 @@ let prop_component_counts =
    self-loops), [path_exists] is [path <> None] and agrees with the BFS
    oracle, it costs one counted connectivity query unless e has color c (then
    none), and [iter_path] emits [path]'s edges in [path]'s order without
-   touching the counters — or refuses an empty C(e, c) *)
+   touching the query counters, counting its edges in path_edges — or
+   refuses an empty C(e, c) *)
 let prop_path_walk =
   QCheck.Test.make ~name:"iter_path walks path; path_exists = path <> None"
     ~count:40 (QCheck.int_bound 1_000_000)
@@ -168,6 +169,7 @@ let prop_path_walk =
         random_op st c
       done;
       let uf () = (Coloring.Counters.snapshot ()).Coloring.Counters.uf_queries in
+      let path_edges () = (Coloring.Counters.snapshot ()).path_edges in
       for e = 0 to G.m g - 1 do
         for col = 0 to colors - 1 do
           let p = Coloring.path c e col in
@@ -183,11 +185,14 @@ let prop_path_walk =
           if exists <> (own || Coloring.oracle_would_close_cycle c e col) then
             Alcotest.failf "e=%d c=%d path_exists disagrees with BFS" e col;
           let walked = ref [] in
-          let q1 = uf () in
+          let q1 = uf () and p1 = path_edges () in
           (match Coloring.iter_path c e col (fun x -> walked := x :: !walked) with
           | () ->
               if p <> Some (List.rev !walked) then
-                Alcotest.failf "e=%d c=%d walk differs from path" e col
+                Alcotest.failf "e=%d c=%d walk differs from path" e col;
+              if path_edges () - p1 <> List.length !walked then
+                Alcotest.failf "e=%d c=%d path_edges counted %d of %d" e col
+                  (path_edges () - p1) (List.length !walked)
           | exception Invalid_argument _ ->
               if p <> None then
                 Alcotest.failf "e=%d c=%d walk refused a nonempty path" e col);
@@ -331,6 +336,129 @@ let prop_repair_oracle =
         | _ -> ()
       done;
       true)
+
+(* [iter_path]'s edges incident to e's endpoints, in its order, or the
+   message it refuses with *)
+let walk_ends c e col =
+  let g = Coloring.graph c in
+  let u, v = G.endpoints g e in
+  let acc = ref [] in
+  match
+    Coloring.iter_path c e col (fun x ->
+        let a, b = G.endpoints g x in
+        if a = u || a = v || b = u || b = v then acc := x :: !acc)
+  with
+  | () -> Ok (List.rev !acc)
+  | exception Invalid_argument _ -> Error ()
+
+let read_ends c e col =
+  let acc = ref [] in
+  match Coloring.iter_path_ends c e col (fun x -> acc := x :: !acc) with
+  | () -> Ok (List.rev !acc)
+  | exception Invalid_argument _ -> Error ()
+
+(* Random multigraphs colored twice by the same random set/unset script
+   (so trees a set left pending go stale): on every (edge, color),
+   [iter_path_ends] on one twin emits [iter_path] on the other filtered
+   to the edges at e's endpoints, in order, or refuses alike; both count
+   the same repaired vertices and no query, path_edges counts the ends
+   read, and [path_end_count] is their number. *)
+let prop_path_ends =
+  QCheck.Test.make ~name:"iter_path_ends == iter_path at e's endpoints"
+    ~count:60 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 3 + Random.State.int st 8 in
+      let pair () =
+        let u = Random.State.int st n in
+        (u, (u + 1 + Random.State.int st (n - 1)) mod n)
+      in
+      let g =
+        G.of_edges n (List.init (2 + Random.State.int st 25) (fun _ -> pair ()))
+      in
+      let colors = 1 + Random.State.int st 3 in
+      let walked = Coloring.create g ~colors
+      and read = Coloring.create g ~colors in
+      let seed' = Random.State.bits st in
+      let st_w = rng seed' and st_r = rng seed' in
+      for _ = 1 to 3 * G.m g do
+        random_op st_w walked;
+        random_op st_r read
+      done;
+      let snap = Coloring.Counters.snapshot in
+      for e = 0 to G.m g - 1 do
+        for col = 0 to colors - 1 do
+          let s0 = snap () in
+          let want = walk_ends walked e col in
+          let s1 = snap () in
+          let got = read_ends read e col in
+          let s2 = snap () in
+          if got <> want then
+            Alcotest.failf "e=%d c=%d ends differ from the walk's" e col;
+          if
+            s2.repair_vertices - s1.repair_vertices
+            <> s1.repair_vertices - s0.repair_vertices
+          then Alcotest.failf "e=%d c=%d repaired differently" e col;
+          if s2.uf_queries <> s1.uf_queries then
+            Alcotest.failf "e=%d c=%d ends were counted" e col;
+          let read_count =
+            match got with Ok l -> List.length l | Error () -> 0
+          in
+          if s2.path_edges - s1.path_edges <> read_count then
+            Alcotest.failf "e=%d c=%d path_edges counted %d of %d ends" e col
+              (s2.path_edges - s1.path_edges) read_count;
+          match got with
+          | Ok ends ->
+              if Coloring.path_end_count read e col <> List.length ends then
+                Alcotest.failf "e=%d c=%d path_end_count is wrong" e col
+          | Error () -> ()
+        done
+      done;
+      true)
+
+(* unit: [iter_path_ends] on the cases its climb tells apart. Color 0 is
+   the tree 0-1-2-3 plus 1-4, rooted at 0: C((0,3), 0) has u as its
+   lowest common ancestor and C((3,0), 0) has v, C((1,2), 0) is one
+   edge and C((2,4), 0) joins two vertices of equal depth. Color 1 is
+   the path 3-4-5, set as (4,5) then (3,4), so rooted at 4 and pending;
+   an unset elsewhere in color 1 makes the mark stale, and the read must
+   re-root it at 3 first, as the walk does: C((3,5), 1) then has u as
+   its ancestor, where the stale rooting had equal depths. Vertex 0 has
+   no color-1 edge, so C((0,3), 1) is empty. *)
+let test_path_ends_cases () =
+  let g =
+    G.of_edges 6
+      [ (0, 1); (1, 2); (2, 3); (1, 4); (0, 3); (3, 0); (1, 2); (2, 4);
+        (4, 5); (3, 5); (3, 4); (1, 2) ]
+  in
+  let build () =
+    let c = Coloring.create g ~colors:2 in
+    List.iter (fun e -> Coloring.set c e 0) [ 0; 1; 2; 3 ];
+    List.iter (fun e -> Coloring.set c e 1) [ 8; 10; 11 ];
+    Coloring.unset c 11;
+    c
+  in
+  let walked = build () and read = build () in
+  let repaired () = (Coloring.Counters.snapshot ()).repair_vertices in
+  List.iter
+    (fun (e, col, want) ->
+      let r0 = repaired () in
+      let w = walk_ends walked e col in
+      let r1 = repaired () in
+      let got = read_ends read e col in
+      let r2 = repaired () in
+      if w <> want then Alcotest.failf "e=%d c=%d: walk differs" e col;
+      if got <> want then Alcotest.failf "e=%d c=%d: ends differ" e col;
+      if r2 - r1 <> r1 - r0 then
+        Alcotest.failf "e=%d c=%d: repaired differently" e col)
+    [
+      (4, 0, Ok [ 2; 0 ]);
+      (5, 0, Ok [ 2; 0 ]);
+      (6, 0, Ok [ 1 ]);
+      (7, 0, Ok [ 1; 3 ]);
+      (9, 1, Ok [ 8; 10 ]);
+      (4, 1, Error ());
+    ]
 
 (* unit: a disconnection created by unset is visible on the very next
    query — the repair must relabel the detached subtree *)
@@ -684,12 +812,14 @@ let () =
             test_rejects_cycle_after_cross_color_churn;
           Alcotest.test_case "copy coherence" `Quick
             test_copy_preserves_cache_coherence;
+          Alcotest.test_case "path ends" `Quick test_path_ends_cases;
         ] );
       qsuite "differential"
         [
           prop_differential;
           prop_component_counts;
           prop_path_walk;
+          prop_path_ends;
           prop_repair_oracle;
         ];
       qsuite "dynamic"

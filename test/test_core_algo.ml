@@ -189,6 +189,205 @@ let prop_sequences_satisfy_conditions =
                 !ok)
       end)
 
+(* Algorithm 1 as the paper states it, the reference for [Aug.search]:
+   iteration i scans E_i newest member first and walks every C(e, c) of
+   every scanned edge in full with [iter_path]; an edge of the path that
+   is adjacent to E_i (and inside [within]) joins E_{i+1} with the
+   scanned edge as its parent. The first scan of an edge asks first
+   whether C(e, c) is empty, which ends the search. Returns what
+   [Aug.search] returns. *)
+let reference_search coloring palette ~start ~within =
+  let g = Coloring.graph coloring in
+  let allowed e =
+    match within with
+    | None -> true
+    | Some r -> r.(G.src g e) && r.(G.dst g e)
+  in
+  let members = ref [| start |] in
+  let parent = Hashtbl.create 16 in
+  Hashtbl.replace parent start (-1);
+  let touched = Hashtbl.create 16 in
+  let touch e =
+    Hashtbl.replace touched (G.src g e) ();
+    Hashtbl.replace touched (G.dst g e) ()
+  in
+  touch start;
+  let joined = ref [] in
+  let visit e' cur =
+    if
+      (not (Hashtbl.mem parent e'))
+      && allowed e'
+      && (Hashtbl.mem touched (G.src g e') || Hashtbl.mem touched (G.dst g e'))
+    then begin
+      Hashtbl.replace parent e' cur;
+      joined := e' :: !joined
+    end
+  in
+  let rec trace e c acc =
+    let acc = (e, c) :: acc in
+    let p = Hashtbl.find parent e in
+    if p < 0 then acc else trace p (Option.get (Coloring.color coloring e)) acc
+  in
+  let rec iterate i ~scanned growth =
+    let hi = Array.length !members in
+    let found = ref None in
+    let s = ref (hi - 1) in
+    while !s >= 0 && !found = None do
+      let e = !members.(!s) in
+      let rec colors = function
+        | [] -> ()
+        | c :: rest ->
+            if !s >= scanned && not (Coloring.path_exists coloring e c) then
+              found := Some (e, c)
+            else begin
+              Coloring.iter_path coloring e c (fun x -> visit x e);
+              colors rest
+            end
+      in
+      colors (Palette.get palette e);
+      decr s
+    done;
+    let all = Array.append !members (Array.of_list (List.rev !joined)) in
+    joined := [];
+    members := all;
+    let stats () =
+      {
+        Aug.iterations = i;
+        explored = Array.length all;
+        growth = List.rev growth;
+      }
+    in
+    match !found with
+    | Some (e, c) -> Aug.Found (trace e c [], stats ())
+    | None when Array.length all = hi ->
+        let seen = Hashtbl.create 16 and acc = ref [] in
+        Array.iter
+          (fun e ->
+            List.iter
+              (fun v ->
+                if not (Hashtbl.mem seen v) then begin
+                  Hashtbl.replace seen v ();
+                  acc := v :: !acc
+                end)
+              [ G.src g e; G.dst g e ])
+          all;
+        Aug.Stalled (stats (), !acc)
+    | None ->
+        Array.iter touch (Array.sub all hi (Array.length all - hi));
+        iterate (i + 1) ~scanned:hi ((i + 1, Array.length all) :: growth)
+  in
+  iterate 0 ~scanned:0 [ (0, 1) ]
+
+(* the same random forest coloring twice: random sets, unsets and
+   recolors, then one unset per color, so that the trees a set left
+   pending are stale when a search reads them *)
+let twin_colorings st g colors =
+  let a = Coloring.create g ~colors and b = Coloring.create g ~colors in
+  let both f = f a; f b in
+  for step = 1 to 4 * G.m g do
+    let e = Random.State.int st (G.m g) in
+    if step > G.m g && Random.State.int st 3 = 0 then
+      both (fun c -> Coloring.unset c e)
+    else begin
+      let col = Random.State.int st colors in
+      if not (Coloring.would_close_cycle a e col) then
+        both (fun c -> Coloring.set c e col)
+    end
+  done;
+  for col = 0 to colors - 1 do
+    let es = List.init (G.m g) Fun.id in
+    match List.filter (fun e -> Coloring.color a e = Some col) es with
+    | [] -> ()
+    | es ->
+        let e = List.nth es (Random.State.int st (List.length es)) in
+        both (fun c -> Coloring.unset c e)
+  done;
+  (a, b)
+
+(* [Aug.search], which reads only the end edges of C(start, c) in its
+   first iteration, against [reference_search] on a twin coloring:
+   random multigraphs, full or list palettes of alpha-1 .. alpha+1
+   colors, no region, a region of every vertex or a ball, and colorings
+   with unsets behind them. Outcome, sequence, statistics, stall witness
+   and the uf_queries/repair_vertices deltas must agree, search by
+   search; each found sequence is then applied to both twins. *)
+let prop_search_matches_reference =
+  QCheck.Test.make ~name:"search == full-walk Algorithm 1"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 3 + Random.State.int st 7 in
+      let pair () =
+        let u = Random.State.int st n in
+        (u, (u + 1 + Random.State.int st (n - 1)) mod n)
+      in
+      let g =
+        G.of_edges n (List.init (2 + Random.State.int st 24) (fun _ -> pair ()))
+      in
+      let alpha = Arb.brute_force g in
+      let k = max 1 (alpha - 1 + Random.State.int st 3) in
+      let palette, colors =
+        if Random.State.bool st then (Palette.full g k, k)
+        else begin
+          let colors = k + 2 in
+          let pick _ =
+            let all = List.init colors Fun.id in
+            let shuffled =
+              List.map (fun c -> (Random.State.bits st, c)) all
+              |> List.sort compare |> List.map snd
+            in
+            List.sort compare (List.filteri (fun i _ -> i < k) shuffled)
+          in
+          (Palette.of_lists ~colors (Array.init (G.m g) pick), colors)
+        end
+      in
+      let within =
+        match Random.State.int st 3 with
+        | 0 -> None
+        | 1 -> Some (Array.make n true)
+        | _ -> Some (G.ball_of_set g [ Random.State.int st n ] 1)
+      in
+      let mine, theirs = twin_colorings st g colors in
+      let snap () = Coloring.Counters.snapshot () in
+      let delta (a : Coloring.Counters.snapshot)
+          (b : Coloring.Counters.snapshot) =
+        (b.uf_queries - a.uf_queries, b.repair_vertices - a.repair_vertices)
+      in
+      for e = 0 to G.m g - 1 do
+        let inside =
+          match within with
+          | None -> true
+          | Some r -> r.(G.src g e) && r.(G.dst g e)
+        in
+        if Coloring.color mine e = None && inside then begin
+          (* uncolor and recolor a random edge: trees of its color that
+             a set left pending go stale *)
+          let f = Random.State.int st (G.m g) in
+          (match Coloring.color mine f with
+          | Some col ->
+              List.iter
+                (fun c -> Coloring.unset c f; Coloring.set c f col)
+                [ mine; theirs ]
+          | None -> ());
+          let s0 = snap () in
+          let got = Aug.search mine palette ~start:e ?within () in
+          let s1 = snap () in
+          let want = reference_search theirs palette ~start:e ~within in
+          let s2 = snap () in
+          if got <> want then
+            Alcotest.failf "seed %d edge %d: outcome differs" seed e;
+          if delta s0 s1 <> delta s1 s2 then
+            Alcotest.failf "seed %d edge %d: counters moved differently" seed e;
+          match got with
+          | Aug.Found (seq, _) ->
+              let seq = Aug.short_circuit mine seq in
+              Aug.apply mine seq;
+              Aug.apply theirs seq
+          | Aug.Stalled _ -> ()
+        end
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Diameter reduction (Prop 2.4 / Cor 2.5)                             *)
 (* ------------------------------------------------------------------ *)
@@ -562,6 +761,22 @@ let test_diam_reduce_cut_fd () =
   in
   check_fd_complete "diam-reduce cut" coloring 12
 
+(* A leftover of arboricity 1 on 3-color palettes: below the LSFD's
+   required palette (4 colors at alpha* = 1), so the leftover takes the
+   direct augmentation and colors every edge. *)
+let test_lfd_leftover_alpha1_fallback () =
+  let g = Gen.path 6 in
+  let m = G.m g in
+  let phi0 = Coloring.create g ~colors:6 in
+  let q1 = Palette.of_lists ~colors:6 (Array.make m [ 0; 1; 2 ]) in
+  let coloring =
+    FA.lfd_leftover g ~colors:6 ~phi0 ~q1 ~removed:(Array.make m true)
+      ~rng:(rng 64) ~rounds:(Rounds.create ())
+  in
+  Alcotest.(check int) "every edge colored" m (Coloring.colored_count coloring);
+  Verify.exn (Verify.forest_decomposition coloring);
+  Verify.exn (Verify.respects_palette coloring q1)
+
 let prop_fd_random_instances =
   QCheck.Test.make ~name:"forest_decomposition valid on random multigraphs"
     ~count:12 (QCheck.int_bound 100000)
@@ -590,7 +805,11 @@ let () =
           Alcotest.test_case "growth factor" `Quick test_growth_factor;
         ] );
       qsuite "augmenting_props"
-        [ prop_augmentation_preserves_invariant; prop_sequences_satisfy_conditions ];
+        [
+          prop_augmentation_preserves_invariant;
+          prop_sequences_satisfy_conditions;
+          prop_search_matches_reference;
+        ];
       ( "diameter_reduction",
         [
           Alcotest.test_case "log/eps" `Quick test_diameter_reduction_log;
@@ -615,6 +834,8 @@ let () =
           Alcotest.test_case "auto cut end-to-end" `Quick
             test_auto_cut_end_to_end;
           Alcotest.test_case "diam-reduce cut" `Quick test_diam_reduce_cut_fd;
+          Alcotest.test_case "lfd leftover fallback at alpha 1" `Quick
+            test_lfd_leftover_alpha1_fallback;
         ] );
       qsuite "forest_algo_props" [ prop_fd_random_instances ];
       ( "color_split",

@@ -4,7 +4,9 @@
        [--wall-threshold PCT] [--rounds-tolerance N]
        [--throughput-threshold PCT] [--json]
 
-   A directory given on either side stands for every BENCH_*.json in it.
+   A directory given on either side stands for every BENCH_*.json in it
+   but BENCH_nwbench.json, nwbench's end-to-end record, which `nwbench
+   compare` reads.
    Loads two sets of nw-bench records, aligns them by exp, and compares
    the trajectory-bearing metrics:
 
@@ -368,7 +370,8 @@ let main () =
         Sys.readdir path |> Array.to_list
         |> List.filter (fun f ->
                String.starts_with ~prefix:"BENCH_" f
-               && Filename.check_suffix f ".json")
+               && Filename.check_suffix f ".json"
+               && f <> "BENCH_nwbench.json")
         |> List.sort String.compare
       with
       | [] -> die "%s: no BENCH_*.json in directory" path
