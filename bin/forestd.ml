@@ -247,34 +247,40 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   in
   let algo_name = algorithm.Registry.name in
   let spec = { Registry.graph = g; epsilon; alpha } in
-  let pipeline = algorithm.Registry.build spec in
-  (match flight with
-  | None -> ()
-  | Some file ->
-      Flight.set_enabled true;
-      let registry, registry_hash = Registry.stamp () in
-      let env =
-        [
-          ("graph", path);
-          ("algorithm", algo_name);
-          ("epsilon", string_of_float epsilon);
-          ("seed", string_of_int seed);
-          ("registry", registry);
-          ("registry_hash", registry_hash);
-          ("pipeline", pipeline.Engine.pl_name);
-          ("pipeline_hash", Engine.digest pipeline);
-        ]
-        @
-        match faults with
-        | Some (plan, _) ->
+  (* the recorder is on before the trace opens, so it sees the whole
+     decompose span; the sink's env names the pipeline, which is built
+     inside the trace. The stamp is taken first: its builds would
+     otherwise land in the recorder's ring *)
+  let arm_flight =
+    match flight with
+    | None -> fun _ -> ()
+    | Some file ->
+        let registry, registry_hash = Registry.stamp () in
+        Flight.set_enabled true;
+        fun pipeline ->
+          let env =
             [
-              ("fault_plan", Plan.digest plan);
-              ("fault_summary", Plan.summary plan);
-              ("chaos_seed", string_of_int chaos_seed);
+              ("graph", path);
+              ("algorithm", algo_name);
+              ("epsilon", string_of_float epsilon);
+              ("seed", string_of_int seed);
+              ("registry", registry);
+              ("registry_hash", registry_hash);
+              ("pipeline", pipeline.Engine.pl_name);
+              ("pipeline_hash", Engine.digest pipeline);
             ]
-        | None -> []
-      in
-      Flight.set_sink ~env file);
+            @
+            match faults with
+            | Some (plan, _) ->
+                [
+                  ("fault_plan", Plan.digest plan);
+                  ("fault_summary", Plan.summary plan);
+                  ("chaos_seed", string_of_int chaos_seed);
+                ]
+            | None -> []
+          in
+          Flight.set_sink ~env file
+  in
   (* under fault injection a failing run is an expected, machine-consumable
      outcome: one JSON line on stderr, exit code 3 (distinct from
      cmdliner's 1/2/124/125 and from the fault-free paths). NB %S is
@@ -295,6 +301,10 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   let run_collected () =
     Obs.collect @@ fun () ->
     Obs.span "decompose" @@ fun () ->
+    (* building can be real work: lsfd sizes its palette from the exact
+       pseudo-arboricity, so it runs inside the trace *)
+    let pipeline = algorithm.Registry.build spec in
+    arm_flight pipeline;
     let rounds = Rounds.create () in
     let ctx = Engine.ctx ~rng ~rounds in
     let init = EStore.put EStore.empty "graph" (Artifact.Graph g) in

@@ -3,7 +3,7 @@
     Every top-level algorithm ends by mopping up a sparse leftover edge set
     (CUT removals, diameter-reduction deletions, unmatched star edges) with
     [O(eps*alpha)] extra colors. Both helpers measure the leftover's exact
-    pseudo-arboricity (max-flow), build a Theorem 2.1 H-partition
+    pseudo-arboricity (path reversal), build a Theorem 2.1 H-partition
     orientation of it, and append fresh colors after the base coloring's
     space: {!append_forests} uses one forest per out-edge label (plain FD);
     {!append_stars} further splits each forest into 3 star-forests via

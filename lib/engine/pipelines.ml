@@ -510,7 +510,9 @@ let greedy () =
 let be ~epsilon =
   single "be" "be.decompose" ~writes:[ k_coloring ] (fun ctx store ->
       let g = Store.graph store "graph" in
-      let alpha_star, _ = Arb.pseudo_arboricity g in
+      let alpha_star, _ =
+        Nw_obs.Obs.span "arboricity.pseudo" (fun () -> Arb.pseudo_arboricity g)
+      in
       let c =
         Nw_baseline.Barenboim_elkin.decompose g ~epsilon ~alpha_star
           ~rng:ctx.rng ~rounds:ctx.rounds

@@ -20,7 +20,9 @@ type entry = {
    pseudo-arboricity, like the paper's Theorem 2.3 statement; an
    edgeless graph (α* = 0) gets an empty palette, not a negative one *)
 let build_lsfd { graph = g; epsilon; alpha = _ } =
-  let alpha_star, _ = Arb.pseudo_arboricity g in
+  let alpha_star, _ =
+    Nw_obs.Obs.span "arboricity.pseudo" (fun () -> Arb.pseudo_arboricity g)
+  in
   let k = max 0 (Nw_core.Lsfd.required_palette ~epsilon ~alpha_star) in
   let palette = Palette.full g k in
   Pipelines.lsfd g palette ~epsilon ~alpha_star
@@ -138,7 +140,10 @@ let names () = List.map (fun e -> e.name) all
 let registry_name = "nw-registry/1"
 
 (* FNV-1a 64-bit over "name=pipeline-digest;" for every entry, built on a
-   fixed canonical spec so the stamp depends only on the code *)
+   fixed canonical spec so the stamp depends only on the code. lsfd's build
+   computes α* under a span; the builds run in a trace of their own, which
+   is dropped, so a served hello or a flight sink leaves nothing in the
+   caller's trace *)
 let stamp () =
   let canonical =
     { graph = Nw_graphs.Generators.complete 2; epsilon = 0.5; alpha = 1 }
@@ -154,7 +159,11 @@ let stamp () =
             fnv_prime)
       s
   in
-  List.iter
-    (fun e -> feed (e.name ^ "=" ^ Engine.digest (e.build canonical) ^ ";"))
-    all;
+  let (), (_ : Nw_obs.Obs.trace) =
+    Nw_obs.Obs.collect (fun () ->
+        List.iter
+          (fun e ->
+            feed (e.name ^ "=" ^ Engine.digest (e.build canonical) ^ ";"))
+          all)
+  in
   (registry_name, Printf.sprintf "%016Lx" !h)

@@ -42,6 +42,7 @@ val find : string -> entry option
 val names : unit -> string list
 
 (** [(registry name, hash)] — an FNV-1a digest of every entry's pipeline
-    shape on a fixed canonical spec. Stamped into bench records
-    ([env.pipeline]) so trajectory comparisons detect registry drift. *)
+    shape on a fixed canonical spec, rebuilt on every call in a trace of
+    its own that is dropped. Stamped into bench records ([env.pipeline]) so
+    trajectory comparisons detect registry drift. *)
 val stamp : unit -> string * string

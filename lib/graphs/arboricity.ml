@@ -1,189 +1,86 @@
 module G = Multigraph
 
-let density_lower_bound g =
+(* largest ⌈m_C / (n_C − slack)⌉ over connected components C with
+   n_C > slack; 0 when there is none *)
+let component_density g ~slack =
   let label, c = Traversal.components g in
-  if c = 0 then 0
-  else begin
-    let nv = Array.make c 0 and ne = Array.make c 0 in
-    Array.iter (fun l -> nv.(l) <- nv.(l) + 1) label;
-    G.fold_edges (fun _ u _ () -> ne.(label.(u)) <- ne.(label.(u)) + 1) g ();
-    let best = ref 0 in
-    for i = 0 to c - 1 do
-      if nv.(i) >= 2 then begin
-        (* ceil(ne / (nv - 1)) *)
-        let d = (ne.(i) + nv.(i) - 2) / (nv.(i) - 1) in
-        if d > !best then best := d
-      end
-    done;
-    !best
-  end
+  let nv = Array.make c 0 and ne = Array.make c 0 in
+  Array.iter (fun l -> nv.(l) <- nv.(l) + 1) label;
+  G.fold_edges (fun _ u _ () -> ne.(label.(u)) <- ne.(label.(u)) + 1) g ();
+  let best = ref 0 in
+  for i = 0 to c - 1 do
+    let d = nv.(i) - slack in
+    if d >= 1 then best := max !best ((ne.(i) + d - 1) / d)
+  done;
+  !best
 
-let has_orientation g k =
-  let n = G.n g and m = G.m g in
-  if k < 0 then None
-  else if m = 0 then Some (Orientation.make g [||])
-  else begin
-    (* nodes: 0 = source, 1..m = edges, m+1..m+n = vertices, m+n+1 = sink *)
-    let source = 0 and sink = m + n + 1 in
-    let edge_node e = 1 + e and vertex_node v = 1 + m + v in
-    let net = Maxflow.create (m + n + 2) in
-    let choice = Array.make m (-1) in
-    for e = 0 to m - 1 do
-      ignore (Maxflow.add_edge net source (edge_node e) 1);
-      let u, v = G.endpoints g e in
-      (* handle records the arc edge->u; if it carries flow, u pays for e,
-         i.e. e is oriented out of u (toward v) *)
-      choice.(e) <- Maxflow.add_edge net (edge_node e) (vertex_node u) 1;
-      ignore (Maxflow.add_edge net (edge_node e) (vertex_node v) 1)
-    done;
-    for v = 0 to n - 1 do
-      ignore (Maxflow.add_edge net (vertex_node v) sink k)
-    done;
-    let flow = Maxflow.max_flow net ~source ~sink in
-    if flow < m then None
-    else begin
-      let head =
-        Array.init m (fun e ->
-            let u, v = G.endpoints g e in
-            if Maxflow.flow_on net choice.(e) > 0 then v else u)
-      in
-      Some (Orientation.make g head)
-    end
-  end
+let density_lower_bound g = component_density g ~slack:1
 
+(* Sandwich, then out-degree lowering by path reversal. α* is at least
+   lo = max ⌈m_C/n_C⌉ and at most the degeneracy orientation's max
+   out-degree k. While k > lo, bring every out-degree below k: from a
+   vertex at k, BFS along out-edges to a vertex below k − 1 and reverse
+   the path, which moves one unit of out-degree from the start to the
+   end. When no such vertex is reachable, the closed set S the BFS
+   reached has every out-degree at least k − 1 and one at k, so
+   m_S > (k − 1)|S| and α* = k. *)
 let pseudo_arboricity g =
-  if G.m g = 0 then (0, Orientation.make g [||])
-  else begin
-    let rec search lo hi best =
-      (* invariant: orientation with max out-degree <= hi exists (= best) *)
-      if lo >= hi then (hi, best)
-      else begin
-        let mid = (lo + hi) / 2 in
-        match has_orientation g mid with
-        | Some o -> search lo mid o
-        | None -> search (mid + 1) hi best
-      end
-    in
-    let d = G.max_degree g in
-    match has_orientation g d with
-    | None -> assert false (* orienting arbitrarily meets out-degree <= Δ *)
-    | Some o -> search 1 d o
-  end
-
-(* Decision procedure for Goldberg's reduction: is there a subgraph with
-   density strictly above p/q? Returns the witness vertex set when yes.
-   Network: source -> edge (cap q), edge -> endpoints (cap inf),
-   vertex -> sink (cap p); some S has q*m_S - p*|S| > 0 iff
-   min-cut < q*m iff max-flow < q*m. *)
-let denser_than g ~p ~q =
-  let n = G.n g and m = G.m g in
-  let source = 0 and sink = m + n + 1 in
-  let edge_node e = 1 + e and vertex_node v = 1 + m + v in
-  let net = Maxflow.create (m + n + 2) in
-  for e = 0 to m - 1 do
-    ignore (Maxflow.add_edge net source (edge_node e) q);
-    let u, v = G.endpoints g e in
-    ignore (Maxflow.add_edge net (edge_node e) (vertex_node u) Maxflow.infinite);
-    ignore (Maxflow.add_edge net (edge_node e) (vertex_node v) Maxflow.infinite)
-  done;
-  for v = 0 to n - 1 do
-    ignore (Maxflow.add_edge net (vertex_node v) sink p)
-  done;
-  let flow = Maxflow.max_flow net ~source ~sink in
-  if flow >= q * m then None
-  else begin
-    let side = Maxflow.min_cut_side net ~source in
-    let witness = ref [] in
-    for v = n - 1 downto 0 do
-      if side.(vertex_node v) then witness := v :: !witness
-    done;
-    Some !witness
-  end
-
-let densest_subgraph g =
-  let n = G.n g and m = G.m g in
-  if m = 0 then (0.0, [])
-  else begin
-    (* densities are rationals a/b with b <= n, so distinct values differ by
-       more than 1/n^2; search the grid t/n^2 for t in [0, m*n^2] *)
-    let q = n * n in
-    let rec search lo hi best =
-      (* invariant: density > lo/q is achievable (witness [best]);
-         density > hi/q is not *)
-      if hi - lo <= 1 then best
-      else begin
-        let mid = (lo + hi) / 2 in
-        match denser_than g ~p:mid ~q with
-        | Some witness -> search mid hi witness
-        | None -> search lo mid best
-      end
-    in
-    let initial =
-      match denser_than g ~p:0 ~q with
-      | Some w -> w
-      | None -> assert false (* any edge gives positive density *)
-    in
-    let witness = search 0 ((m * q) + 1) initial in
-    let members = Array.make n false in
-    List.iter (fun v -> members.(v) <- true) witness;
-    let m_s =
-      G.fold_edges
-        (fun _ u v acc -> if members.(u) && members.(v) then acc + 1 else acc)
-        g 0
-    in
-    let n_s = List.length witness in
-    (float_of_int m_s /. float_of_int (max 1 n_s), witness)
-  end
-
-let densest_brute_force g =
   let n = G.n g in
-  if n > 22 then invalid_arg "Arboricity.densest_brute_force: graph too large";
-  if G.m g = 0 then 0.0
-  else begin
-    let best = ref 0.0 in
-    for mask = 1 to (1 lsl n) - 1 do
-      let nv = ref 0 in
-      for v = 0 to n - 1 do
-        if mask land (1 lsl v) <> 0 then incr nv
-      done;
-      let ne =
-        G.fold_edges
-          (fun _ u v acc ->
-            if mask land (1 lsl u) <> 0 && mask land (1 lsl v) <> 0 then
-              acc + 1
-            else acc)
-          g 0
-      in
-      let d = float_of_int ne /. float_of_int !nv in
-      if d > !best then best := d
+  let head = Array.init (G.m g) (Orientation.head (Degeneracy.orientation g)) in
+  let out = Array.make n 0 in
+  Array.iteri
+    (fun e h ->
+      let t = G.other_endpoint g e h in
+      out.(t) <- out.(t) + 1)
+    head;
+  let lo = component_density g ~slack:0 in
+  let seen = Array.make n 0 and stamp = ref 0 in
+  let parent = Array.make n (-1) and queue = Array.make n 0 in
+  (* BFS from [v] along out-edges; the first vertex reached with
+     out-degree below [k − 1], or -1 *)
+  let find v k =
+    incr stamp;
+    seen.(v) <- !stamp;
+    queue.(0) <- v;
+    let qh = ref 0 and qt = ref 1 and found = ref (-1) in
+    while !found < 0 && !qh < !qt do
+      let x = queue.(!qh) in
+      incr qh;
+      G.iter_incident g x (fun y e ->
+          if !found < 0 && head.(e) = y && seen.(y) <> !stamp then begin
+            seen.(y) <- !stamp;
+            parent.(y) <- e;
+            if out.(y) < k - 1 then found := y
+            else begin
+              queue.(!qt) <- y;
+              incr qt
+            end
+          end)
     done;
-    !best
-  end
-
-let brute_force g =
-  let n = G.n g in
-  if n > 22 then invalid_arg "Arboricity.brute_force: graph too large";
-  if G.m g = 0 then 0
-  else begin
-    let best = ref 0 in
-    let masks = 1 lsl n in
-    for mask = 0 to masks - 1 do
-      let nv = ref 0 in
-      for v = 0 to n - 1 do
-        if mask land (1 lsl v) <> 0 then incr nv
-      done;
-      if !nv >= 2 then begin
-        let ne =
-          G.fold_edges
-            (fun _ u v acc ->
-              if mask land (1 lsl u) <> 0 && mask land (1 lsl v) <> 0 then
-                acc + 1
-              else acc)
-            g 0
-        in
-        let d = (ne + !nv - 2) / (!nv - 1) in
-        if d > !best then best := d
+    !found
+  in
+  let rec reverse v y =
+    if y <> v then begin
+      let e = parent.(y) in
+      let x = G.other_endpoint g e y in
+      head.(e) <- x;
+      reverse v x
+    end
+  in
+  (* bring every out-degree of [v..n-1] below [k]; false on a stall *)
+  let rec level k v =
+    if v = n then true
+    else if out.(v) < k then level k (v + 1)
+    else
+      let w = find v k in
+      if w < 0 then false
+      else begin
+        reverse v w;
+        out.(v) <- out.(v) - 1;
+        out.(w) <- out.(w) + 1;
+        level k (v + 1)
       end
-    done;
-    !best
-  end
+  in
+  let rec lower k = if k > lo && level k 0 then lower (k - 1) else k in
+  let k = lower (Array.fold_left max 0 out) in
+  (k, Orientation.make g head)

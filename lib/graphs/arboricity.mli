@@ -3,38 +3,28 @@
     Nash-Williams: the arboricity [α(G)] equals
     [max over subgraphs H of ceil(|E(H)| / (|V(H)| - 1))].
     The pseudo-arboricity [α*(G)] is the least [k] admitting a
-    [k]-orientation; always [α* <= α <= 2 α*], and [α <= α* + 1] on simple
-    graphs.
+    [k]-orientation, and equals [max over H of ceil(|E(H)| / |V(H)|)];
+    always [α* <= α <= 2 α*], and [α <= α* + 1] on simple graphs.
 
     Exact arboricity via matroid partition lives in
     [Nw_baseline.Gabow_westermann] (it needs the forest-partition machinery);
-    this module provides the flow-based pseudo-arboricity, density lower
-    bounds, and an exponential brute force used to validate both. *)
+    this module provides the density lower bound and the exact
+    pseudo-arboricity by path reversal. *)
 
 (** Largest value of [ceil(m_C / (n_C - 1))] over connected components [C];
     a lower bound on arboricity. 0 on edgeless graphs. *)
 val density_lower_bound : Multigraph.t -> int
 
-(** [has_orientation g k] decides via max-flow whether [g] has an orientation
-    with all out-degrees at most [k]; returns the witness when it exists. *)
-val has_orientation : Multigraph.t -> int -> Orientation.t option
+(** Exact pseudo-arboricity with a witness orientation whose max out-degree
+    is exactly [α*]. Starts from the degeneracy orientation and lowers the
+    max out-degree by reversing out-edge paths from its most loaded
+    vertices (Mitrović–Rubinfeld–Singhal's primitive) until it meets the
+    largest [ceil(m_C / n_C)] over components, or until a vertex at the
+    max reaches no vertex with spare out-degree: the set it reaches is a
+    subgraph of density above [max - 1], which certifies the value.
+    [(0, trivial)] on edgeless graphs.
 
-(** Exact pseudo-arboricity with a witness orientation, via binary search
-    over {!has_orientation}. [(0, trivial)] on edgeless graphs. *)
+    Each level runs at most one BFS per vertex, so the worst case is
+    [O((d - α* ) * n * (n + m))] for degeneracy [d <= 2α*]. On [K_c]
+    every BFS stops at its first hop, and the cost is [Θ(m^1.5)]. *)
 val pseudo_arboricity : Multigraph.t -> int * Orientation.t
-
-(** Exact arboricity by enumerating all vertex subsets — O(2^n * m); only for
-    graphs with at most ~20 vertices (test oracle).
-    @raise Invalid_argument when [n > 22]. *)
-val brute_force : Multigraph.t -> int
-
-(** [densest_subgraph g] computes the exact maximum density
-    [max over H of |E(H)| / |V(H)|] (Goldberg's min-cut reduction, binary
-    search over the O(n^2) candidate rationals) together with a witness
-    vertex set attaining it. [(0., [])] on edgeless graphs. The
-    pseudo-arboricity equals [ceil] of this value (checked by the tests),
-    giving an independent certificate for {!pseudo_arboricity}. *)
-val densest_subgraph : Multigraph.t -> float * int list
-
-(** Brute-force [max |E(H)|/|V(H)|] (test oracle, [n <= 22]). *)
-val densest_brute_force : Multigraph.t -> float

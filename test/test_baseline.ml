@@ -52,7 +52,7 @@ let prop_gw_matches_brute_force =
       let st = rng seed in
       let n = 4 + Random.State.int st 8 in
       let g = Gen.erdos_renyi st n 0.5 in
-      G.m g = 0 || fst (GW.arboricity g) = Arb.brute_force g)
+      G.m g = 0 || fst (GW.arboricity g) = Oracle.arboricity g)
 
 (* [arboricity_value] must agree with the witnessed search and with
    Nash-Williams' formula on simple graphs, multigraphs and disjoint
@@ -78,7 +78,7 @@ let prop_gw_value_matches =
         | _ -> Gen.disjoint_union (small ()) (small ())
       in
       let v = GW.arboricity_value g in
-      v = fst (GW.arboricity g) && v = Arb.brute_force g)
+      v = fst (GW.arboricity g) && v = Oracle.arboricity g)
 
 (* partitions run by [arboricity_value], counted as
    "baseline.gabow_westermann" spans *)
@@ -139,7 +139,7 @@ let prop_gw_witness_on_stall =
       let g = Gen.erdos_renyi st n 0.6 in
       if G.m g = 0 then true
       else begin
-        let alpha = Arb.brute_force g in
+        let alpha = Oracle.arboricity g in
         if alpha < 2 then true
         else
           match GW.forest_partition g (alpha - 1) with
@@ -203,7 +203,7 @@ let prop_gw_witness_is_closure =
         else Gen.forest_union st n 3
       in
       QCheck.assume (G.m g > 0);
-      let k = max 1 (Arb.brute_force g - 1) in
+      let k = max 1 (Oracle.arboricity g - 1) in
       let palette =
         if seed mod 3 = 0 then
           Palette.of_lists ~colors:(2 * k)
@@ -235,7 +235,7 @@ let test_gw_list_seymour () =
   for seed = 0 to 14 do
     let g = Gen.erdos_renyi (rng (10 + seed)) 10 0.55 in
     if G.m g > 0 then begin
-      let alpha = Arb.brute_force g in
+      let alpha = Oracle.arboricity g in
       let colors = (2 * alpha) + 3 in
       let lists = Gen.list_palettes st g ~colors ~size:alpha in
       let palette = Palette.of_lists ~colors lists in
@@ -284,7 +284,7 @@ let prop_star_arboricity_bounds =
       let g = Gen.erdos_renyi st n 0.4 in
       if G.m g = 0 || G.m g > 14 then true
       else begin
-        let alpha = Arb.brute_force g in
+        let alpha = Oracle.arboricity g in
         let astar = Nw_baseline.Amr_star.star_arboricity_brute g in
         alpha <= astar && astar <= 2 * alpha
       end)
@@ -328,7 +328,7 @@ let prop_greedy_never_beats_exact =
       let g = Gen.erdos_renyi st 10 0.5 in
       if G.m g = 0 then true
       else begin
-        let alpha = Arb.brute_force g in
+        let alpha = Oracle.arboricity g in
         Verify.colors_used (Greedy.greedy g) >= alpha
       end)
 

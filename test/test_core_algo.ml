@@ -119,7 +119,7 @@ let prop_augmentation_preserves_invariant =
       let g = Gen.erdos_renyi st n 0.4 in
       if G.m g = 0 then true
       else begin
-        let alpha = Arb.brute_force g in
+        let alpha = Oracle.arboricity g in
         let colors = alpha + 1 in
         let coloring = random_partial st g colors in
         let palette = Palette.full g colors in
@@ -145,7 +145,7 @@ let prop_sequences_satisfy_conditions =
       let g = Gen.erdos_renyi st n 0.5 in
       if G.m g = 0 then true
       else begin
-        let alpha = Arb.brute_force g in
+        let alpha = Oracle.arboricity g in
         let colors = alpha + 1 in
         let coloring = random_partial st g colors in
         let palette = Palette.full g colors in
@@ -324,7 +324,7 @@ let prop_search_matches_reference =
       let g =
         G.of_edges n (List.init (2 + Random.State.int st 24) (fun _ -> pair ()))
       in
-      let alpha = Arb.brute_force g in
+      let alpha = Oracle.arboricity g in
       let k = max 1 (alpha - 1 + Random.State.int st 3) in
       let palette, colors =
         if Random.State.bool st then (Palette.full g k, k)

@@ -32,8 +32,8 @@ let test_arboricity_degenerate () =
   Alcotest.(check int) "isolated density" 0 (Arb.density_lower_bound isolated);
   let k, _ = Arb.pseudo_arboricity isolated in
   Alcotest.(check int) "isolated pseudo-arboricity" 0 k;
-  Alcotest.(check int) "empty brute" 0 (Arb.brute_force empty);
-  Alcotest.(check int) "single edge brute" 1 (Arb.brute_force single_edge)
+  Alcotest.(check int) "empty brute" 0 (Oracle.arboricity empty);
+  Alcotest.(check int) "single edge brute" 1 (Oracle.arboricity single_edge)
 
 let test_gw_degenerate () =
   let a, c = Nw_baseline.Gabow_westermann.arboricity isolated in

@@ -204,7 +204,7 @@ let test_theta_parallel () =
   Alcotest.(check int) "n" 2 (G.n g);
   Alcotest.(check int) "m" 3 (G.m g);
   Alcotest.(check bool) "not simple" false (G.is_simple g);
-  Alcotest.(check int) "arboricity 3" 3 (Nw_graphs.Arboricity.brute_force g)
+  Alcotest.(check int) "arboricity 3" 3 (Oracle.arboricity g)
 
 let test_cut_accessors () =
   let g = Gen.forest_union (rng 9) 40 3 in

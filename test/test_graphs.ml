@@ -162,93 +162,6 @@ let prop_spanning_forest =
       T.is_forest sub && c_sub = c_full)
 
 (* ------------------------------------------------------------------ *)
-(* Max-flow                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_maxflow_simple () =
-  let module F = Nw_graphs.Maxflow in
-  let net = F.create 4 in
-  let a = F.add_edge net 0 1 3 in
-  let _ = F.add_edge net 0 2 2 in
-  let _ = F.add_edge net 1 2 5 in
-  let b = F.add_edge net 1 3 2 in
-  let _ = F.add_edge net 2 3 3 in
-  Alcotest.(check int) "flow value" 5 (F.max_flow net ~source:0 ~sink:3);
-  Alcotest.(check int) "edge 0->1 saturated" 3 (F.flow_on net a);
-  Alcotest.(check int) "edge 1->3 saturated" 2 (F.flow_on net b);
-  let side = F.min_cut_side net ~source:0 in
-  Alcotest.(check bool) "source side" true side.(0);
-  Alcotest.(check bool) "sink side" false side.(3)
-
-let test_maxflow_disconnected () =
-  let module F = Nw_graphs.Maxflow in
-  let net = F.create 3 in
-  let _ = F.add_edge net 0 1 7 in
-  Alcotest.(check int) "no path" 0 (F.max_flow net ~source:0 ~sink:2)
-
-(* brute force max-flow on tiny graphs via repeated DFS augmentation over
-   an explicit capacity matrix *)
-let brute_maxflow n edges s t =
-  let cap = Array.make_matrix n n 0 in
-  List.iter (fun (u, v, c) -> cap.(u).(v) <- cap.(u).(v) + c) edges;
-  let find_path () =
-    let visited = Array.make n false in
-    let rec dfs u path =
-      if u = t then Some (List.rev path)
-      else begin
-        visited.(u) <- true;
-        let rec try_next v =
-          if v >= n then None
-          else if (not visited.(v)) && cap.(u).(v) > 0 then
-            match dfs v ((u, v) :: path) with
-            | Some p -> Some p
-            | None -> try_next (v + 1)
-          else try_next (v + 1)
-        in
-        try_next 0
-      end
-    in
-    dfs s []
-  in
-  let total = ref 0 in
-  let rec loop () =
-    match find_path () with
-    | None -> ()
-    | Some path ->
-        let bottleneck =
-          List.fold_left (fun acc (u, v) -> min acc cap.(u).(v)) max_int path
-        in
-        List.iter
-          (fun (u, v) ->
-            cap.(u).(v) <- cap.(u).(v) - bottleneck;
-            cap.(v).(u) <- cap.(v).(u) + bottleneck)
-          path;
-        total := !total + bottleneck;
-        loop ()
-  in
-  loop ();
-  !total
-
-let prop_maxflow_vs_brute =
-  QCheck.Test.make ~name:"dinic agrees with brute-force flow" ~count:200
-    QCheck.(pair (int_bound 10000) (int_bound 5))
-    (fun (seed, extra) ->
-      let st = rng seed in
-      let n = 4 + extra in
-      let edges = ref [] in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if u <> v && Random.State.float st 1.0 < 0.4 then
-            edges := (u, v, 1 + Random.State.int st 5) :: !edges
-        done
-      done;
-      let module F = Nw_graphs.Maxflow in
-      let net = F.create n in
-      List.iter (fun (u, v, c) -> ignore (F.add_edge net u v c)) !edges;
-      F.max_flow net ~source:0 ~sink:(n - 1)
-      = brute_maxflow n !edges 0 (n - 1))
-
-(* ------------------------------------------------------------------ *)
 (* Matching                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -339,19 +252,44 @@ let prop_degeneracy_orientation =
 (* Arboricity / orientations                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* a random multigraph on [n] vertices: up to 4n uniform pairs, so
+   parallel edges and isolated vertices both occur *)
+let random_multigraph st n =
+  let m = Random.State.int st ((4 * n) + 1) in
+  if n < 2 then G.of_edges n []
+  else
+    G.of_edges n
+      (List.init m (fun _ ->
+           let u = Random.State.int st n in
+           let v = (u + 1 + Random.State.int st (n - 1)) mod n in
+           (u, v)))
+
+(* K_c with a pendant path of [len] vertices hanging from vertex c-1: the
+   component density ⌈m/n⌉ falls below α* = ⌈(c-1)/2⌉ once the path is
+   long, and the degeneracy c-1 is above it *)
+let clique_with_tail c len =
+  G.of_edges (c + len)
+    (Array.to_list (G.edges (Gen.complete c))
+    @ List.init len (fun i -> (c - 1 + i, c + i)))
+
 let test_pseudo_arboricity_known () =
   let check name g expected =
     let k, o = Arb.pseudo_arboricity g in
     Alcotest.(check int) name expected k;
-    Alcotest.(check bool) (name ^ " witness outdeg") true
-      (O.max_out_degree o <= k)
+    Alcotest.(check int) (name ^ " witness outdeg") k (O.max_out_degree o)
   in
   check "tree" (Gen.path 8) 1;
   check "cycle" (Gen.cycle 7) 1;
   check "K4" (Gen.complete 4) 2;
   check "K5" (Gen.complete 5) 2;
   check "double edge" (G.of_edges 2 [ (0, 1); (0, 1) ]) 1;
-  check "triple edge" (G.of_edges 2 [ (0, 1); (0, 1); (0, 1) ]) 2
+  check "triple edge" (G.of_edges 2 [ (0, 1); (0, 1); (0, 1) ]) 2;
+  (* degeneracy 5 > α* 3 > ⌈m/n⌉ = 2: the value is certified by a dense
+     closed set, not by the bounds meeting *)
+  check "K6 with a 30-vertex tail" (clique_with_tail 6 30) 3;
+  (* apart, the clique's own component bound ⌈15/6⌉ = 3 settles it *)
+  check "K6 beside a 30-vertex tail"
+    (Gen.disjoint_union (Gen.complete 6) (Gen.path 30)) 3
 
 let test_density_lower_bound () =
   Alcotest.(check int) "K5 density" 3 (Arb.density_lower_bound (Gen.complete 5));
@@ -360,10 +298,10 @@ let test_density_lower_bound () =
     (Arb.density_lower_bound (Gen.line_multigraph 10 4))
 
 let test_brute_force_arboricity () =
-  Alcotest.(check int) "K4" 2 (Arb.brute_force (Gen.complete 4));
-  Alcotest.(check int) "K5" 3 (Arb.brute_force (Gen.complete 5));
-  Alcotest.(check int) "cycle" 2 (Arb.brute_force (Gen.cycle 8));
-  Alcotest.(check int) "path" 1 (Arb.brute_force (Gen.path 8))
+  Alcotest.(check int) "K4" 2 (Oracle.arboricity (Gen.complete 4));
+  Alcotest.(check int) "K5" 3 (Oracle.arboricity (Gen.complete 5));
+  Alcotest.(check int) "cycle" 2 (Oracle.arboricity (Gen.cycle 8));
+  Alcotest.(check int) "path" 1 (Oracle.arboricity (Gen.path 8))
 
 let prop_pseudo_vs_brute_bounds =
   QCheck.Test.make ~name:"alpha* <= alpha <= 2 alpha* on random graphs"
@@ -374,44 +312,33 @@ let prop_pseudo_vs_brute_bounds =
       let g = Gen.erdos_renyi st n 0.5 in
       if G.m g = 0 then true
       else begin
-        let alpha = Arb.brute_force g in
+        let alpha = Oracle.arboricity g in
         let alpha_star, _ = Arb.pseudo_arboricity g in
         alpha_star <= alpha && alpha <= 2 * alpha_star
       end)
 
+(* at most 12 vertices: random multigraphs (edgeless ones included),
+   cliques with pendant paths, and disjoint unions of both *)
+let small_multigraph st =
+  let tailed () =
+    let c = 3 + Random.State.int st 5 in
+    clique_with_tail c (Random.State.int st (13 - c))
+  in
+  match Random.State.int st 4 with
+  | 0 | 1 -> random_multigraph st (Random.State.int st 13)
+  | 2 -> tailed ()
+  | _ ->
+      let a = tailed () in
+      let n = Random.State.int st (13 - G.n a) in
+      Gen.disjoint_union a (random_multigraph st n)
 
-let test_densest_known () =
-  let d, w = Arb.densest_subgraph (Gen.complete 5) in
-  Alcotest.(check (float 1e-9)) "K5 density" 2.0 d;
-  Alcotest.(check int) "K5 witness is everything" 5 (List.length w);
-  let d2, _ = Arb.densest_subgraph (Gen.path 6) in
-  Alcotest.(check (float 1e-9)) "path density" (5. /. 6.) d2;
-  let d3, _ = Arb.densest_subgraph (G.of_edges 2 [ (0, 1); (0, 1); (0, 1) ]) in
-  Alcotest.(check (float 1e-9)) "triple edge" 1.5 d3
-
-let prop_densest_vs_brute =
-  QCheck.Test.make ~name:"goldberg densest = brute force" ~count:40
-    (QCheck.int_bound 100000)
+let prop_pseudo_vs_subset_density =
+  QCheck.Test.make ~name:"alpha* = brute-force density" ~count:400
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
-      let st = rng seed in
-      let n = 3 + Random.State.int st 8 in
-      let g = Gen.erdos_renyi st n 0.5 in
-      let d, _ = Arb.densest_subgraph g in
-      Float.abs (d -. Arb.densest_brute_force g) < 1e-9)
-
-let prop_densest_certifies_pseudo =
-  QCheck.Test.make ~name:"ceil(max density) = pseudo-arboricity" ~count:40
-    (QCheck.int_bound 100000)
-    (fun seed ->
-      let st = rng seed in
-      let n = 3 + Random.State.int st 10 in
-      let g = Gen.erdos_renyi st n 0.5 in
-      if G.m g = 0 then true
-      else begin
-        let d, _ = Arb.densest_subgraph g in
-        let alpha_star, _ = Arb.pseudo_arboricity g in
-        int_of_float (ceil (d -. 1e-12)) = alpha_star
-      end)
+      let g = small_multigraph (rng seed) in
+      let k, o = Arb.pseudo_arboricity g in
+      k = Oracle.pseudo_arboricity g && O.max_out_degree o = k)
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -447,7 +374,7 @@ let test_forest_union_simple () =
 let test_line_multigraph_bounds () =
   let g = Gen.line_multigraph 6 3 in
   Alcotest.(check int) "m" 15 (G.m g);
-  Alcotest.(check int) "brute arboricity" 3 (Arb.brute_force g)
+  Alcotest.(check int) "brute arboricity" 3 (Oracle.arboricity g)
 
 let test_list_palettes () =
   let g = Gen.complete 5 in
@@ -476,11 +403,11 @@ let test_new_families () =
   let q3 = Gen.hypercube 3 in
   Alcotest.(check int) "Q3 n" 8 (G.n q3);
   Alcotest.(check int) "Q3 m" 12 (G.m q3);
-  Alcotest.(check int) "Q3 arboricity" 2 (Arb.brute_force q3);
+  Alcotest.(check int) "Q3 arboricity" 2 (Oracle.arboricity q3);
   (* theta graph: 3 paths of length 3 between two hubs: alpha = 2 *)
   let th = Gen.theta_graph 3 3 in
   Alcotest.(check bool) "theta simple" true (G.is_simple th);
-  Alcotest.(check int) "theta arboricity" 2 (Arb.brute_force th)
+  Alcotest.(check int) "theta arboricity" 2 (Oracle.arboricity th)
 
 let test_k_tree () =
   for k = 1 to 3 do
@@ -488,7 +415,7 @@ let test_k_tree () =
     Alcotest.(check bool) "simple" true (G.is_simple g);
     Alcotest.(check int) "edges" ((k * (k + 1) / 2) + (k * (16 - k - 1))) (G.m g);
     Alcotest.(check int) "degeneracy = k" k (Deg.degeneracy g);
-    Alcotest.(check int) "arboricity = k" k (Arb.brute_force g)
+    Alcotest.(check int) "arboricity = k" k (Oracle.arboricity g)
   done
 
 let test_preferential_attachment () =
@@ -563,12 +490,6 @@ let () =
           Alcotest.test_case "bfs_tree" `Quick test_bfs_tree;
         ] );
       qsuite "traversal_props" [ prop_spanning_forest ];
-      ( "maxflow",
-        [
-          Alcotest.test_case "simple" `Quick test_maxflow_simple;
-          Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected;
-        ] );
-      qsuite "maxflow_props" [ prop_maxflow_vs_brute ];
       ("matching", [ Alcotest.test_case "perfect" `Quick test_matching_perfect ]);
       qsuite "matching_props" [ prop_matching_vs_brute ];
       ( "degeneracy",
@@ -581,12 +502,7 @@ let () =
           Alcotest.test_case "brute force" `Quick test_brute_force_arboricity;
         ] );
       qsuite "arboricity_props"
-        [
-          prop_pseudo_vs_brute_bounds; prop_densest_vs_brute;
-          prop_densest_certifies_pseudo;
-        ];
-      ( "densest",
-        [ Alcotest.test_case "known values" `Quick test_densest_known ] );
+        [ prop_pseudo_vs_brute_bounds; prop_pseudo_vs_subset_density ];
       ("heap", [ Alcotest.test_case "basic" `Quick test_heap_basic ]);
       qsuite "heap_props" [ prop_heap_sorts ];
       ( "generators",
