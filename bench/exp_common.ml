@@ -52,9 +52,24 @@ let flush_out () = flush stdout
 (* when set (--csv DIR), every table is also written as DIR/<slug>.csv *)
 let csv_dir : string option ref = ref None
 
-(* set by the harness under --json: experiments that persist their own
-   record (exp_scaling's BENCH_scaling.json) key off this *)
-let json_enabled = ref false
+(* ------------------------------------------------------------------ *)
+(* throughput legs                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* one timed leg of a throughput sweep: the pipeline timed ("peel",
+   "hp-star"), its input size, and edges per second. An experiment that
+   measures legs leaves them here; the harness empties the list before
+   each experiment and writes what it holds after into the record's
+   "throughput" array. *)
+type leg = {
+  leg_instance : string;
+  leg_n : int;
+  leg_edges : int;
+  leg_wall : float;
+  leg_eps : float;
+}
+
+let throughput : leg list ref = ref []
 
 let csv_slug title =
   String.map

@@ -21,14 +21,6 @@ module FA = Nw_core.Forest_algo
    all-incident counting broadcast, so edges/sec here is the data plane's
    streaming rate. *)
 
-type leg = {
-  instance : string; (* which timed pipeline: "peel" or "hp-star" *)
-  n : int;
-  edges : int;
-  wall : float;
-  eps : float; (* edges per second *)
-}
-
 (* m = alpha * (n - 1): 10^6 and 10^7 edges at alpha = 8 *)
 let sizes = [ 125_001; 1_250_001 ]
 
@@ -39,17 +31,23 @@ let sweep ~instance ~alpha time =
       let g = Gen.forest_union (rng (15000 + n)) n alpha in
       let m = G.m g in
       let wall = time g in
-      { instance; n; edges = m; wall; eps = float_of_int m /. wall })
+      {
+        leg_instance = instance;
+        leg_n = n;
+        leg_edges = m;
+        leg_wall = wall;
+        leg_eps = float_of_int m /. wall;
+      })
     sizes
 
 let leg_rows legs =
   List.map
     (fun leg ->
       [
-        d leg.n;
-        d leg.edges;
-        Printf.sprintf "%.3f" leg.wall;
-        Printf.sprintf "%.3e" leg.eps;
+        d leg.leg_n;
+        d leg.leg_edges;
+        Printf.sprintf "%.3f" leg.leg_wall;
+        Printf.sprintf "%.3e" leg.leg_eps;
       ])
     legs
 
@@ -165,47 +163,6 @@ let pipeline_sweep () =
      peel rows above.";
   legs
 
-(* BENCH_scaling.json: a valid nw-bench/2 record whose additive
-   [throughput] field persists the sweep (schema: docs/benchmarking.md;
-   checked by validate_bench_json.exe). *)
-let write_json legs wall_s =
-  let oc = open_out "BENCH_scaling.json" in
-  let leg_json l =
-    Printf.sprintf
-      "    { \"instance\": \"%s\", \"n\": %d, \"edges\": %d, \"wall_s\": \
-       %.6f, \"edges_per_sec\": %.1f }"
-      l.instance l.n l.edges l.wall l.eps
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"nw-bench/2\",\n\
-    \  \"exp\": \"scaling\",\n\
-    \  \"desc\": \"data-plane throughput sweep (H-partition peel, \
-     engine-run hp-star)\",\n\
-    \  \"quick\": false,\n\
-    \  \"domains\": 1,\n\
-    \  \"env\": {\n\
-    \    %s,\n\
-    \    \"hostname\": \"%s\",\n\
-    \    \"ocaml_version\": \"%s\",\n\
-    \    \"stamped_at\": %.0f\n\
-    \  },\n\
-    \  \"rounds_attribution\": \"per-domain\",\n\
-    \  \"counter_attribution\": \"exact\",\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"charged_rounds\": 0,\n\
-    \  \"connectivity\": { \"uf_queries\": 0, \"bfs_runs\": 0, \"uf_rebuilds\": 0 },\n\
-    \  \"throughput\": [\n%s\n  ],\n\
-    \  \"phases\": null,\n\
-    \  \"failed\": null\n\
-     }\n"
-    (core_counts_json ())
-    (try Unix.gethostname () with _ -> "unknown")
-    Sys.ocaml_version (Unix.time ()) wall_s
-    (String.concat ",\n" (List.map leg_json legs));
-  close_out oc;
-  out "wrote BENCH_scaling.json\n"
-
 let run () =
   section "E15: round scaling vs n (Theorem 4.6 runtime column)";
   let alpha = 8 and epsilon = 0.5 in
@@ -255,8 +212,5 @@ let run () =
      (the paper's log^3/log^4 are worst-case) — while the absolute values \
      dwarf BE's O(log n/eps): the trade Theorem 4.6 makes to reach \
      (1+eps)*alpha colors.";
-  let t0 = Unix.gettimeofday () in
   let legs = throughput_sweep () in
-  let legs = legs @ pipeline_sweep () in
-  if !Exp_common.json_enabled then
-    write_json legs (Unix.gettimeofday () -. t0)
+  throughput := legs @ pipeline_sweep ()

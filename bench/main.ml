@@ -256,6 +256,7 @@ type record = {
   bfs_runs : int;
   uf_rebuilds : int;
   resources : resources;
+  throughput : Exp_common.leg list; (* the legs the experiment timed *)
   failed : string option;
   trace : Obs.trace; (* empty unless --trace/--metrics enabled recording *)
 }
@@ -268,6 +269,7 @@ let run_one (name, desc, run) =
   let c0 = C.snapshot () in
   let r0 = Nw_localsim.Rounds.grand_total () in
   let s0 = Gc.quick_stat () in
+  Exp_common.throughput := [];
   let t0 = Unix.gettimeofday () in
   let run_guarded () =
     try
@@ -316,6 +318,7 @@ let run_one (name, desc, run) =
         major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
         top_heap_words = s1.Gc.top_heap_words;
       };
+    throughput = !Exp_common.throughput;
     failed;
     trace;
   }
@@ -413,20 +416,31 @@ let phases_json trace =
     Buffer.contents b
   end
 
+(* the "throughput" member of a record that timed legs, "" otherwise *)
+let throughput_json = function
+  | [] -> ""
+  | legs ->
+      let leg (l : Exp_common.leg) =
+        Printf.sprintf
+          "    { \"instance\": \"%s\", \"n\": %d, \"edges\": %d, \"wall_s\": \
+           %.6f, \"edges_per_sec\": %.1f }"
+          (json_escape l.leg_instance) l.leg_n l.leg_edges l.leg_wall
+          l.leg_eps
+      in
+      Printf.sprintf "  \"throughput\": [\n%s\n  ],\n"
+        (String.concat ",\n" (List.map leg legs))
+
 (* one BENCH_<exp>.json per experiment — the persistent perf trajectory;
-   schema documented in docs/benchmarking.md. "domains",
-   "rounds_attribution" and "counter_attribution" are historical
-   constants: the harness runs its experiments one after another in one
-   process *)
+   schema documented in docs/benchmarking.md, checked by
+   validate_bench_json.exe *)
 let write_json ~quick ~env r =
   let oc = open_out (Printf.sprintf "BENCH_%s.json" r.name) in
   Printf.fprintf oc
     "{\n\
-    \  \"schema\": \"nw-bench/2\",\n\
+    \  \"schema\": \"nw-bench/3\",\n\
     \  \"exp\": \"%s\",\n\
     \  \"desc\": \"%s\",\n\
     \  \"quick\": %b,\n\
-    \  \"domains\": 1,\n\
     \  \"env\": {\n\
      %s\
     \    %s,\n\
@@ -435,8 +449,6 @@ let write_json ~quick ~env r =
     \    \"ocaml_version\": \"%s\",\n\
     \    \"stamped_at\": %.0f\n\
     \  },\n\
-    \  \"rounds_attribution\": \"per-domain\",\n\
-    \  \"counter_attribution\": \"exact\",\n\
     \  \"wall_s\": %.6f,\n\
     \  \"charged_rounds\": %d,\n\
     \  \"connectivity\": {\n\
@@ -452,6 +464,7 @@ let write_json ~quick ~env r =
     \    \"major_collections\": %d,\n\
     \    \"top_heap_words\": %d\n\
     \  },\n\
+     %s\
     \  \"phases\": %s,\n\
     \  \"failed\": %s\n\
      }\n"
@@ -478,6 +491,7 @@ let write_json ~quick ~env r =
     r.resources.minor_words r.resources.major_words
     r.resources.promoted_words r.resources.minor_collections
     r.resources.major_collections r.resources.top_heap_words
+    (throughput_json r.throughput)
     (phases_json r.trace)
     (match r.failed with
     | None -> "null"
@@ -529,7 +543,6 @@ let () =
       | None -> () (* empty plan: byte-identical to no --chaos at all *)
       | Some faults -> chaos_ctx := Some (plan, faults)));
   if !trace_file <> None || metrics then Obs.set_enabled true;
-  Exp_common.json_enabled := json;
   let flags = [ "--no-micro"; "--json"; "--quick"; "--metrics" ] in
   let selected = List.filter (fun a -> not (List.mem a flags)) args in
   (match

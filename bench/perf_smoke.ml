@@ -29,7 +29,9 @@
    star-forest stage's input, and the star-forest leg the major words of
    one whole star_forest_decomposition on it. The emission leg requires
    that four emitters of finished decompositions count no connectivity
-   query and no forest allocation. The heap leg serves 200
+   query and no forest allocation. The net-decomposition leg bounds the
+   minor words of one Net_decomp.compute on a graph with isolated
+   vertices. The heap leg serves 200
    decompose batches through Server.handle with Obs on and bounds the
    growth of the live heap.
 
@@ -643,6 +645,43 @@ let emission_check () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
+(* net-decomposition leg: minor words with isolated vertices           *)
+(* ------------------------------------------------------------------ *)
+
+(* One Net_decomp.compute at lsfd's distance 3 on forest_union_simple
+   n=2000 alpha=3 plus 200 isolated vertices. The isolated vertices
+   defeat the single-cluster shortcut, so the Linial-Saks phases run on
+   the whole graph. Run as one BFS of G^distance per vertex, each hop
+   scanning n-arrays, the call allocated 115,062,759 minor words; the
+   priority-ordered search on stamped scratch allocates 1,483,143. More
+   than [limit] means per-vertex work proportional to the graph came
+   back. Deterministic for a fixed input and seed. *)
+let net_decomp_alloc_check () =
+  let limit = 5_000_000.0 in
+  let n = 2000 and alpha = 3 and isolated = 200 in
+  let g = Gen.forest_union_simple (rng n) n alpha in
+  let g = G.of_edges (n + isolated) (Array.to_list (G.edges g)) in
+  let rounds = Nw_localsim.Rounds.create () in
+  let w0 = Gc.minor_words () in
+  let nd = Nw_core.Net_decomp.compute g ~rng:(rng 3) ~rounds ~distance:3 in
+  let words = Gc.minor_words () -. w0 in
+  Printf.printf
+    "\n== allocation: net decomposition, distance 3, n=%d (%d isolated) \
+     m=%d ==\n\
+     %d classes, %d clusters, %.0f minor words (limit %.0f)\n"
+    (G.n g) isolated (G.m g) nd.Nw_core.Net_decomp.num_classes
+    (Array.length nd.Nw_core.Net_decomp.clusters)
+    words limit;
+  if words > limit then begin
+    Printf.eprintf
+      "perf smoke: one net decomposition allocated %.0f minor words, limit \
+       %.0f\n"
+      words limit;
+    exit 1
+  end;
+  flush stdout
+
+(* ------------------------------------------------------------------ *)
 (* heap leg: daemon memory across served batches                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -730,6 +769,7 @@ let () =
   cole_vishkin_alloc_check ();
   star_forests_alloc_check ();
   emission_check ();
+  net_decomp_alloc_check ();
   heap_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

@@ -3,14 +3,13 @@
      validate_bench_json.exe BENCH_e5.json BENCH_e7.json ...
      validate_bench_json.exe --trace e5.trace.json BENCH_e5.json
 
-   BENCH records must parse as JSON, carry a known schema tag
-   (nw-bench/1 or nw-bench/2), and have every required field of their
-   version; for nw-bench/2 records with a per-phase breakdown the
-   self-rounds summed over the phases must equal the flat
+   BENCH records must parse as JSON, carry the schema tag nw-bench/3,
+   and have every field bench/main.exe's writer always emits, with its
+   shape; a per-phase breakdown's self-rounds must sum to the flat
    charged_rounds total (the invariant behind docs/benchmarking.md's
    "phases" table). `--trace FILE` additionally validates a Chrome
    trace_event export: a traceEvents array of named complete events
-   with numeric ts/dur. `--flight FILE` validates an nw-flight/1
+   with numeric ts/dur. `--flight FILE` validates an nw-flight/2
    post-mortem dump from the flight recorder. Exits nonzero on the
    first violation. *)
 
@@ -40,7 +39,6 @@ let require file json field =
       None
   | Some _ -> assert false
 
-(* fields every schema version must carry, with a shape predicate *)
 let shape_string = function J.String _ -> true | _ -> false
 let shape_number = function J.Number _ -> true | _ -> false
 let shape_bool = function J.Bool _ -> true | _ -> false
@@ -51,190 +49,79 @@ let check_field file json (field, shape) =
   | None -> ()
   | Some v -> if not (shape v) then fail file "field %S has the wrong type" field
 
-let common_fields =
-  [
-    ("exp", shape_string);
-    ("desc", shape_string);
-    ("quick", shape_bool);
-    ("domains", shape_number);
-    ("wall_s", shape_number);
-    ("charged_rounds", shape_number);
-    ("connectivity", shape_obj);
-  ]
+(* a field the writer always emits, as null or with [shape] *)
+let check_nullable file json (field, shape) =
+  match J.member field json with
+  | None -> fail file "missing field %S" field
+  | Some J.Null -> ()
+  | Some v -> if not (shape v) then fail file "field %S has the wrong type" field
 
-let v2_fields =
-  [
-    ("env", shape_obj);
-    ("rounds_attribution", shape_string);
-    ("counter_attribution", shape_string);
-  ]
-
-let check_connectivity file json =
-  match J.member "connectivity" json with
-  | Some (J.Obj _ as conn) ->
-      List.iter
-        (fun f -> check_field file conn (f, shape_number))
-        [ "uf_queries"; "bfs_runs"; "uf_rebuilds" ]
+(* [field] is an object carrying [fields] *)
+let check_obj file json field fields =
+  check_field file json (field, shape_obj);
+  match J.member field json with
+  | Some (J.Obj _ as o) -> List.iter (check_field file o) fields
   | _ -> ()
 
-let is_commit_stamp s =
-  let hash =
-    match String.index_opt s '-' with
-    | Some i when String.sub s i (String.length s - i) = "-dirty" ->
-        String.sub s 0 i
-    | Some _ -> ""
-    | None -> s
-  in
-  hash <> ""
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       hash
+let numbers = List.map (fun f -> (f, shape_number))
 
-let check_env file json =
-  match J.member "env" json with
-  | Some (J.Obj _ as env) ->
-      List.iter
-        (check_field file env)
-        [
-          ("hostname", shape_string);
-          ("ocaml_version", shape_string);
-          ("stamped_at", shape_number);
-        ];
-      (* git_commit may be null (not a git checkout) or absent in old
-         records; a string is a short hex hash, with "-dirty" when
-         tracked files differed from that commit *)
-      (match J.member "git_commit" env with
-      | None | Some J.Null -> ()
-      | Some (J.String h) when is_commit_stamp h -> ()
-      | Some _ ->
-          fail file
-            "env field \"git_commit\" must be null or a hex hash, \
-             optionally followed by -dirty");
-      (* fault_plan is optional — only stamped by runs under --chaos — but
-         when present it must be an object carrying the plan digest and its
-         canonical summary (docs/fault-model.md) *)
-      (match J.member "fault_plan" env with
-      | None -> ()
-      | Some (J.Obj _ as fp) ->
-          List.iter
-            (check_field file fp)
-            [ ("hash", shape_string); ("summary", shape_string) ]
-      | Some _ ->
-          fail file "env field \"fault_plan\" must be an object when present");
-      (* pipeline is optional — records written before the engine refactor
-         omit it — but when present it must name the algorithm registry and
-         the pass-list digest it was built from (docs/architecture.md) *)
-      (match J.member "pipeline" env with
-      | None -> ()
-      | Some (J.Obj _ as pl) ->
-          List.iter
-            (check_field file pl)
-            [ ("registry", shape_string); ("hash", shape_string) ]
-      | Some _ ->
-          fail file "env field \"pipeline\" must be an object when present");
-      (* backend is historical: records from the two-plane era name the
-         data plane they ran on; current records omit it *)
-      (match J.member "backend" env with
-      | None -> ()
-      | Some (J.String _) -> ()
-      | Some _ ->
-          fail file "env field \"backend\" must be a string when present");
-      (* core counts are optional — records stamped before they existed
-         omit them — but when present nproc is a number (null when the
-         command was unavailable) and recommended_domain_count a number *)
-      (match J.member "nproc" env with
-      | None | Some J.Null | Some (J.Number _) -> ()
-      | Some _ ->
-          fail file
-            "env field \"nproc\" must be a number or null when present");
-      (match J.member "recommended_domain_count" env with
-      | None | Some (J.Number _) -> ()
-      | Some _ ->
-          fail file
-            "env field \"recommended_domain_count\" must be a number when \
-             present")
-  | _ -> ()
+(* a short hex hash, with "-dirty" when tracked files differed from that
+   commit *)
+let shape_commit = function
+  | J.String s ->
+      let hash =
+        match String.index_opt s '-' with
+        | Some i when String.sub s i (String.length s - i) = "-dirty" ->
+            String.sub s 0 i
+        | Some _ -> ""
+        | None -> s
+      in
+      hash <> ""
+      && String.for_all
+           (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+           hash
+  | _ -> false
 
-(* additive nw-bench/2 field: a throughput sweep (BENCH_scaling.json) is a
-   list of (instance, edges, rate) legs, each fully numeric so
-   trajectory tooling can diff edges_per_sec across commits *)
+let check_env file env =
+  List.iter (check_field file env)
+    [
+      ("recommended_domain_count", shape_number);
+      ("hostname", shape_string);
+      ("ocaml_version", shape_string);
+      ("stamped_at", shape_number);
+    ];
+  (* null outside a git checkout, and nproc null without the command *)
+  check_nullable file env ("git_commit", shape_commit);
+  check_nullable file env ("nproc", shape_number);
+  (* the algorithm registry and pass-list digest the run was built from
+     (docs/architecture.md) *)
+  check_obj file env "pipeline"
+    [ ("registry", shape_string); ("hash", shape_string) ];
+  (* only runs under --chaos stamp the plan digest and its canonical
+     summary (docs/fault-model.md) *)
+  if J.member "fault_plan" env <> None then
+    check_obj file env "fault_plan"
+      [ ("hash", shape_string); ("summary", shape_string) ]
+
+(* only an experiment that timed legs (e15) writes a throughput array:
+   (instance, n, edges, rate) legs that benchdiff aligns across commits *)
 let check_throughput file json =
   match J.member "throughput" json with
   | None -> ()
-  | Some (J.List legs) ->
-      if legs = [] then fail file "field \"throughput\" must not be empty";
-      List.iteri
-        (fun i leg ->
-          if not (shape_obj leg) then
-            fail file "throughput leg %d is not an object" i
-          else begin
-            (* backend and domains are historical: legs from the
-               two-plane and sharded-round eras name the data plane and
-               the domain count they ran at; current legs omit both *)
-            (match J.member "backend" leg with
-            | None | Some (J.String _) -> ()
-            | Some _ ->
-                fail file
-                  "throughput leg field \"backend\" must be a string when \
-                   present");
-            (match J.member "domains" leg with
-            | None | Some (J.Number _) -> ()
-            | Some _ ->
-                fail file
-                  "throughput leg field \"domains\" must be a number when \
-                   present");
-            (* instance is optional — legs predating the full-pipeline
-               sweep omit it — but when present it names the timed
-               pipeline and joins the benchdiff alignment key *)
-            (match J.member "instance" leg with
-            | None | Some (J.String _) -> ()
-            | Some _ ->
-                fail file
-                  "throughput leg field \"instance\" must be a string when \
-                   present");
-            List.iter
-              (fun f -> check_field file leg (f, shape_number))
-              [ "edges"; "wall_s"; "edges_per_sec" ]
-          end)
+  | Some (J.List (_ :: _ as legs)) ->
+      List.iter
+        (fun leg ->
+          if shape_obj leg then
+            List.iter (check_field file leg)
+              (("instance", shape_string)
+              :: numbers [ "n"; "edges"; "wall_s"; "edges_per_sec" ])
+          else fail file "a throughput leg is not an object")
         legs
-  | Some _ -> fail file "field \"throughput\" must be an array when present"
+  | Some _ ->
+      fail file "field \"throughput\" must be a non-empty array when present"
 
-(* additive nw-bench/2 field: per-experiment GC/allocator attribution
-   captured as quick_stat deltas around the measured run. Old records
-   without it stay valid; when present every field must be a number —
-   top_heap_words is the high-water mark at experiment end, not a
-   delta, but it is numeric all the same. *)
-let resources_fields =
-  [
-    "minor_words";
-    "major_words";
-    "promoted_words";
-    "minor_collections";
-    "major_collections";
-    "top_heap_words";
-  ]
-
-(* historical: records from the sharded-round era also counted what
-   helper domains allocated; accepted, not required *)
-let legacy_resources_fields = [ "worker_minor_words"; "worker_major_words" ]
-
-let check_resources file json =
-  match J.member "resources" json with
-  | None -> ()
-  | Some (J.Obj _ as res) ->
-      List.iter
-        (fun f -> check_field file res (f, shape_number))
-        resources_fields;
-      List.iter
-        (fun f ->
-          match J.member f res with
-          | None | Some (J.Number _) -> ()
-          | Some _ -> fail file "resources field %S must be a number" f)
-        legacy_resources_fields
-  | Some _ -> fail file "field \"resources\" must be an object when present"
-
-(* nw-bench/2 invariant: phase self-rounds (including the trailing
-   "(unattributed)" bucket) sum to the flat charged_rounds total *)
+(* phase self-rounds (including the trailing "(unattributed)" bucket)
+   sum to the flat charged_rounds total *)
 let check_phases file json =
   match J.member "phases" json with
   | None -> fail file "missing field \"phases\" (null when tracing is off)"
@@ -268,16 +155,31 @@ let check_bench file =
   | exception Sys_error msg -> fail file "unreadable: %s" msg
   | json -> (
       match Option.bind (J.member "schema" json) J.to_string with
-      | Some "nw-bench/1" ->
-          List.iter (check_field file json) common_fields;
-          check_connectivity file json
-      | Some "nw-bench/2" ->
-          List.iter (check_field file json) (common_fields @ v2_fields);
-          check_connectivity file json;
-          check_env file json;
+      | Some "nw-bench/3" ->
+          List.iter (check_field file json)
+            ([ ("exp", shape_string); ("desc", shape_string);
+               ("quick", shape_bool); ("env", shape_obj) ]
+            @ numbers [ "wall_s"; "charged_rounds" ]);
+          check_nullable file json ("failed", shape_string);
+          (match J.member "env" json with
+          | Some (J.Obj _ as env) -> check_env file env
+          | _ -> ());
+          check_obj file json "connectivity"
+            (numbers [ "uf_queries"; "bfs_runs"; "uf_rebuilds" ]);
+          (* Gc.quick_stat deltas around the experiment; top_heap_words
+             is the high-water mark at its end *)
+          check_obj file json "resources"
+            (numbers
+               [
+                 "minor_words";
+                 "major_words";
+                 "promoted_words";
+                 "minor_collections";
+                 "major_collections";
+                 "top_heap_words";
+               ]);
           check_phases file json;
-          check_throughput file json;
-          check_resources file json
+          check_throughput file json
       | Some other -> fail file "unknown schema %S" other
       | None -> fail file "missing schema tag")
 
@@ -305,14 +207,14 @@ let check_trace file =
             events
       | _ -> fail file "missing traceEvents array")
 
-(* nw-flight/1 post-mortem dumps (docs/observability.md): a dump must
+(* nw-flight/2 post-mortem dumps (docs/observability.md): a dump must
    name why it was written, stamp its environment, lift the latest mark
-   per name into "last", and carry per-domain ring snapshots whose
+   per name into "last", and carry the process's one ring, whose
    events are tagged open/close/count/charge/mark with the per-kind
    payload. This is the round-trip half of the flight-recorder smoke
    leg: Flight.render emits it, this parser re-reads it. *)
-let check_flight_event file i j ev =
-  let where = Printf.sprintf "domain %d event %d" i j in
+let check_flight_event file j ev =
+  let where = Printf.sprintf "ring event %d" j in
   if not (shape_obj ev) then fail file "%s is not an object" where
   else begin
     (match Option.bind (J.member "t_us" ev) J.to_float with
@@ -356,14 +258,13 @@ let check_flight file =
   | exception Sys_error msg -> fail file "unreadable: %s" msg
   | json -> (
       match Option.bind (J.member "schema" json) J.to_string with
-      | Some "nw-flight/1" ->
+      | Some "nw-flight/2" ->
           List.iter (check_field file json)
             [
               ("reason", shape_string);
               ("seq", shape_number);
               ("clock", shape_string);
               ("env", shape_obj);
-              ("rings_dropped", shape_number);
             ];
           (match J.member "last" json with
           | Some (J.Obj marks) ->
@@ -386,22 +287,11 @@ let check_flight file =
                   end)
                 marks
           | _ -> fail file "missing \"last\" object");
-          (match J.member "domains" json with
-          | Some (J.List doms) ->
-              List.iteri
-                (fun i d ->
-                  if not (shape_obj d) then
-                    fail file "domain %d is not an object" i
-                  else begin
-                    check_field file d ("tid", shape_number);
-                    check_field file d ("dropped", shape_number);
-                    match J.member "events" d with
-                    | Some (J.List evs) ->
-                        List.iteri (check_flight_event file i) evs
-                    | _ -> fail file "domain %d without an events array" i
-                  end)
-                doms
-          | _ -> fail file "missing \"domains\" array")
+          check_obj file json "ring"
+            [ ("tid", shape_number); ("dropped", shape_number) ];
+          (match Option.bind (J.member "ring" json) (J.member "events") with
+          | Some (J.List evs) -> List.iteri (check_flight_event file) evs
+          | _ -> fail file "ring without an events array")
       | Some other -> fail file "unknown flight schema %S" other
       | None -> fail file "missing schema tag")
 
@@ -426,11 +316,11 @@ let () =
   List.iter check_trace traces;
   List.iter check_flight flights;
   List.iter check_bench benches;
-  let total = List.length traces + List.length flights + List.length benches in
   if !failures > 0 then begin
     Printf.eprintf "validate_bench_json: %d violation%s\n" !failures
       (if !failures = 1 then "" else "s");
     exit 1
   end;
-  Printf.printf "validate_bench_json: %d file%s ok\n" total
-    (if total = 1 then "" else "s")
+  (* one line per file, on stdout only: a run expected to fail names
+     the file it accepted *)
+  List.iter (Printf.printf "%s: ok\n") (traces @ flights @ benches)

@@ -220,17 +220,19 @@ let check_input path g (algorithm : Registry.entry) =
     exit 2
   end
 
+(* the exact arboricity when --alpha is omitted, under its own span: a
+   trace attributes the time spent on a value the caller did not pass *)
+let resolve_alpha g = function
+  | Some a -> a
+  | None ->
+      Obs.span "arboricity.exact" (fun () ->
+          Nw_baseline.Gabow_westermann.arboricity_value g)
+
 let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
     chaos chaos_seed flight =
   let g = read_graph path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
-  let alpha =
-    match alpha_opt with
-    | Some a -> a
-    | None -> Nw_baseline.Gabow_westermann.arboricity_value g
-  in
-  Format.printf "graph: %a, alpha = %d, eps = %g@." G.pp g alpha epsilon;
   (* the flight recorder piggybacks on the Obs stream; it changes nothing
      that goes to stdout, so fault-free output stays byte-identical to a
      plain invocation *)
@@ -246,7 +248,6 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
           (Nw_chaos.Inject.compile plan ~seed:chaos_seed ())
   in
   let algo_name = algorithm.Registry.name in
-  let spec = { Registry.graph = g; epsilon; alpha } in
   (* the recorder is on before the trace opens, so it sees the whole
      decompose span; the sink's env names the pipeline, which is built
      inside the trace. The stamp is taken first: its builds would
@@ -301,6 +302,9 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   let run_collected () =
     Obs.collect @@ fun () ->
     Obs.span "decompose" @@ fun () ->
+    let alpha = resolve_alpha g alpha_opt in
+    Format.printf "graph: %a, alpha = %d, eps = %g@." G.pp g alpha epsilon;
+    let spec = { Registry.graph = g; epsilon; alpha } in
     (* building can be real work: lsfd sizes its palette from the exact
        pseudo-arboricity, so it runs inside the trace *)
     let pipeline = algorithm.Registry.build spec in
@@ -486,8 +490,8 @@ let decompose_cmd =
           ~doc:
             "Arm the bounded flight recorder: on a pass failure, a \
              chaos-invalid outcome, or any exit-3 diagnostic, dump a \
-             self-contained nw-flight/1 JSON post-mortem (recent span/\
-             counter/charge events per domain, env stamp, pipeline hash, \
+             self-contained nw-flight/2 JSON post-mortem (recent span/\
+             counter/charge events, env stamp, pipeline hash, \
              fault-plan digest, last checkpoint) to FILE. Fault-free \
              stdout is byte-identical to running without the flag.")
   in
@@ -516,16 +520,12 @@ let stats_run path algorithm epsilon seed alpha_opt =
   let g = read_graph path in
   check_input path g algorithm;
   let rng = Random.State.make [| seed |] in
-  let alpha =
-    match alpha_opt with
-    | Some a -> a
-    | None -> Nw_baseline.Gabow_westermann.arboricity_value g
-  in
   Obs.set_enabled true;
   let (), t =
     run_or_fail @@ fun () ->
     Obs.collect @@ fun () ->
     Obs.span "decompose" @@ fun () ->
+    let alpha = resolve_alpha g alpha_opt in
     let rounds = Rounds.create () in
     let pipeline =
       algorithm.Registry.build { Registry.graph = g; epsilon; alpha }

@@ -1,6 +1,7 @@
 module G = Nw_graphs.Multigraph
 module Rounds = Nw_localsim.Rounds
 module Obs = Nw_obs.Obs
+module Scratch = Nw_graphs.Scratch
 
 type t = {
   num_classes : int;
@@ -17,15 +18,6 @@ let geometric rng cap =
     if r >= cap then cap else if Random.State.bool rng then r else flip (r + 1)
   in
   flip 1
-
-(* One hop of BFS on G^k restricted to [alive] vertices: all alive vertices
-   within G-distance <= k of the frontier (paths may pass through dead
-   vertices, matching the G^k[alive] adjacency). *)
-let hop g k alive frontier =
-  let members = G.ball_of_set g frontier k in
-  let acc = ref [] in
-  Array.iteri (fun v inside -> if inside && alive.(v) then acc := v :: !acc) members;
-  !acc
 
 (* When G^distance is complete (every pair within [distance]), the whole
    vertex set is one cluster of weak diameter <= distance: a (1,1)-network
@@ -78,6 +70,8 @@ let compute g ~rng ~rounds ~distance =
   let clusters = ref [] and cluster_class = ref [] in
   let num_clusters = ref 0 in
   let max_classes = (4 * logn) + 16 in
+  let seen = Scratch.Marks.create n and depth = Scratch.Ints.create n in
+  let queue = Array.make n 0 in
   let remaining = ref n in
   let z = ref 0 in
   while !remaining > 0 do
@@ -85,58 +79,87 @@ let compute g ~rng ~rounds ~distance =
       failwith "Net_decomp.compute: too many classes (improbable failure)";
     (* one Linial-Saks phase on G^distance[alive] *)
     let radius = Array.make n 0 in
-    let priority = Array.make n (-1.0, -1) in
+    let priority = Array.make n (-1.0) in
+    let centres = ref [] in
     for v = 0 to n - 1 do
       if alive.(v) then begin
         radius.(v) <- geometric rng cap;
-        priority.(v) <- (Random.State.float rng 1.0, v)
+        priority.(v) <- Random.State.float rng 1.0;
+        centres := v :: !centres
       end
     done;
-    (* best candidate per vertex: (priority, center, hop distance) *)
-    let best = Array.make n None in
-    for v = 0 to n - 1 do
-      if alive.(v) then begin
-        (* BFS of [radius v] hops from v through alive vertices *)
-        let seen = Hashtbl.create 64 in
-        Hashtbl.add seen v ();
-        let frontier = ref [ v ] in
-        let consider u h =
-          let better =
-            match best.(u) with
-            | None -> true
-            | Some (p, _, _) -> priority.(v) > p
-          in
-          if better then best.(u) <- Some (priority.(v), v, h)
-        in
-        consider v 0;
+    let centres =
+      List.sort
+        (fun a b ->
+          match Float.compare priority.(b) priority.(a) with
+          | 0 -> Int.compare b a
+          | c -> c)
+        !centres
+    in
+    (* best candidate per vertex: the highest-priority centre whose BFS of
+       [radius v] hops on G^distance[alive] reaches u, and its hop count.
+       Centres run in decreasing priority and the first to reach u wins.
+       A centre expands u only with more hops left there than any earlier
+       centre had ([spare]). That is exact: were u's winner W pruned at x
+       on a shortest W->u path, the earlier centre that left x more spare
+       hops would reach u within its own radius and beat W. So W's hop
+       counts are true distances, as in one unpruned BFS per vertex. *)
+    let best_center = Array.make n (-1) and best_hop = Array.make n 0 in
+    let spare = Array.make n 0 in
+    let reach v u h =
+      Scratch.Marks.add seen u;
+      if best_center.(u) < 0 then begin
+        best_center.(u) <- v;
+        best_hop.(u) <- h
+      end;
+      if radius.(v) - h > spare.(u) then begin
+        spare.(u) <- radius.(v) - h;
+        true
+      end
+      else false
+    in
+    List.iter
+      (fun v ->
+        Scratch.Marks.reset seen;
+        let frontier = ref (if reach v v 0 then [ v ] else []) in
         let h = ref 0 in
         while !frontier <> [] && !h < radius.(v) do
           incr h;
-          let next =
-            List.filter
-              (fun u ->
-                if Hashtbl.mem seen u then false
-                else begin
-                  Hashtbl.add seen u ();
-                  true
-                end)
-              (hop g distance alive !frontier)
+          (* one hop of G^distance: a G-BFS of [distance] steps from the
+             whole frontier through any vertex, dead ones included *)
+          Scratch.Ints.reset depth;
+          let head = ref 0 and tail = ref 0 in
+          let push w d =
+            Scratch.Ints.set depth w d;
+            queue.(!tail) <- w;
+            incr tail
           in
-          List.iter (fun u -> consider u !h) next;
-          frontier := next
-        done
-      end
-    done;
+          List.iter (fun u -> push u 0) !frontier;
+          frontier := [];
+          while !head < !tail do
+            let u = queue.(!head) in
+            incr head;
+            let du = Scratch.Ints.get depth u ~default:0 in
+            if du < distance then
+              G.iter_incident g u (fun w _ ->
+                  if not (Scratch.Ints.mem depth w) then begin
+                    push w (du + 1);
+                    if alive.(w) && (not (Scratch.Marks.mem seen w))
+                       && reach v w !h
+                    then frontier := w :: !frontier
+                  end)
+          done
+        done)
+      centres;
     (* internal vertices (hop distance strictly below the center's radius)
        join the center's cluster in class z; border vertices survive. *)
     let members_of_center = Hashtbl.create 64 in
     for u = 0 to n - 1 do
       if alive.(u) then
-        match best.(u) with
-        | Some (_, v, h) when h < radius.(v) ->
-            Hashtbl.replace members_of_center v
-              (u :: Option.value ~default:[] (Hashtbl.find_opt members_of_center v))
-        | _ -> ()
+        let v = best_center.(u) in
+        if best_hop.(u) < radius.(v) then
+          Hashtbl.replace members_of_center v
+            (u :: Option.value ~default:[] (Hashtbl.find_opt members_of_center v))
     done;
     Hashtbl.iter
       (fun _center members ->

@@ -11,9 +11,8 @@
    interesting boundaries (checkpoints, pass failures, epoch verdicts)
    and [trigger] when a run must be explained after the fact.
 
-   The process holds one ring, like Obs holds one trace. The dump
-   format predates that and keeps its per-domain shape: a "domains"
-   array holding zero or one ring, and "rings_dropped" always 0. *)
+   The process holds one ring, like Obs holds one trace, and the dump
+   carries it as one "ring" object. *)
 
 let now () = Monotonic_clock.now ()
 
@@ -110,7 +109,7 @@ let last_mark name =
   Option.map (fun (_, fields) -> fields) (Hashtbl.find_opt last_marks name)
 
 (* ------------------------------------------------------------------ *)
-(* dump rendering (schema nw-flight/1)                                 *)
+(* dump rendering (schema nw-flight/2)                                 *)
 
 let ring_events r =
   let cap = Array.length r.events in
@@ -125,16 +124,16 @@ let events_dropped r =
   if r.written > cap then r.written - cap else 0
 
 type snapshot = {
-  snap_rings : (int * int * event list) list; (* tid, dropped, events *)
+  snap_ring : int * int * event list; (* tid, dropped, events *)
   snap_marks : (string * (int64 * (string * string) list)) list;
 }
 
 let snapshot () =
   {
-    snap_rings =
+    snap_ring =
       (match !ring with
-      | None -> []
-      | Some r -> [ (r.ring_tid, events_dropped r, ring_events r) ]);
+      | None -> ((Domain.self () :> int), 0, [])
+      | Some r -> (r.ring_tid, events_dropped r, ring_events r));
     snap_marks =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) last_marks []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
@@ -150,18 +149,16 @@ let render ?(env = []) ~reason b =
   let snap = snapshot () in
   incr dump_seq;
   let seq = !dump_seq in
+  let tid, dropped, evs = snap.snap_ring in
   let epoch =
     List.fold_left
-      (fun acc (_, _, evs) ->
-        List.fold_left
-          (fun acc ev ->
-            let t = event_t_ns ev in
-            if Int64.compare t acc < 0 then t else acc)
-          acc evs)
+      (fun acc ev ->
+        let t = event_t_ns ev in
+        if Int64.compare t acc < 0 then t else acc)
       (List.fold_left
          (fun acc (_, (t, _)) -> if Int64.compare t acc < 0 then t else acc)
          Int64.max_int snap.snap_marks)
-      snap.snap_rings
+      evs
   in
   let epoch = if epoch = Int64.max_int then 0L else epoch in
   let str = Json_lite.Emit.string in
@@ -218,7 +215,7 @@ let render ?(env = []) ~reason b =
         fields_obj fields);
     Buffer.add_char b '}'
   in
-  Buffer.add_string b "{\"schema\":\"nw-flight/1\",\"reason\":";
+  Buffer.add_string b "{\"schema\":\"nw-flight/2\",\"reason\":";
   str b reason;
   Buffer.add_string b (Printf.sprintf ",\"seq\":%d,\"clock\":\"monotonic\"" seq);
   Buffer.add_string b ",\"env\":{";
@@ -241,20 +238,15 @@ let render ?(env = []) ~reason b =
       fields_obj fields;
       Buffer.add_char b '}')
     snap.snap_marks;
-  Buffer.add_string b "},\"rings_dropped\":0,\"domains\":[";
+  Buffer.add_string b
+    (Printf.sprintf "},\"ring\":{\"tid\":%d,\"dropped\":%d,\"events\":["
+       tid dropped);
   List.iteri
-    (fun i (tid, dropped, evs) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"tid\":%d,\"dropped\":%d,\"events\":[" tid dropped);
-      List.iteri
-        (fun j ev ->
-          if j > 0 then Buffer.add_char b ',';
-          event_json ev)
-        evs;
-      Buffer.add_string b "]}")
-    snap.snap_rings;
-  Buffer.add_string b "]}\n"
+    (fun j ev ->
+      if j > 0 then Buffer.add_char b ',';
+      event_json ev)
+    evs;
+  Buffer.add_string b "]}}\n"
 
 (* ------------------------------------------------------------------ *)
 (* auto-dump sink                                                      *)

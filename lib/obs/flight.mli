@@ -1,6 +1,6 @@
 (** Bounded flight recorder: one ring buffer of the most recent
     instrumentation events, dumped as a self-contained JSON post-mortem
-    ([nw-flight/1]) when a pipeline pass fails, a chaos epoch is
+    ([nw-flight/2]) when a pipeline pass fails, a chaos epoch is
     detectably invalid, or a crash is being explained after the fact.
 
     The recorder piggybacks on the Obs instrumentation stream:
@@ -57,7 +57,7 @@ val trigger : reason:string -> unit -> unit
 (** Dumps successfully written through {!trigger} since start/reset. *)
 val dumps_written : unit -> int
 
-(** [render ~env ~reason b] appends the [nw-flight/1] JSON document to
+(** [render ~env ~reason b] appends the [nw-flight/2] JSON document to
     [b] (used by {!trigger}; exposed for tests and custom sinks). *)
 val render : ?env:(string * string) list -> reason:string -> Buffer.t -> unit
 

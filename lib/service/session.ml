@@ -205,12 +205,11 @@ let extract_output ~entry ~slots ~slotmap store =
 let install t ~entry output verified =
   match (output, verified) with
   | Colored { slot_colors; _ }, Ok () when not entry.Registry.star ->
+      (* dead slots are already -1, so the assignment is the coloring *)
       let palette = 1 + Array.fold_left max 0 slot_colors in
-      let col = Coloring.create (slot_graph t) ~colors:palette in
-      Array.iteri
-        (fun s c -> if c >= 0 && t.s_live.(s) then Coloring.set col s c)
-        slot_colors;
-      t.s_col <- Some col;
+      t.s_col <-
+        Some
+          (Coloring.of_assignment (slot_graph t) ~colors:palette slot_colors);
       t.s_palette <- palette
   | _ ->
       t.s_col <- None;
@@ -223,7 +222,9 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
     let alpha_v =
       match alpha with
       | Some a -> a
-      | None -> Nw_baseline.Gabow_westermann.arboricity_value gl
+      | None ->
+          Obs.span "arboricity.exact" (fun () ->
+              Nw_baseline.Gabow_westermann.arboricity_value gl)
     in
     let spec = { Registry.graph = gl; epsilon; alpha = alpha_v } in
     let pipeline = entry.Registry.build spec in

@@ -403,7 +403,7 @@ let test_flight_roundtrip () =
   Flight.render ~env:[ ("backend", "csr") ] ~reason:"unit-test" b;
   let json = J.parse (Buffer.contents b) in
   Alcotest.(check (option string))
-    "schema" (Some "nw-flight/1")
+    "schema" (Some "nw-flight/2")
     (Option.bind (J.member "schema" json) J.to_string);
   Alcotest.(check (option string))
     "reason" (Some "unit-test")
@@ -418,18 +418,11 @@ let test_flight_roundtrip () =
   Alcotest.(check (option string))
     "latest mark lifted into last" (Some "p#1")
     (Option.bind (J.member "id" fields) J.to_string);
-  let doms = Option.get (Option.bind (J.member "domains" json) J.to_list) in
-  Alcotest.(check bool) "at least one ring" true (doms <> []);
+  let ring = Option.get (J.member "ring" json) in
   let tags =
-    List.concat_map
-      (fun d ->
-        match Option.bind (J.member "events" d) J.to_list with
-        | Some evs ->
-            List.filter_map
-              (fun ev -> Option.bind (J.member "ev" ev) J.to_string)
-              evs
-        | None -> [])
-      doms
+    List.filter_map
+      (fun ev -> Option.bind (J.member "ev" ev) J.to_string)
+      (Option.get (Option.bind (J.member "events" ring) J.to_list))
   in
   List.iter
     (fun tag ->
@@ -447,19 +440,15 @@ let test_flight_ring_bound () =
   let b = Buffer.create 1024 in
   Flight.render ~reason:"bound" b;
   let json = J.parse (Buffer.contents b) in
-  let doms = Option.get (Option.bind (J.member "domains" json) J.to_list) in
-  let mine =
-    List.find
-      (fun d ->
-        Option.bind (J.member "tid" d) J.to_int
-        = Some (Domain.self () :> int))
-      doms
-  in
-  let evs = Option.get (Option.bind (J.member "events" mine) J.to_list) in
+  let ring = Option.get (J.member "ring" json) in
+  Alcotest.(check (option int)) "the ring names its domain"
+    (Some (Domain.self () :> int))
+    (Option.bind (J.member "tid" ring) J.to_int);
+  let evs = Option.get (Option.bind (J.member "events" ring) J.to_list) in
   Alcotest.(check int) "ring keeps the newest capacity events" 8
     (List.length evs);
   Alcotest.(check (option int)) "dump counts what fell off" (Some 92)
-    (Option.bind (J.member "dropped" mine) J.to_int)
+    (Option.bind (J.member "dropped" ring) J.to_int)
 
 let test_flight_trigger_sink () =
   with_flight @@ fun () ->

@@ -37,6 +37,49 @@ let prop_net_decomp_valid =
       let nd = ND.compute g ~rng:st ~rounds ~distance in
       ND.check_valid g ~distance nd = Ok ())
 
+(* the pruned, priority-ordered Linial-Saks search equals one unpruned
+   BFS per vertex (Oracle.net_decomp) on multigraphs with isolated
+   vertices, which force several phases and defeat the shortcut *)
+let prop_net_decomp_oracle =
+  QCheck.Test.make ~name:"network decomposition = per-vertex BFS oracle"
+    ~count:300 (QCheck.int_bound 100000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 1 + Random.State.int st 40 in
+      let isolated = Array.make n false in
+      for _ = 1 to Random.State.int st 10 do
+        isolated.(Random.State.int st n) <- true
+      done;
+      let active = List.filter (fun v -> not isolated.(v)) (List.init n Fun.id) in
+      let active = Array.of_list active in
+      let edges =
+        if Array.length active < 2 then []
+        else
+          List.filter_map
+            (fun _ ->
+              let u = active.(Random.State.int st (Array.length active))
+              and v = active.(Random.State.int st (Array.length active)) in
+              if u = v then None else Some (u, v))
+            (List.init (Random.State.int st (3 * n)) Fun.id)
+      in
+      let g = G.of_edges n edges in
+      let distance =
+        if Random.State.int st 5 = 0 then 2 * n else 1 + Random.State.int st 4
+      in
+      let seed_state = Random.State.bits st in
+      let st_a = Random.State.make [| seed_state |]
+      and st_b = Random.State.make [| seed_state |] in
+      let ra = Rounds.create () and rb = Rounds.create () in
+      let a = ND.compute g ~rng:st_a ~rounds:ra ~distance in
+      let b = Oracle.net_decomp g ~rng:st_b ~rounds:rb ~distance in
+      a.ND.num_classes = b.ND.num_classes
+      && a.ND.class_of = b.ND.class_of
+      && a.ND.cluster_of = b.ND.cluster_of
+      && a.ND.clusters = b.ND.clusters
+      && a.ND.cluster_class = b.ND.cluster_class
+      && Rounds.total ra = Rounds.total rb
+      && Random.State.bits st_a = Random.State.bits st_b)
+
 let prop_mpx_covers_and_connects =
   QCheck.Test.make ~name:"mpx labels everyone with connected clusters"
     ~count:40 (QCheck.int_bound 100000)
@@ -218,7 +261,12 @@ let () =
   Alcotest.run "nw_props"
     [
       qsuite "io" [ prop_io_roundtrip ];
-      qsuite "net_decomp" [ prop_net_decomp_valid; prop_mpx_covers_and_connects ];
+      qsuite "net_decomp"
+        [
+          prop_net_decomp_valid;
+          prop_net_decomp_oracle;
+          prop_mpx_covers_and_connects;
+        ];
       qsuite "diameter" [ prop_diameter_reduction ];
       qsuite "star"
         [

@@ -993,6 +993,31 @@ let evicts_longest_idle () =
   | _ -> Alcotest.fail "cap below two");
   List.iter (fun c -> close_in_noerr c.ic) (extra :: clients)
 
+(* a session with isolated vertices: forest_union_simple n=2000 alpha=3
+   plus 200 vertices no edge touches, which defeat the network
+   decomposition's single-cluster shortcut. Its augment batch (alpha
+   omitted) is decomposed and verified, and a second client is answered
+   after it within the 5 s read timeout. The case takes 0.4 s; with one
+   BFS of G^distance per vertex it took 2.1 s. *)
+let isolated_vertices_served () =
+  with_daemon ~metrics:false "isolated" @@ fun ~pid:_ ~sock ~msock:_ ->
+  let g = Gen.forest_union_simple (rng 1) 2000 3 in
+  let a = connect sock in
+  let load = load_extra 2200 (Array.to_list (G.edges g)) in
+  Alcotest.(check bool) "session loaded" true
+    (answered 1 (call a (req ~id:1 "load-graph" ~extra:load)));
+  let reply =
+    call a
+      (req ~id:2 "decompose"
+         ~extra:",\"session\":\"s\",\"algorithm\":\"augment\"")
+  in
+  Alcotest.(check bool) "decomposed" true (answered 2 reply);
+  Alcotest.(check bool) "verified" true
+    (contains (Option.get reply) "\"verified\":true");
+  let b = connect sock in
+  Alcotest.(check bool) "second client answered" true
+    (answered 3 (call b (hello 3)))
+
 (* --- the metrics socket --------------------------------------------- *)
 
 let scrape_and_stop () =
@@ -1080,6 +1105,7 @@ let () =
             ("scrape while stalled", scrape_while_stalled);
             ("shutdown with another open", shutdown_with_open_connection);
             ("evicts longest-idle past the cap", evicts_longest_idle);
+            ("isolated vertices served", isolated_vertices_served);
           ] );
       ( "metrics-server",
         List.map tc

@@ -19,15 +19,12 @@
                      contract as charged_rounds
      failed          regression when the new record carries a non-null
                      failure and the base does not
-     throughput legs aligned by (instance, edges); a legacy record
-                     with a domain-count sweep is represented by its
-                     K=1 legs, and one with several legs for one key
-                     (the two-plane era) by its fastest;
-                     regression when edges_per_sec <
-                     base * (1 - throughput-threshold%)
+     throughput legs aligned by (instance, edges); regression when
+                     edges_per_sec < base * (1 - throughput-threshold%)
 
+   Records are nw-bench/3, the one shape bench/main.exe writes.
    Wall-clock comparisons are skipped (with a note) when the two
-   records disagree on quick/domains — the numbers are not comparable.
+   records disagree on quick — the numbers are not comparable.
    Keys present on only one side are reported but never fail the gate:
    a trajectory is allowed to grow experiments. Exit 0 when clean, 1 on
    any regression, 2 on usage or parse errors. *)
@@ -35,7 +32,7 @@
 module J = Nw_obs.Json_lite
 
 type leg = {
-  leg_instance : string; (* which timed pipeline; "-" on legacy records *)
+  leg_instance : string; (* which timed pipeline *)
   leg_edges : int;
   leg_eps : float;
 }
@@ -43,20 +40,10 @@ type leg = {
 let same_leg a b =
   String.equal a.leg_instance b.leg_instance && a.leg_edges = b.leg_edges
 
-(* records from the two-data-plane era timed each (instance, edges) once
-   per plane; the fastest of those legs is the one a current record
-   continues *)
-let fastest_per_key legs =
-  List.filter
-    (fun l ->
-      not (List.exists (fun o -> same_leg o l && o.leg_eps > l.leg_eps) legs))
-    legs
-
 type run = {
   r_file : string;
   r_exp : string;
   r_quick : bool;
-  r_domains : int;
   r_wall : float;
   r_rounds : int;
   r_conn : (string * int) list;
@@ -96,7 +83,7 @@ let load_run file =
   | exception Sys_error msg -> die "unreadable: %s" msg
   | json ->
       (match jstr json "schema" with
-      | Some ("nw-bench/1" | "nw-bench/2") -> ()
+      | Some "nw-bench/3" -> ()
       | Some other -> die "%s: unknown schema %S" file other
       | None -> die "%s: missing schema tag" file);
       let need_int f =
@@ -112,35 +99,28 @@ let load_run file =
       let conn =
         match J.member "connectivity" json with
         | Some (J.Obj _ as c) ->
-            List.filter_map
-              (fun f -> Option.map (fun v -> (f, v)) (jint c f))
+            List.map
+              (fun f ->
+                match jint c f with
+                | Some v -> (f, v)
+                | None -> die "%s: missing connectivity field %S" file f)
               [ "uf_queries"; "bfs_runs"; "uf_rebuilds" ]
-        | _ -> []
+        | _ -> die "%s: missing field \"connectivity\"" file
       in
       let legs =
         match J.member "throughput" json with
+        | None -> []
         | Some (J.List ls) ->
-            fastest_per_key
-            @@ List.filter_map
+            List.map
               (fun l ->
-                (* sharded-round-era legs name their domain count; a
-                   current record continues the sequential (K=1) leg *)
                 match
-                  ( Option.value (jint l "domains") ~default:1,
-                    jint l "edges",
-                    jfloat l "edges_per_sec" )
+                  (jstr l "instance", jint l "edges", jfloat l "edges_per_sec")
                 with
-                | 1, Some e, Some eps ->
-                    Some
-                      {
-                        leg_instance =
-                          Option.value (jstr l "instance") ~default:"-";
-                        leg_edges = e;
-                        leg_eps = eps;
-                      }
-                | _ -> None)
+                | Some i, Some e, Some eps ->
+                    { leg_instance = i; leg_edges = e; leg_eps = eps }
+                | _ -> die "%s: malformed throughput leg" file)
               ls
-        | _ -> []
+        | Some _ -> die "%s: field \"throughput\" is not an array" file
       in
       {
         r_file = file;
@@ -152,7 +132,6 @@ let load_run file =
           (match J.member "quick" json with
           | Some (J.Bool b) -> b
           | _ -> false);
-        r_domains = need_int "domains";
         r_wall = need_float "wall_s";
         r_rounds = need_int "charged_rounds";
         r_conn = conn;
@@ -184,7 +163,7 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct base neu =
   let push r = rows := r :: !rows in
   let k = key base in
   (* wall clock: only meaningful when the run configuration matches *)
-  if base.r_quick <> neu.r_quick || base.r_domains <> neu.r_domains then
+  if base.r_quick <> neu.r_quick then
     push
       {
         row_key = k;
@@ -192,7 +171,7 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct base neu =
         row_base = base.r_wall;
         row_new = neu.r_wall;
         row_verdict = "skipped";
-        row_note = "quick/domains mismatch; wall not comparable";
+        row_note = "quick mismatch; wall not comparable";
       }
   else begin
     let limit = base.r_wall *. (1.0 +. (wall_pct /. 100.0)) in
@@ -221,9 +200,7 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct base neu =
   exact "charged_rounds" base.r_rounds neu.r_rounds;
   List.iter
     (fun (f, b) ->
-      match List.assoc_opt f neu.r_conn with
-      | Some n -> exact ("connectivity." ^ f) b n
-      | None -> ())
+      exact ("connectivity." ^ f) b (List.assoc f neu.r_conn))
     base.r_conn;
   if neu.r_failed && not base.r_failed then
     push
