@@ -482,7 +482,10 @@ let alpha_resolution_check () =
     Obs.set_enabled false;
     let resolved =
       match r with
-      | Ok d -> d.Session.d_alpha
+      | Ok { Session.d_alpha = Some a; _ } -> a
+      | Ok { d_alpha = None; _ } ->
+          prerr_endline "perf smoke: augment resolved no alpha";
+          exit 1
       | Error e ->
           Printf.eprintf "perf smoke: alpha leg decompose failed: %s\n" e;
           exit 1
@@ -575,14 +578,16 @@ let cole_vishkin_alloc_check () =
 (* One whole H_partition.star_forest_decomposition on the Cole-Vishkin
    leg's input: the forest split, Cole-Vishkin, and the emission of the
    3t star-forest colors. The colors go out as one assignment
-   (Coloring.of_assignment), which allocates no per-color rooted forest:
-   emitted through Coloring.set instead, each color's first touch
-   allocated six n-arrays, and the same call allocated 1,914,336 major
-   words; it now allocates 850,039. More than [limit] means a per-color
-   forest or a per-set structure came back into the emission.
-   Deterministic for a fixed input. *)
+   (Coloring.of_assignment), which allocates no per-color rooted forest
+   and no adjacency list: emitted through Coloring.set instead, each
+   color's first touch allocated six n-arrays, and the same call
+   allocated 1,914,336 major words; with the adjacency lists still
+   linked at construction (a colors x n head plane and 4m link words)
+   it allocated 850,039; it now allocates 482,009. More than [limit]
+   means a per-color forest, the adjacency or a per-set structure came
+   back into the emission. Deterministic for a fixed input. *)
 let star_forests_alloc_check () =
-  let limit = 1_000_000 in
+  let limit = 500_000 in
   let g, ids, rounds, o = star_stage_input () in
   let major () = let _, _, w = Gc.counters () in int_of_float w in
   let w0 = major () in

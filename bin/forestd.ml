@@ -220,14 +220,6 @@ let check_input path g (algorithm : Registry.entry) =
     exit 2
   end
 
-(* the exact arboricity when --alpha is omitted, under its own span: a
-   trace attributes the time spent on a value the caller did not pass *)
-let resolve_alpha g = function
-  | Some a -> a
-  | None ->
-      Obs.span "arboricity.exact" (fun () ->
-          Nw_baseline.Gabow_westermann.arboricity_value g)
-
 let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
     chaos chaos_seed flight =
   let g = read_graph path in
@@ -302,9 +294,12 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   let run_collected () =
     Obs.collect @@ fun () ->
     Obs.span "decompose" @@ fun () ->
-    let alpha = resolve_alpha g alpha_opt in
-    Format.printf "graph: %a, alpha = %d, eps = %g@." G.pp g alpha epsilon;
-    let spec = { Registry.graph = g; epsilon; alpha } in
+    (* an entry that reads no alpha gets none resolved: "alpha = -" *)
+    let spec, alpha = Registry.resolve algorithm g ~epsilon ~alpha:alpha_opt in
+    Format.printf "graph: %a, alpha = %s, eps = %g@." G.pp g
+      (Option.fold ~none:"-" ~some:string_of_int alpha)
+      epsilon;
+    let alpha = spec.Registry.alpha in
     (* building can be real work: lsfd sizes its palette from the exact
        pseudo-arboricity, so it runs inside the trace *)
     let pipeline = algorithm.Registry.build spec in
@@ -424,7 +419,7 @@ let decompose_cmd =
       value
       & opt (some int) None
       & info [ "alpha" ] ~docv:"A"
-          ~doc:"Arboricity bound (computed exactly when omitted).")
+          ~doc:"Arboricity bound (computed exactly when omitted, if read).")
   in
   let dot =
     Arg.(
@@ -525,11 +520,9 @@ let stats_run path algorithm epsilon seed alpha_opt =
     run_or_fail @@ fun () ->
     Obs.collect @@ fun () ->
     Obs.span "decompose" @@ fun () ->
-    let alpha = resolve_alpha g alpha_opt in
+    let spec, _ = Registry.resolve algorithm g ~epsilon ~alpha:alpha_opt in
     let rounds = Rounds.create () in
-    let pipeline =
-      algorithm.Registry.build { Registry.graph = g; epsilon; alpha }
-    in
+    let pipeline = algorithm.Registry.build spec in
     let ctx = Engine.ctx ~rng ~rounds in
     let init = EStore.put EStore.empty "graph" (Artifact.Graph g) in
     ignore (Engine.run ctx pipeline ~init)
@@ -551,7 +544,7 @@ let stats_cmd =
       value
       & opt (some int) None
       & info [ "alpha" ] ~docv:"A"
-          ~doc:"Arboricity bound (computed exactly when omitted).")
+          ~doc:"Arboricity bound (computed exactly when omitted, if read).")
   in
   Cmd.v
     (Cmd.info "stats" ~exits:(failed_exit :: Cmd.Exit.defaults)

@@ -39,6 +39,11 @@ module G = Nw_graphs.Multigraph
    (prepend + order-preserving filter) while making deletion O(1)
    instead of O(deg).
 
+   A color's lists exist only once its rooted forest does: [head.(c)]
+   is allocated with the forest at the color's first touch, and
+   [nxt]/[prv] at the first touch of any color. A coloring nothing
+   queries holds its assignment, its color groups and O(n) scratch.
+
    Endpoints are read from the coloring's own [src]/[dst] rows (shared
    with the graph at [create], one array load per edge). [add_edge]
    appends edges in place: every per-edge array has a capacity of at
@@ -55,10 +60,11 @@ type t = {
   colors : int;
   mutable assign : int array; (* edge -> color or -1 *)
   mutable colored : int;
-  (* (color, vertex) adjacency DLLs over node ids 2e+slot; -1 = nil *)
+  (* (color, vertex) adjacency DLLs over node ids 2e+slot; -1 = nil.
+     [||] until the first touch, as the forest below *)
   head : int array array; (* color -> vertex -> node id *)
-  mutable nxt : int array; (* 2m *)
-  mutable prv : int array; (* 2m *)
+  mutable nxt : int array; (* 2 * capacity *)
+  mutable prv : int array; (* 2 * capacity *)
   (* rooted spanning forest per color, allocated ([||] before) at the
      color's first touch and repaired only in the trees an update
      touches: parent vertex / parent edge / depth, so path extraction
@@ -82,24 +88,24 @@ type t = {
   mutable stamp : int;
 }
 
-(* the coloring [assign] (-1 = uncolored) with no edge linked yet:
-   [create] has none to link, [build] links [bulk]'s groups *)
+(* the coloring [assign] (-1 = uncolored) with no adjacency and no
+   forest: [create] has no edge to link, and [bulk]'s groups are linked
+   by their color's replay *)
 let empty g ~colors ~assign ~bulk =
   let n = G.n g in
-  let m = G.m g in
   let src, dst = G.endpoint_rows g in
   {
     n;
-    m;
+    m = G.m g;
     g;
     src;
     dst;
     colors;
     assign;
     colored = 0;
-    head = Array.init colors (fun _ -> Array.make n (-1));
-    nxt = Array.make (2 * m) (-1);
-    prv = Array.make (2 * m) (-1);
+    head = Array.make colors [||];
+    nxt = [||];
+    prv = [||];
     fp_root = Array.make colors [||];
     fp_size = Array.make colors [||];
     fp_pend = Array.make colors [||];
@@ -174,14 +180,6 @@ let iter_uncolored f t =
 let node_neighbor t nd =
   let e = nd lsr 1 in
   if nd land 1 = 0 then t.dst.(e) else t.src.(e)
-
-let iter_adj t c x f =
-  let nd = ref t.head.(c).(x) in
-  while !nd >= 0 do
-    let cur = !nd in
-    nd := t.nxt.(cur);
-    f (node_neighbor t cur) (cur lsr 1)
-  done
 
 let link_node t c x nd =
   let h = t.head.(c).(x) in
@@ -315,16 +313,23 @@ let join t c e =
   link_node t c u (2 * e);
   link_node t c v ((2 * e) + 1)
 
-(* Allocate color [c]'s forest at its first touch: n singleton trees,
-   each rooted at its only (so its lowest) vertex. A color a bulk
-   construction filled is then owed its edges: they leave the adjacency
-   lists and are joined again in ascending order, which is the state
-   [set]s in that order would have left (the lists included, as each
-   link prepends). Such a replay is no first touch and counts no
-   rebuild: the same [set]s would have counted theirs at construction. *)
+(* Allocate color [c]'s forest and adjacency at its first touch: n
+   singleton trees, each rooted at its only (so its lowest) vertex, and
+   empty lists. A color a bulk construction filled is then owed its
+   edges: they are joined in ascending order, which is the state [set]s
+   in that order would have left (the lists included, as each link
+   prepends). Such a replay is no first touch and counts no rebuild:
+   the same [set]s would have counted theirs at construction. *)
 let ensure_forest t c =
   if Array.length t.fp_root.(c) = 0 then begin
     let n = t.n in
+    if Array.length t.nxt = 0 then begin
+      (* never empty once made, so [add_edge] grows them from here on *)
+      let cap = max 1 (Array.length t.assign) in
+      t.nxt <- Array.make (2 * cap) (-1);
+      t.prv <- Array.make (2 * cap) (-1)
+    end;
+    t.head.(c) <- Array.make n (-1);
     t.fp_root.(c) <- Array.init n Fun.id;
     t.fp_size.(c) <- Array.make n 1;
     t.fp_pend.(c) <- Array.make n 0;
@@ -333,11 +338,6 @@ let ensure_forest t c =
     t.fp_depth.(c) <- Array.make n 0;
     match t.bulk with
     | Some { start; edges } when start.(c) < start.(c + 1) ->
-        let head = t.head.(c) in
-        for i = start.(c) to start.(c + 1) - 1 do
-          head.(t.src.(edges.(i))) <- -1;
-          head.(t.dst.(edges.(i))) <- -1
-        done;
         for i = start.(c) to start.(c + 1) - 1 do
           join t c edges.(i)
         done
@@ -345,6 +345,27 @@ let ensure_forest t c =
         incr Counters.uf_rebuilds;
         Obs.count "coloring.uf_rebuilds"
   end
+
+(* Has color [c] lists to walk? One with no forest yet has none: a bulk
+   color with edges is replayed first (no rebuild counted), any other
+   has no edge. The replay hangs trees on the shared stamps, so a walk
+   asks before it stamps anything. *)
+let has_lists t c =
+  Array.length t.head.(c) > 0
+  ||
+  match t.bulk with
+  | Some { start; _ } when start.(c) < start.(c + 1) ->
+      ensure_forest t c;
+      true
+  | _ -> false
+
+let iter_adj t c x f =
+  let nd = ref t.head.(c).(x) in
+  while !nd >= 0 do
+    let cur = !nd in
+    nd := t.nxt.(cur);
+    f (node_neighbor t cur) (cur lsr 1)
+  done
 
 (* connectivity of u and v inside color c: one root-label compare *)
 let same_tree t c u v =
@@ -362,10 +383,8 @@ let same_tree t c u v =
    never crossing edge [skip]: do the two searches meet? Expands the
    smaller frontier and stops as soon as either side's component is
    exhausted, so deciding "disconnected" costs only the smaller
-   component. *)
+   component. Color [c] has lists ([has_lists]). *)
 let bfs_connected t c src dst skip =
-  incr Counters.bfs_runs;
-  Obs.count "coloring.bfs_runs";
   (* two stamps: src side = stamp - 1, dst side = stamp *)
   t.stamp <- t.stamp + 2;
   let s_src = t.stamp - 1 and s_dst = t.stamp in
@@ -417,7 +436,9 @@ let oracle_would_close_cycle t e c =
   if c < 0 || c >= t.colors then
     invalid_arg "Coloring.oracle_would_close_cycle: color out of range";
   check_edge t e "oracle_would_close_cycle";
-  bfs_connected t c t.src.(e) t.dst.(e) e
+  incr Counters.bfs_runs;
+  Obs.count "coloring.bfs_runs";
+  has_lists t c && bfs_connected t c t.src.(e) t.dst.(e) e
 
 let connected t c u v =
   if c < 0 || c >= t.colors then
@@ -474,11 +495,12 @@ let grow a cap pad =
   b
 
 (* Append an uncolored edge in place. When the per-edge arrays are full
-   they are all replaced by arrays of twice the capacity: the fresh
-   [src]/[dst] rows stop sharing the graph's, and every fresh slot of
-   the other rows is already the uncolored/unlinked -1, so the new id
-   needs only its endpoints written. Per-color and per-vertex state is
-   untouched: an uncolored edge is in no forest. *)
+   they are all replaced by arrays of twice the capacity ([nxt]/[prv]
+   only once a touch allocated them): the fresh [src]/[dst] rows stop
+   sharing the graph's, and every fresh slot of the other rows is
+   already the uncolored/unlinked -1, so the new id needs only its
+   endpoints written. Per-color and per-vertex state is untouched: an
+   uncolored edge is in no forest. *)
 let add_edge t u v =
   if u < 0 || u >= t.n || v < 0 || v >= t.n then
     invalid_arg "Coloring.add_edge: endpoint out of range";
@@ -489,8 +511,10 @@ let add_edge t u v =
     t.src <- grow t.src cap 0;
     t.dst <- grow t.dst cap 0;
     t.assign <- grow t.assign cap (-1);
-    t.nxt <- grow t.nxt (2 * cap) (-1);
-    t.prv <- grow t.prv (2 * cap) (-1)
+    if Array.length t.nxt > 0 then begin
+      t.nxt <- grow t.nxt (2 * cap) (-1);
+      t.prv <- grow t.prv (2 * cap) (-1)
+    end
   end;
   t.src.(e) <- u;
   t.dst.(e) <- v;
@@ -499,13 +523,10 @@ let add_edge t u v =
 
 (* the one counted test behind C(e, c): free when e has color c, one
    root-label compare otherwise (graphs have no self-loops) *)
-let path_exists_unchecked t e c =
-  t.assign.(e) = c || same_tree t c t.src.(e) t.dst.(e)
-
 let path_exists t e c =
   check_color t c "path_exists";
   check_edge t e "path_exists";
-  path_exists_unchecked t e c
+  t.assign.(e) = c || same_tree t c t.src.(e) t.dst.(e)
 
 (* A walk of C(e, c) reads color [c]'s forest as a search sees it:
    allocated, and the tree of e's first endpoint settled. *)
@@ -518,7 +539,9 @@ let count_path_edges k = Counters.path_edges := !Counters.path_edges + k
 (* One climb of the rooted forest to the LCA, O(path length): the u-side
    edges are emitted as they are reached (u->lca order), the v-side ones
    buffered and emitted after them (v->lca order). *)
-let iter_path_unchecked t e c f =
+let iter_path t e c f =
+  check_color t c "iter_path";
+  check_edge t e "iter_path";
   if t.assign.(e) = c then begin
     f e;
     count_path_edges 1
@@ -597,11 +620,6 @@ let iter_path_ends t e c f =
     end
   end
 
-let iter_path t e c f =
-  check_color t c "iter_path";
-  check_edge t e "iter_path";
-  iter_path_unchecked t e c f
-
 let path_end_count t e c =
   check_color t c "path_end_count";
   check_edge t e "path_end_count";
@@ -613,54 +631,7 @@ let path_end_count t e c =
     if pv.(u) = v || pv.(v) = u then 1 else 2
   end
 
-let path t e c =
-  check_color t c "path";
-  check_edge t e "path";
-  if path_exists_unchecked t e c then begin
-    let acc = ref [] in
-    iter_path_unchecked t e c (fun x -> acc := x :: !acc);
-    Some (List.rev !acc)
-  end
-  else None
-
-let component_edges t v c =
-  if c < 0 || c >= t.colors then
-    invalid_arg "Coloring.component_edges: color out of range";
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
-  let q = Queue.create () in
-  t.mark.(v) <- stamp;
-  Queue.add v q;
-  let acc = ref [] in
-  while not (Queue.is_empty q) do
-    let u = Queue.take q in
-    iter_adj t c u (fun w e ->
-        if t.mark.(w) <> stamp then begin
-          t.mark.(w) <- stamp;
-          acc := e :: !acc;
-          Queue.add w q
-        end)
-  done;
-  !acc
-
-let component_size t v c =
-  if c < 0 || c >= t.colors then
-    invalid_arg "Coloring.component_size: color out of range";
-  ensure_forest t c;
-  t.fp_size.(c).(t.fp_root.(c).(v))
-
-let component_edge_count t v c =
-  if c < 0 || c >= t.colors then
-    invalid_arg "Coloring.component_edge_count: color out of range";
-  ensure_forest t c;
-  t.fp_size.(c).(t.fp_root.(c).(v)) - 1
-
-let colored_incident t v c =
-  let acc = ref [] in
-  iter_adj t c v (fun w e -> acc := (w, e) :: !acc);
-  List.rev !acc
-
-let iter_colored_incident t v c f = iter_adj t c v f
+let iter_colored_incident t v c f = if has_lists t c then iter_adj t c v f
 
 let to_array t =
   Array.init t.m (fun e ->
@@ -678,29 +649,15 @@ let build g ~colors assign =
       invalid_arg "Coloring.set: would close a cycle"
   | Error (Color_classes.Out_of_range _ | Color_classes.Uncolored _) ->
       invalid_arg "Coloring.set: color out of range"
-  | Ok ({ start; edges } as classes) ->
+  | Ok classes ->
       let t = empty g ~colors ~assign ~bulk:(Some classes) in
-      for c = 0 to colors - 1 do
-        for i = start.(c) to start.(c + 1) - 1 do
-          let e = edges.(i) in
-          link_node t c t.src.(e) (2 * e);
-          link_node t c t.dst.(e) ((2 * e) + 1)
-        done
-      done;
-      t.colored <- start.(colors);
+      t.colored <- classes.start.(colors);
       t
 
 let of_assignment g ~colors assign =
   if Array.length assign <> G.m g then
     invalid_arg "Coloring.of_assignment: length mismatch";
   build g ~colors (Array.copy assign)
-
-let of_array g ~colors a =
-  if Array.length a <> G.m g then
-    invalid_arg "Coloring.of_array: length mismatch";
-  (* a negative color is out of range, as [set] has it *)
-  build g ~colors
-    (Array.map (function None -> -1 | Some c -> if c < 0 then colors else c) a)
 
 let copy t = build (graph t) ~colors:t.colors (Array.sub t.assign 0 t.m)
 

@@ -7,8 +7,9 @@
     color-[c] forest — which drives the augmenting-sequence machinery of
     Section 3 of the paper.
 
-    Each color keeps a rooted spanning forest, allocated at the color's
-    first touch, with every vertex labelled by the root of its tree.
+    Each color keeps adjacency lists and a rooted spanning forest, both
+    allocated at the color's first touch, with every vertex labelled by
+    the root of its tree.
     Connectivity questions ("would coloring [e] with [c] close a cycle?",
     "is [C(e, c)] empty?") are one label compare, in O(1). Paths are read
     off the rooted forest by an LCA climb ({!iter_path}), and a path's
@@ -24,11 +25,13 @@
     differential-testing oracle ({!oracle_would_close_cycle}).
 
     A coloring emitted whole, whose forests nothing may ever query, is
-    built by {!of_assignment} (and {!of_array}, {!copy}): one O(n + m)
-    forest check and the adjacency lists, no rooted forest. A color's
-    forest is built the first time a query touches it, by replaying
-    that color's edges in ascending order through the steps {!set}
-    runs; the result is the forest eager {!set}s in that order leave.
+    built by {!of_assignment} (and {!copy}): one O(n + m) forest check,
+    no adjacency list and no rooted forest, so it holds the assignment,
+    its color groups and O(n) scratch. A color's lists and forest are
+    built together the first time a query or an adjacency read touches
+    it, by replaying that color's edges in ascending order through the
+    steps {!set} runs; the result is the state eager {!set}s in that
+    order leave.
     Every emitter of a finished decomposition builds its output this
     way. {!create} and {!set} serve only the colorings that are searched
     (the augmenting sequences of Section 3), churned (a served session's
@@ -94,27 +97,19 @@ val set : t -> int -> int -> unit
     touches it. *)
 val unset : t -> int -> unit
 
-(** [path t e c] is [C(e, c)]: the edge-id path joining the endpoints
-    [u]–[v] of [e] inside the color-[c] forest, or [None] when they are
-    disconnected. If [e] itself is colored [c] the result is [Some [e]].
-    The disconnected case is decided in O(1) without BFS; the
-    connected case is extracted from the maintained rooted forest in
-    O(path length), listed as the [u]-side half (from [u] towards the
-    meeting point) followed by the [v]-side half (from [v] towards it) —
-    consumers treat the result as an edge set. Equals {!path_exists}
-    followed by {!iter_path}, and counts exactly what {!path_exists}
-    counts. *)
-val path : t -> int -> int -> int list option
-
-(** [path_exists t e c] is [path t e c <> None], at the cost of the
-    counted test alone: free when [e] has color [c], one root-label
-    compare otherwise. *)
+(** [path_exists t e c] holds when [C(e, c)] — the edge-id path joining
+    the endpoints [u]–[v] of [e] inside the color-[c] forest — is
+    nonempty; it is [[e]] when [e] itself is colored [c]. The counted
+    test alone: free when [e] has color [c], one root-label compare
+    otherwise, never a BFS. *)
 val path_exists : t -> int -> int -> bool
 
-(** [iter_path t e c f] calls [f] on each edge of [C(e, c)] in {!path}'s
-    order, without allocating and without touching the query counters.
-    One climb of the rooted forest; the [v]-side half is buffered in
-    scratch owned by [t], so [f] must not walk another path of [t].
+(** [iter_path t e c f] calls [f] on each edge of [C(e, c)], without
+    allocating and without touching the query counters: the [u]-side
+    half (from [u] towards the meeting point), then the [v]-side half
+    (from [v] towards it). One climb of the rooted forest, in O(path
+    length); the [v]-side half is buffered in scratch owned by [t], so
+    [f] must not walk another path of [t].
     @raise Invalid_argument when [C(e, c)] is empty ({!path_exists} is
     the test). *)
 val iter_path : t -> int -> int -> (int -> unit) -> unit
@@ -138,24 +133,12 @@ val iter_path_ends : t -> int -> int -> (int -> unit) -> unit
     @raise Invalid_argument when [C(e, c)] is empty. *)
 val path_end_count : t -> int -> int -> int
 
-(** [component_edges t v c] lists the edges of the color-[c] tree containing
-    vertex [v] (empty when [v] is isolated in that color). *)
-val component_edges : t -> int -> int -> int list
-
-(** [component_size t v c] is the number of vertices of the color-[c] tree
-    containing [v] (1 when isolated), from the root labels, in O(1). *)
-val component_size : t -> int -> int -> int
-
-(** [component_edge_count t v c] is the number of edges of that tree
-    (always [component_size - 1] while the forest invariant holds). *)
-val component_edge_count : t -> int -> int -> int
-
-(** Per-vertex incident edges of one color: [(neighbor, edge)] list. *)
-val colored_incident : t -> int -> int -> (int * int) list
-
 (** [iter_colored_incident t v c f] calls [f neighbor edge] for each
     color-[c] edge at [v], most recently colored first, without
-    materializing a list. *)
+    materializing a list. A color of {!of_assignment} that has edges
+    and that nothing has touched yet is replayed first, as its first
+    query would replay it (no rebuild counted); any other untouched
+    color has no edge and stays untouched. *)
 val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
 
 (** Snapshot of all edge colors ([None] = uncolored). Fresh array. *)
@@ -164,23 +147,19 @@ val to_array : t -> int option array
 (** [of_assignment g ~colors assign] is the coloring giving edge [e]
     the color [assign.(e)], or none when it is [-1]: the bulk
     constructor. It groups the edges by color and checks that every
-    class is a forest in O(n + m), links the adjacency lists, and
-    allocates no rooted forest. A color's forest is built the first
-    time a connectivity, path, size or {!unset} query touches it, by
-    replaying that color's edges in ascending order through the steps
-    {!set} runs. So the coloring answers every later call, path orders
-    and {!Counters} included, exactly as [create] followed by {!set} in
-    ascending edge order within each color would; only the counts of
-    that construction itself (one query per edge, one rebuild per
-    color used) are not made. [assign] is copied.
+    class is a forest in O(n + m), and allocates no adjacency list and
+    no rooted forest. A color's lists and forest are built together the
+    first time a connectivity, path or {!unset} query, an adjacency read
+    or the BFS oracle touches it, by replaying that color's edges in
+    ascending order through the steps {!set} runs. So the coloring
+    answers every later call, path orders and {!Counters} included,
+    exactly as [create] followed by {!set} in ascending edge order
+    within each color would; only the counts of that construction
+    itself (one query per edge, one rebuild per color used) are not
+    made. [assign] is copied.
     @raise Invalid_argument as that first rejected {!set} would: on a
     color out of range, or on a class that is not a forest. *)
 val of_assignment : Nw_graphs.Multigraph.t -> colors:int -> int array -> t
-
-(** [of_array g ~colors a] rebuilds a coloring from a snapshot, as
-    {!of_assignment} with [None] uncolored.
-    @raise Invalid_argument if some class is not a forest. *)
-val of_array : Nw_graphs.Multigraph.t -> colors:int -> int option array -> t
 
 (** Deep copy, as {!of_assignment} of [t]'s colors: its forests are
     built anew on demand, rooted as ascending {!set}s root them. *)
@@ -217,7 +196,7 @@ val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
     re-rooted by {!unset} repairs ([repair_vertices]). Obs counts the
     same events as [coloring.uf_queries], [coloring.bfs_runs],
     [coloring.uf_rebuilds] and [coloring.repair_vertices]. [path_edges]
-    counts the edges {!iter_path}, {!iter_path_ends} and {!path} emit,
+    counts the edges {!iter_path} and {!iter_path_ends} emit,
     added once per walk, and has no Obs twin. The bench
     harness reports deltas per experiment. No emitter of a finished
     decomposition counts here: they build with {!of_assignment}, so

@@ -159,11 +159,15 @@ let uses_at_most t k =
           else Ok ())
     g (Ok ())
 
+(* The forests are read from the assignment's color groups (a
+   coloring's classes are forests), not from its adjacency lists, so
+   measuring a coloring links no list and builds no rooted forest. *)
 let max_forest_diameter t =
-  Nw_graphs.Traversal.max_tree_diameter
-    ~n:(G.n (Coloring.graph t))
-    ~forests:(Coloring.colors t)
-    (fun c v visit -> Coloring.iter_colored_incident t v c visit)
+  let g = Coloring.graph t and k = Coloring.colors t in
+  let src, dst = G.endpoint_rows g in
+  let classes = Color_classes.forests g ~k ~allow_uncolored:true in
+  let { Color_classes.start; edges } = Result.get_ok (classes (Coloring.get t)) in
+  Nw_graphs.Traversal.max_tree_diameter ~n:(G.n g) ~src ~dst ~start ~edges
 
 let colors_used t =
   let k = Coloring.colors t in

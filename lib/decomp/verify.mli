@@ -47,7 +47,10 @@ val respects_palette : Coloring.t -> Palette.t -> report
 (** [uses_at_most t k]: all colors in [0..k-1]. *)
 val uses_at_most : Coloring.t -> int -> report
 
-(** Largest strong diameter over all trees of all color classes. *)
+(** Largest strong diameter over all trees of all color classes, read
+    from the assignment's color groups: it touches no color's adjacency
+    lists or rooted forest, and counts nothing in {!Coloring.Counters}.
+    O(n + m) time and space. *)
 val max_forest_diameter : Coloring.t -> int
 
 (** Number of distinct colors actually used. *)

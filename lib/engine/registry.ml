@@ -12,6 +12,7 @@ type entry = {
   star : bool;
   simple_only : bool;
   reports_rounds : bool;
+  reads_alpha : bool;
   yields : yields;
   build : spec -> Engine.pipeline;
 }
@@ -35,6 +36,7 @@ let all =
       star = false;
       simple_only = false;
       reports_rounds = false;
+      reads_alpha = false;
       yields = Coloring_out;
       build = (fun s -> ignore s; Pipelines.exact ());
     };
@@ -44,6 +46,7 @@ let all =
       star = false;
       simple_only = false;
       reports_rounds = false;
+      reads_alpha = false;
       yields = Coloring_out;
       build = (fun s -> ignore s; Pipelines.greedy ());
     };
@@ -53,6 +56,7 @@ let all =
       star = false;
       simple_only = false;
       reports_rounds = true;
+      reads_alpha = false;
       yields = Coloring_out;
       build = (fun s -> Pipelines.be ~epsilon:s.epsilon);
     };
@@ -62,6 +66,7 @@ let all =
       star = false;
       simple_only = false;
       reports_rounds = true;
+      reads_alpha = true;
       yields = Coloring_out;
       build =
         (fun s ->
@@ -73,6 +78,7 @@ let all =
       star = true;
       simple_only = true;
       reports_rounds = true;
+      reads_alpha = true;
       yields = Coloring_out;
       build =
         (fun s -> Pipelines.star s.graph ~epsilon:s.epsilon ~alpha:s.alpha);
@@ -83,6 +89,7 @@ let all =
       star = true;
       simple_only = false;
       reports_rounds = false;
+      reads_alpha = false;
       yields = Coloring_out;
       build = (fun s -> ignore s; Pipelines.amr ());
     };
@@ -92,6 +99,7 @@ let all =
       star = true;
       simple_only = false;
       reports_rounds = true;
+      reads_alpha = false;
       yields = Coloring_out;
       build = build_lsfd;
     };
@@ -101,6 +109,7 @@ let all =
       star = false;
       simple_only = false;
       reports_rounds = true;
+      reads_alpha = true;
       yields = Orientation_out;
       build =
         (fun s ->
@@ -112,6 +121,7 @@ let all =
       star = false;
       simple_only = false;
       reports_rounds = true;
+      reads_alpha = true;
       yields = Pseudo_out;
       build =
         (fun s -> Pipelines.pseudo s.graph ~epsilon:s.epsilon ~alpha:s.alpha);
@@ -133,6 +143,17 @@ let verify entry { graph = g; epsilon; alpha } store =
   | Pseudo_out ->
       let a, k = Store.assignment store "assignment" in
       Verify.pseudo_forest_assignment g a ~k
+
+let resolve entry g ~epsilon ~alpha =
+  let alpha =
+    match alpha with
+    | None when entry.reads_alpha ->
+        Some
+          (Nw_obs.Obs.span "arboricity.exact" (fun () ->
+               Nw_baseline.Gabow_westermann.arboricity_value g))
+    | _ -> alpha
+  in
+  ({ graph = g; epsilon; alpha = Option.value alpha ~default:0 }, alpha)
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
 let names () = List.map (fun e -> e.name) all

@@ -8,7 +8,9 @@
 type spec = {
   graph : Nw_graphs.Multigraph.t;
   epsilon : float;
-  alpha : int;  (** arboricity bound (CLI resolves it exactly if omitted) *)
+  alpha : int;
+      (** arboricity bound; 0 when the caller gave none and the entry
+          does not read it ({!resolve}) *)
 }
 
 (** What the pipeline leaves in the store for the front end to report. *)
@@ -24,6 +26,7 @@ type entry = {
   simple_only : bool;
       (** the pipeline rejects multigraphs (parallel edges) *)
   reports_rounds : bool;  (** false for the centralized baselines *)
+  reads_alpha : bool;  (** the pipeline or its checker reads [spec.alpha] *)
   yields : yields;
   build : spec -> Engine.pipeline;
       (** deterministic; consumes no randomness *)
@@ -37,6 +40,18 @@ val all : entry list
     [⌈(1+ε)α⌉] for [Orientation_out], a pseudo-forest assignment for
     [Pseudo_out]. *)
 val verify : entry -> spec -> Store.t -> (unit, string) result
+
+(** [resolve entry g ~epsilon ~alpha] is the spec [entry] runs on over
+    [g] and the α it carries: [alpha] when given, else the exact
+    arboricity of [g] (under an ["arboricity.exact"] span) if
+    [entry.reads_alpha], else [None] (the spec holds 0, which nothing
+    reads). The CLI and a served session both resolve here. *)
+val resolve :
+  entry ->
+  Nw_graphs.Multigraph.t ->
+  epsilon:float ->
+  alpha:int option ->
+  spec * int option
 
 val find : string -> entry option
 val names : unit -> string list

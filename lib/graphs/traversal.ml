@@ -52,54 +52,73 @@ let diameter g =
 
 (* Double-sweep BFS: in a tree, a vertex farthest from any start is an
    end of a longest path, so a second sweep from it measures the
-   diameter. One mark/dist/queue triple serves every sweep of every
-   forest: a fresh stamp per sweep, and a vertex is still unswept in
-   forest f when its mark predates f's first sweep. *)
-let max_tree_diameter ~n ~forests iter =
+   diameter. Forest f's rows are laid out in buffers every forest
+   shares ([x]'s neighbors are [adj.(lo.(x))] .. [adj.(hi.(x) - 1)]),
+   and one mark/dist/queue triple serves every sweep: a fresh stamp per
+   sweep, and a vertex is still unswept in forest f when its mark
+   predates f's first sweep. *)
+let max_tree_diameter ~n ~src ~dst ~start ~edges =
+  let forests = Array.length start - 1 in
+  let size f = start.(f + 1) - start.(f) in
+  let widest = Array.fold_left max 0 (Array.init forests size) in
+  let adj = Array.make (2 * widest) 0 and deg = Array.make n 0 in
+  let lo = Array.make n 0 and hi = Array.make n 0 in
   let mark = Array.make n 0 and dist = Array.make n 0 in
-  let queue = Array.make n 0 in
-  let stamp = ref 0 and tail = ref 0 and next_d = ref 0 in
-  let visit w _ =
-    if mark.(w) <> !stamp then begin
-      mark.(w) <- !stamp;
-      dist.(w) <- !next_d;
-      queue.(!tail) <- w;
-      incr tail
+  let queue = Array.make n 0 and tail = ref 0 in
+  let stamp = ref 0 and best = ref 0 in
+  (* [g u v] then [g v u] on each edge of forest [f] *)
+  let each f g =
+    for i = start.(f) to start.(f + 1) - 1 do
+      let u = src.(edges.(i)) and v = dst.(edges.(i)) in
+      g u v;
+      g v u
+    done
+  in
+  (* degrees, then each row's end, then the rows filled backwards *)
+  let count x _ = deg.(x) <- deg.(x) + 1 and pos = ref 0 in
+  let place x _ =
+    if deg.(x) > 0 then begin
+      pos := !pos + deg.(x);
+      lo.(x) <- !pos;
+      hi.(x) <- !pos;
+      deg.(x) <- 0
     end
   in
-  (* sweep [s]'s tree of forest [f]; the last vertex dequeued is a
-     farthest one *)
-  let sweep f s =
+  let push x y =
+    lo.(x) <- lo.(x) - 1;
+    adj.(lo.(x)) <- y
+  in
+  let enter w d =
+    mark.(w) <- !stamp;
+    dist.(w) <- d;
+    queue.(!tail) <- w;
+    incr tail
+  in
+  (* sweep [s]'s tree; the last vertex dequeued is a farthest one *)
+  let sweep s =
     incr stamp;
-    mark.(s) <- !stamp;
-    dist.(s) <- 0;
-    queue.(0) <- s;
-    tail := 1;
+    tail := 0;
+    enter s 0;
     let h = ref 0 in
     while !h < !tail do
       let x = queue.(!h) in
       incr h;
-      next_d := dist.(x) + 1;
-      iter f x visit
+      for i = lo.(x) to hi.(x) - 1 do
+        if mark.(adj.(i)) <> !stamp then enter adj.(i) (dist.(x) + 1)
+      done
     done;
     queue.(!tail - 1)
   in
-  let best = ref 0 in
   for f = 0 to forests - 1 do
+    pos := 0;
+    each f count;
+    each f place;
+    each f push;
     let swept = !stamp in
-    for v = 0 to n - 1 do
-      if mark.(v) <= swept then begin
-        let far = sweep f (sweep f v) in
-        if dist.(far) > !best then best := dist.(far)
-      end
-    done
+    each f (fun u _ ->
+        if mark.(u) <= swept then best := max !best dist.(sweep (sweep u)))
   done;
   !best
-
-let tree_diameter g =
-  if not (is_forest g) then invalid_arg "Traversal.tree_diameter: not a forest";
-  max_tree_diameter ~n:(G.n g) ~forests:1 (fun _ v visit ->
-      G.iter_incident g v visit)
 
 let spanning_forest g =
   let uf = Union_find.create (G.n g) in

@@ -16,19 +16,20 @@ val distances : Multigraph.t -> int -> int array
     (strong diameter, exact, via all-sources BFS). 0 on edgeless graphs. *)
 val diameter : Multigraph.t -> int
 
-(** [tree_diameter g] computes, for a forest, the maximum over trees of the
-    path diameter: {!max_tree_diameter} with one forest, O(n + m).
-    @raise Invalid_argument if [g] is not a forest. *)
-val tree_diameter : Multigraph.t -> int
-
-(** [max_tree_diameter ~n ~forests iter] is the largest tree diameter
-    over [forests] forests on the vertex set [0..n-1], where
-    [iter f v visit] calls [visit w e] for each edge [e] joining [v] to
-    [w] in forest [f]. Two BFS sweeps per tree over buffers shared by all
-    of them: O(forests·n + edges) time, three n-arrays of space.
-    Acyclicity is the caller's to guarantee. *)
+(** [max_tree_diameter ~n ~src ~dst ~start ~edges] is the largest tree
+    diameter over forests on [0..n-1] laid out as
+    [Nw_decomp.Color_classes] lays out colors: forest [f] is the edges
+    [edges.(start.(f))] .. [edges.(start.(f + 1) - 1)], edge [e] joining
+    [src.(e)] and [dst.(e)]. Only vertices with an edge are swept, twice
+    per tree: O(n + forests + edges) time and space. Acyclicity is the
+    caller's to guarantee. *)
 val max_tree_diameter :
-  n:int -> forests:int -> (int -> int -> (int -> int -> unit) -> unit) -> int
+  n:int ->
+  src:int array ->
+  dst:int array ->
+  start:int array ->
+  edges:int array ->
+  int
 
 (** [spanning_forest g] is the edge-id set (membership array over edges) of
     an arbitrary spanning forest of [g]. *)

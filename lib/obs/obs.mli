@@ -164,7 +164,9 @@ val pp_summary : Format.formatter -> trace -> unit
     {!fold_roots} survives in {!phases}, not as an event. *)
 module Export : sig
   (** Chrome [trace_event] JSON ([{"traceEvents": [...]}], complete
-      "X" events, microsecond timestamps, one [tid] lane per recording domain).
+      "X" events, microsecond timestamps). Each trace in the list is one
+      experiment or one request; the process records on one domain, so
+      they share its [tid] lane.
       Span attributes, self-rounds, and per-label rounds appear under
       each event's ["args"]. *)
   val chrome : Buffer.t -> trace list -> unit

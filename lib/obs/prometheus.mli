@@ -3,8 +3,8 @@
     histograms as cumulative [_bucket{le="..."}]/[_sum]/[_count]
     series under sanitized [nw_*] names, per-phase aggregates as
     [nw_phase_{calls,seconds,self_seconds,rounds}_total{phase="..."}],
-    and the trace round totals. Multiple traces (one per domain) are
-    merged by name. Works on {!Obs.live_snapshot} copies, so a running
+    and the trace round totals. Several traces (each one experiment or
+    one request) are merged by name. Works on {!Obs.live_snapshot} copies, so a running
     daemon can be scraped between pipeline passes. *)
 
 val render : Buffer.t -> Obs.trace list -> unit

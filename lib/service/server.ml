@@ -111,7 +111,9 @@ let decomposed_fields s ~algorithm (d : Session.decomposed) =
       Wire.int "epoch" d.Session.d_epoch;
       Wire.str "algorithm" algorithm;
       Wire.str "mode" "full";
-      Wire.int "alpha" d.Session.d_alpha;
+      (match d.Session.d_alpha with
+      | Some a -> Wire.int "alpha" a
+      | None -> Wire.null "alpha");
     ]
   in
   let out =

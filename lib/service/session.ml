@@ -163,7 +163,7 @@ type chaos_summary = {
 type decomposed = {
   d_output : output;
   d_epoch : int;
-  d_alpha : int;
+  d_alpha : int option;
   d_verified : (unit, string) result;
   d_chaos : chaos_summary option;
 }
@@ -219,14 +219,7 @@ let decompose t ~entry ~epsilon ~seed ~alpha =
   if Int.equal t.s_live_count 0 then Error "session has no live edges"
   else begin
     let gl, slotmap = live_graph t in
-    let alpha_v =
-      match alpha with
-      | Some a -> a
-      | None ->
-          Obs.span "arboricity.exact" (fun () ->
-              Nw_baseline.Gabow_westermann.arboricity_value gl)
-    in
-    let spec = { Registry.graph = gl; epsilon; alpha = alpha_v } in
+    let spec, alpha_v = Registry.resolve entry gl ~epsilon ~alpha in
     let pipeline = entry.Registry.build spec in
     (* the exact one-shot sequence of [forestd decompose]: a fresh seeded
        RNG, a fresh rounds ledger, the graph under "graph" — so the

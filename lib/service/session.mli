@@ -92,7 +92,9 @@ type chaos_summary = {
 type decomposed = {
   d_output : output;
   d_epoch : int;
-  d_alpha : int;  (** the bound actually used (resolved when omitted) *)
+  d_alpha : int option;
+      (** the bound actually used: resolved when omitted, [None] when
+          omitted for an entry that reads none ({!Nw_engine.Registry.resolve}) *)
   d_verified : (unit, string) result;
   d_chaos : chaos_summary option;  (** present iff a plan is armed *)
 }

@@ -159,3 +159,52 @@ let net_decomp g ~rng ~rounds ~distance =
       cluster_class = Array.of_list (List.rev !cluster_class);
     }
   end
+
+(* Coloring reads the tests need beyond the library's own, built from its
+   public calls. [path c e col] is C(e, col) as a list in [iter_path]'s
+   order, or [None] when it is empty: the counted [path_exists] test, then
+   the uncounted walk. *)
+module Coloring = Nw_decomp.Coloring
+
+let path c e col =
+  if Coloring.path_exists c e col then begin
+    let acc = ref [] in
+    Coloring.iter_path c e col (fun x -> acc := x :: !acc);
+    Some (List.rev !acc)
+  end
+  else None
+
+(* the [(neighbor, edge)] pairs of color [col] at [v], in
+   [iter_colored_incident]'s order *)
+let colored_incident c v col =
+  let acc = ref [] in
+  Coloring.iter_colored_incident c v col (fun w e -> acc := (w, e) :: !acc);
+  List.rev !acc
+
+(* the edges of the color-[col] tree holding [v], by a BFS over the
+   adjacency lists (empty when [v] is isolated in that color) *)
+let component_edges c v col =
+  let seen = Hashtbl.create 16 in
+  Hashtbl.replace seen v ();
+  let q = Queue.create () in
+  Queue.add v q;
+  let acc = ref [] in
+  while not (Queue.is_empty q) do
+    let u = Queue.take q in
+    Coloring.iter_colored_incident c u col (fun w e ->
+        if not (Hashtbl.mem seen w) then begin
+          Hashtbl.replace seen w ();
+          acc := e :: !acc;
+          Queue.add w q
+        end)
+  done;
+  !acc
+
+(* the vertex count of the color-[col] tree holding [v], by the root
+   labels: one counted [connected] query per vertex *)
+let component_size c v col =
+  let k = ref 0 in
+  for w = 0 to G.n (Coloring.graph c) - 1 do
+    if Coloring.connected c col v w then incr k
+  done;
+  !k

@@ -168,7 +168,7 @@ let closure_of_stall g coloring palette start =
         List.iter
           (fun c ->
             if own <> Some c then
-              match Coloring.path coloring e c with
+              match Oracle.path coloring e c with
               | None -> ()
               | Some path_edges ->
                   List.iter

@@ -1,10 +1,9 @@
 (* Differential tests of the per-color root-labelled forests against
    the BFS oracle they replaced: random interleavings of
    set / unset / recolor must leave the labelled [would_close_cycle]
-   (and [path]'s disconnection short-cut) agreeing with
-   [oracle_would_close_cycle] on every query, the component counts and
-   [connected] agreeing with a BFS after every operation, and the path
-   orders right after every [unset] equal to those of a BFS forest
+   (and [path_exists]) agreeing with [oracle_would_close_cycle] on every
+   query, [connected] agreeing with a BFS after every operation, and the
+   path orders right after every [unset] equal to those of a BFS forest
    rooted at each tree's lowest vertex; plus units for the repair after
    [unset] and for [copy] preserving coherence. *)
 
@@ -27,7 +26,7 @@ let check_all_queries ctx c =
           oracle;
       (* path must be consistent with connectivity: None iff disconnected
          (when e is not itself colored col, where path is [Some [e]]) *)
-      let p = Coloring.path c e col in
+      let p = Oracle.path c e col in
       let expect_some = oracle || Coloring.color c e = Some col in
       if (p <> None) <> expect_some then
         Alcotest.failf "%s: e=%d c=%d path=%s oracle=%b" ctx e col
@@ -109,6 +108,8 @@ let prop_differential =
       done;
       true)
 
+(* the tree sizes the root labels give ([connected]) against the edges
+   a BFS of the adjacency lists finds in the same tree *)
 let prop_component_counts =
   QCheck.Test.make
     ~name:"component size/edge-count match component_edges under churn"
@@ -125,12 +126,8 @@ let prop_component_counts =
       done;
       for v = 0 to G.n g - 1 do
         for col = 0 to colors - 1 do
-          let edges = List.length (Coloring.component_edges c v col) in
-          let size = Coloring.component_size c v col in
-          let ecount = Coloring.component_edge_count c v col in
-          if ecount <> edges then
-            Alcotest.failf "v=%d c=%d edge count %d, BFS found %d" v col
-              ecount edges;
+          let edges = List.length (Oracle.component_edges c v col) in
+          let size = Oracle.component_size c v col in
           (* each color class is a forest: |V| = |E| + 1 per tree *)
           if size <> edges + 1 then
             Alcotest.failf "v=%d c=%d size %d vs edges %d" v col size edges
@@ -172,7 +169,7 @@ let prop_path_walk =
       let path_edges () = (Coloring.Counters.snapshot ()).path_edges in
       for e = 0 to G.m g - 1 do
         for col = 0 to colors - 1 do
-          let p = Coloring.path c e col in
+          let p = Oracle.path c e col in
           let own = Coloring.color c e = Some col in
           let q0 = uf () in
           let exists = Coloring.path_exists c e col in
@@ -236,7 +233,7 @@ let oracle_forest c col =
               members := w :: !members;
               Queue.add w q
             end)
-          (Coloring.colored_incident c x col)
+          (Oracle.colored_incident c x col)
       done;
       List.iter
         (fun x ->
@@ -266,9 +263,9 @@ let oracle_path o u v =
   meet x y us vs
 
 (* Random set/unset/recolor scripts over small forest_union multigraphs
-   and simple graphs: after every operation, [connected],
-   [component_size] and [component_edge_count] equal the BFS oracle's in
-   every color; right after every colored edge leaves color c, the path
+   and simple graphs: after every operation, [connected] equals the BFS
+   oracle's in every color, whose trees the adjacency lists hold as
+   forests; right after every colored edge leaves color c, the path
    of every edge whose endpoints c connects equals the oracle's order on
    a BFS forest rooted at each tree's lowest vertex. *)
 let prop_repair_oracle =
@@ -290,14 +287,9 @@ let prop_repair_oracle =
         for col = 0 to colors - 1 do
           let o = oracle_forest c col in
           for u = 0 to n - 1 do
-            if Coloring.component_size c u col <> o.o_size.(u) then
-              Alcotest.failf "step %d: v=%d c=%d size %d, BFS %d" step u col
-                (Coloring.component_size c u col) o.o_size.(u);
-            if Coloring.component_edge_count c u col <> o.o_edges.(u) then
-              Alcotest.failf "step %d: v=%d c=%d edge count %d, BFS %d" step
-                u col
-                (Coloring.component_edge_count c u col)
-                o.o_edges.(u);
+            if o.o_edges.(u) <> o.o_size.(u) - 1 then
+              Alcotest.failf "step %d: v=%d c=%d tree of %d vertices, %d edges"
+                step u col o.o_size.(u) o.o_edges.(u);
             for v = 0 to n - 1 do
               if Coloring.connected c col u v <> (o.o_tree.(u) = o.o_tree.(v))
               then
@@ -483,11 +475,11 @@ let test_repair_after_unset () =
   (* now drop an endpoint edge and check the separation is observed *)
   Coloring.unset c 0;
   Alcotest.(check int) "component size shrank" 3
-    (Coloring.component_size c 1 0);
+    (Oracle.component_size c 1 0);
   Alcotest.(check int) "edge count shrank" 2
-    (Coloring.component_edge_count c 1 0);
+    (List.length (Oracle.component_edges c 1 0));
   Alcotest.(check int) "detached vertex isolated" 1
-    (Coloring.component_size c 0 0)
+    (Oracle.component_size c 0 0)
 
 (* unit: a cycle-closing set must be rejected with a clean cache even
    right after deletions dirtied a *different* color *)
@@ -704,8 +696,11 @@ let outcome f =
   | x -> Ok x
   | exception Invalid_argument msg -> Error msg
 
-(* one random call, answered as a string ("!" + message when it raises) *)
-let random_call st c =
+(* one random call, answered as a string ("!" + message when it raises).
+   An adjacency read answers "adj ..." and the BFS oracle "bfs ...": the
+   first counts nothing and the second one BFS run, whatever color they
+   touch first. A copy answers one random call of its own. *)
+let rec random_call st c =
   let g = Coloring.graph c in
   let n = G.n g and m = G.m g and k = Coloring.colors c in
   let e () = Random.State.int st m and v () = Random.State.int st n in
@@ -714,9 +709,16 @@ let random_call st c =
   let answer f =
     match f () with s -> s | exception Invalid_argument msg -> "!" ^ msg
   in
-  if m = 0 then string_of_bool (Coloring.connected c (col ()) (v ()) (v ()))
+  let add_edge () =
+    let u = v () in
+    let w = (u + 1 + Random.State.int st (max 1 (n - 1))) mod n in
+    if u = w then "loop" else string_of_int (Coloring.add_edge c u w)
+  in
+  if m = 0 then
+    if Random.State.bool st then add_edge ()
+    else string_of_bool (Coloring.connected c (col ()) (v ()) (v ()))
   else
-    match Random.State.int st 9 with
+    match Random.State.int st 13 with
     | 0 | 1 ->
         let e = e () and x = col () in
         answer (fun () -> Coloring.set c e x; "set")
@@ -735,26 +737,39 @@ let random_call st c =
             ints (List.rev !acc))
     | 5 ->
         let e = e () and x = col () in
-        (match Coloring.path c e x with None -> "none" | Some p -> ints p)
+        (match Oracle.path c e x with None -> "none" | Some p -> ints p)
     | 6 ->
         let u = v () and x = col () in
-        string_of_int (Coloring.component_size c u x)
+        string_of_int (Oracle.component_size c u x)
     | 7 ->
         let u = v () and x = col () in
         let acc = ref [] in
         Coloring.iter_colored_incident c u x (fun w e -> acc := e :: w :: !acc);
-        ints (List.rev !acc)
-    | _ ->
-        let u = v () in
-        let w = (u + 1 + Random.State.int st (max 1 (n - 1))) mod n in
-        if u = w then "loop" else string_of_int (Coloring.add_edge c u w)
+        "adj " ^ ints (List.rev !acc)
+    | 8 ->
+        let e = e () and x = col () in
+        "bfs " ^ string_of_bool (Coloring.oracle_would_close_cycle c e x)
+    | 9 ->
+        let e = e () and x = col () in
+        answer (fun () ->
+            let acc = ref [] in
+            Coloring.iter_path_ends c e x (fun p -> acc := p :: !acc);
+            ints (List.rev !acc))
+    | 10 ->
+        let e = e () and x = col () in
+        answer (fun () -> string_of_int (Coloring.path_end_count c e x))
+    | 11 -> "copy " ^ random_call st (Coloring.copy c)
+    | _ -> add_edge ()
 
 (* Random forest colorings of random multigraphs, empty colors
    included: [of_assignment] and [create] + ascending [set] then take
    the same random calls (one random state each, seeded alike) and must
    give the same answers, path orders and adjacency orders included,
    with the same Counters deltas call by call, and the same final
-   colors. A cyclic or out-of-range assignment raises in both alike. *)
+   colors. Any call may be the first to touch a color: an update, a
+   connectivity query or path walk, an adjacency read or the BFS
+   oracle, also on a copy. A cyclic or out-of-range assignment raises
+   in both alike. *)
 let prop_bulk_constructor =
   QCheck.Test.make ~name:"of_assignment == create + ascending set"
     ~count:300 (QCheck.int_bound 1_000_000)
@@ -790,10 +805,17 @@ let prop_bulk_constructor =
           ( y.uf_queries - x.uf_queries,
             y.bfs_runs - x.bfs_runs,
             y.uf_rebuilds - x.uf_rebuilds,
-            y.repair_vertices - x.repair_vertices )
+            y.repair_vertices - x.repair_vertices,
+            y.path_edges - x.path_edges )
         in
         if delta l0 l1 <> delta l1 e1 then
-          Alcotest.failf "step %d: counters moved differently after %S" step a
+          Alcotest.failf "step %d: counters moved differently after %S" step a;
+        let expect prefix d =
+          if String.starts_with ~prefix a && delta l0 l1 <> d then
+            Alcotest.failf "step %d: %S counted more than it reads" step a
+        in
+        expect "adj " (0, 0, 0, 0, 0);
+        expect "bfs " (0, 1, 0, 0, 0)
       done;
       if Coloring.to_array lazy_c <> Coloring.to_array eager_c then
         Alcotest.fail "final colors differ";

@@ -170,7 +170,7 @@ let prop_sequences_satisfy_conditions =
                 (* (A2) *)
                 for i = 1 to l - 1 do
                   let ei_prev, ci_prev = arr.(i - 1) in
-                  match Coloring.path coloring ei_prev ci_prev with
+                  match Oracle.path coloring ei_prev ci_prev with
                   | None -> ok := false
                   | Some p -> if not (List.mem (fst arr.(i)) p) then ok := false
                 done;
@@ -178,14 +178,14 @@ let prop_sequences_satisfy_conditions =
                 for i = 0 to l - 1 do
                   for j = 0 to i - 2 do
                     let ej, cj = arr.(j) in
-                    match Coloring.path coloring ej cj with
+                    match Oracle.path coloring ej cj with
                     | None -> ()
                     | Some p -> if List.mem (fst arr.(i)) p then ok := false
                   done
                 done;
                 (* (A4) *)
                 let el, cl = arr.(l - 1) in
-                if Coloring.path coloring el cl <> None then ok := false;
+                if Oracle.path coloring el cl <> None then ok := false;
                 !ok)
       end)
 
@@ -438,9 +438,8 @@ let test_chop_depths_bound () =
   Alcotest.(check bool) "some deletions" true (deleted <> []);
   Verify.exn (Verify.partial_forest_decomposition coloring);
   (* remaining color-0 components have diameter < 2z = 80 *)
-  let sub, _ = Coloring.subgraph coloring 0 in
   Alcotest.(check bool) "chopped" true
-    (Nw_graphs.Traversal.tree_diameter sub <= 80)
+    (Verify.max_forest_diameter coloring <= 80)
 
 (* ------------------------------------------------------------------ *)
 (* CUT (Theorem 4.2)                                                   *)

@@ -76,16 +76,16 @@ let test_coloring_path_queries () =
   Coloring.set c 0 0;
   Coloring.set c 1 0;
   Coloring.set c 2 0;
-  (match Coloring.path c 3 0 with
+  (match Oracle.path c 3 0 with
   | Some edges ->
       Alcotest.(check (list int)) "path edges" [ 0; 1; 2 ]
         (List.sort compare edges)
   | None -> Alcotest.fail "expected a path");
   Alcotest.(check (option (list int))) "no path in empty color" None
-    (Coloring.path c 3 1);
+    (Oracle.path c 3 1);
   (* an edge already colored c is its own path *)
   Alcotest.(check (option (list int))) "self path" (Some [ 1 ])
-    (Coloring.path c 1 0)
+    (Oracle.path c 1 0)
 
 let test_coloring_component_edges () =
   let g = Gen.path 5 in
@@ -94,18 +94,21 @@ let test_coloring_component_edges () =
   Coloring.set c 1 0;
   Coloring.set c 3 0;
   Alcotest.(check (list int)) "component of 0" [ 0; 1 ]
-    (List.sort compare (Coloring.component_edges c 0 0));
+    (List.sort compare (Oracle.component_edges c 0 0));
   Alcotest.(check (list int)) "component of 4" [ 3 ]
-    (List.sort compare (Coloring.component_edges c 4 0));
+    (List.sort compare (Oracle.component_edges c 4 0));
   Alcotest.(check (list int)) "isolated in color 1" []
-    (Coloring.component_edges c 0 1)
+    (Oracle.component_edges c 0 1)
 
 let test_coloring_roundtrip () =
   let g = Gen.complete 5 in
   let c = Coloring.create g ~colors:3 in
   Coloring.set c 0 1;
   Coloring.set c 3 2;
-  let c2 = Coloring.of_array g ~colors:3 (Coloring.to_array c) in
+  let c2 =
+    Coloring.of_assignment g ~colors:3
+      (Array.map (Option.value ~default:(-1)) (Coloring.to_array c))
+  in
   Alcotest.(check (option int)) "copy color 0" (Some 1) (Coloring.color c2 0);
   Alcotest.(check (option int)) "copy color 3" (Some 2) (Coloring.color c2 3);
   Alcotest.(check int) "count" 2 (Coloring.colored_count c2)
@@ -157,7 +160,8 @@ let prop_coloring_churn =
 
 (* property: the linear diameter report equals the all-pairs one, color
    by color, over partial colorings of multigraphs (parallel edges, a
-   tail of isolated vertices, colors left empty) *)
+   tail of isolated vertices, colors left empty), both searched and
+   bulk-built; on the bulk one it counts nothing *)
 let prop_max_forest_diameter =
   QCheck.Test.make ~name:"max_forest_diameter = all-pairs diameter per color"
     ~count:100 (QCheck.int_bound 100000)
@@ -183,7 +187,14 @@ let prop_max_forest_diameter =
         let forest, _ = Coloring.subgraph c col in
         want := max !want (Nw_graphs.Traversal.diameter forest)
       done;
-      Verify.max_forest_diameter c = !want)
+      let bulk =
+        Coloring.of_assignment g ~colors (Array.init (G.m g) (Coloring.get c))
+      in
+      let before = Coloring.Counters.snapshot () in
+      let bulk_d = Verify.max_forest_diameter bulk in
+      Coloring.Counters.snapshot () = before
+      && bulk_d = !want
+      && Verify.max_forest_diameter c = !want)
 
 (* ------------------------------------------------------------------ *)
 (* Verifier (incl. failure injection)                                  *)
@@ -363,9 +374,15 @@ let prop_verify_oracle =
         = oracle_forests g colors ~k ~allow_uncolored
       in
       let stars = Verify.star_forest_assignment g colors ~k in
-      (* a loadable assignment must get the same reports as a Coloring *)
+      (* a loadable assignment must get the same reports as a Coloring;
+         a negative color is out of range there, as [set] has it *)
       let same_as_coloring =
-        match Coloring.of_array g ~colors:k colors with
+        match
+          Coloring.of_assignment g ~colors:k
+            (Array.map
+               (function None -> -1 | Some c -> if c < 0 then k else c)
+               colors)
+        with
         | exception Invalid_argument _ -> true
         | c ->
             Verify.forest_decomposition c

@@ -165,10 +165,10 @@ let test_augment_apply_guards () =
     (Invalid_argument "Augmenting.apply: head edge is colored") (fun () ->
       Nw_core.Augmenting.apply c [ (0, 1) ])
 
-let test_coloring_of_array_rejects_cycle () =
+let test_coloring_of_assignment_rejects_cycle () =
   let g = Gen.cycle 3 in
   Alcotest.(check bool) "cycle rejected" true
-    (match Coloring.of_array g ~colors:1 [| Some 0; Some 0; Some 0 |] with
+    (match Coloring.of_assignment g ~colors:1 [| 0; 0; 0 |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -258,8 +258,8 @@ let () =
       ( "api_corners",
         [
           Alcotest.test_case "augment guards" `Quick test_augment_apply_guards;
-          Alcotest.test_case "of_array cycle" `Quick
-            test_coloring_of_array_rejects_cycle;
+          Alcotest.test_case "of_assignment cycle" `Quick
+            test_coloring_of_assignment_rejects_cycle;
           Alcotest.test_case "reorient" `Quick test_orientation_reorient;
           Alcotest.test_case "rounds pp" `Quick test_rounds_pp;
           Alcotest.test_case "theta parallel" `Quick test_theta_parallel;

@@ -139,8 +139,7 @@ let test_is_forest () =
 let test_diameter () =
   Alcotest.(check int) "path diameter" 5 (T.diameter (Gen.path 6));
   Alcotest.(check int) "cycle diameter" 3 (T.diameter (Gen.cycle 6));
-  Alcotest.(check int) "tree diameter" 5 (T.tree_diameter (Gen.path 6));
-  Alcotest.(check int) "star diameter" 2 (T.tree_diameter (Gen.star 5))
+  Alcotest.(check int) "star diameter" 2 (T.diameter (Gen.star 5))
 
 let test_bfs_tree () =
   let g = Gen.path 4 in

@@ -380,13 +380,68 @@ let served_failure_runs_once () =
          else acc)
        0 (Obs.phases t))
 
+(* with alpha omitted, only an entry that reads alpha resolves it: on
+   K_12, be opens no arboricity.exact span and answers "alpha": null;
+   augment opens one and answers the exact value, 6 *)
+let served_alpha_only_when_read () =
+  with_obs @@ fun () ->
+  let st = state () in
+  let edges = Array.to_list (G.edges (Gen.complete 12)) in
+  ignore (send st (req ~id:1 "load-graph" ~extra:(load_extra 12 edges)));
+  let run id algorithm =
+    let json, t =
+      Obs.collect (fun () ->
+          send st
+            (req ~id "decompose"
+               ~extra:
+                 (Printf.sprintf ",\"session\":\"s\",\"algorithm\":\"%s\""
+                    algorithm)))
+    in
+    Alcotest.(check bool) (algorithm ^ " ok") true (ok_resp json);
+    let spans =
+      List.fold_left
+        (fun acc (p : Obs.phase) ->
+          if String.equal p.Obs.name "arboricity.exact" then acc + p.Obs.calls
+          else acc)
+        0 (Obs.phases t)
+    in
+    (J.member "alpha" json, spans)
+  in
+  Alcotest.(check bool) "be resolves no alpha" true
+    (run 2 "be" = (Some J.Null, 0));
+  Alcotest.(check bool) "augment resolves alpha" true
+    (run 3 "augment" = (Some (J.Number 6.), 1))
+
+(* an entry marked as reading no alpha must not read it: on K_12
+   (alpha 6), its served output with alpha omitted equals its output
+   with a wrong alpha of 1 *)
+let unread_alpha_ignored () =
+  let g = Gen.complete 12 in
+  let s =
+    Session.create ~name:"k" ~n:(G.n g) ~edges:(Array.to_list (G.edges g))
+  in
+  let out e alpha =
+    match Session.decompose s ~entry:e ~epsilon:0.5 ~seed:5 ~alpha with
+    | Ok d -> (d.Session.d_output, d.Session.d_alpha)
+    | Error err -> Alcotest.fail (e.Registry.name ^ ": " ^ err)
+  in
+  List.iter
+    (fun (e : Registry.entry) ->
+      if not e.reads_alpha then begin
+        let omitted, a = out e None and wrong, _ = out e (Some 1) in
+        Alcotest.(check (option int)) (e.name ^ " resolves none") None a;
+        Alcotest.(check bool) (e.name ^ " ignores alpha") true
+          (omitted = wrong)
+      end)
+    Registry.all
+
 (* --- churn: incremental vs fallback -------------------------------- *)
 
 let churn_incremental_then_fallback () =
   (* line multigraph on 2 vertices with 3 parallel edges: α = 3 exactly
      and every forest holds exactly one of the parallel edges, so the
      palette has no room for a fourth — the next insert must fall back
-     (and the fallback re-resolves α = 4 on the grown graph) *)
+     (exact reads no α, so neither run resolves one) *)
   let s =
     Session.create ~name:"c" ~n:2 ~edges:[ (0, 1); (0, 1); (0, 1) ]
   in
@@ -394,7 +449,9 @@ let churn_incremental_then_fallback () =
      Session.decompose s ~entry:(entry "exact") ~epsilon:0.5 ~seed:3
        ~alpha:None
    with
-  | Ok d -> Alcotest.(check int) "alpha resolved" 3 d.Session.d_alpha
+  | Ok d ->
+      Alcotest.(check (option int)) "exact reads no alpha" None
+        d.Session.d_alpha
   | Error e -> Alcotest.fail e);
   (match Session.insert_edge s ~u:0 ~v:1 with
   | Ok c ->
@@ -1129,6 +1186,8 @@ let () =
             ("served = one-shot", served_equals_one_shot);
             ("served deterministic", served_deterministic);
             ("failed decompose runs once", served_failure_runs_once);
+            ("alpha resolved only when read", served_alpha_only_when_read);
+            ("unread alpha ignored", unread_alpha_ignored);
           ] );
       ( "churn",
         List.map tc
