@@ -33,7 +33,8 @@
    minor words of one Net_decomp.compute on a graph with isolated
    vertices. The heap leg serves 200
    decompose batches through Server.handle with Obs on and bounds the
-   growth of the live heap.
+   growth of the live heap; the Obs-cost leg bounds the minor words of
+   one such batch with Obs on against the same batch with Obs off.
 
    Prints a wall-clock ns/query table with the cached/BFS speedup, then a
    Bechamel pass over the same kernels for statistically robust per-run
@@ -693,18 +694,12 @@ let net_decomp_alloc_check () =
 module Server = Nw_service.Server
 module Wire = Nw_service.Wire
 
-(* The daemon's setting in process: Obs on, one long-lived collection,
-   requests through Server.handle. A forest_union n=2000 alpha=3 session
-   plus one edge, then augment decompose batches with alpha omitted.
-   Each batch records a few hundred spans (one augment.search per
-   augmented edge); a daemon that kept every request's span tree held
-   about 0.87 MB more per batch (43 MB live after 50 batches, 174 MB
-   after 200). Folded into per-name totals, the live heap after batch
-   200 stays within [limit] times the heap after batch 10; the session's
-   own state is the same at both. *)
-let heap_check () =
-  let limit = 2.0 in
-  let n = 2000 and alpha = 3 and batches = 200 in
+(* The daemon's setting in process: requests through Server.handle to a
+   fresh server state holding a forest_union n=2000 alpha=3 session plus
+   one edge. Returns the graph and a function that serves one augment
+   decompose batch with alpha omitted. *)
+let served_session label =
+  let n = 2000 and alpha = 3 in
   let g = Gen.forest_union (rng n) n alpha in
   let st = Server.create_state () in
   let next_id = ref 0 in
@@ -716,7 +711,7 @@ let heap_check () =
     match Nw_obs.Json_lite.(member "ok" (parse resp)) with
     | Some (Nw_obs.Json_lite.Bool true) -> ()
     | _ ->
-        Printf.eprintf "perf smoke: heap leg request failed: %s\n" resp;
+        Printf.eprintf "perf smoke: %s leg request failed: %s\n" label resp;
         exit 1
   in
   let edges =
@@ -724,7 +719,28 @@ let heap_check () =
     |> List.map (fun (u, v) -> Printf.sprintf "[%d,%d]" u v)
     |> String.concat ","
   in
-  let session = Wire.str "session" "perf-smoke-heap" in
+  let session = Wire.str "session" ("perf-smoke-" ^ label) in
+  call
+    [ Wire.str "op" "load-graph"; session; Wire.int "n" n;
+      Wire.raw "edges" ("[" ^ edges ^ "]") ];
+  call [ Wire.str "op" "insert-edge"; session; Wire.int "u" 0;
+         Wire.int "v" 1 ];
+  let decompose () =
+    call [ Wire.str "op" "decompose"; session;
+           Wire.str "algorithm" "augment" ]
+  in
+  (g, decompose)
+
+(* Obs on in one long-lived collection, as the daemon runs. Each batch
+   runs a few thousand augmenting searches (one per augmented edge); a
+   daemon that kept every request's span tree held about 0.87 MB more
+   per batch (43 MB live after 50 batches, 174 MB after 200). Folded
+   into per-name totals, the live heap after batch 200 stays within
+   [limit] times the heap after batch 10; the session's own state is
+   the same at both. *)
+let heap_check () =
+  let limit = 2.0 and batches = 200 in
+  let g, decompose = served_session "heap" in
   let heap_mb () =
     Gc.full_major ();
     float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
@@ -733,15 +749,9 @@ let heap_check () =
   Obs.set_enabled true;
   let (h10, h200), _ =
     Obs.collect (fun () ->
-        call
-          [ Wire.str "op" "load-graph"; session; Wire.int "n" n;
-            Wire.raw "edges" ("[" ^ edges ^ "]") ];
-        call [ Wire.str "op" "insert-edge"; session; Wire.int "u" 0;
-               Wire.int "v" 1 ];
         let h10 = ref 0.0 in
         for b = 1 to batches do
-          call [ Wire.str "op" "decompose"; session;
-                 Wire.str "algorithm" "augment" ];
+          decompose ();
           if b = 10 then h10 := heap_mb ()
         done;
         (!h10, heap_mb ()))
@@ -751,11 +761,47 @@ let heap_check () =
     "\n== heap: served augment batches, n=%d m=%d alpha omitted, Obs on ==\n\
      live heap %.1f MB after batch 10, %.1f MB after batch %d \
      (limit %.1fx)\n"
-    n (G.m g + 1) h10 h200 batches limit;
+    (G.n g) (G.m g + 1) h10 h200 batches limit;
   if h200 > limit *. h10 then begin
     Printf.eprintf
       "perf smoke: live heap grew from %.1f MB to %.1f MB over %d batches\n"
       h10 h200 batches;
+    exit 1
+  end;
+  flush stdout
+
+(* The cost of always-on Obs in minor words: one served batch, each
+   side after a warm-up batch, with Obs off and then on inside a
+   collection. A batch runs about 6000 augmenting searches, each
+   recording a timed leaf, a counter, 3 coloring.uf_queries and three
+   histogram values. Through string-keyed spans, counts and observes
+   the Obs-on batch allocated 1.41x the words of the Obs-off one (span
+   records, closures, boxed floats); through handles into preallocated
+   slots it allocates what the request's own span and latency need.
+   Minor words are deterministic for a fixed input, so the gate cannot
+   flake. *)
+let obs_cost_check () =
+  let limit = 1.10 in
+  let g, decompose = served_session "obs" in
+  let batch_words () =
+    decompose ();
+    let w0 = Gc.minor_words () in
+    decompose ();
+    Gc.minor_words () -. w0
+  in
+  let off = batch_words () in
+  Obs.set_enabled true;
+  let on, _ = Obs.collect batch_words in
+  Obs.set_enabled false;
+  let ratio = on /. off in
+  Printf.printf
+    "\n== obs cost: one served augment batch, n=%d m=%d alpha omitted ==\n\
+     %.0f minor words with Obs off, %.0f with Obs on: %.3fx (limit %.2fx)\n"
+    (G.n g) (G.m g + 1) off on ratio limit;
+  if ratio > limit then begin
+    Printf.eprintf
+      "perf smoke: Obs on costs %.3fx the minor words of Obs off, limit %.2fx\n"
+      ratio limit;
     exit 1
   end;
   flush stdout
@@ -776,5 +822,6 @@ let () =
   emission_check ();
   net_decomp_alloc_check ();
   heap_check ();
+  obs_cost_check ();
   if not no_bechamel then bechamel_pass ~fast cs;
   Printf.printf "\nperf smoke completed.\n"

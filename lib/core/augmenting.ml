@@ -15,6 +15,15 @@ type outcome =
   | Found of sequence * search_stats
   | Stalled of search_stats * int list
 
+(* Obs handles of the per-search instrumentation, resolved once: one
+   search per augmented edge makes these the busiest names in a trace *)
+let search_timer = Obs.timer "augment.search"
+let calls_counter = Obs.counter "augment.calls"
+let stalls_counter = Obs.counter "augment.stalls"
+let explored_hist = Obs.hist "augment.explored"
+let iterations_hist = Obs.hist "augment.iterations"
+let path_len_hist = Obs.hist "augment.path_len"
+
 (* Timestamped scratch for Algorithm 1, reusable across searches on the
    same coloring (the hot loops of Forest_algo and Gabow–Westermann run
    one search per edge): the growing edge set E_i in joining order, its
@@ -91,7 +100,7 @@ let search coloring palette ~start ?within ?scratch:sc () =
   if not (edge_allowed g within start) then
     invalid_arg "Augmenting.search: start edge outside the search region";
   let sc = scratch_for coloring sc in
-  Obs.span "augment.search" @@ fun () ->
+  Obs.time search_timer @@ fun () ->
   sc.stamp <- sc.stamp + 1;
   let now = sc.stamp in
   let explored = ref 0 in
@@ -250,17 +259,17 @@ let apply coloring seq =
   List.iter (fun (e, c) -> Coloring.set coloring e c) (List.rev seq)
 
 let augment_edge coloring palette ~edge ?within ?scratch:sc () =
-  Obs.count "augment.calls";
+  Obs.incr calls_counter;
   let sc = scratch_for coloring sc in
   match search coloring palette ~start:edge ?within ~scratch:sc () with
   | Stalled (stats, witness) ->
-      Obs.count "augment.stalls";
-      Obs.observe "augment.explored" (float_of_int stats.explored);
+      Obs.incr stalls_counter;
+      Obs.record explored_hist stats.explored;
       Error witness
   | Found (seq, stats) ->
-      Obs.observe "augment.explored" (float_of_int stats.explored);
-      Obs.observe "augment.iterations" (float_of_int stats.iterations);
+      Obs.record explored_hist stats.explored;
+      Obs.record iterations_hist stats.iterations;
       let seq = short_circuit ~scratch:sc coloring seq in
-      Obs.observe "augment.path_len" (float_of_int (List.length seq));
+      if Obs.enabled () then Obs.record path_len_hist (List.length seq);
       apply coloring seq;
       Ok stats

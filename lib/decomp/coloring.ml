@@ -1,5 +1,12 @@
 module Obs = Nw_obs.Obs
 
+(* the Obs twins of [Counters], bumped through handles on the query
+   path *)
+let uf_queries_obs = Obs.counter "coloring.uf_queries"
+let uf_rebuilds_obs = Obs.counter "coloring.uf_rebuilds"
+let bfs_runs_obs = Obs.counter "coloring.bfs_runs"
+let repair_vertices_obs = Obs.counter "coloring.repair_vertices"
+
 (* Process-wide instrumentation of the connectivity layer; the bench
    harness snapshots before/after each experiment and reports deltas in
    BENCH_*.json. *)
@@ -261,7 +268,7 @@ let reroot_at_min t c x =
 
 let count_repaired k =
   Counters.repair_vertices := !Counters.repair_vertices + k;
-  Obs.count ~by:k "coloring.repair_vertices"
+  Obs.add repair_vertices_obs k
 
 (* A query that follows an [unset] from color [c] must see every tree
    of [c] rooted at its lowest vertex: that is the rooting a BFS of the
@@ -343,7 +350,7 @@ let ensure_forest t c =
         done
     | _ ->
         incr Counters.uf_rebuilds;
-        Obs.count "coloring.uf_rebuilds"
+        Obs.incr uf_rebuilds_obs
   end
 
 (* Has color [c] lists to walk? One with no forest yet has none: a bulk
@@ -371,7 +378,7 @@ let iter_adj t c x f =
 let same_tree t c u v =
   ensure_forest t c;
   incr Counters.uf_queries;
-  Obs.count "coloring.uf_queries";
+  Obs.incr uf_queries_obs;
   let lab = t.fp_root.(c) in
   lab.(u) = lab.(v)
 
@@ -437,7 +444,7 @@ let oracle_would_close_cycle t e c =
     invalid_arg "Coloring.oracle_would_close_cycle: color out of range";
   check_edge t e "oracle_would_close_cycle";
   incr Counters.bfs_runs;
-  Obs.count "coloring.bfs_runs";
+  Obs.incr bfs_runs_obs;
   has_lists t c && bfs_connected t c t.src.(e) t.dst.(e) e
 
 let connected t c u v =

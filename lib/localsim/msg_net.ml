@@ -81,6 +81,16 @@ let with_faults f thunk =
 (* ------------------------------------------------------------------ *)
 
 module G = Nw_graphs.Multigraph
+module Obs = Nw_obs.Obs
+
+(* Obs handles of the per-round and per-message counters *)
+let rounds_obs = Obs.counter "msg_net.rounds"
+let messages_obs = Obs.counter "msg_net.messages"
+let crashes_obs = Obs.counter "chaos.crashes"
+let restarts_obs = Obs.counter "chaos.restarts"
+let drops_obs = Obs.counter "chaos.drops"
+let dups_obs = Obs.counter "chaos.dups"
+let delays_obs = Obs.counter "chaos.delays"
 
 type ('state, 'msg) t = {
   g : G.t;
@@ -165,13 +175,13 @@ let faulty_step t (f, st) ~send ~recv =
     if up_before && not up.(v) then begin
       st.crashes <- st.crashes + 1;
       note st ~code:1 ~round:r ~who:v;
-      Nw_obs.Obs.count "chaos.crashes"
+      Obs.incr crashes_obs
     end;
     if up.(v) && f.state_reset ~round:r v then begin
       t.states.(v) <- t.init v;
       st.restarts <- st.restarts + 1;
       note st ~code:2 ~round:r ~who:v;
-      Nw_obs.Obs.count "chaos.restarts"
+      Obs.incr restarts_obs
     end
   done;
   let inbox : (int * 'msg) list array = Array.make n [] in
@@ -184,7 +194,7 @@ let faulty_step t (f, st) ~send ~recv =
       (* messages to a down node are lost *)
       st.drops <- st.drops + 1;
       note st ~code:3 ~round:r ~who:e;
-      Nw_obs.Obs.count "chaos.drops"
+      Obs.incr drops_obs
     end
   in
   (* delayed messages scheduled for this round arrive first, in the
@@ -204,7 +214,7 @@ let faulty_step t (f, st) ~send ~recv =
           | Drop ->
               st.drops <- st.drops + 1;
               note st ~code:3 ~round:r ~who:e;
-              Nw_obs.Obs.count "chaos.drops"
+              Obs.incr drops_obs
           | Duplicate k ->
               let k = max 0 k in
               for _ = 0 to k do
@@ -213,7 +223,7 @@ let faulty_step t (f, st) ~send ~recv =
               if k > 0 then begin
                 st.dups <- st.dups + k;
                 note st ~code:4 ~round:r ~who:e;
-                Nw_obs.Obs.count ~by:k "chaos.dups"
+                Obs.add dups_obs k
               end
           | Delay d ->
               if d <= 0 then deliver_to w e msg
@@ -226,7 +236,7 @@ let faulty_step t (f, st) ~send ~recv =
                 Hashtbl.replace t.delayed arrival ((w, e, msg) :: cur);
                 st.delays <- st.delays + 1;
                 note st ~code:5 ~round:r ~who:e;
-                Nw_obs.Obs.count "chaos.delays"
+                Obs.incr delays_obs
               end)
         (send v t.states.(v))
   done;
@@ -264,8 +274,8 @@ let synth_send t ~decide v st =
    outside a net alike *)
 let[@obs.in_span] charge_round ~rounds ~label ~messages =
   Rounds.charge rounds ~label 1;
-  Nw_obs.Obs.count "msg_net.rounds";
-  if messages > 0 then Nw_obs.Obs.count "msg_net.messages" ~by:messages
+  Obs.incr rounds_obs;
+  if messages > 0 then Obs.add messages_obs messages
 
 let end_round t ~label ~before =
   t.round_num <- t.round_num + 1;

@@ -3,10 +3,11 @@
    charges, free-form marks), dumped as a self-contained JSON
    post-mortem when something dies mid-pipeline.
 
-   The recorder sits *under* Obs: [Obs.span]/[Obs.count]/
-   [Obs.record_rounds] forward into the [on_*] hooks below from inside
-   their enabled paths, so recording requires [Obs.set_enabled true]
-   and costs nothing when either switch is off (one load).
+   The recorder sits *under* Obs: [Obs.span]/[Obs.time]/[Obs.count]/
+   [Obs.add]/[Obs.record_rounds] forward into the [on_*] hooks below
+   from inside their enabled paths, so recording requires
+   [Obs.set_enabled true] and costs nothing when either switch is off
+   (one load).
    [Engine.run], the chaos [Harness], and [forestd] call [mark] at
    interesting boundaries (checkpoints, pass failures, epoch verdicts)
    and [trigger] when a run must be explained after the fact.

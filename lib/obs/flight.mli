@@ -4,8 +4,9 @@
     detectably invalid, or a crash is being explained after the fact.
 
     The recorder piggybacks on the Obs instrumentation stream:
-    [Obs.span], [Obs.count], and [Obs.record_rounds] forward into the
-    hook functions below from inside their enabled paths. Recording
+    [Obs.span], [Obs.time], [Obs.count], the counter handles and
+    [Obs.record_rounds] forward into the hook functions below from
+    inside their enabled paths. Recording
     therefore requires {e both} [Obs.set_enabled true] and
     {!set_enabled}[ true]; with either switch off every entry point is
     one load and no allocation. The process holds one ring, the

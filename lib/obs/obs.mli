@@ -57,12 +57,68 @@ val set_attr : string -> value -> unit
     rarely needs it directly. *)
 val record_rounds : label:string -> int -> unit
 
-(** [count name ~by] bumps the named trace-level counter. *)
+(** [count name ~by] bumps the named trace-level counter. Resolves
+    [name] on every call: use a {!counter} handle on a per-call path. *)
 val count : ?by:int -> string -> unit
 
 (** [observe name v] adds [v] to the named trace-level histogram
-    (power-of-two buckets; count/sum/min/max are exact). *)
+    (power-of-two buckets; count/sum/min/max are exact). Resolves [name]
+    on every call: use a {!hist} handle on a per-call path. *)
 val observe : string -> float -> unit
+
+(** {1 Hot-path handles}
+
+    A handle is a name resolved once, typically at module
+    initialisation, to a slot that every trace keeps for it. Recording
+    through a handle costs the enabled-flag load and an array update in
+    the current trace; it allocates nothing. A handle and the string API
+    of the same name record into the same entry, and a trace reports
+    both exactly as if everything had gone through the string API:
+    {!counters}, {!histograms} and {!phases} do not tell them apart.
+    Handles are process-wide and may be made before any {!collect}. *)
+
+type counter
+
+(** [counter name] is the handle of the counter [count name] bumps. *)
+val counter : string -> counter
+
+(** [add h by] is [count ~by name]: the counter is listed in the trace
+    even when [by] is 0. *)
+val add : counter -> int -> unit
+
+(** [incr h] is [add h 1]. *)
+val incr : counter -> unit
+
+type hist
+
+(** [hist name] is the handle of the histogram [observe name] feeds. *)
+val hist : string -> hist
+
+(** [record h v] is [observe name (float_of_int v)] for |v| < 2{^53},
+    with no float boxed. *)
+val record : hist -> int -> unit
+
+(** [record_float h v] is [observe name v]. *)
+val record_float : hist -> float -> unit
+
+type timer
+
+(** [timer name] is the handle of a timed leaf called [name]. *)
+val timer : string -> timer
+
+(** [time h f] runs [f ()] as a leaf called [h]'s name: a span that
+    opens no span of its own. The calls timed under one parent (the
+    innermost open span, or none) share one span of that name, which
+    adds up their durations and counts them, so {!phases} reports
+    the same name, calls and first-seen order as one {!span} per call
+    would, and the parent's [self_ns] excludes the timed time. An
+    exception escaping [f] is recorded and re-raised. Rounds charged and
+    attributes set inside [f] go to the parent, and a span opened inside
+    [f] becomes the parent's child, so time only code that opens none.
+    With the {!Flight} recorder armed every call still records an open
+    and a close event. The exporters and {!pp_summary} show each shared
+    span once, with its call count. Disabled: exactly [f ()]. *)
+val time : timer -> (unit -> 'a) -> 'a
 
 (** {1 Collection}
 

@@ -29,16 +29,31 @@ let survivable = function Out_of_memory | Stack_overflow -> false | _ -> true
 (* dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let op_label = function
-  | Wire.Hello _ -> "hello"
-  | Wire.Load_graph _ -> "load-graph"
-  | Wire.Decompose _ -> "decompose"
-  | Wire.Orient _ -> "orient"
-  | Wire.Insert_edge _ -> "insert-edge"
-  | Wire.Delete_edge _ -> "delete-edge"
-  | Wire.Arm_chaos _ -> "arm-chaos"
-  | Wire.Stats _ -> "stats"
-  | Wire.Shutdown -> "shutdown"
+(* each op's [serve:<op>] span name and [service.latency_ms.<op>]
+   histogram, built once *)
+let op_obs =
+  let make op = ("serve:" ^ op, Obs.hist ("service.latency_ms." ^ op)) in
+  let hello = make "hello"
+  and load_graph = make "load-graph"
+  and decompose = make "decompose"
+  and orient = make "orient"
+  and insert_edge = make "insert-edge"
+  and delete_edge = make "delete-edge"
+  and arm_chaos = make "arm-chaos"
+  and stats = make "stats"
+  and shutdown = make "shutdown" in
+  function
+  | Wire.Hello _ -> hello
+  | Wire.Load_graph _ -> load_graph
+  | Wire.Decompose _ -> decompose
+  | Wire.Orient _ -> orient
+  | Wire.Insert_edge _ -> insert_edge
+  | Wire.Delete_edge _ -> delete_edge
+  | Wire.Arm_chaos _ -> arm_chaos
+  | Wire.Stats _ -> stats
+  | Wire.Shutdown -> shutdown
+
+let requests_obs = Obs.counter "service.requests"
 
 let session_of = function
   | Wire.Hello _ | Wire.Shutdown -> None
@@ -289,13 +304,13 @@ let dispatch st ~id request =
 
 let serve_payload st payload =
   st.st_requests <- st.st_requests + 1;
-  Obs.count "service.requests";
+  Obs.incr requests_obs;
   match Wire.parse_request payload with
   | Error detail ->
       ( err st ~id:(recover_id payload) "bad-request" detail,
         `Continue )
   | Ok { Wire.id; request } ->
-      let label = op_label request in
+      let span_name, latency = op_obs request in
       let attrs =
         (("request_id", Obs.Int id) :: []
         |> fun l ->
@@ -305,7 +320,7 @@ let serve_payload st payload =
       in
       let t0 = Obs.now_ns () in
       let resp =
-        Obs.span ~attrs ("serve:" ^ label) @@ fun () ->
+        Obs.span ~attrs span_name @@ fun () ->
         match dispatch st ~id request with
         | resp -> resp
         | exception exn when survivable exn ->
@@ -314,7 +329,7 @@ let serve_payload st payload =
       let dt_ms =
         Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1_000_000.
       in
-      Obs.observe ("service.latency_ms." ^ label) dt_ms;
+      Obs.record_float latency dt_ms;
       let continue =
         match request with Wire.Shutdown -> `Shutdown | _ -> `Continue
       in

@@ -347,9 +347,11 @@ let fallback_insert t ~slot ~cause =
         { ch_edge = slot; ch_color = color; ch_mode = Fallback;
           ch_epoch = t.s_epoch }
 
+let incremental_obs = Obs.counter "service.incremental_updates"
+
 let incremental_ok t ~slot ~color =
   t.s_incremental <- t.s_incremental + 1;
-  Obs.count "service.incremental_updates";
+  Obs.incr incremental_obs;
   Ok { ch_edge = slot; ch_color = color; ch_mode = Incremental;
        ch_epoch = t.s_epoch }
 

@@ -20,6 +20,11 @@ let with_enabled f =
 let phase_by_name t name =
   List.find_opt (fun (p : Obs.phase) -> p.Obs.name = name) (Obs.phases t)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* disabled mode                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -28,11 +33,16 @@ let test_disabled_passthrough () =
   Obs.set_enabled false;
   Alcotest.(check int) "span returns the thunk value" 42
     (Obs.span "x" (fun () -> 41 + 1));
+  Alcotest.(check int) "a timed leaf returns the thunk value" 7
+    (Obs.time (Obs.timer "x.leaf") (fun () -> 7));
   let (), t =
     Obs.collect (fun () ->
         Obs.span "y" (fun () -> ());
         Obs.count "c";
         Obs.observe "h" 1.0;
+        Obs.incr (Obs.counter "c");
+        Obs.record (Obs.hist "h") 1;
+        Obs.time (Obs.timer "y.leaf") ignore;
         Obs.set_attr "k" (Obs.Int 1))
   in
   Alcotest.(check bool) "trace stays empty when disabled" true
@@ -175,6 +185,229 @@ let test_counters_histograms () =
         (List.fold_left (fun acc (_, c) -> acc + c) 0 h.Obs.buckets)
   | other ->
       Alcotest.failf "expected one histogram, got %d" (List.length other)
+
+(* ------------------------------------------------------------------ *)
+(* hot-path handles                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let names t = List.map (fun (p : Obs.phase) -> p.Obs.name) (Obs.phases t)
+
+let test_handle_counter_merges () =
+  with_enabled @@ fun () ->
+  let h = Obs.counter "merged" in
+  let (), t =
+    Obs.collect (fun () ->
+        Obs.incr h;
+        Obs.count "merged" ~by:2;
+        Obs.add h 4)
+  in
+  Alcotest.(check (list (pair string int)))
+    "a handle and the string API share one entry" [ ("merged", 7) ]
+    (Obs.counters t);
+  Alcotest.(check bool) "handles resolve a name to one slot" true
+    (Obs.counter "merged" = h)
+
+let test_handle_counter_zero () =
+  with_enabled @@ fun () ->
+  let h = Obs.counter "zero" in
+  let (), t = Obs.collect (fun () -> Obs.add h 0) in
+  Alcotest.(check (list (pair string int)))
+    "a counter bumped by 0 is listed" [ ("zero", 0) ] (Obs.counters t);
+  Alcotest.(check bool) "and makes the trace non-empty" false (Obs.is_empty t);
+  let (), idle = Obs.collect ignore in
+  Alcotest.(check (list (pair string int)))
+    "a counter never bumped is not" [] (Obs.counters idle)
+
+let test_handle_collect_isolation () =
+  with_enabled @@ fun () ->
+  let c = Obs.counter "iso.c" and h = Obs.hist "iso.h"
+  and tm = Obs.timer "iso.leaf" in
+  let inner_ref = ref None in
+  let (), outer =
+    Obs.collect (fun () ->
+        Obs.incr c;
+        Obs.span "o" (fun () ->
+            Obs.time tm ignore;
+            let (), inner =
+              Obs.collect (fun () ->
+                  Obs.add c 10;
+                  Obs.record h 3;
+                  Obs.time tm ignore)
+            in
+            inner_ref := Some inner;
+            Obs.time tm ignore);
+        Obs.incr c)
+  in
+  let inner = Option.get !inner_ref in
+  Alcotest.(check (list (pair string int)))
+    "inner counts only its own" [ ("iso.c", 10) ] (Obs.counters inner);
+  Alcotest.(check (list (pair string int)))
+    "outer does not absorb the inner counts" [ ("iso.c", 2) ]
+    (Obs.counters outer);
+  Alcotest.(check (list string)) "inner histogram stays inner" [ "iso.h" ]
+    (List.map fst (Obs.histograms inner));
+  Alcotest.(check int) "outer has no histogram" 0
+    (List.length (Obs.histograms outer));
+  Alcotest.(check (list string)) "inner leaf phase" [ "iso.leaf" ] (names inner);
+  Alcotest.(check int) "outer leaf calls exclude the inner one" 2
+    (Option.get (phase_by_name outer "iso.leaf")).Obs.calls
+
+let test_handle_snapshot_no_alias () =
+  with_enabled @@ fun () ->
+  let c = Obs.counter "snap.c" and h = Obs.hist "snap.h"
+  and tm = Obs.timer "snap.leaf" in
+  let (), _ =
+    Obs.collect (fun () ->
+        Obs.add c 3;
+        Obs.record h 5;
+        Obs.time tm ignore;
+        let snap = Obs.live_snapshot () in
+        let text = Prom.to_string [ snap ] in
+        let phases = Obs.phases snap in
+        Obs.add c 100;
+        Obs.record h 1000;
+        Obs.record_float h 0.5;
+        Obs.time tm ignore;
+        Obs.count "snap.other";
+        Alcotest.(check (list (pair string int)))
+          "counter slots are copied" [ ("snap.c", 3) ] (Obs.counters snap);
+        Alcotest.(check string) "the exposition does not move" text
+          (Prom.to_string [ snap ]);
+        Alcotest.(check bool) "a leaf timed later is not in the snapshot" true
+          (phases = Obs.phases snap);
+        Alcotest.(check int) "the live trace sees both leaf calls" 2
+          (Option.get (phase_by_name (Obs.live_snapshot ()) "snap.leaf"))
+            .Obs.calls)
+  in
+  ()
+
+let leaf_calls = 50
+
+let test_timed_leaves_fold () =
+  with_enabled @@ fun () ->
+  let tm = Obs.timer "leaf" in
+  let spin () =
+    let x = ref 0 in
+    for i = 1 to 2000 do
+      x := !x + i
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let (), t =
+    Obs.collect (fun () ->
+        Obs.span "parent" (fun () ->
+            Obs.span "before" ignore;
+            for _ = 1 to leaf_calls do
+              Obs.time tm spin
+            done;
+            Obs.span "after" ignore))
+  in
+  Alcotest.(check (list string))
+    "first-seen order of a span per call" [ "parent"; "before"; "leaf"; "after" ]
+    (names t);
+  let parent = Option.get (phase_by_name t "parent") in
+  let leaf = Option.get (phase_by_name t "leaf") in
+  Alcotest.(check int) "N leaves fold to one phase with calls = N" leaf_calls
+    leaf.Obs.calls;
+  Alcotest.(check bool) "a leaf has no children: self = total" true
+    (Int64.equal leaf.Obs.self_ns leaf.Obs.total_ns);
+  Alcotest.(check bool) "the parent's self time excludes the leaves" true
+    (Int64.compare parent.Obs.self_ns
+       (Int64.sub parent.Obs.total_ns leaf.Obs.total_ns)
+    <= 0);
+  let b = Buffer.create 256 in
+  Obs.Export.jsonl b [ t ];
+  let leaf_events =
+    List.filter
+      (fun line -> contains line "\"name\":\"leaf\"")
+      (String.split_on_char '\n' (Buffer.contents b))
+  in
+  (match leaf_events with
+  | [ line ] ->
+      Alcotest.(check bool) "the one leaf event carries its calls" true
+        (contains line (Printf.sprintf "\"calls\":%d" leaf_calls))
+  | l -> Alcotest.failf "expected one leaf event, got %d" (List.length l));
+  (* timed outside every span, the leaves share one root, which a fold
+     closes: the next call starts another *)
+  let (), t =
+    Obs.collect (fun () ->
+        Obs.time tm ignore;
+        Obs.time tm ignore;
+        Obs.fold_roots ();
+        Obs.time tm ignore)
+  in
+  Alcotest.(check int) "root leaves across a fold" 3
+    (Option.get (phase_by_name t "leaf")).Obs.calls;
+  Alcotest.(check bool) "root leaves count towards the root wall" true
+    (Int64.equal (Obs.root_wall_ns t)
+       (Option.get (phase_by_name t "leaf")).Obs.total_ns)
+
+let test_timed_leaf_exception () =
+  with_enabled @@ fun () ->
+  let tm = Obs.timer "boom.leaf" in
+  let res, t =
+    Obs.collect (fun () ->
+        Obs.span "p" (fun () ->
+            Obs.time tm ignore;
+            try Obs.time tm (fun () -> raise Exit) with Exit -> "caught"))
+  in
+  Alcotest.(check string) "the exception is re-raised" "caught" res;
+  Alcotest.(check int) "and the call is recorded" 2
+    (Option.get (phase_by_name t "boom.leaf")).Obs.calls
+
+let test_int_histogram_equals_observe () =
+  with_enabled @@ fun () ->
+  let values = [ 0; 1; 2; 3; 4; 5; 7; 8; 9; 1023; 1024; 1025; -3; 1 lsl 40 ] in
+  let h = Obs.hist "via.record" in
+  let (), t =
+    Obs.collect (fun () ->
+        List.iter
+          (fun v ->
+            Obs.record h v;
+            Obs.observe "via.observe" (float_of_int v))
+          values)
+  in
+  match Obs.histograms t with
+  | [ ("via.observe", a); ("via.record", b) ] ->
+      Alcotest.(check bool) "same count, sum, min, max and buckets" true
+        (a = b);
+      Alcotest.(check string) "same exposition"
+        (Printf.sprintf "%d %.17g %.17g %.17g" a.Obs.count a.Obs.sum a.Obs.min
+           a.Obs.max)
+        (Printf.sprintf "%d %.17g %.17g %.17g" b.Obs.count b.Obs.sum b.Obs.min
+           b.Obs.max)
+  | l -> Alcotest.failf "expected two histograms, got %d" (List.length l)
+
+(* recording through handles with Obs on allocates nothing per call:
+   the words a trace needs come once per slot, not per event *)
+let test_handles_enabled_no_alloc () =
+  with_enabled @@ fun () ->
+  let c = Obs.counter "alloc.c" and h = Obs.hist "alloc.h"
+  and tm = Obs.timer "alloc.leaf" in
+  let thunk () = () in
+  let probe () =
+    Obs.incr c;
+    Obs.add c 2;
+    Obs.record h 17;
+    Obs.time tm thunk
+  in
+  let (), _ =
+    Obs.collect (fun () ->
+        Obs.span "p" (fun () ->
+            for _ = 1 to 100 do
+              probe ()
+            done;
+            let w0 = Gc.minor_words () in
+            for _ = 1 to 10_000 do
+              probe ()
+            done;
+            let dw = Gc.minor_words () -. w0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "enabled handle probes allocate nothing (%.0f words)"
+                 dw)
+              true (dw < 256.0)))
+  in
+  ()
 
 (* ------------------------------------------------------------------ *)
 (* exports                                                             *)
@@ -431,6 +664,48 @@ let test_flight_roundtrip () =
         true (List.mem tag tags))
     [ "open"; "close"; "count"; "charge"; "mark" ]
 
+(* an augment run through the timer and counter handles still leaves
+   one open/close pair per search and one counter delta per call in the
+   ring *)
+let test_flight_augment_events () =
+  with_flight @@ fun () ->
+  let g = Nw_graphs.Generators.complete 5 in
+  let coloring = Nw_decomp.Coloring.create g ~colors:3 in
+  let palette = Nw_decomp.Palette.full g 3 in
+  let (), _ =
+    Obs.collect (fun () ->
+        Obs.span "augment" (fun () ->
+            Array.iter
+              (fun e ->
+                match
+                  Nw_core.Augmenting.augment_edge coloring palette ~edge:e ()
+                with
+                | Ok _ -> ()
+                | Error _ -> Alcotest.fail "K5 stalled at 3 colors")
+              (Nw_decomp.Coloring.uncolored coloring)))
+  in
+  let b = Buffer.create 4096 in
+  Flight.render ~reason:"augment" b;
+  let json = J.parse (Buffer.contents b) in
+  let ring = Option.get (J.member "ring" json) in
+  Alcotest.(check (option int)) "nothing fell off the ring" (Some 0)
+    (Option.bind (J.member "dropped" ring) J.to_int);
+  let events = Option.get (Option.bind (J.member "events" ring) J.to_list) in
+  let count ev name =
+    List.length
+      (List.filter
+         (fun e ->
+           Option.bind (J.member "ev" e) J.to_string = Some ev
+           && Option.bind (J.member "name" e) J.to_string = Some name)
+         events)
+  in
+  let edges = Nw_graphs.Multigraph.m g in
+  Alcotest.(check int) "one open per search" edges (count "open" "augment.search");
+  Alcotest.(check int) "one close per search" edges
+    (count "close" "augment.search");
+  Alcotest.(check int) "one augment.calls delta per call" edges
+    (count "count" "augment.calls")
+
 let test_flight_ring_bound () =
   Flight.configure ~capacity:8 ();
   with_flight @@ fun () ->
@@ -487,11 +762,6 @@ let test_flight_last_mark_latest () =
 (* ------------------------------------------------------------------ *)
 (* prometheus rendering                                                *)
 (* ------------------------------------------------------------------ *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let check_has text line =
   Alcotest.(check bool) (Printf.sprintf "exposes %S" line) true
@@ -655,6 +925,24 @@ let () =
           Alcotest.test_case "counters+histograms" `Quick
             test_counters_histograms;
         ] );
+      ( "handles",
+        [
+          Alcotest.test_case "counter merges with count" `Quick
+            test_handle_counter_merges;
+          Alcotest.test_case "bumped by 0 is listed" `Quick
+            test_handle_counter_zero;
+          Alcotest.test_case "collect isolation" `Quick
+            test_handle_collect_isolation;
+          Alcotest.test_case "snapshot does not alias" `Quick
+            test_handle_snapshot_no_alias;
+          Alcotest.test_case "timed leaves fold" `Quick test_timed_leaves_fold;
+          Alcotest.test_case "timed leaf exception" `Quick
+            test_timed_leaf_exception;
+          Alcotest.test_case "int histogram = observe" `Quick
+            test_int_histogram_equals_observe;
+          Alcotest.test_case "enabled no allocation" `Quick
+            test_handles_enabled_no_alloc;
+        ] );
       ( "export",
         [
           Alcotest.test_case "chrome" `Quick test_chrome_export_wellformed;
@@ -674,6 +962,8 @@ let () =
       ( "flight",
         [
           Alcotest.test_case "dump round-trip" `Quick test_flight_roundtrip;
+          Alcotest.test_case "augment events" `Quick
+            test_flight_augment_events;
           Alcotest.test_case "ring bound" `Quick test_flight_ring_bound;
           Alcotest.test_case "trigger sink" `Quick test_flight_trigger_sink;
           Alcotest.test_case "disabled is silent" `Quick
